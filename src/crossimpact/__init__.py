@@ -13,9 +13,8 @@ from .hawkes import (EventStream, ExpTerm, HawkesSpec, analytic_flow_spectrum,
 from .observables import (BinnedSeries, ObservableSet, PricePath, bin_events,
                           build_observables, estimate_omega, estimate_sigma,
                           omega_aggregates, omega_laurent)
-from .polymat import (LaurentMatrix, SpectralFactor, assemble_factor,
-                      eval_on_circle, invert_factor, scalar_spectral_factor,
-                      sbr2_pevd)
+from .polymat import (LaurentMatrix, WhittleFactor, eval_on_circle,
+                      whittle_factor)
 from .kernels import (AdmissibilityReport, ImpactKernel, build_K1,
                       compute_K0, compute_Lambda, kyle_matrix, nsa_check,
                       regularize_K2)
@@ -28,13 +27,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityReport", "BinnedSeries", "CostBreakdown", "EventStream",
     "ExpTerm", "HawkesSpec", "ImpactKernel", "LaurentMatrix",
-    "ObservableSet", "PricePath", "SpectralFactor", "Strategy",
-    "analytic_flow_spectrum", "analytic_kernel", "assemble_factor",
-    "bin_events", "build_K1", "build_observables", "buy_hold_sell",
-    "compute_K0", "compute_Lambda", "cost", "estimate_omega",
-    "estimate_sigma", "eval_on_circle", "invert_factor", "kyle_matrix",
-    "min_roundtrip_cost", "nsa_check", "omega_aggregates", "omega_laurent",
-    "pair_trading_strategy", "predict_prices", "regularize_K2",
-    "sbr2_pevd", "scalar_spectral_factor", "simulate",
-    "stationary_intensity", "validate_spec",
+    "ObservableSet", "PricePath", "Strategy", "WhittleFactor",
+    "analytic_flow_spectrum", "analytic_kernel", "bin_events", "build_K1",
+    "build_observables", "buy_hold_sell", "compute_K0", "compute_Lambda",
+    "cost", "estimate_omega", "estimate_sigma", "eval_on_circle",
+    "kyle_matrix", "min_roundtrip_cost", "nsa_check", "omega_aggregates",
+    "omega_laurent", "pair_trading_strategy", "predict_prices",
+    "regularize_K2", "simulate", "stationary_intensity", "validate_spec",
+    "whittle_factor",
 ]

@@ -13,7 +13,6 @@ import dataclasses
 from fractions import Fraction
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .kernels import ImpactKernel
 from .observables import BinnedSeries
@@ -325,11 +324,11 @@ def predict_prices(kernel: ImpactKernel, flows: BinnedSeries, p0,
     q = flows.flows
     n = q.shape[0]
     L = values.shape[0] - 1
-    out = np.tile(p0, (n, 1))
-    for i in range(d):
-        for j in range(d):
-            conv = fftconvolve(q[:, j], values[:, i, j])[:n]
-            out[:, i] += conv
+    # one zero-padded transform of every (i, j) pair: no circular wrap
+    n_fft = 1 << (n + L - 1).bit_length()
+    spectrum = np.einsum("fij,fj->fi", np.fft.rfft(values, n_fft, axis=0),
+                         np.fft.rfft(q, n_fft, axis=0))
+    out = p0 + np.fft.irfft(spectrum, n_fft, axis=0)[:n]
     if n > L + 1:
         lagged_cum = np.zeros((n, d))
         cum = np.cumsum(q, axis=0)

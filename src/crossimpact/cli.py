@@ -1,4 +1,4 @@
-"""Batch front door: simulate -> estimate -> factorize -> calibrate -> check -> predict.
+"""Batch front door: simulate -> estimate -> calibrate -> check -> predict.
 
 Every run is driven by a JSON config with explicit tolerances, echoed
 into the diagnostics report, and is deterministic given its seed.  Exit
@@ -49,13 +49,10 @@ class RunConfig:
     p0: list | None = None
     impact_scale: float = 1.0
     lam: list | None = None
-    sbr2_tol: float = 1e-7
-    sbr2_max_iter: int = 60000
-    trunc_tol: float = 1e-13
+    factor_tol: float = polymat.FACTOR_TOL
     tail_tol: float = 1e-3
     nsa_tol: float = 1e-6
     factor_residual_bound: float = 1e-4
-    threads: int = 1
     output_dir: str = "out"
 
     @classmethod
@@ -70,8 +67,8 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**raw)
-        for tol_name in ("delta", "sbr2_tol", "trunc_tol", "tail_tol",
-                         "nsa_tol", "factor_residual_bound"):
+        for tol_name in ("delta", "factor_tol", "tail_tol", "nsa_tol",
+                         "factor_residual_bound"):
             if getattr(cfg, tol_name) <= 0:
                 raise ValueError(f"{tol_name} must be positive")
         if cfg.spec is not None and cfg.events is not None:
@@ -233,17 +230,8 @@ def _bin_one_day(cfg, day, ef, pf):
 
 
 def _estimate(cfg, pairs) -> observables.ObservableSet:
-    # days are binned in parallel but reduced in day order, so the
-    # result does not depend on scheduling
-    if cfg.threads > 1 and len(pairs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            series = list(pool.map(
-                lambda item: _bin_one_day(cfg, item[0], *item[1]),
-                enumerate(pairs)))
-    else:
-        series = [_bin_one_day(cfg, day, ef, pf)
-                  for day, (ef, pf) in enumerate(pairs)]
+    series = [_bin_one_day(cfg, day, ef, pf)
+              for day, (ef, pf) in enumerate(pairs)]
     return observables.build_observables(series, cfg.tau_max,
                                          taper=cfg.taper)
 
@@ -254,27 +242,6 @@ def cmd_estimate(cfg: RunConfig, out_dir) -> int:
     observables.save_observables(pathlib.Path(out_dir) / "observables", obs)
     print(f"estimated observables from {obs.n_days} days, "
           f"{obs.n_bins} bins")
-    return EXIT_OK
-
-
-def _factorize(cfg, obs):
-    laurent = observables.omega_laurent(obs, taper=obs.taper)
-    result = polymat.sbr2_pevd(laurent, tol=cfg.sbr2_tol,
-                               max_iter=cfg.sbr2_max_iter,
-                               trunc_tol=cfg.trunc_tol)
-    if not result.converged:
-        raise StageError("factorize", "sbr2 did not converge")
-    factor = polymat.assemble_factor(result, R=laurent, n_grid=cfg.grid)
-    return factor
-
-
-def cmd_factorize(cfg: RunConfig, out_dir) -> int:
-    obs_dir = pathlib.Path(out_dir) / "observables"
-    obs = observables.load_observables(obs_dir)
-    factor = _factorize(cfg, obs)
-    polymat.save_factor(pathlib.Path(out_dir) / "factor", factor)
-    print(f"factor residual {factor.residual:.3e}, "
-          f"diagonalization off-mass {factor.gamma_offdiag_mass:.3e}")
     return EXIT_OK
 
 
@@ -300,16 +267,14 @@ def cmd_calibrate(cfg: RunConfig, out_dir) -> int:
             _, atom_diag = kernels.compute_K0(obs, atom_reference=one_sided)
             diagnostics["atom_diagnostic"] = atom_diag
         stage = "factorize"
-        factor = _factorize(cfg, obs)
-        polymat.save_factor(out / "factor", factor)
+        factor = polymat.whittle_factor(
+            observables.omega_laurent(obs, taper=obs.taper).causal_part(),
+            tol=cfg.factor_tol, n_grid=cfg.grid)
         diagnostics["factor_residual"] = factor.residual
-        diagnostics["gamma_offdiag_mass"] = factor.gamma_offdiag_mass
-        stage = "invert"
-        inverse = polymat.invert_factor(factor)
-        diagnostics["pole_modulus"] = inverse.pole_modulus
-        diagnostics["inverse_tail_bound"] = inverse.tail_bound
+        diagnostics["factor_order"] = factor.order
+        diagnostics["reflection_norm"] = factor.reflection_norm
         stage = "build_k1"
-        k1 = kernels.build_K1(obs, factor, inverse=inverse,
+        k1 = kernels.build_K1(obs, factor,
                               tau_max=cfg.tau_max, n_grid=cfg.grid,
                               tail_tol=cfg.tail_tol,
                               residual_bound=cfg.factor_residual_bound)
@@ -333,7 +298,8 @@ def cmd_calibrate(cfg: RunConfig, out_dir) -> int:
     (out / "diagnostics.json").write_text(json.dumps(
         kernels._json_safe(diagnostics), sort_keys=True, indent=1))
     print(f"calibrated kernels under {out}; factor residual "
-          f"{diagnostics['factor_residual']:.3e}")
+          f"{factor.residual:.3e} at order {factor.order}; "
+          f"k1 tail error {k1.diagnostics['tail_error']:.3e}")
     print(f"k1 {diagnostics['k1_admissibility']['label']}; "
           f"k2 {diagnostics['k2_admissibility']['label']}")
     return EXIT_OK
@@ -414,11 +380,9 @@ def build_parser():
                         f"(or ${ENV_CONFIG})")
     parser.add_argument("--output-dir", default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate")
     sub.add_parser("estimate")
-    sub.add_parser("factorize")
     sub.add_parser("calibrate")
     check = sub.add_parser("check")
     check.add_argument("kernel_dir")
@@ -451,15 +415,11 @@ def main(argv=None) -> int:
             return EXIT_INPUT
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.threads is not None:
-            cfg.threads = args.threads
         out_dir = args.output_dir or cfg.output_dir
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir)
         if args.command == "estimate":
             return cmd_estimate(cfg, out_dir)
-        if args.command == "factorize":
-            return cmd_factorize(cfg, out_dir)
         if args.command == "calibrate":
             return cmd_calibrate(cfg, out_dir)
         if args.command == "check":

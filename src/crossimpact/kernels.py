@@ -23,8 +23,7 @@ import warnings
 import numpy as np
 
 from .observables import ObservableSet
-from .polymat import (DEFAULT_GRID, InvertedFactor, SpectralFactor,
-                      _next_pow2, invert_factor)
+from .polymat import DEFAULT_GRID, LaurentMatrix, WhittleFactor, _next_pow2
 
 
 class KernelError(ValueError):
@@ -156,8 +155,7 @@ def compute_Lambda(obs: ObservableSet, neg_tol: float = 1e-8) -> np.ndarray:
 # Martingale kernel
 # ---------------------------------------------------------------------------
 
-def build_K1(obs: ObservableSet, factor: SpectralFactor,
-             inverse: InvertedFactor | None = None,
+def build_K1(obs: ObservableSet, factor: WhittleFactor,
              tau_max: int | None = None, n_grid: int | None = None,
              tail_tol: float = 1e-3,
              residual_bound: float = 1e-4) -> ImpactKernel:
@@ -175,18 +173,16 @@ def build_K1(obs: ObservableSet, factor: SpectralFactor,
                           f"{residual_bound:.0e}")
     k0 = compute_K0(obs)
     lam = compute_Lambda(obs)
-    if inverse is None:
-        inverse = invert_factor(factor)
     n = n_grid or DEFAULT_GRID
     if tau_max is None:
         tau_max = obs.tau_max
     if tau_max >= n // 2:
         raise KernelError("tau_max must be below half the grid size")
-    wrapped = inverse.inverse.order >= n
+    wrapped = factor.inverse.shape[0] > n
     if wrapped:
         warnings.warn("inverse factor support exceeds the frequency grid; "
                       "far tails alias into the kept lags")
-    l0 = factor.l.eval_at_one()
+    l0 = factor.l_at_one
     try:
         l0_inv_check = np.linalg.cond(l0)
     except np.linalg.LinAlgError as exc:
@@ -194,7 +190,8 @@ def build_K1(obs: ObservableSet, factor: SpectralFactor,
     if not np.isfinite(l0_inv_check) or l0_inv_check > 1e12:
         raise KernelError("L(0) is numerically singular")
     m_mat = lam @ l0
-    linv_w = inverse.inverse.eval_on_circle(n, allow_wrap=True)
+    linv_w = LaurentMatrix.from_causal(factor.inverse).eval_on_circle(
+        n, allow_wrap=True)
     fhat = m_mat[None] @ linv_w - k0[None]
     g = np.fft.ifft(fhat, axis=0)
     imag_mass = np.abs(g.imag).max() / max(np.abs(g.real).max(), 1e-300)
@@ -207,8 +204,8 @@ def build_K1(obs: ObservableSet, factor: SpectralFactor,
         values[t] = k0 + csum[t - 1] + 0.5 * g[t]
     # rotation diagnostic: G O = M with G G^T = Lambda omega_inf Lambda^T
     diag = {"factor_residual": factor.residual, "imag_mass": imag_mass,
-            "inverse_tail_bound": inverse.tail_bound,
-            "pole_modulus": inverse.pole_modulus,
+            "factor_order": factor.order,
+            "reflection_norm": factor.reflection_norm,
             "inverse_wrapped": bool(wrapped)}
     gram = _sym(lam @ obs.omega_inf @ lam.T)
     try:

@@ -5,25 +5,19 @@ coefficients C_k, k in [-m, m], are stored as a (2m+1, d, d) array with
 lag k at index m+k.  Evaluation on the unit circle uses z = e^{i omega},
 so M(omega_j) = sum_k C_k e^{-i omega_j k} at omega_j = 2 pi j / n.
 
-The factorization chain is: SBR2 polynomial EVD diagonalizes a
-para-Hermitian matrix as H R H~ ~= Gamma, each diagonal of Gamma is
-factored into a causal minimum-phase scalar polynomial (cepstral
-method), and the assembled factor L = H~ D satisfies L L~ ~= R.
+The spectral factor L of a para-Hermitian R (L L~ = R, L causal and
+minimum phase) is never formed: the block Whittle-Levinson recursion
+returns the causal coefficients of its inverse directly, as a
+finite-order autoregression.
 """
 from __future__ import annotations
 
 import dataclasses
-import json
-import pathlib
-import warnings
 
 import numpy as np
 
 DEFAULT_GRID = 4096
-TRUNC_TOL = 1e-12
-POLE_GUARD = 1e-3
-TAIL_TARGET = 1e-8
-ROOTS_MAX_ORDER = 512
+FACTOR_TOL = 1e-10
 
 
 class PolymatError(ValueError):
@@ -59,10 +53,6 @@ class LaurentMatrix:
         return self.coeffs.shape[1]
 
     @classmethod
-    def identity(cls, d):
-        return cls(np.eye(d)[None, :, :].copy())
-
-    @classmethod
     def constant(cls, mat):
         mat = np.asarray(mat, dtype=float)
         return cls(mat[None, :, :].copy())
@@ -90,12 +80,6 @@ class LaurentMatrix:
             out[m - t] = mat.T
         return cls(out)
 
-    def lag(self, k) -> np.ndarray:
-        m = self.order
-        if abs(k) > m:
-            return np.zeros((self.dim, self.dim))
-        return self.coeffs[m + k]
-
     def causal_part(self) -> np.ndarray:
         return self.coeffs[self.order:]
 
@@ -121,38 +105,8 @@ class LaurentMatrix:
             out[ka:ka + b.shape[0]] += np.einsum("pq,kqr->kpr", a[ka], b)
         return LaurentMatrix(out)
 
-    def __add__(self, other):
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        m = max(self.order, other.order)
-        d = self.dim
-        out = np.zeros((2 * m + 1, d, d))
-        out[m - self.order:m + self.order + 1] += self.coeffs
-        out[m - other.order:m + other.order + 1] += other.coeffs
-        return LaurentMatrix(out)
-
-    def __sub__(self, other):
-        return self + LaurentMatrix(-other.coeffs)
-
     def eval_on_circle(self, n_grid, allow_wrap=False) -> np.ndarray:
         return eval_on_circle(self, n_grid, allow_wrap=allow_wrap)
-
-    def eval_at_one(self) -> np.ndarray:
-        """M(z=1), the plain coefficient sum."""
-        return self.coeffs.sum(axis=0)
-
-    def truncated(self, rel_tol) -> "LaurentMatrix":
-        c = self.coeffs
-        scale = np.abs(c).max()
-        if scale == 0.0:
-            return LaurentMatrix(c[[self.order]])
-        keep = np.abs(c).reshape(c.shape[0], -1).max(axis=1) > rel_tol * scale
-        nz = np.where(keep)[0]
-        m = self.order
-        lo = min(nz.min(), m)
-        hi = max(nz.max(), m)
-        w = max(m - lo, hi - m)
-        return LaurentMatrix(c[m - w:m + w + 1].copy())
 
 
 def eval_on_circle(M: LaurentMatrix, n_grid: int,
@@ -174,404 +128,89 @@ def eval_on_circle(M: LaurentMatrix, n_grid: int,
 
 
 # ---------------------------------------------------------------------------
-# SBR2 polynomial eigenvalue decomposition
+# Block Whittle-Levinson factorization
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass
-class SBR2Result:
-    h: LaurentMatrix
-    gamma: LaurentMatrix
-    iterations: int
-    converged: bool
-    trace: np.ndarray          # dominant off-diagonal magnitude per iteration
-    tol: float
-    trunc_tol: float
+class WhittleFactor:
+    """Causal inverse of the minimum-phase spectral factor L of R.
 
-
-def _dominant_offdiag(coeffs):
-    a = np.abs(coeffs)
-    d = coeffs.shape[1]
-    for i in range(d):
-        a[:, i, i] = 0.0
-    flat = a.argmax()
-    k_i, i, j = np.unravel_index(flat, a.shape)
-    return a[k_i, i, j], k_i, i, j
-
-
-def sbr2_pevd(R: LaurentMatrix, tol: float = 1e-11, max_iter: int = 20000,
-              trunc_tol: float = TRUNC_TOL, pherm_tol: float = 1e-8,
-              callback=None) -> SBR2Result:
-    """Diagonalize a para-Hermitian Laurent matrix by delay-and-rotate steps.
-
-    Each iteration locates the largest off-diagonal coefficient, shifts it
-    to lag zero with an elementary delay, zeroes it with a Givens rotation,
-    and truncates negligible coefficient tails.  Stops when the dominant
-    off-diagonal coefficient falls below tol relative to the largest input
-    coefficient.  On max_iter the result is returned with converged=False.
+    inverse[k] is the lag-k coefficient of L^{-1}(z) = chol(V)^{-1}
+    (I - sum_k Phi_k z^{-k}), the whitening filter of the order-`order`
+    autoregression with innovation covariance V; inverse[0] is lower
+    triangular with a positive diagonal.  l_at_one is L(1), residual is
+    |L L~ - R|_F / |R|_F on the `grid`-point circle grid, and
+    reflection_norm is the norm of the last reflection coefficient
+    computed, below the tolerance unless the order reached grid // 2.
     """
-    if R.para_hermitian_residual() > pherm_tol:
-        raise PolymatError("input is not para-Hermitian within tolerance")
-    d = R.dim
-    cur = 0.5 * (R.coeffs + R.coeffs[::-1].transpose(0, 2, 1))
-    h = np.eye(d)[None, :, :].copy()
-    scale = np.abs(cur).max()
-    trace = []
-    converged = False
-    it = 0
-    if d == 1 or scale == 0.0:
-        converged = True
-    while not converged and it < max_iter:
-        g, k_i, i, j = _dominant_offdiag(cur)
-        trace.append(g)
-        if g <= tol * scale:
-            converged = True
-            break
-        k = k_i - (cur.shape[0] - 1) // 2
-        if k != 0:
-            pad = abs(k)
-            grown = np.zeros((cur.shape[0] + 2 * pad, d, d))
-            grown[pad:pad + cur.shape[0]] = cur
-            grown[:, j, :] = np.roll(grown[:, j, :], k, axis=0)
-            grown[:, :, j] = np.roll(grown[:, :, j], -k, axis=0)
-            cur = grown
-            hg = np.zeros((h.shape[0] + 2 * pad, d, d))
-            hg[pad:pad + h.shape[0]] = h
-            hg[:, j, :] = np.roll(hg[:, j, :], k, axis=0)
-            h = hg
-        mid = (cur.shape[0] - 1) // 2
-        a, b, g0 = cur[mid, i, i], cur[mid, j, j], cur[mid, i, j]
-        if g0 != 0.0:
-            th = 0.5 * np.arctan2(2.0 * g0, a - b)
-            c, s = np.cos(th), np.sin(th)
-            ri = c * cur[:, i, :] + s * cur[:, j, :]
-            rj = -s * cur[:, i, :] + c * cur[:, j, :]
-            cur[:, i, :] = ri
-            cur[:, j, :] = rj
-            ci = c * cur[:, :, i] + s * cur[:, :, j]
-            cj = -s * cur[:, :, i] + c * cur[:, :, j]
-            cur[:, :, i] = ci
-            cur[:, :, j] = cj
-            hi = c * h[:, i, :] + s * h[:, j, :]
-            hj = -s * h[:, i, :] + c * h[:, j, :]
-            h[:, i, :] = hi
-            h[:, j, :] = hj
-        cur = LaurentMatrix(cur).truncated(trunc_tol).coeffs
-        cur = 0.5 * (cur + cur[::-1].transpose(0, 2, 1))
-        h = LaurentMatrix(h).truncated(trunc_tol).coeffs
-        it += 1
-        if callback is not None:
-            callback(it, g, LaurentMatrix(h.copy()), LaurentMatrix(cur.copy()))
-    if not converged:
-        warnings.warn(f"sbr2_pevd hit max_iter={max_iter}, dominant "
-                      f"off-diagonal {trace[-1]/scale:.2e} of scale")
-    return SBR2Result(h=LaurentMatrix(h), gamma=LaurentMatrix(cur),
-                      iterations=it, converged=converged,
-                      trace=np.asarray(trace), tol=tol, trunc_tol=trunc_tol)
 
-
-def offdiagonal_mass(M: LaurentMatrix) -> float:
-    """Frobenius mass of off-diagonal coefficients relative to diagonal."""
-    off = M.coeffs.copy()
-    d = M.dim
-    for i in range(d):
-        off[:, i, i] = 0.0
-    dia = M.coeffs - off
-    denom = np.linalg.norm(dia)
-    if denom == 0.0:
-        return np.inf if np.linalg.norm(off) > 0 else 0.0
-    return np.linalg.norm(off) / denom
-
-
-# ---------------------------------------------------------------------------
-# Scalar minimum-phase factorization
-# ---------------------------------------------------------------------------
-
-def scalar_spectral_factor(a, n_grid=None, neg_tol=1e-10) -> np.ndarray:
-    """Causal minimum-phase p with p(z) p(1/z) = a(z), cepstral method.
-
-    a is a symmetric Laurent polynomial given as coefficients for lags
-    -m..m, real and nonnegative on the unit circle.  Returns the m+1
-    causal coefficients of p, with p[0] > 0.  All roots of p lie strictly
-    inside the unit circle by construction of the folded cepstrum.
-    """
-    a = np.asarray(a, dtype=float).ravel()
-    if len(a) % 2 != 1:
-        raise PolymatError("expected coefficients for lags -m..m")
-    m = (len(a) - 1) // 2
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        raise PolymatError("zero spectrum cannot be factorized")
-    if np.abs(a - a[::-1]).max() > 1e-8 * scale:
-        raise PolymatError("spectrum coefficients are not symmetric")
-    if n_grid is None:
-        n_grid = max(DEFAULT_GRID, _next_pow2(8 * (2 * m + 1)))
-    om = 2 * np.pi * np.arange(n_grid) / n_grid
-    s = np.zeros(n_grid)
-    for k in range(-m, m + 1):
-        s += a[k + m] * np.cos(om * k)
-    smin = s.min()
-    if smin < -neg_tol * scale:
-        raise PolymatError(f"spectrum negative on the circle: min {smin:.3e}"
-                           f" vs scale {scale:.3e}")
-    s = np.maximum(s, 1e-14 * scale)
-    cep = np.fft.ifft(np.log(s))
-    fold = np.zeros_like(cep)
-    fold[0] = cep[0]
-    fold[1:n_grid // 2] = 2 * cep[1:n_grid // 2]
-    fold[n_grid // 2] = cep[n_grid // 2]
-    lw = np.exp(0.5 * np.fft.fft(fold))
-    p = np.fft.ifft(lw).real[:m + 1]
-    if p[0] < 0:
-        p = -p
-    return p
-
-
-def scalar_spectral_factor_roots(a) -> np.ndarray:
-    """Root-splitting factorization, an independent cross-check oracle.
-
-    Finds the roots of z^m a(z), keeps those strictly inside the unit
-    circle, and rescales so the reconstruction matches a.
-    """
-    a = np.asarray(a, dtype=float).ravel()
-    m = (len(a) - 1) // 2
-    if m == 0:
-        if a[0] < 0:
-            raise PolymatError("negative constant spectrum")
-        return np.array([np.sqrt(a[0])])
-    poly = a[::-1]  # coefficients of z^m a(z) in descending powers of z
-    roots = np.roots(poly)
-    inside = roots[np.abs(roots) < 1.0]
-    if len(inside) != m:
-        raise PolymatError("root splitting failed: spectrum has roots on "
-                           "the unit circle")
-    p = np.real(np.poly(inside))
-    # rescale so the lag-0 coefficient of p p~ matches a
-    p = p * np.sqrt(a[m] / float(p @ p))
-    if p[0] < 0:
-        p = -p
-    return p
-
-
-# ---------------------------------------------------------------------------
-# Factor assembly and inversion
-# ---------------------------------------------------------------------------
-
-@dataclasses.dataclass
-class SpectralFactor:
-    """Factor L = H~ D with para-unitary H and diagonal causal D."""
-
-    h: LaurentMatrix
-    d: LaurentMatrix
-    l: LaurentMatrix
+    inverse: np.ndarray        # (order+1, d, d)
+    l_at_one: np.ndarray
     residual: float
-    gamma_offdiag_mass: float
+    order: int
+    reflection_norm: float
     grid: int
-    converged: bool = True
-
-    @property
-    def dim(self):
-        return self.l.dim
 
 
-def assemble_factor(sbr2: SBR2Result, R: LaurentMatrix | None = None,
-                    n_grid: int = DEFAULT_GRID) -> SpectralFactor:
-    """Build L = H~ D from an SBR2 result, factoring each diagonal of Gamma.
+def _chol(mat, what):
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError as exc:
+        raise PolymatError(f"{what} is not positive definite") from exc
 
-    The residual |R - L L~|_F / |R|_F is evaluated on the circle grid
-    against R when given, else against the reconstruction H~ Gamma H.
+
+def whittle_factor(lags, tol: float = FACTOR_TOL,
+                   n_grid: int = DEFAULT_GRID) -> WhittleFactor:
+    """Inverse spectral factor of R(z) = sum_k lags[|k|] z^{-k} (lags[k]^T
+    for k < 0) by the block Whittle (1963) recursion.
+
+    lags[k] = E[x_{t+k} x_t^T] for k = 0..m are the causal coefficients of
+    a para-Hermitian R, zero beyond m.  Forward and backward predictors
+    grow one lag per step until the spectral norm of the normalised
+    reflection coefficient falls below tol, or the order reaches
+    n_grid // 2, so that L^{-1} never wraps the grid.  A forward or
+    backward innovation covariance that is not positive definite means R
+    is not positive on the circle, and raises PolymatError.
     """
-    if not sbr2.converged:
-        raise PolymatError("sbr2 did not converge; refusing to assemble")
-    gamma = sbr2.gamma
-    dim = gamma.dim
-    off_mass = offdiagonal_mass(gamma)
-    m = gamma.order
-    causal = []
-    for i in range(dim):
-        diag = gamma.coeffs[:, i, i]
-        diag = 0.5 * (diag + diag[::-1])
-        p = scalar_spectral_factor(diag)
-        causal.append(p)
-    n = max(len(p) for p in causal)
-    dmat = np.zeros((n, dim, dim))
-    for i, p in enumerate(causal):
-        dmat[:len(p), i, i] = p
-    d_pol = LaurentMatrix.from_causal(dmat)
-    l_pol = sbr2.h.para_conjugate() @ d_pol
-    grid = max(n_grid, _next_pow2(2 * l_pol.order + 1))
-    target = R if R is not None else (sbr2.h.para_conjugate() @ gamma) @ sbr2.h
-    tw = target.eval_on_circle(grid)
-    lw = l_pol.eval_on_circle(grid)
-    rec = lw @ lw.conj().transpose(0, 2, 1)
-    residual = np.linalg.norm(rec - tw) / np.linalg.norm(tw)
-    return SpectralFactor(h=sbr2.h, d=d_pol, l=l_pol, residual=residual,
-                          gamma_offdiag_mass=off_mass, grid=grid,
-                          converged=sbr2.converged)
-
-
-def causal_series_inverse(p, n) -> np.ndarray:
-    """First n coefficients of 1/p(z) for causal p, by long division."""
-    p = np.asarray(p, dtype=float).ravel()
-    if p[0] == 0.0:
-        raise PolymatError("leading coefficient is zero")
-    b = np.zeros(n)
-    b[0] = 1.0 / p[0]
-    m = len(p) - 1
-    for k in range(1, n):
-        upper = min(k, m)
-        acc = np.dot(p[1:upper + 1], b[k - 1::-1][:upper])
-        b[k] = -acc / p[0]
-    return b
-
-
-def _pole_moduli(p, roots_max_order=ROOTS_MAX_ORDER):
-    """Moduli of the poles of 1/p(z); exact roots for small orders, else a
-    decay-rate estimate from the inverse series tail."""
-    p = np.asarray(p, dtype=float).ravel()
-    m = len(p) - 1
-    if m == 0:
-        return np.array([0.0]), "exact"
-    if m <= roots_max_order:
-        roots = np.roots(p)  # roots of p0 z^m + ... + pm, the z-plane poles
-        return np.abs(roots), "exact"
-    probe = causal_series_inverse(p, 4 * m)
-    tail = np.abs(probe[2 * m:])
-    tail = tail[tail > 0]
-    if len(tail) < 16:
-        return np.array([0.0]), "estimate"
-    k = np.arange(len(tail))
-    slope = np.polyfit(k, np.log(tail), 1)[0]
-    return np.array([float(np.exp(slope))]), "estimate"
-
-
-@dataclasses.dataclass
-class InvertedFactor:
-    inverse: LaurentMatrix      # truncated causal expansion of L^{-1}
-    pole_modulus: float
-    pole_method: str
-    n_trunc: int
-    tail_bound: float
-
-
-def invert_factor(factor: SpectralFactor, pole_guard: float = POLE_GUARD,
-                  tail_target: float = TAIL_TARGET,
-                  max_trunc: int = 1 << 15) -> InvertedFactor:
-    """Truncated causal expansion of L^{-1} = D^{-1} H.
-
-    Each scalar diagonal inverse is expanded through its pole
-    decomposition into a causal impulse response; poles at modulus
-    1 - pole_guard or beyond are rejected since truncation becomes
-    unreliable there.  The truncation length is set so that
-    rho^n_trunc <= tail_target for the largest pole modulus rho.
-    """
-    dim = factor.dim
-    m = factor.d.order
-    ps = [factor.d.causal_part()[:, i, i] for i in range(dim)]
-    rho = 0.0
-    method = "exact"
-    for p in ps:
-        mod, how = _pole_moduli(np.trim_zeros(p, "b") if np.any(p) else p)
-        rho = max(rho, float(mod.max()))
-        if how == "estimate":
-            method = "estimate"
-    if rho >= 1.0 - pole_guard:
-        raise PolymatError(f"pole modulus {rho:.6f} too close to the unit "
-                           f"circle (guard {1.0 - pole_guard:.6f})")
-    if rho <= 0.0:
-        n_trunc = m + 1
-    else:
-        n_trunc = int(np.ceil(np.log(tail_target) / np.log(rho))) + 1
-        n_trunc = max(n_trunc, m + 1)
-    if n_trunc > max_trunc:
-        warnings.warn(f"truncation length {n_trunc} capped at {max_trunc}")
-        n_trunc = max_trunc
-    dinv = np.zeros((n_trunc, dim, dim))
-    for i, p in enumerate(ps):
-        pt = np.trim_zeros(p, "b")
-        if len(pt) == 0:
-            raise PolymatError("zero diagonal factor")
-        dinv[:, i, i] = _pole_expansion(pt, n_trunc)
-    inv = LaurentMatrix.from_causal(dinv) @ factor.h
-    tail_bound = rho ** n_trunc if rho > 0 else 0.0
-    return InvertedFactor(inverse=inv, pole_modulus=rho, pole_method=method,
-                          n_trunc=n_trunc, tail_bound=tail_bound)
-
-
-def _pole_expansion(p, n):
-    """Causal impulse response of 1/p(z) via partial fractions when the
-    pole set is well separated, falling back to long division."""
-    m = len(p) - 1
-    if m == 0:
-        out = np.zeros(n)
-        out[0] = 1.0 / p[0]
-        return out
-    if m <= ROOTS_MAX_ORDER:
-        from scipy import signal
-        r, poles, k = signal.residuez([1.0], p)
-        if len(poles) == m and len(np.unique(np.round(poles, 8))) == m:
-            ks = np.arange(n)
-            out = np.real(r[None, :] * poles[None, :] ** ks[:, None]).sum(axis=1)
-            if k.size:
-                out[:k.size] += np.real(k)
-            # partial fractions lose accuracy for clustered poles;
-            # cross-check against long division and prefer the stabler one
-            ref = causal_series_inverse(p, min(n, 4 * m))
-            if np.abs(out[:len(ref)] - ref).max() <= 1e-8 * np.abs(ref).max():
-                return out
-    return causal_series_inverse(p, n)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def save_laurent(directory, M: LaurentMatrix, prefix: str):
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    m = M.order
-    for k in range(-m, m + 1):
-        np.savetxt(directory / f"{prefix}_lag_{k}.csv", M.lag(k),
-                   fmt="%.17g", delimiter=",")
-
-
-def load_laurent(directory, prefix: str) -> LaurentMatrix:
-    directory = pathlib.Path(directory)
-    files = sorted(directory.glob(f"{prefix}_lag_*.csv"))
-    if not files:
-        raise FileNotFoundError(f"no {prefix}_lag_*.csv files in {directory}")
-    lags = {}
-    for f in files:
-        k = int(f.stem.rsplit("_", 1)[1])
-        lags[k] = np.atleast_2d(np.loadtxt(f, delimiter=","))
-    m = max(abs(k) for k in lags)
-    d = next(iter(lags.values())).shape[0]
-    out = np.zeros((2 * m + 1, d, d))
-    for k, mat in lags.items():
-        out[m + k] = mat
-    return LaurentMatrix(out)
-
-
-def save_factor(directory, factor: SpectralFactor):
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    save_laurent(directory, factor.h, "h")
-    save_laurent(directory, factor.d, "d")
-    meta = {
-        "residual": factor.residual,
-        "gamma_offdiag_mass": factor.gamma_offdiag_mass,
-        "grid": factor.grid,
-        "converged": factor.converged,
-    }
-    (directory / "meta.json").write_text(json.dumps(meta, sort_keys=True,
-                                                    indent=1))
-
-
-def load_factor(directory) -> SpectralFactor:
-    directory = pathlib.Path(directory)
-    meta = json.loads((directory / "meta.json").read_text())
-    h = load_laurent(directory, "h")
-    d = load_laurent(directory, "d")
-    l_pol = h.para_conjugate() @ d
-    return SpectralFactor(h=h, d=d, l=l_pol, residual=meta["residual"],
-                          gamma_offdiag_mass=meta["gamma_offdiag_mass"],
-                          grid=meta["grid"], converged=meta["converged"])
+    lags = np.asarray(lags, dtype=float)
+    n_lags, d, _ = lags.shape
+    if np.abs(lags[0] - lags[0].T).max() > 1e-8 * np.abs(lags).max():
+        raise PolymatError("lag-0 coefficient is not symmetric")
+    if n_grid < 2 * n_lags - 1:
+        raise PolymatError(f"n_grid={n_grid} cannot resolve order "
+                           f"{n_lags - 1}")
+    cap = n_grid // 2
+    gam = np.zeros((cap + 1, d, d))
+    gam[:n_lags] = lags
+    fwd = np.zeros((0, d, d))          # Phi_1..Phi_p
+    bwd = np.zeros((0, d, d))          # backward predictor, same order
+    v = u = 0.5 * (lags[0] + lags[0].T)
+    cv = cu = _chol(v, "lag-0 covariance")
+    refl = 0.0
+    while fwd.shape[0] < cap:
+        p = fwd.shape[0]
+        delta = gam[p + 1] - np.einsum("jab,jbc->ac", fwd, gam[p:0:-1])
+        refl = np.linalg.norm(
+            np.linalg.solve(cv, np.linalg.solve(cu, delta.T).T), 2)
+        if refl < tol:
+            break
+        a_new = np.linalg.solve(u.T, delta.T).T
+        b_new = np.linalg.solve(v.T, delta).T
+        fwd, bwd = (np.concatenate([fwd - a_new @ bwd[::-1], a_new[None]]),
+                    np.concatenate([bwd - b_new @ fwd[::-1], b_new[None]]))
+        v = v - a_new @ delta.T
+        u = u - b_new @ delta
+        v, u = 0.5 * (v + v.T), 0.5 * (u + u.T)
+        cv = _chol(v, f"forward innovation covariance at order {p + 1}")
+        cu = _chol(u, f"backward innovation covariance at order {p + 1}")
+    cv_inv = np.linalg.inv(cv)
+    inverse = np.concatenate([cv_inv[None], -cv_inv @ fwd])
+    l_w = np.linalg.inv(np.fft.fft(inverse, n=n_grid, axis=0))
+    target = LaurentMatrix.from_lag_list(lags[0], lags[1:]) \
+        .eval_on_circle(n_grid)
+    rec = l_w @ l_w.conj().transpose(0, 2, 1)
+    residual = float(np.linalg.norm(rec - target) / np.linalg.norm(target))
+    return WhittleFactor(inverse=inverse,
+                         l_at_one=np.linalg.inv(inverse.sum(axis=0)),
+                         residual=residual, order=fwd.shape[0],
+                         reflection_norm=float(refl), grid=n_grid)

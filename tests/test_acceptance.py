@@ -5,6 +5,7 @@ criteria complete.  Tolerances are pinned here and match the package
 configuration defaults where one exists.
 """
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -19,19 +20,23 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
+def build_k1_quietly(obs, factor, **kwargs):
+    """build_K1 with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return kernels.build_K1(obs, factor, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def coupled_pipeline():
-    """Lead-lag two-asset market, tau_max 256, deep factorization."""
+    """Lead-lag two-asset market, tau_max 256, Whittle factorization."""
     t0 = time.perf_counter()
     spec, theta, lags, laurent = synthetic.coupled_instance(tau_max=256)
-    res = polymat.sbr2_pevd(laurent, tol=3e-12, max_iter=60000,
-                            trunc_tol=1e-15)
-    factor = polymat.assemble_factor(res, R=laurent)
+    factor = polymat.whittle_factor(laurent.causal_part())
     elapsed = time.perf_counter() - t0
     obs = synthetic.observables_from_model(
         spec, np.array([[1.0, 0.25], [0.25, 1.1]]), 256)
-    with pytest.warns(UserWarning):
-        k1 = kernels.build_K1(obs, factor, tau_max=256, n_grid=4096)
+    k1 = build_k1_quietly(obs, factor, tau_max=256, n_grid=4096)
     k2 = kernels.regularize_K2(k1, n_grid=4096)
     return {"spec": spec, "laurent": laurent, "factor": factor,
             "elapsed": elapsed, "obs": obs, "k1": k1, "k2": k2}
@@ -43,10 +48,8 @@ def consistent_pipeline():
     t0 = time.perf_counter()
     inst = synthetic.consistent_instance(beta=0.02, branch=0.5,
                                          tau_max=1600)
-    res = polymat.sbr2_pevd(inst.laurent, tol=3e-12, max_iter=1000,
-                            trunc_tol=1e-15)
-    factor = polymat.assemble_factor(res, R=inst.laurent)
-    k1 = kernels.build_K1(inst.obs, factor, tau_max=1600)
+    factor = polymat.whittle_factor(inst.laurent.causal_part())
+    k1 = build_k1_quietly(inst.obs, factor, tau_max=1600)
     elapsed = time.perf_counter() - t0
     return {"inst": inst, "factor": factor, "k1": k1, "elapsed": elapsed}
 
@@ -60,15 +63,21 @@ def test_criterion_spectral_factorization_residual(coupled_pipeline):
                f"runtime {elapsed:.1f}s (< 60s)")
 
 
-def test_criterion_diagonality_of_d(coupled_pipeline):
+def test_criterion_minimum_phase(coupled_pipeline):
     factor = coupled_pipeline["factor"]
-    off = factor.d.coeffs.copy()
-    for i in range(factor.dim):
-        off[:, i, i] = 0.0
-    ok = factor.gamma_offdiag_mass <= 1e-10 and np.abs(off).max() == 0.0
-    report("diagonality of the factor",
-           ok, f"diagonalization off-mass {factor.gamma_offdiag_mass:.2e} "
-               f"(<= 1e-10), assembled D strictly diagonal")
+    c = factor.inverse[0]
+    phi = -np.linalg.solve(c[None], factor.inverse[1:])
+    p, d, _ = phi.shape
+    companion = np.zeros((p * d, p * d))
+    companion[:d] = np.concatenate(list(phi), axis=1)
+    companion[d:, :-d] = np.eye((p - 1) * d)
+    radius = np.abs(np.linalg.eigvals(companion)).max()
+    lower = np.array_equal(c, np.tril(c)) and np.all(np.diag(c) > 0)
+    ok = p > 0 and radius < 1.0 and lower
+    report("minimum phase of the factor",
+           ok, f"AR order {p}, companion spectral radius {radius:.4f} "
+               f"(< 1), lag-0 inverse lower triangular with a positive "
+               f"diagonal: {lower}")
 
 
 def test_criterion_kyle_identity():

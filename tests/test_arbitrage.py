@@ -253,6 +253,27 @@ class TestPredict:
         p12 = predict_prices(k, series(q1 + q2), np.zeros(2))
         assert np.abs(p12 - (p1 + p2)).max() <= 1e-12 * np.abs(p12).max()
 
+    @pytest.mark.parametrize("n", [5, 40, 333])
+    def test_matches_direct_convolution(self, n):
+        # the kernel has 13 lags; n = 40 and 333 run onto the plateau
+        rng = np.random.default_rng(n)
+        vals = rng.normal(size=(13, 3, 3))
+        lam = rng.normal(size=(3, 3))
+        k = ImpactKernel(delta=1.0, values=vals, k0=vals[0], lam=lam,
+                         provenance="analytic", grid=64, tail_tol=10.0)
+        q = rng.normal(size=(n, 3))
+        series = BinnedSeries(delta=1.0, open_prices=np.zeros((n, 3)),
+                              close_prices=np.zeros((n, 3)), flows=q)
+        p0 = np.array([100.0, 50.0, 0.0])
+        path = predict_prices(k, series, p0)
+        ext = np.concatenate([vals, np.tile(lam, (max(n - 13, 0), 1, 1))])
+        ref = np.tile(p0, (n, 1))
+        for i in range(3):
+            for j in range(3):
+                ref[:, i] += np.convolve(q[:, j], ext[:, i, j])[:n]
+        assert path.shape == (n, 3)
+        assert np.abs(path - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_lattice_mismatch(self):
         k = constant_kernel(np.eye(1), delta=1.0)
         flows = BinnedSeries(delta=0.5, open_prices=np.zeros((4, 1)),

@@ -20,7 +20,7 @@ def small_config(tmp_path, seed=3, **overrides):
                         "blocks": blocks},
                "delta": 1.0, "tau_max": 32, "grid": 2048,
                "seed": seed, "horizon": 400.0, "n_days": 2,
-               "tolerances": {"sbr2_tol": 1e-6, "tail_tol": 2.0}}
+               "tolerances": {"factor_tol": 1e-10, "tail_tol": 2.0}}
     payload.update(overrides)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
@@ -52,7 +52,7 @@ class TestConfig:
 
     def test_nonpositive_tolerance_rejected(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"tolerances": {"sbr2_tol": 0.0}}))
+        path.write_text(json.dumps({"tolerances": {"factor_tol": 0.0}}))
         with pytest.raises(ValueError):
             RunConfig.from_file(path)
 
@@ -166,7 +166,7 @@ class TestCalibrate:
         prices = {float(r.split(",")[2]) for r in rows}
         assert prices == {50.0}
 
-    def test_estimate_then_factorize_stages(self, tmp_path):
+    def test_estimate_stage_then_calibrate(self, tmp_path):
         cfg = small_config(tmp_path, n_days=2, horizon=400.0)
         out = tmp_path / "staged"
         assert main(["--config", str(cfg), "--output-dir", str(out),
@@ -175,8 +175,11 @@ class TestCalibrate:
                      "estimate"]) == EXIT_OK
         assert (out / "observables" / "sigma.csv").exists()
         assert main(["--config", str(cfg), "--output-dir", str(out),
-                     "factorize"]) == EXIT_OK
-        assert (out / "factor" / "meta.json").exists()
+                     "calibrate"]) == EXIT_OK
+        assert not (out / "factor").exists()
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert 0 < diag["factor_order"] <= 2048 // 2
+        assert diag["reflection_norm"] < 1e-10
 
     def test_explicit_data_paths(self, tmp_path):
         cfg = small_config(tmp_path, n_days=2, horizon=400.0)
@@ -193,7 +196,7 @@ class TestCalibrate:
         data_cfg.write_text(json.dumps(raw))
         out = tmp_path / "from_data"
         assert main(["--config", str(data_cfg), "--output-dir", str(out),
-                     "--threads", "2", "calibrate"]) == EXIT_OK
+                     "calibrate"]) == EXIT_OK
         assert (out / "k2" / "lambda.csv").exists()
 
     def test_numerical_stage_failure_exits_3(self, tmp_path, capsys):
@@ -203,6 +206,17 @@ class TestCalibrate:
                    "calibrate"])
         assert rc == 3
         assert "stage" in capsys.readouterr().err
+
+    def test_factor_residual_over_bound_exits_3(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, tolerances={
+            "factor_residual_bound": 1e-14, "tail_tol": 2.0})
+        out = tmp_path / "tight"
+        rc = main(["--config", str(cfg), "--output-dir", str(out),
+                   "calibrate"])
+        assert rc == 3
+        assert "factor residual" in capsys.readouterr().err
+        assert not (out / "factor").exists()
+        assert not (out / "k1").exists()
 
     def test_missing_data_exits_2(self, tmp_path):
         raw = {"events": [str(tmp_path / "nowhere.csv")], "tau_max": 8}

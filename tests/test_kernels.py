@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -8,7 +10,7 @@ from crossimpact.kernels import (ImpactKernel, KernelError, build_K1,
                                  load_kernel, nsa_check, regularize_K2,
                                  save_kernel, symmetrized_transform)
 from crossimpact.observables import ObservableSet
-from crossimpact.polymat import LaurentMatrix, assemble_factor, sbr2_pevd
+from crossimpact.polymat import whittle_factor
 
 
 def random_spd(rng, d, lo=0.1, hi=10.0):
@@ -130,10 +132,22 @@ class TestBoundaryMatrices:
 
 def build_white_k1(sigma, c):
     obs = white_observables(sigma, c)
-    laurent = LaurentMatrix.constant(c)
-    res = sbr2_pevd(laurent, tol=1e-13, max_iter=100)
-    factor = assemble_factor(res, R=laurent)
-    return build_K1(obs, factor, tau_max=8), obs
+    return build_K1(obs, whittle_factor(c[None]), tau_max=8), obs
+
+
+def build_k1_quietly(obs, factor, **kwargs):
+    """build_K1 with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return build_K1(obs, factor, **kwargs)
+
+
+def lead_lag_k1(tau_max, lam, n_grid=1024, **coupling):
+    spec, theta, lags, laurent = synthetic.coupled_instance(
+        tau_max=tau_max, **coupling)
+    obs = synthetic.observables_from_model(spec, np.array(lam), tau_max)
+    factor = whittle_factor(laurent.causal_part(), n_grid=n_grid)
+    return build_k1_quietly(obs, factor, tau_max=tau_max, n_grid=n_grid)
 
 
 class TestBuildK1:
@@ -157,15 +171,13 @@ class TestBuildK1:
     def test_scalar_matches_independent_wiener_hopf(self):
         # one-asset pipeline against the exact rational factor of the
         # geometric-lag spectrum (closed-form pole/zero split), with
-        # pointwise grid division instead of cepstrum plus series inverse
+        # pointwise grid division instead of the autoregressive inverse
         A = np.array([[0.05]])
         beta = 0.1
         theta = np.array([1.0])
         tau_max = 400
         lags = synthetic.lattice_flow_covariance(A, beta, theta,
                                                  [1.0], tau_max)
-        laurent = LaurentMatrix.from_lag_list(
-            lags[0], [lags[t] for t in range(1, tau_max + 1)])
         atom = 2.0 * np.diag(theta)
         f0 = A / beta
         lam = np.eye(1) - 0.35 * f0
@@ -175,9 +187,7 @@ class TestBuildK1:
         obs = ObservableSet(sigma=sigma, omega=lags, omega_zero=atom,
                             omega_inf=winf, delta=1.0, n_days=0, n_bins=0,
                             taper="none")
-        res = sbr2_pevd(laurent, tol=1e-12, max_iter=10)
-        factor = assemble_factor(res, R=laurent)
-        k1 = build_K1(obs, factor, tau_max=tau_max)
+        k1 = build_K1(obs, whittle_factor(lags), tau_max=tau_max)
         # oracle: S(z) = (O0 + C rho/(z - rho) terms) has the exact
         # minimum-phase factor (p0 + p1 z^{-1}) / (1 - rho z^{-1})
         rho = np.exp(-(beta - A[0, 0]))
@@ -209,25 +219,28 @@ class TestBuildK1:
         # the boundary identity is orthogonal to matching accuracy
         inst = synthetic.consistent_instance(beta=0.05, branch=0.5,
                                              tau_max=600)
-        res = sbr2_pevd(inst.laurent, tol=3e-12, max_iter=500,
-                        trunc_tol=1e-15)
-        factor = assemble_factor(res, R=inst.laurent)
+        factor = whittle_factor(inst.laurent.causal_part())
         assert factor.residual <= 1e-6
         k1 = build_K1(inst.obs, factor, tau_max=600)
         assert k1.diagnostics["rotation_residual"] <= 1e-6
         assert np.isfinite(k1.diagnostics["rotation_conditioning"])
 
+    def test_exact_lags_tail_reaches_lambda(self):
+        # lead-lag flow with its exact lattice lags: the kernel settles on
+        # the permanent matrix, which an aliased inverse factor misses
+        for coupling in ({}, {"a12": 0.0, "a21": 0.12}):
+            k1 = lead_lag_k1(256, [[1.0, 0.25], [0.25, 1.1]], n_grid=4096,
+                             **coupling)
+            assert k1.tail_error() <= 1e-8
+            assert not k1.diagnostics["inverse_wrapped"]
+
     def test_singular_l0_rejected(self):
         sigma = np.eye(1)
         c = np.eye(1)
         obs = white_observables(sigma, c)
-        d_coeffs = np.zeros((2, 1, 1))
-        d_coeffs[:, 0, 0] = [1.0, -1.0]   # L(1) = 0
-        factor = polymat.SpectralFactor(
-            h=LaurentMatrix.identity(1),
-            d=LaurentMatrix.from_causal(d_coeffs),
-            l=LaurentMatrix.from_causal(d_coeffs),
-            residual=0.0, gamma_offdiag_mass=0.0, grid=64)
+        factor = polymat.WhittleFactor(
+            inverse=np.ones((2, 1, 1)), l_at_one=np.zeros((1, 1)),   # L(1) = 0
+            residual=0.0, order=1, reflection_norm=0.0, grid=64)
         with pytest.raises((KernelError, polymat.PolymatError)):
             build_K1(obs, factor, tau_max=4)
 
@@ -252,13 +265,7 @@ class TestRegularize:
         assert np.abs(k2.values[65:] - k.lam[None]).max() <= 1e-12
 
     def test_idempotent(self):
-        spec, theta, lags, laurent = synthetic.coupled_instance(tau_max=128)
-        obs = synthetic.observables_from_model(
-            spec, np.array([[1.0, 0.25], [0.25, 1.1]]), 128)
-        res = sbr2_pevd(laurent, tol=1e-10, max_iter=20000, trunc_tol=1e-14)
-        factor = assemble_factor(res, R=laurent)
-        with pytest.warns(UserWarning):
-            k1 = build_K1(obs, factor, tau_max=128, n_grid=1024)
+        k1 = lead_lag_k1(128, [[1.0, 0.25], [0.25, 1.1]], a12=0.0, a21=0.12)
         k2 = regularize_K2(k1, n_grid=1024)
         k2b = regularize_K2(k2, n_grid=1024)
         scale = np.abs(k2.values).max()
@@ -282,13 +289,8 @@ class TestRegularize:
         assert dist == pytest.approx(neg, rel=1e-12)
 
     def test_post_clip_grid_positivity(self):
-        spec, theta, lags, laurent = synthetic.coupled_instance(tau_max=96)
-        obs = synthetic.observables_from_model(
-            spec, np.array([[0.9, 0.2], [0.2, 1.0]]), 96)
-        res = sbr2_pevd(laurent, tol=1e-10, max_iter=20000, trunc_tol=1e-14)
-        factor = assemble_factor(res, R=laurent)
-        with pytest.warns(UserWarning):
-            k1 = build_K1(obs, factor, tau_max=96, n_grid=1024)
+        k1 = lead_lag_k1(96, [[0.9, 0.2], [0.2, 1.0]], a12=0.0, a21=0.12)
+        assert not nsa_check(k1).verdict    # the clip has work to do
         k2 = regularize_K2(k1, n_grid=1024)
         z = symmetrized_transform(k2, 1024)
         herm = 0.5 * (z + z.conj().transpose(0, 2, 1))
@@ -348,15 +350,12 @@ class TestNsaCheck:
         assert rep.k0_symmetry > 1e-3
 
     def test_martingale_kernel_fails_clipped_passes(self):
-        spec, theta, lags, laurent = synthetic.coupled_instance(tau_max=128)
-        obs = synthetic.observables_from_model(
-            spec, np.array([[1.0, 0.25], [0.25, 1.1]]), 128)
-        res = sbr2_pevd(laurent, tol=1e-10, max_iter=20000, trunc_tol=1e-14)
-        factor = assemble_factor(res, R=laurent)
-        with pytest.warns(UserWarning):
-            k1 = build_K1(obs, factor, tau_max=128, n_grid=1024)
+        # one-way lead-lag flow: min relative spectral eigenvalue -0.10
+        k1 = lead_lag_k1(128, [[1.0, 0.25], [0.25, 1.1]], a12=0.0, a21=0.12)
         k2 = regularize_K2(k1, n_grid=1024)
-        assert not nsa_check(k1).verdict
+        rep1 = nsa_check(k1)
+        assert not rep1.verdict
+        assert rep1.min_spectral_eig < -0.05
         assert nsa_check(k2).verdict
 
 

@@ -3,35 +3,78 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossimpact import polymat
-from crossimpact.polymat import (LaurentMatrix, PolymatError, assemble_factor,
-                                 causal_series_inverse, eval_on_circle,
-                                 invert_factor, offdiagonal_mass,
-                                 scalar_spectral_factor,
-                                 scalar_spectral_factor_roots, sbr2_pevd)
+from crossimpact import synthetic
+from crossimpact.polymat import (LaurentMatrix, PolymatError, eval_on_circle,
+                                 whittle_factor)
 
 
-def random_paraunitary(rng, d=2, n_ops=3):
-    """Product of elementary delay + rotation operations."""
-    h = LaurentMatrix.identity(d)
-    for _ in range(n_ops):
-        j = rng.integers(d)
-        k = int(rng.integers(1, 3))
-        coeffs = np.zeros((2 * k + 1, d, d))
-        coeffs[k] = np.eye(d)
-        coeffs[k, j, j] = 0.0
-        coeffs[k + k, j, j] = 1.0
-        delay = LaurentMatrix(coeffs)
-        th = rng.uniform(0, np.pi)
-        c, s = np.cos(th), np.sin(th)
-        q = np.eye(d)
-        i1, i2 = sorted(rng.choice(d, size=2, replace=False))
-        q[i1, i1] = c
-        q[i1, i2] = s
-        q[i2, i1] = -s
-        q[i2, i2] = c
-        h = LaurentMatrix.constant(q) @ (delay @ h)
-    return h
+def spectrum_lags(causal):
+    """Lags 0..2m of R = L L~ for causal coefficients L_0..L_m."""
+    L = LaurentMatrix.from_causal(causal)
+    return (L @ L.para_conjugate()).causal_part()
+
+
+def causal_series_inverse(p, n):
+    """First n coefficients of 1/p(z) for causal scalar p, by long division."""
+    b = np.zeros(n)
+    b[0] = 1.0 / p[0]
+    for k in range(1, n):
+        upper = min(k, len(p) - 1)
+        b[k] = -np.dot(p[1:upper + 1], b[k - 1::-1][:upper]) / p[0]
+    return b
+
+
+def padded(inverse, n):
+    """The first n coefficients of L^{-1}, zero beyond its order."""
+    out = np.zeros((n,) + inverse.shape[1:])
+    out[:min(n, len(inverse))] = inverse[:n]
+    return out
+
+
+def autoregression(inverse):
+    """Phi_k of L^{-1}(z) = C (I - sum_k Phi_k z^{-k}), and C."""
+    return -np.linalg.solve(inverse[0][None], inverse[1:]), inverse[0]
+
+
+def companion_radius(phi):
+    p, d, _ = phi.shape
+    comp = np.zeros((p * d, p * d))
+    comp[:d] = np.concatenate(list(phi), axis=1)
+    comp[d:, :-d] = np.eye((p - 1) * d)
+    return np.abs(np.linalg.eigvals(comp)).max()
+
+
+def wilson_inverse_factor(lags, n, max_iter=200, tol=1e-13):
+    """Causal coefficients of L^{-1} by Wilson's (1972) Newton iteration.
+
+    Solves psi psi^H = S on the n-point grid for causal minimum-phase
+    psi, then rotates so that L^{-1} at lag 0 is lower triangular with a
+    positive diagonal.  Independent of the package's factorization.
+    """
+    m, d = lags.shape[0] - 1, lags.shape[1]
+    x = np.zeros((n, d, d))
+    x[:m + 1] = lags
+    x[n - m:] = lags[:0:-1].transpose(0, 2, 1)
+    spec = np.fft.fft(x, axis=0)
+    psi = np.tile(np.linalg.cholesky(lags[0]).astype(complex), (n, 1, 1))
+    lower = np.tril(np.ones((d, d)), -1) + 0.5 * np.eye(d)
+    for _ in range(max_iter):
+        pinv = np.linalg.inv(psi)
+        g = pinv @ spec @ pinv.conj().transpose(0, 2, 1) + np.eye(d)
+        gam = np.fft.ifft(g, axis=0)
+        plus = np.zeros_like(gam)
+        plus[0] = lower * gam[0]
+        plus[1:n // 2] = gam[1:n // 2]
+        plus[n // 2] = 0.5 * gam[n // 2]
+        new = psi @ np.fft.fft(plus, axis=0)
+        step = np.abs(new - psi).max() / np.abs(new).max()
+        psi = new
+        if step < tol:
+            break
+    psi0 = np.fft.ifft(psi, axis=0)[0].real
+    rot = np.linalg.solve(psi0, np.linalg.cholesky(psi0 @ psi0.T))
+    linv = np.fft.ifft(rot.T @ np.linalg.inv(psi), axis=0)
+    return linv.real, np.abs(linv.imag).max()
 
 
 class TestEval:
@@ -92,204 +135,148 @@ class TestAlgebra:
         assert R.para_hermitian_residual() < 1e-15
 
 
-class TestSBR2:
-    def test_already_diagonal(self):
-        coeffs = np.zeros((3, 2, 2))
-        coeffs[1] = np.diag([2.0, 1.0])
-        coeffs[0] = np.diag([0.4, 0.2])
-        coeffs[2] = np.diag([0.4, 0.2])
-        res = sbr2_pevd(LaurentMatrix(coeffs), tol=1e-12, max_iter=50)
-        assert res.converged
-        assert res.iterations == 0
-        assert np.allclose(res.h.coeffs, np.eye(2)[None])
-        assert np.allclose(res.gamma.coeffs, coeffs)
-
-    def test_recovers_constructed_factorization(self):
-        rng = np.random.default_rng(7)
-        d = 2
-        g0 = np.zeros((3, d, d))
-        g0[:, 0, 0] = [0.3, 1.5, 0.3]
-        g0[:, 1, 1] = [0.2, 1.0, 0.2]
-        u = random_paraunitary(rng, d)
-        R = (u.para_conjugate() @ LaurentMatrix(g0)) @ u
-        res = sbr2_pevd(R, tol=1e-12, max_iter=5000, trunc_tol=1e-14)
-        assert res.converged
-        assert offdiagonal_mass(res.gamma) < 1e-8
-
-    def test_diagonal_energy_monotone(self):
-        # each rotation moves 2 g^2 of energy onto the lag-0 diagonal,
-        # which is the monotone quantity behind convergence; the dominant
-        # magnitude itself may transiently grow, but never beyond sqrt(2)x
-        rng = np.random.default_rng(3)
-        u = random_paraunitary(rng, 2)
-        g0 = np.zeros((3, 2, 2))
-        g0[:, 0, 0] = [0.5, 2.0, 0.5]
-        g0[:, 1, 1] = [0.1, 0.8, 0.1]
-        R = (u.para_conjugate() @ LaurentMatrix(g0)) @ u
-        diag_energy = []
-
-        def watch(it, dom, h, gamma):
-            mid = gamma.order
-            diag_energy.append(np.sum(np.diag(gamma.coeffs[mid]) ** 2))
-
-        res = sbr2_pevd(R, tol=1e-12, max_iter=5000, trunc_tol=1e-14,
-                        callback=watch)
-        assert res.converged
-        diag_energy = np.array(diag_energy)
-        assert np.all(np.diff(diag_energy) >= -1e-12 * diag_energy[-1])
-        tr = res.trace
-        assert np.all(tr[1:] <= np.sqrt(2.0) * tr[:-1] + 1e-12 * tr[0])
-
-    def test_paraunitarity_preserved_each_sweep(self):
-        rng = np.random.default_rng(11)
-        u = random_paraunitary(rng, 2, n_ops=4)
-        g0 = np.zeros((5, 2, 2))
-        g0[:, 0, 0] = [0.2, 0.7, 2.2, 0.7, 0.2]
-        g0[:, 1, 1] = [0.1, 0.3, 1.1, 0.3, 0.1]
-        R = (u.para_conjugate() @ LaurentMatrix(g0)) @ u
-        devs = []
-
-        def watch(it, dom, h, gamma):
-            w = h.eval_on_circle(256, allow_wrap=True)
-            devs.append(np.abs(w @ w.conj().transpose(0, 2, 1)
-                               - np.eye(2)).max())
-
-        res = sbr2_pevd(R, tol=1e-11, max_iter=2000, trunc_tol=1e-14,
-                        callback=watch)
-        assert res.converged
-        assert max(devs) <= 1e-8
-
-    def test_non_para_hermitian_rejected(self):
-        coeffs = np.zeros((3, 2, 2))
-        coeffs[2, 0, 1] = 1.0
-        with pytest.raises(PolymatError):
-            sbr2_pevd(LaurentMatrix(coeffs), tol=1e-10, max_iter=10)
-
-    def test_max_iter_flags_unconverged(self):
-        rng = np.random.default_rng(5)
-        u = random_paraunitary(rng, 2, n_ops=4)
-        g0 = np.zeros((3, 2, 2))
-        g0[:, 0, 0] = [0.4, 1.4, 0.4]
-        g0[:, 1, 1] = [0.2, 0.9, 0.2]
-        R = (u.para_conjugate() @ LaurentMatrix(g0)) @ u
-        with pytest.warns(UserWarning):
-            res = sbr2_pevd(R, tol=1e-14, max_iter=1)
-        assert not res.converged
-
-
 class TestScalarFactor:
     def test_constant(self):
-        p = scalar_spectral_factor(np.array([4.0]))
-        assert np.allclose(p, [2.0])
+        f = whittle_factor(np.array([[[4.0]]]))
+        assert f.order == 0
+        assert np.allclose(f.inverse, [[[0.5]]])
+        assert f.l_at_one[0, 0] == pytest.approx(2.0, rel=1e-15)
+        assert f.residual < 1e-15
 
     def test_known_quadratic(self):
-        # (1 + 0.5 z^{-1})(1 + 0.5 z) = 1.25 + 0.5 z + 0.5 z^{-1}
-        a = np.array([0.5, 1.25, 0.5])
-        p = scalar_spectral_factor(a)
-        assert np.allclose(p, [1.0, 0.5], atol=1e-10)
+        # (1 + 0.5 z^{-1})(1 + 0.5 z) = 1.25 + 0.5 z + 0.5 z^{-1}; the
+        # inverse factor is the geometric series of -0.5
+        f = whittle_factor(np.array([[[1.25]], [[0.5]]]))
+        assert np.abs(f.inverse[:20, 0, 0]
+                      - (-0.5) ** np.arange(20)).max() <= 1e-9
+        assert f.l_at_one[0, 0] == pytest.approx(1.5, rel=1e-9)
+        assert f.residual <= 1e-9
 
-    def test_cepstral_agrees_with_root_splitting(self):
+    def test_agrees_with_root_splitting(self):
         rng = np.random.default_rng(9)
-        for _ in range(25):
+        for _ in range(10):
             roots = rng.uniform(-0.9, 0.9, size=4)
             p_true = np.poly(roots) * rng.uniform(0.5, 2.0)
             if p_true[0] < 0:
                 p_true = -p_true
-            a = np.convolve(p_true, p_true[::-1])
-            pc = scalar_spectral_factor(a)
-            pr = scalar_spectral_factor_roots(a)
-            scale = np.abs(p_true).max()
-            assert np.abs(pc - p_true).max() <= 1e-8 * scale
-            assert np.abs(pr - p_true).max() <= 1e-8 * scale
+            a = np.convolve(p_true, p_true[::-1])   # lags -4..4
+            # root-splitting oracle: the roots of z^4 a(z) inside the circle
+            inside = np.roots(a[::-1])
+            inside = inside[np.abs(inside) < 1.0]
+            p = np.real(np.poly(inside))
+            p *= np.sqrt(a[4] / float(p @ p))
+            assert np.abs(p - p_true).max() <= 1e-8 * np.abs(p_true).max()
+            f = whittle_factor(a[4:, None, None])
+            ref = causal_series_inverse(p, 60)
+            assert np.abs(padded(f.inverse, 60)[:, 0, 0] - ref).max() \
+                <= 1e-8 * np.abs(ref).max()
+            assert f.l_at_one[0, 0] == pytest.approx(p.sum(), rel=1e-8)
 
     def test_roots_strictly_inside(self):
         rng = np.random.default_rng(13)
         roots = rng.uniform(-0.95, 0.95, size=5)
         p_true = np.poly(roots)
         a = np.convolve(p_true, p_true[::-1])
-        p = scalar_spectral_factor(a)
-        mods = np.abs(np.roots(p))
+        f = whittle_factor(a[5:, None, None])
+        # the poles of L are the roots of the autoregressive polynomial
+        mods = np.abs(np.roots(f.inverse[:, 0, 0]))
         assert mods.max() < 1.0
 
     def test_negative_spectrum_rejected(self):
-        # 1 + cos has zeros; 0.5 + cos goes negative
-        a = np.array([1.0, 0.5, 1.0])
+        # 0.5 + 2 cos(omega) goes negative
         with pytest.raises(PolymatError):
-            scalar_spectral_factor(a)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(PolymatError):
-            scalar_spectral_factor(np.array([0.5, 1.0, 0.4]))
+            whittle_factor(np.array([[[0.5]], [[1.0]]]))
 
 
 class TestAssembleInvert:
     def test_white_constant_factor(self):
         c = np.array([[2.0, 0.5], [0.5, 1.0]])
-        R = LaurentMatrix.constant(c)
-        res = sbr2_pevd(R, tol=1e-13, max_iter=100)
-        factor = assemble_factor(res, R=R)
-        assert factor.l.order == 0
-        rec = factor.l.coeffs[0] @ factor.l.coeffs[0].T
-        assert np.allclose(rec, c, atol=1e-12)
-        assert factor.residual < 1e-12
+        f = whittle_factor(c[None])
+        assert f.order == 0
+        assert np.allclose(f.l_at_one @ f.l_at_one.T, c, atol=1e-12)
+        assert np.allclose(f.inverse[0], np.linalg.inv(np.linalg.cholesky(c)),
+                           atol=1e-12)
+        assert f.residual < 1e-12
 
     def test_identity_inverse(self):
-        R = LaurentMatrix.constant(np.eye(2))
-        res = sbr2_pevd(R, tol=1e-13, max_iter=10)
-        factor = assemble_factor(res, R=R)
-        inv = invert_factor(factor)
-        w = inv.inverse.eval_on_circle(64, allow_wrap=True)
+        f = whittle_factor(np.eye(2)[None])
+        w = LaurentMatrix.from_causal(f.inverse).eval_on_circle(64)
         assert np.allclose(w, np.eye(2)[None], atol=1e-12)
 
     def test_geometric_inverse_series(self):
-        b = causal_series_inverse(np.array([1.0, 0.5]), 20)
-        assert np.allclose(b, (-0.5) ** np.arange(20))
+        # L = I + B z^{-1} has the inverse sum_k (-B)^k z^{-k}
+        b = np.array([[0.3, 0.2], [-0.1, 0.4]])
+        f = whittle_factor(spectrum_lags(np.stack([np.eye(2), b])))
+        series = np.stack([np.linalg.matrix_power(-b, k) for k in range(30)])
+        assert np.abs(padded(f.inverse, 30) - series).max() <= 1e-9
+        assert np.allclose(f.l_at_one, np.eye(2) + b, atol=1e-9)
 
     def test_inverse_convolution_identity(self):
-        # constructed 2x2 factor with known pole moduli <= 0.95
-        rng = np.random.default_rng(21)
-        h = random_paraunitary(rng, 2, n_ops=2)
-        p1 = np.array([1.0, -0.9])
-        p2 = np.array([1.2, 0.5])
-        d_coeffs = np.zeros((2, 2, 2))
-        d_coeffs[:, 0, 0] = p1
-        d_coeffs[:, 1, 1] = p2
-        d_pol = LaurentMatrix.from_causal(d_coeffs)
-        factor = polymat.SpectralFactor(
-            h=h, d=d_pol, l=h.para_conjugate() @ d_pol,
-            residual=0.0, gamma_offdiag_mass=0.0, grid=1024)
-        inv = invert_factor(factor)
+        # L = L0 (I + B1 z^{-1})(I + B2 z^{-1}): minimum phase, and L0 is
+        # lower triangular with a positive diagonal, so L is the factor
+        l0 = np.array([[1.2, 0.0], [0.3, 0.8]])
+        b1 = np.array([[0.5, -0.4], [0.2, 0.3]])
+        b2 = np.array([[-0.6, 0.1], [0.0, 0.7]])
+        L = (LaurentMatrix.from_causal(l0[None])
+             @ LaurentMatrix.from_causal(np.stack([np.eye(2), b1]))
+             @ LaurentMatrix.from_causal(np.stack([np.eye(2), b2])))
+        f = whittle_factor((L @ L.para_conjugate()).causal_part())
         n = 1024
-        lw = factor.l.eval_on_circle(n, allow_wrap=True)
-        iw = inv.inverse.eval_on_circle(n, allow_wrap=True)
-        dev = np.abs(lw @ iw - np.eye(2)).max()
-        assert dev <= 1e-6
-        assert inv.pole_modulus == pytest.approx(0.9, abs=1e-9)
-        assert inv.tail_bound <= 1e-7
+        lw = L.eval_on_circle(n)
+        iw = LaurentMatrix.from_causal(f.inverse).eval_on_circle(n)
+        assert np.abs(lw @ iw - np.eye(2)).max() <= 1e-6
+        assert np.allclose(f.l_at_one, L.coeffs.sum(axis=0), atol=1e-6)
+        assert f.residual <= 1e-9
 
     def test_pole_guard(self):
+        # a factor zero at 0.9995 needs far more lags than the grid
+        # holds: the order stops at half the grid and the residual says so
         p = np.array([1.0, -0.9995])
         a = np.convolve(p, p[::-1])
-        d_coeffs = np.zeros((2, 1, 1))
-        d_coeffs[:, 0, 0] = p
-        factor = polymat.SpectralFactor(
-            h=LaurentMatrix.identity(1),
-            d=LaurentMatrix.from_causal(d_coeffs),
-            l=LaurentMatrix.from_causal(d_coeffs),
-            residual=0.0, gamma_offdiag_mass=0.0, grid=4096)
-        with pytest.raises(PolymatError):
-            invert_factor(factor)
+        f = whittle_factor(a[1:, None, None], n_grid=4096)
+        assert f.order == 2048
+        assert f.reflection_norm > 1e-10
+        assert f.residual > 1e-4
 
-    def test_factor_serialization_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        u = random_paraunitary(rng, 2)
-        g0 = np.zeros((3, 2, 2))
-        g0[:, 0, 0] = [0.3, 1.5, 0.3]
-        g0[:, 1, 1] = [0.2, 1.0, 0.2]
-        R = (u.para_conjugate() @ LaurentMatrix(g0)) @ u
-        res = sbr2_pevd(R, tol=1e-12, max_iter=2000, trunc_tol=1e-14)
-        factor = assemble_factor(res, R=R)
-        polymat.save_factor(tmp_path / "f", factor)
-        back = polymat.load_factor(tmp_path / "f")
-        assert np.allclose(back.l.coeffs, factor.l.coeffs)
-        assert back.residual == factor.residual
+
+class TestWhittleFactor:
+    def test_recovers_constructed_factorization(self):
+        # exact autocovariances of a VAR(2): the recursion stops at
+        # order 2 with its coefficients and innovation covariance
+        phi = np.array([[[0.5, 0.2], [-0.1, 0.3]], [[0.2, 0.0], [0.1, -0.2]]])
+        v = np.array([[1.0, 0.3], [0.3, 0.5]])
+        assert companion_radius(phi) < 0.9
+        psi = [np.eye(2), phi[0]]
+        for _ in range(600):
+            psi.append(phi[0] @ psi[-1] + phi[1] @ psi[-2])
+        psi = np.stack(psi)
+        lags = np.stack([np.einsum("kab,bc,kdc->ad", psi[h:], v,
+                                   psi[:len(psi) - h]) for h in range(200)])
+        f = whittle_factor(lags)
+        assert f.order == 2
+        got_phi, c = autoregression(f.inverse)
+        assert np.abs(got_phi - phi).max() <= 1e-10
+        assert np.abs(np.linalg.inv(c) @ np.linalg.inv(c).T - v).max() <= 1e-10
+        assert f.residual <= 1e-10
+
+    def test_asymmetric_lag0_rejected(self):
+        lags = np.zeros((2, 2, 2))
+        lags[0] = [[1.0, 0.5], [0.0, 1.0]]
+        with pytest.raises(PolymatError):
+            whittle_factor(lags)
+
+    @pytest.mark.parametrize("instance", ["coupled", "consistent"])
+    def test_matches_wilson_oracle(self, instance):
+        if instance == "coupled":
+            lags = synthetic.coupled_instance(tau_max=256)[2]
+        else:
+            lags = synthetic.consistent_instance(beta=0.02, branch=0.5,
+                                                 tau_max=1600).obs.omega
+        n = 4096
+        f = whittle_factor(lags, n_grid=n)
+        ref, imag = wilson_inverse_factor(lags, n)
+        got = padded(f.inverse, n // 2)
+        scale = np.abs(ref).max()
+        assert imag <= 1e-9 * scale
+        assert np.abs(ref[n // 2:]).max() <= 1e-9 * scale   # causal
+        assert np.abs(got - ref[:n // 2]).max() <= 1e-6 * scale
