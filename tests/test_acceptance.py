@@ -80,6 +80,23 @@ def test_criterion_minimum_phase(coupled_pipeline):
                f"diagonal: {lower}")
 
 
+def test_criterion_diagonality_of_d(coupled_pipeline):
+    # the factor whitens R: D = L^{-1} R L^{-H} is the identity on the grid
+    n = 4096
+    r = coupled_pipeline["laurent"].eval_on_circle(n)
+    inv = polymat.LaurentMatrix.from_causal(
+        coupled_pipeline["factor"].inverse).eval_on_circle(n)
+    d = inv @ r @ inv.conj().transpose(0, 2, 1)
+    dia = np.einsum("wii->wi", d)
+    off = d * (1.0 - np.eye(d.shape[1]))
+    off_mass = np.linalg.norm(off) / np.linalg.norm(dia)
+    unit = np.abs(dia - 1.0).max()
+    ok = off_mass <= 1e-10 and unit <= 1e-9
+    report("diagonality of the whitened spectrum D",
+           ok, f"off-diagonal mass {off_mass:.2e} (<= 1e-10), "
+               f"diagonal within {unit:.2e} of 1 (<= 1e-9)")
+
+
 def test_criterion_kyle_identity():
     rng = np.random.default_rng(20240808)
     worst_resid, worst_inv = 0.0, 0.0

@@ -24,6 +24,27 @@ def causal_series_inverse(p, n):
     return b
 
 
+def cepstral_factor(a, n):
+    """Minimum-phase p with p(z) p(1/z) = a(z), and 1/p, by the cepstrum.
+
+    a holds the symmetric lags -m..m of a positive scalar spectrum; the
+    causal half of log a on the n-point grid gives log p.  Independent of
+    the package's factorization.
+    """
+    m = len(a) // 2
+    x = np.zeros(n)
+    x[:m + 1] = a[m:]
+    x[n - m:] = a[:m]
+    cep = np.fft.ifft(np.log(np.fft.fft(x).real)).real
+    half = np.zeros(n)
+    half[0] = 0.5 * cep[0]
+    half[1:n // 2] = cep[1:n // 2]
+    half[n // 2] = 0.5 * cep[n // 2]
+    log_p = np.fft.fft(half)
+    return (np.fft.ifft(np.exp(log_p)).real,
+            np.fft.ifft(np.exp(-log_p)).real)
+
+
 def padded(inverse, n):
     """The first n coefficients of L^{-1}, zero beyond its order."""
     out = np.zeros((n,) + inverse.shape[1:])
@@ -171,6 +192,25 @@ class TestScalarFactor:
             assert np.abs(padded(f.inverse, 60)[:, 0, 0] - ref).max() \
                 <= 1e-8 * np.abs(ref).max()
             assert f.l_at_one[0, 0] == pytest.approx(p.sum(), rel=1e-8)
+
+    def test_cepstral_agrees_with_root_splitting(self):
+        # Kolmogorov's cepstral factor, written here, is a second oracle:
+        # it must agree with root splitting and with the Whittle inverse
+        rng = np.random.default_rng(11)
+        n = 4096
+        for _ in range(10):
+            roots = rng.uniform(-0.9, 0.9, size=4)
+            p_true = np.poly(roots) * rng.uniform(0.5, 2.0)
+            if p_true[0] < 0:
+                p_true = -p_true
+            a = np.convolve(p_true, p_true[::-1])   # lags -4..4
+            p, inverse = cepstral_factor(a, n)
+            assert np.abs(p[:5] - p_true).max() <= 1e-8 * np.abs(p_true).max()
+            assert np.abs(p[5:]).max() <= 1e-8 * np.abs(p_true).max()
+            f = whittle_factor(a[4:, None, None])
+            ref = inverse[:60]
+            assert np.abs(padded(f.inverse, 60)[:, 0, 0] - ref).max() \
+                <= 1e-8 * np.abs(ref).max()
 
     def test_roots_strictly_inside(self):
         rng = np.random.default_rng(13)
