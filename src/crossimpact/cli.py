@@ -115,57 +115,59 @@ def _default_lambda(spec, cfg) -> np.ndarray:
     return cfg.impact_scale * dv @ mat @ dv_inv
 
 
+# exp(600) is about 1e260: one scaled cumsum block cannot overflow
+DECAY_BLOCK_EXPONENT = 600.0
+
+
+def _decayed_counts(times, signed, beta):
+    """Rows S_n = sum_{m <= n} signed_m exp(-beta (t_n - t_m)).
+
+    Each block of events within DECAY_BLOCK_EXPONENT / beta of its first
+    event is one cumsum scaled by exp(beta (t - t_first)); the sum at the
+    end of a block decays into the next.
+    """
+    out = np.empty_like(signed)
+    carry = np.zeros(signed.shape[1])
+    start, n = 0, len(times)
+    while start < n:
+        t0 = times[start]
+        stop = int(np.searchsorted(times, t0 + DECAY_BLOCK_EXPONENT / beta,
+                                   side="right"))
+        grow = np.exp(beta * (times[start:stop] - t0))[:, None]
+        out[start:stop] = (np.cumsum(signed[start:stop] * grow, axis=0)
+                           + carry) / grow
+        if stop < n:
+            carry = out[stop - 1] * np.exp(-beta * (times[stop]
+                                                    - times[stop - 1]))
+        start = stop
+    return out
+
+
 def _event_prices(spec, stream, lam, p0) -> observables.PricePath:
     """Exact event-time prices of the decay-law kernel along a stream.
 
-    The kernel splits as lam plus exponential transients, so a per-term
-    decayed sum of signed counts gives the exact price at every jump.
+    The kernel splits as lam plus exponential transients, so per decay
+    rate the decayed signed counts of each source asset give the exact
+    price at every jump.
     """
-    d = spec.d
+    d, n = spec.d, len(stream)
     dv = np.diag(spec.sizes)
     dv_inv = np.diag(1.0 / spec.sizes)
     k0 = lam @ dv @ np.linalg.inv(np.eye(d) - hawkes.imbalance_l1(spec)) \
         @ dv_inv
-    terms = spec.imbalance_terms()
-    rows, cols, alphas, betas = [], [], [], []
-    for i in range(d):
-        for j in range(d):
-            for beta, alpha in sorted(terms[i][j].items()):
-                rows.append(i)
-                cols.append(j)
-                alphas.append(alpha)
-                betas.append(beta)
-    rows = np.asarray(rows, dtype=int)
-    cols = np.asarray(cols, dtype=int)
-    alphas = np.asarray(alphas)
-    betas = np.asarray(betas)
-    weights = np.divide(alphas, betas, out=np.zeros_like(alphas),
-                        where=betas > 0)
     loading = k0 @ dv       # price response to per-source decayed counts
-    n_terms = len(rows)
-    state = np.zeros(n_terms)
-    net = np.zeros(d)
-    times, assets_out, prices_out = [], [], []
-    prev = 0.0
-    for t, a, s, v in zip(stream.times, stream.assets, stream.sides,
-                          stream.sizes):
-        if n_terms:
-            state *= np.exp(-betas * (t - prev))
-            state[cols == a] += s
-        prev = t
-        net[a] += s * v
-        impact = np.zeros(d)
-        if n_terms:
-            contrib = np.zeros((d, d))
-            np.add.at(contrib, (rows, cols), weights * state)
-            impact = loading @ contrib.sum(axis=1)
-        price = p0 + lam @ net + impact
-        times.extend([t] * d)
-        assets_out.extend(range(d))
-        prices_out.extend(price.tolist())
-    return observables.PricePath(times=np.asarray(times),
-                                 assets=np.asarray(assets_out),
-                                 prices=np.asarray(prices_out), d=d)
+    signs = np.zeros((n, d))
+    signs[np.arange(n), stream.assets] = stream.sides
+    prices = p0 + np.cumsum(signs * stream.sizes[:, None], axis=0) @ lam.T
+    terms = spec.imbalance_terms()
+    for beta in sorted({b for row in terms for entry in row for b in entry}):
+        weights = np.array([[entry.get(beta, 0.0) / beta for entry in row]
+                            for row in terms])
+        prices += _decayed_counts(stream.times, signs, beta) \
+            @ (loading @ weights).T
+    return observables.PricePath(times=np.repeat(stream.times, d),
+                                 assets=np.tile(np.arange(d), n),
+                                 prices=prices.ravel(), d=d)
 
 
 def cmd_simulate(cfg: RunConfig, out_dir) -> int:
@@ -245,6 +247,21 @@ def cmd_estimate(cfg: RunConfig, out_dir) -> int:
     return EXIT_OK
 
 
+def _k1_health(k1, tail_tol):
+    """K1's health block for diagnostics.json, and the faults that make
+    its verdict "degraded" (none for "ok")."""
+    tail = k1.diagnostics["tail_error"]
+    wrapped = k1.diagnostics["inverse_wrapped"]
+    faults = []
+    if tail > tail_tol:
+        faults.append(f"tail error {tail:.2e} > tol {tail_tol:.2e}")
+    if wrapped:
+        faults.append("inverse factor wraps the grid")
+    return {"tail_error": tail, "tail_tol": tail_tol,
+            "inverse_wrapped": wrapped,
+            "verdict": "degraded" if faults else "ok"}, faults
+
+
 def cmd_calibrate(cfg: RunConfig, out_dir) -> int:
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -291,6 +308,8 @@ def cmd_calibrate(cfg: RunConfig, out_dir) -> int:
         diagnostics["k2_diagnostics"] = kernels._json_safe(k2.diagnostics)
         diagnostics["k1_admissibility"] = rep1.to_dict()
         diagnostics["k2_admissibility"] = rep2.to_dict()
+        health, faults = _k1_health(k1, cfg.tail_tol)
+        diagnostics["health"] = health
     except StageError:
         raise
     except Exception as exc:
@@ -298,8 +317,10 @@ def cmd_calibrate(cfg: RunConfig, out_dir) -> int:
     (out / "diagnostics.json").write_text(json.dumps(
         kernels._json_safe(diagnostics), sort_keys=True, indent=1))
     print(f"calibrated kernels under {out}; factor residual "
-          f"{factor.residual:.3e} at order {factor.order}; "
-          f"k1 tail error {k1.diagnostics['tail_error']:.3e}")
+          f"{factor.residual:.3e} at order {factor.order}")
+    print(f"k1 degraded ({'; '.join(faults)})" if faults else
+          f"k1 healthy (tail error {health['tail_error']:.2e} <= tol "
+          f"{health['tail_tol']:.2e})")
     print(f"k1 {diagnostics['k1_admissibility']['label']}; "
           f"k2 {diagnostics['k2_admissibility']['label']}")
     return EXIT_OK

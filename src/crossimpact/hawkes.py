@@ -4,13 +4,13 @@ The flow of each of d assets is driven by a 2d-dimensional Hawkes process
 (buy and sell components per asset) with shared baseline mu and four
 excitation blocks aa, ab, ba, bb.  Every kernel entry is a finite sum of
 exponentials alpha * exp(-beta t), which gives closed-form Fourier
-transforms, L1 norms, and an exact thinning simulation via intensity
-recursions.
+transforms, L1 norms, and an exact simulation through the cluster
+(branching) representation.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -344,32 +344,66 @@ class EventStream:
         return out
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "asset", "side", "size"])
-            for t, a, s, v in zip(self.times, self.assets, self.sides,
-                                  self.sizes):
-                writer.writerow([f"{t:.9f}", a, "B" if s > 0 else "S",
-                                 f"{v:.17g}"])
+        _write_csv(path, ("time", "asset", "side", "size"),
+                  "%.9f,%d,%s,%.17g",
+                  (self.times, self.assets,
+                   np.where(self.sides > 0, "B", "S"), self.sizes))
 
     @classmethod
     def from_csv(cls, path, d=None, horizon=None):
-        times, assets, sides, sizes = [], [], [], []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                times.append(float(row["time"]))
-                assets.append(int(row["asset"]))
-                sides.append(BUY if row["side"].strip().upper() == "B"
-                             else SELL)
-                sizes.append(float(row["size"]))
-        times = np.asarray(times)
+        rows = _read_csv(path, [("time", float), ("asset", int),
+                                ("side", int), ("size", float)],
+                         side=lambda s: BUY if s.strip().upper() == "B"
+                         else SELL)
+        times, assets = rows["time"], rows["asset"]
         if d is None:
-            d = int(max(assets)) + 1 if assets else 1
+            d = int(assets.max()) + 1 if len(assets) else 1
         if horizon is None:
             horizon = float(times[-1]) if len(times) else 0.0
-        return cls(times=times, assets=np.asarray(assets),
-                   sides=np.asarray(sides), sizes=np.asarray(sizes),
-                   horizon=horizon, d=d)
+        return cls(times=times, assets=assets, sides=rows["side"],
+                   sizes=rows["size"], horizon=horizon, d=d)
+
+
+CSV_CHUNK_ROWS = 256
+
+
+def _write_csv(path, header, row_format, columns):
+    """Write equal-length columns as CRLF-terminated CSV rows.
+
+    The bytes equal those of csv.writer for fields that need no quoting.
+    Rows are formatted CSV_CHUNK_ROWS at a time, so no whole-file string
+    is built.
+    """
+    n = len(columns[0])
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n, CSV_CHUNK_ROWS):
+            stop = min(start + CSV_CHUNK_ROWS, n)
+            rows = zip(*(c[start:stop].tolist() for c in columns))
+            fh.write((row_format + "\r\n") * (stop - start)
+                     % tuple(itertools.chain.from_iterable(rows)))
+
+
+def _read_csv(path, fields, **converters):
+    """Named columns of a CSV file as a structured array.
+
+    fields lists (column name, dtype); columns are found by header name,
+    in any order, and other columns are ignored.  A keyword argument
+    named after a column converts its text fields.  A file with no data
+    rows gives an empty array; a missing column raises KeyError.
+    """
+    with open(path, newline="") as fh:
+        position = {name.strip(): k
+                    for k, name in enumerate(fh.readline().split(","))}
+        start = fh.tell()
+        if not fh.read(1):
+            return np.zeros(0, dtype=fields)
+        usecols = [position[name] for name, _ in fields]
+        fh.seek(start)
+        return np.loadtxt(fh, dtype=fields, delimiter=",", comments=None,
+                          quotechar='"', usecols=usecols, ndmin=1,
+                          converters={position[name]: fn
+                                      for name, fn in converters.items()})
 
 
 def _flatten_terms(spec):
@@ -396,11 +430,15 @@ def _flatten_terms(spec):
 
 
 def simulate(spec: HawkesSpec, horizon: float, seed: int) -> EventStream:
-    """Exact-law sample of the order flow on [0, horizon] by thinning.
+    """Exact-law sample of the order flow on [0, horizon], by clusters.
 
-    A piecewise-constant dominating intensity is recomputed at every
-    candidate point; the exponential states make the recursion exact.
-    Deterministic given the seed.
+    In the branching representation of Hawkes & Oakes (1974) the
+    immigrants of component c are a Poisson(mu_c) process, and every
+    event of component c has, for each excitation term k with source c,
+    Poisson(alpha_k / beta_k) children of component tgt_k at Exp(beta_k)
+    delays.  Generations are drawn one at a time, children past the
+    horizon are dropped, and the union is sorted.  Deterministic given
+    the seed; coincident event times raise HawkesError in EventStream.
     """
     report = validate_spec(spec)
     if not report.stable:
@@ -409,42 +447,39 @@ def simulate(spec: HawkesSpec, horizon: float, seed: int) -> EventStream:
         raise HawkesError("horizon must be nonnegative")
     rng = np.random.default_rng(seed)
     d = spec.d
-    alphas, betas, src, tgt = _flatten_terms(spec)
-    n_terms = len(alphas)
-    mu_full = np.concatenate([spec.mu, spec.mu])
     n_comp = 2 * d
-    if n_terms:
-        tmat = np.zeros((n_comp, n_terms))
-        tmat[tgt, np.arange(n_terms)] = 1.0
-        smat = [np.where(src == c)[0] for c in range(n_comp)]
-    state = np.zeros(n_terms)
-    t = 0.0
-    times, assets, sides = [], [], []
-    base = mu_full.sum()
-    while base + state.sum() > 0.0:
-        bound = base + state.sum()
-        w = rng.exponential(1.0 / bound)
-        if t + w > horizon:
-            break
-        t = t + w
-        if n_terms:
-            state = state * np.exp(-betas * w)
-            lam = mu_full + tmat @ state
-        else:
-            lam = mu_full.copy()
-        total = lam.sum()
-        if rng.uniform() * bound <= total:
-            x = rng.uniform() * total
-            comp = min(int(np.searchsorted(np.cumsum(lam), x)), n_comp - 1)
-            asset = comp % d
-            side = BUY if comp < d else SELL
-            times.append(t)
-            assets.append(asset)
-            sides.append(side)
-            if n_terms and len(smat[comp]):
-                state[smat[comp]] += alphas[smat[comp]]
-    sizes = spec.sizes[np.asarray(assets, dtype=int)] if assets else \
-        np.zeros(0)
-    return EventStream(times=np.asarray(times), assets=np.asarray(assets),
-                       sides=np.asarray(sides), sizes=sizes,
-                       horizon=horizon, d=d)
+    alphas, betas, src, tgt = _flatten_terms(spec)
+    # per source component, its terms padded to a common width; a padded
+    # slot has zero mean offspring
+    by_src = [np.flatnonzero(src == c) for c in range(n_comp)]
+    width = max(len(k) for k in by_src)
+    mean_children = np.zeros((n_comp, width))
+    decay = np.ones((n_comp, width))
+    child_comp = np.zeros((n_comp, width), dtype=int)
+    for c, k in enumerate(by_src):
+        mean_children[c, :len(k)] = alphas[k] / betas[k]
+        decay[c, :len(k)] = betas[k]
+        child_comp[c, :len(k)] = tgt[k]
+    mu_full = np.concatenate([spec.mu, spec.mu])
+    comps = np.repeat(np.arange(n_comp), rng.poisson(mu_full * horizon))
+    times = rng.uniform(0.0, horizon, len(comps))
+    all_times, all_comps = [times], [comps]
+    while len(times) and width:
+        counts = rng.poisson(mean_children[comps])
+        slot = np.repeat(np.arange(counts.size), counts.ravel())
+        parent, slot = np.divmod(slot, width)
+        pc = comps[parent]
+        times = times[parent] + rng.exponential(size=len(slot)) \
+            / decay[pc, slot]
+        keep = times <= horizon
+        times, comps = times[keep], child_comp[pc, slot][keep]
+        all_times.append(times)
+        all_comps.append(comps)
+    times = np.concatenate(all_times)
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    comps = np.concatenate(all_comps)[order]
+    assets = comps % d
+    return EventStream(times=times, assets=assets,
+                       sides=np.where(comps < d, BUY, SELL),
+                       sizes=spec.sizes[assets], horizon=horizon, d=d)

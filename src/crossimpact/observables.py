@@ -7,7 +7,6 @@ bin width is the unit of time for everything downstream.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import pathlib
@@ -15,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .hawkes import EventStream
+from .hawkes import EventStream, _read_csv, _write_csv
 from .polymat import LaurentMatrix
 
 
@@ -41,24 +40,18 @@ class PricePath:
         return len(self.times)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "asset", "price"])
-            for t, a, p in zip(self.times, self.assets, self.prices):
-                writer.writerow([f"{t:.9f}", a, f"{p:.17g}"])
+        _write_csv(path, ("time", "asset", "price"), "%.9f,%d,%.17g",
+                  (self.times, self.assets, self.prices))
 
     @classmethod
     def from_csv(cls, path, d=None):
-        times, assets, prices = [], [], []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                times.append(float(row["time"]))
-                assets.append(int(row["asset"]))
-                prices.append(float(row["price"]))
+        rows = _read_csv(path, [("time", float), ("asset", int),
+                               ("price", float)])
+        assets = rows["asset"]
         if d is None:
-            d = int(max(assets)) + 1 if assets else 1
-        return cls(times=np.asarray(times), assets=np.asarray(assets),
-                   prices=np.asarray(prices), d=d)
+            d = int(assets.max()) + 1 if len(assets) else 1
+        return cls(times=rows["time"], assets=assets, prices=rows["price"],
+                   d=d)
 
 
 @dataclasses.dataclass

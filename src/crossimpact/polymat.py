@@ -18,6 +18,10 @@ import numpy as np
 
 DEFAULT_GRID = 4096
 FACTOR_TOL = 1e-10
+# a small reflection coefficient ends the recursion only when the factor
+# already reproduces R on the grid to this relative residual: a spectrum
+# in k omega has exactly zero reflections at orders not divisible by k
+STOP_RESIDUAL = 1e-6
 
 
 class PolymatError(ValueError):
@@ -167,10 +171,11 @@ def whittle_factor(lags, tol: float = FACTOR_TOL,
     lags[k] = E[x_{t+k} x_t^T] for k = 0..m are the causal coefficients of
     a para-Hermitian R, zero beyond m.  Forward and backward predictors
     grow one lag per step until the spectral norm of the normalised
-    reflection coefficient falls below tol, or the order reaches
-    n_grid // 2, so that L^{-1} never wraps the grid.  A forward or
-    backward innovation covariance that is not positive definite means R
-    is not positive on the circle, and raises PolymatError.
+    reflection coefficient falls below tol while the grid residual is at
+    most STOP_RESIDUAL, or the order reaches n_grid // 2, so that L^{-1}
+    never wraps the grid.  A forward or backward innovation covariance
+    that is not positive definite means R is not positive on the circle,
+    and raises PolymatError.
     """
     lags = np.asarray(lags, dtype=float)
     n_lags, d, _ = lags.shape
@@ -182,18 +187,28 @@ def whittle_factor(lags, tol: float = FACTOR_TOL,
     cap = n_grid // 2
     gam = np.zeros((cap + 1, d, d))
     gam[:n_lags] = lags
+    target = LaurentMatrix.from_lag_list(lags[0], lags[1:]) \
+        .eval_on_circle(n_grid)
     fwd = np.zeros((0, d, d))          # Phi_1..Phi_p
     bwd = np.zeros((0, d, d))          # backward predictor, same order
     v = u = 0.5 * (lags[0] + lags[0].T)
     cv = cu = _chol(v, "lag-0 covariance")
     refl = 0.0
-    while fwd.shape[0] < cap:
+    while True:
         p = fwd.shape[0]
-        delta = gam[p + 1] - np.einsum("jab,jbc->ac", fwd, gam[p:0:-1])
-        refl = np.linalg.norm(
-            np.linalg.solve(cv, np.linalg.solve(cu, delta.T).T), 2)
-        if refl < tol:
-            break
+        if p < cap:
+            delta = gam[p + 1] - np.einsum("jab,jbc->ac", fwd, gam[p:0:-1])
+            refl = np.linalg.norm(
+                np.linalg.solve(cv, np.linalg.solve(cu, delta.T).T), 2)
+        if p == cap or refl < tol:
+            cv_inv = np.linalg.inv(cv)
+            inverse = np.concatenate([cv_inv[None], -cv_inv @ fwd])
+            l_w = np.linalg.inv(np.fft.fft(inverse, n=n_grid, axis=0))
+            rec = l_w @ l_w.conj().transpose(0, 2, 1)
+            residual = float(np.linalg.norm(rec - target)
+                             / np.linalg.norm(target))
+            if p == cap or residual <= STOP_RESIDUAL:
+                break
         a_new = np.linalg.solve(u.T, delta.T).T
         b_new = np.linalg.solve(v.T, delta).T
         fwd, bwd = (np.concatenate([fwd - a_new @ bwd[::-1], a_new[None]]),
@@ -203,14 +218,7 @@ def whittle_factor(lags, tol: float = FACTOR_TOL,
         v, u = 0.5 * (v + v.T), 0.5 * (u + u.T)
         cv = _chol(v, f"forward innovation covariance at order {p + 1}")
         cu = _chol(u, f"backward innovation covariance at order {p + 1}")
-    cv_inv = np.linalg.inv(cv)
-    inverse = np.concatenate([cv_inv[None], -cv_inv @ fwd])
-    l_w = np.linalg.inv(np.fft.fft(inverse, n=n_grid, axis=0))
-    target = LaurentMatrix.from_lag_list(lags[0], lags[1:]) \
-        .eval_on_circle(n_grid)
-    rec = l_w @ l_w.conj().transpose(0, 2, 1)
-    residual = float(np.linalg.norm(rec - target) / np.linalg.norm(target))
     return WhittleFactor(inverse=inverse,
                          l_at_one=np.linalg.inv(inverse.sum(axis=0)),
-                         residual=residual, order=fwd.shape[0],
+                         residual=residual, order=p,
                          reflection_norm=float(refl), grid=n_grid)

@@ -170,7 +170,10 @@ def test_criterion_analytic_oracle(consistent_pipeline):
 def test_criterion_martingale_desk_check(consistent_pipeline):
     inst = consistent_pipeline["inst"]
     k1 = consistent_pipeline["k1"]
-    horizon = 250000.0
+    # four components at stationary intensity 1 expect 4 x horizon =
+    # 1.04e6 events, about 23 standard deviations (1.7e3) above the 10**6
+    # floor; a horizon of 250000 would put the floor at the mean
+    horizon = 260000.0
     stream = hawkes.simulate(inst.spec, horizon, seed=2024)
     flows = observables.bin_events(stream, None, 1.0)
     path = arbitrage.predict_prices(k1, flows, np.zeros(2))

@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from crossimpact import cli, kernels
+from crossimpact import cli, hawkes, kernels
 from crossimpact.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, RunConfig, main
 from crossimpact.kernels import ImpactKernel, load_kernel, save_kernel
 
@@ -34,6 +34,61 @@ def dir_bytes(directory):
         if f.is_file():
             out[str(f.relative_to(directory))] = f.read_bytes()
     return out
+
+
+def event_prices_loop(spec, stream, lam, p0):
+    """Reference for cli._event_prices: one decay step per event."""
+    d = spec.d
+    dv = np.diag(spec.sizes)
+    k0 = lam @ dv @ np.linalg.inv(np.eye(d) - hawkes.imbalance_l1(spec)) \
+        @ np.diag(1.0 / spec.sizes)
+    terms = [(i, j, beta, alpha)
+             for i, row in enumerate(spec.imbalance_terms())
+             for j, entry in enumerate(row) for beta, alpha in entry.items()]
+    state = np.zeros(len(terms))
+    net = np.zeros(d)
+    out, prev = [], 0.0
+    for t, a, s, v in zip(stream.times, stream.assets, stream.sides,
+                          stream.sizes):
+        net[a] += s * v
+        impact = np.zeros(d)
+        for k, (i, j, beta, alpha) in enumerate(terms):
+            state[k] = state[k] * np.exp(-beta * (t - prev)) \
+                + (s if j == a else 0.0)
+            impact[i] += alpha / beta * state[k]
+        prev = t
+        out.append(p0 + lam @ net + k0 @ dv @ impact)
+    return np.asarray(out).ravel()
+
+
+class TestEventPrices:
+    def test_matches_per_event_loop(self):
+        # decay rates 2 and 0.05 over 3000 s: the fast rate spans ten
+        # blocks of the scaled cumsum
+        blob = {"mu": [0.5, 0.3], "sizes": [1.0, 3.0], "blocks": {
+            "aa": [[[[0.3, 2.0], [0.01, 0.05]], [[0.1, 2.0]]],
+                   [[[0.02, 0.05]], [[0.4, 2.0]]]],
+            "ab": [[[[0.4, 2.0]], []], [[], []]]}}
+        blob["blocks"]["bb"] = blob["blocks"]["aa"]
+        blob["blocks"]["ba"] = blob["blocks"]["ab"]
+        spec = cli.parse_spec(blob)
+        stream = hawkes.simulate(spec, 3000.0, seed=8)
+        assert 2.0 * stream.times[-1] > 8 * cli.DECAY_BLOCK_EXPONENT
+        lam = cli._default_lambda(spec, RunConfig())
+        p0 = np.array([100.0, 50.0])
+        got = cli._event_prices(spec, stream, lam, p0)
+        ref = event_prices_loop(spec, stream, lam, p0)
+        assert np.array_equal(got.times, np.repeat(stream.times, 2))
+        assert np.array_equal(got.assets, np.tile([0, 1], len(stream)))
+        assert np.abs(got.prices - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_empty_stream(self):
+        spec = hawkes.HawkesSpec.from_matrices(mu=[1.0], sizes=[1.0],
+                                               beta=1.0, aa=[[0.5]],
+                                               bb=[[0.5]])
+        stream = hawkes.simulate(spec, 0.0, seed=0)
+        got = cli._event_prices(spec, stream, np.eye(1), np.zeros(1))
+        assert len(got) == 0
 
 
 class TestConfig:
@@ -129,6 +184,28 @@ class TestCalibrate:
         k1 = load_kernel(out1 / "k1")
         assert np.allclose(k1.k0, compute_K0(obs), atol=0, rtol=0)
         assert np.allclose(k1.lam, compute_Lambda(obs), atol=0, rtol=0)
+
+    def test_degraded_k1_reported(self, tmp_path, capsys):
+        # the exit code stays 0; diagnostics and console name the fault
+        for tail_tol, verdict in ((2.0, "ok"), (1e-12, "degraded")):
+            cfg = small_config(tmp_path, tolerances={"tail_tol": tail_tol})
+            out = tmp_path / verdict
+            assert main(["--config", str(cfg), "--output-dir", str(out),
+                         "calibrate"]) == EXIT_OK
+            health = json.loads(
+                (out / "diagnostics.json").read_text())["health"]
+            assert health["verdict"] == verdict
+            assert health["tail_tol"] == tail_tol
+            assert health["inverse_wrapped"] is False
+            tail = load_kernel(out / "k1").tail_error()
+            assert health["tail_error"] == pytest.approx(tail, rel=1e-12)
+            printed = capsys.readouterr().out
+            if verdict == "ok":
+                assert "k1 healthy (tail error" in printed
+                assert "k1 degraded" not in printed
+            else:
+                assert f"k1 degraded (tail error {tail:.2e} > tol " \
+                    f"{tail_tol:.2e})" in printed
 
     def test_check_exit_codes(self, tmp_path):
         cfg = small_config(tmp_path)

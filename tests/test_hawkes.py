@@ -1,5 +1,9 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from crossimpact import hawkes
 from crossimpact.hawkes import (EventStream, ExpTerm, HawkesError, HawkesSpec,
@@ -15,6 +19,101 @@ def poisson_spec(mu=(1.0, 1.0), sizes=(1.0, 1.0)):
 def scalar_hawkes(alpha=0.5, beta=1.0, mu=1.0, size=1.0):
     return HawkesSpec.from_matrices(mu=[mu], sizes=[size], beta=beta,
                                     aa=[[alpha * beta]], bb=[[alpha * beta]])
+
+
+DEMO_A = [[0.06, 0.02], [0.035, 0.08]]
+TAPE_A = 0.15 * np.eye(4) + 0.03 * (1.0 - np.eye(4))
+
+
+def cross_spec():
+    """Two assets, decay rates 2 and 0.05, and nonzero ab/ba blocks."""
+    fast, slow = 2.0, 0.05
+    same = [[[ExpTerm(0.3, fast), ExpTerm(0.01, slow)], [ExpTerm(0.1, fast)]],
+            [[ExpTerm(0.02, slow)], [ExpTerm(0.4, fast)]]]
+    cross = [[[ExpTerm(0.4, fast)], []], [[], []]]
+    return HawkesSpec(mu=[0.5, 0.3], phi={"aa": same, "bb": same,
+                                          "ab": cross, "ba": cross},
+                      sizes=[1.0, 3.0])
+
+
+MARKETS = {
+    "demo": lambda: HawkesSpec.from_matrices(
+        mu=[0.6, 0.45], sizes=[1.0, 2.0], beta=0.25, aa=DEMO_A, bb=DEMO_A),
+    "tape": lambda: HawkesSpec.from_matrices(
+        mu=[0.4] * 4, sizes=[1.0] * 4, beta=0.5, aa=TAPE_A, bb=TAPE_A),
+    "cross": cross_spec,
+}
+
+
+def excitation_terms(spec):
+    """(alpha, beta, source, target) per term, components side * d + asset
+    with buys first; read from spec.phi, independent of the simulator."""
+    d = spec.d
+    sides = {"aa": (0, 0), "ab": (0, 1), "ba": (1, 0), "bb": (1, 1)}
+    out = []
+    for key, (tside, sside) in sides.items():
+        for i in range(d):
+            for j in range(d):
+                out += [(t.alpha, t.beta, sside * d + j, tside * d + i)
+                        for t in spec.phi[key][i][j]]
+    a, b, src, tgt = (np.asarray(x) for x in zip(*out))
+    return a, b, src.astype(int), tgt.astype(int)
+
+
+def components(stream):
+    return np.where(stream.sides > 0, 0, stream.d) + stream.assets
+
+
+def rescaled_gaps(spec, stream):
+    """Compensator increments between consecutive events of each component
+    (from 0 to the first); under the true law they are iid Exp(1)."""
+    alphas, betas, src, tgt = excitation_terms(spec)
+    mu = np.concatenate([spec.mu, spec.mu])
+    state = np.zeros(len(alphas))      # sum alpha exp(-beta (t - t_m))
+    comp_int = np.zeros(2 * spec.d)    # compensator of each component
+    last = np.zeros(2 * spec.d)
+    gaps, prev = [], 0.0
+    for t, c in zip(stream.times, components(stream)):
+        decay = np.exp(-betas * (t - prev))
+        comp_int += mu * (t - prev)
+        np.add.at(comp_int, tgt, state * (1.0 - decay) / betas)
+        state *= decay
+        gaps.append(comp_int[c] - last[c])
+        last[c] = comp_int[c]
+        state[src == c] += alphas[src == c]
+        prev = t
+    return np.asarray(gaps)
+
+
+def thinning_simulate(spec, horizon, seed):
+    """Components of the events drawn by Ogata thinning, in time order.
+
+    One Python step per candidate; the exponential states make the
+    dominating intensity exact between candidates, so this reference is
+    exact in law too, by a different construction.
+    """
+    rng = np.random.default_rng(seed)
+    d = spec.d
+    alphas, betas, src, tgt = excitation_terms(spec)
+    mu = np.concatenate([spec.mu, spec.mu])
+    state = np.zeros(len(alphas))
+    t, comps = 0.0, []
+    while True:
+        bound = mu.sum() + state.sum()
+        w = rng.exponential(1.0 / bound)
+        if t + w > horizon:
+            break
+        t += w
+        state *= np.exp(-betas * w)
+        lam = mu.copy()
+        np.add.at(lam, tgt, state)
+        if rng.uniform() * bound <= lam.sum():
+            c = min(int(np.searchsorted(np.cumsum(lam),
+                                        rng.uniform() * lam.sum())),
+                    2 * d - 1)
+            comps.append(c)
+            state[src == c] += alphas[src == c]
+    return np.asarray(comps, dtype=int)
 
 
 class TestValidate:
@@ -141,6 +240,92 @@ class TestSimulate:
         assert np.array_equal(back.assets, stream.assets)
         assert np.array_equal(back.sides, stream.sides)
         assert np.allclose(back.sizes, stream.sizes)
+
+
+class TestClusterLaw:
+    """Oracles for the law of the cluster sampler."""
+
+    @pytest.mark.parametrize("market,horizon", [("demo", 6000.0),
+                                                ("tape", 3000.0),
+                                                ("cross", 4000.0)])
+    def test_time_rescaling(self, market, horizon):
+        # Brown et al. (2002): compensator increments are iid Exp(1);
+        # KS bound p >= 1e-3, fixed before running
+        spec = MARKETS[market]()
+        stream = simulate(spec, horizon, seed=11)
+        gaps = rescaled_gaps(spec, stream)
+        assert len(gaps) > 15000
+        assert stats.kstest(gaps, "expon").pvalue >= 1e-3
+
+    @pytest.mark.parametrize("market,horizon", [("demo", 600.0),
+                                                ("tape", 300.0),
+                                                ("cross", 400.0)])
+    def test_counts_match_thinning(self, market, horizon):
+        # mean and variance of the total count over 24 seeds; Welch t and
+        # variance-ratio F tests at p >= 1e-3, fixed before running
+        spec = MARKETS[market]()
+        seeds = range(100, 124)
+        ref = np.array([len(thinning_simulate(spec, horizon, s))
+                        for s in seeds])
+        got = np.array([len(simulate(spec, horizon, s)) for s in seeds])
+        assert stats.ttest_ind(got, ref, equal_var=False).pvalue >= 1e-3
+        ratio = got.var(ddof=1) / ref.var(ddof=1)
+        tail = stats.f.cdf(ratio, len(got) - 1, len(ref) - 1)
+        assert 2 * min(tail, 1 - tail) >= 1e-3
+
+
+class TestEventCsv:
+    @staticmethod
+    def writer_bytes(stream, path):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["time", "asset", "side", "size"])
+            for t, a, s, v in zip(stream.times, stream.assets, stream.sides,
+                                  stream.sizes):
+                writer.writerow([f"{t:.9f}", a, "B" if s > 0 else "S",
+                                 f"{v:.17g}"])
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("horizon", [0.0, 300.0])
+    def test_bytes_match_csv_writer(self, tmp_path, horizon):
+        # 300 s gives a little over 1000 rows: several write chunks
+        spec = HawkesSpec.from_matrices(mu=[1.5, 0.5], sizes=[1.0, 0.1],
+                                        beta=1.0, aa=[[0.3, 0], [0, 0.2]],
+                                        bb=[[0.3, 0], [0, 0.2]])
+        stream = simulate(spec, horizon, seed=4)
+        stream.to_csv(tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == \
+            self.writer_bytes(stream, tmp_path / "ref.csv")
+
+    def test_columns_by_name(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("size,note,side,asset,time\n"
+                        "2.5,x, b,1,0.25\n1,y,s,0,0.75\n3,z,B ,1,1.5\n")
+        s = EventStream.from_csv(path)
+        assert np.array_equal(s.times, [0.25, 0.75, 1.5])
+        assert np.array_equal(s.assets, [1, 0, 1])
+        assert np.array_equal(s.sides, [1, -1, 1])
+        assert np.array_equal(s.sizes, [2.5, 1.0, 3.0])
+        assert s.d == 2 and s.horizon == 1.5
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("time,asset,side,size\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = EventStream.from_csv(path)
+        assert len(s) == 0 and s.d == 1 and s.horizon == 0.0
+
+    def test_missing_column(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("time,asset,size\n0.5,0,1\n")
+        with pytest.raises(KeyError):
+            EventStream.from_csv(path)
+
+    def test_coincident_times_raise(self):
+        with pytest.raises(HawkesError):
+            EventStream(times=[1.0, 1.0], assets=[0, 1], sides=[1, 1],
+                        sizes=[1.0, 1.0], horizon=2.0, d=2)
 
 
 class TestFlowSpectrum:

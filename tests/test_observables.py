@@ -1,3 +1,6 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
 
@@ -248,3 +251,40 @@ class TestSerialization:
         assert np.array_equal(back.omega_inf, obs.omega_inf)
         assert back.taper == obs.taper
         assert back.n_bins == obs.n_bins
+
+
+class TestPriceCsv:
+    @pytest.mark.parametrize("n", [0, 700])
+    def test_bytes_match_csv_writer(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        path = PricePath(times=np.repeat(np.cumsum(rng.exponential(size=n)),
+                                         2),
+                         assets=np.tile([0, 1], n),
+                         prices=100.0 + rng.normal(size=2 * n), d=2)
+        path.to_csv(tmp_path / "got.csv")
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["time", "asset", "price"])
+            for t, a, p in zip(path.times, path.assets, path.prices):
+                writer.writerow([f"{t:.9f}", a, f"{p:.17g}"])
+        assert (tmp_path / "got.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+        back = PricePath.from_csv(tmp_path / "got.csv", d=2)
+        assert np.array_equal(back.prices, path.prices)
+        assert np.array_equal(back.assets, path.assets)
+
+    def test_columns_by_name(self, tmp_path):
+        (tmp_path / "p.csv").write_text("price,asset,time\n"
+                                        "101.5,2,0.5\n99,0,0.75\n")
+        back = PricePath.from_csv(tmp_path / "p.csv")
+        assert np.array_equal(back.times, [0.5, 0.75])
+        assert np.array_equal(back.assets, [2, 0])
+        assert np.array_equal(back.prices, [101.5, 99.0])
+        assert back.d == 3
+
+    def test_header_only(self, tmp_path):
+        (tmp_path / "p.csv").write_text("time,asset,price\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = PricePath.from_csv(tmp_path / "p.csv")
+        assert len(back) == 0 and back.d == 1

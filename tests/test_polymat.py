@@ -305,15 +305,24 @@ class TestWhittleFactor:
         with pytest.raises(PolymatError):
             whittle_factor(lags)
 
-    @pytest.mark.parametrize("instance", ["coupled", "consistent"])
+    @pytest.mark.parametrize("instance", ["coupled", "consistent",
+                                          "cos2w", "cos3w"])
     def test_matches_wilson_oracle(self, instance):
+        # cos2w and cos3w, 1 + 0.6 cos 2w and 1 + 0.8 cos 3w, have zero
+        # reflection coefficients at every order not divisible by 2 or 3
         if instance == "coupled":
             lags = synthetic.coupled_instance(tau_max=256)[2]
-        else:
+        elif instance == "consistent":
             lags = synthetic.consistent_instance(beta=0.02, branch=0.5,
                                                  tau_max=1600).obs.omega
+        elif instance == "cos2w":
+            lags = np.array([1.0, 0.0, 0.3])[:, None, None]
+        else:
+            lags = np.array([1.0, 0.0, 0.0, 0.4])[:, None, None]
         n = 4096
         f = whittle_factor(lags, n_grid=n)
+        assert 0 < f.order < n // 2
+        assert f.residual <= 1e-6
         ref, imag = wilson_inverse_factor(lags, n)
         got = padded(f.inverse, n // 2)
         scale = np.abs(ref).max()
