@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .hawkes import _write_csv
 from .kernels import ImpactKernel
 from .observables import BinnedSeries
 
@@ -338,10 +339,9 @@ def predict_prices(kernel: ImpactKernel, flows: BinnedSeries, p0,
 
 
 def save_predicted_prices(path, times, prices):
-    prices = np.asarray(prices)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "asset", "price_hat"])
-        for t, row in zip(times, prices):
-            for a, p in enumerate(row):
-                writer.writerow([f"{t:.9f}", a, f"{p:.17g}"])
+    """Write a (n_steps, d) price path as time,asset,price_hat rows."""
+    prices = np.asarray(prices, dtype=float)
+    n, d = prices.shape
+    _write_csv(path, ("time", "asset", "price_hat"), "%.9f,%d,%.17g",
+               (np.repeat(np.asarray(times, dtype=float), d),
+                np.tile(np.arange(d), n), prices.ravel()))

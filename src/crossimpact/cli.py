@@ -78,7 +78,7 @@ class RunConfig:
 
     def echo(self) -> dict:
         out = dataclasses.asdict(self)
-        return kernels._json_safe(out)
+        return observables._json_safe(out)
 
 
 def parse_spec(blob) -> hawkes.HawkesSpec:
@@ -94,15 +94,6 @@ def parse_spec(blob) -> hawkes.HawkesSpec:
                                for a, b in terms]
         phi[key] = block
     return hawkes.HawkesSpec(mu=mu, phi=phi, sizes=sizes)
-
-
-def spec_to_json(spec: hawkes.HawkesSpec) -> dict:
-    blocks = {}
-    for key in hawkes.BLOCK_KEYS:
-        blocks[key] = [[[[t.alpha, t.beta] for t in spec.phi[key][i][j]]
-                        for j in range(spec.d)] for i in range(spec.d)]
-    return {"mu": spec.mu.tolist(), "sizes": spec.sizes.tolist(),
-            "blocks": blocks}
 
 
 def _default_lambda(spec, cfg) -> np.ndarray:
@@ -193,7 +184,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
         stream.to_csv(out / f"events_{day:03d}.csv")
         prices.to_csv(out / f"prices_{day:03d}.csv")
     (out / "manifest.json").write_text(json.dumps(
-        kernels._json_safe(manifest), sort_keys=True, indent=1))
+        observables._json_safe(manifest), sort_keys=True, indent=1))
     return EXIT_OK
 
 
@@ -304,8 +295,8 @@ def cmd_calibrate(cfg: RunConfig, out_dir) -> int:
         rep2 = kernels.nsa_check(k2, tol=cfg.nsa_tol)
         diagnostics["k1_boundaries"] = {"k0": k1.k0.tolist(),
                                         "lambda": k1.lam.tolist()}
-        diagnostics["k1_diagnostics"] = kernels._json_safe(k1.diagnostics)
-        diagnostics["k2_diagnostics"] = kernels._json_safe(k2.diagnostics)
+        diagnostics["k1_diagnostics"] = observables._json_safe(k1.diagnostics)
+        diagnostics["k2_diagnostics"] = observables._json_safe(k2.diagnostics)
         diagnostics["k1_admissibility"] = rep1.to_dict()
         diagnostics["k2_admissibility"] = rep2.to_dict()
         health, faults = _k1_health(k1, cfg.tail_tol)
@@ -315,7 +306,7 @@ def cmd_calibrate(cfg: RunConfig, out_dir) -> int:
     except Exception as exc:
         raise StageError(stage, exc) from exc
     (out / "diagnostics.json").write_text(json.dumps(
-        kernels._json_safe(diagnostics), sort_keys=True, indent=1))
+        observables._json_safe(diagnostics), sort_keys=True, indent=1))
     print(f"calibrated kernels under {out}; factor residual "
           f"{factor.residual:.3e} at order {factor.order}")
     print(f"k1 degraded ({'; '.join(faults)})" if faults else

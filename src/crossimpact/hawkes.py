@@ -127,15 +127,7 @@ class HawkesSpec:
         Requires martingale compatibility: bb - ab must equal aa - ba
         term by term, which validate_spec checks at the parameter level.
         """
-        d = self.d
-        out = [[{} for _ in range(d)] for _ in range(d)]
-        for key, sign in (("bb", 1.0), ("ab", -1.0)):
-            for i in range(d):
-                for j in range(d):
-                    for t in self.phi[key][i][j]:
-                        acc = out[i][j]
-                        acc[t.beta] = acc.get(t.beta, 0.0) + sign * t.alpha
-        return out
+        return _merged_block_diff(self, "bb", "ab")
 
 
 def _merged_block_diff(spec, key_pos, key_neg):

@@ -16,13 +16,12 @@ through the stored lattice values.
 from __future__ import annotations
 
 import dataclasses
-import json
 import pathlib
 import warnings
 
 import numpy as np
 
-from .observables import ObservableSet
+from .observables import ObservableSet, load_artifact, save_artifact
 from .polymat import DEFAULT_GRID, LaurentMatrix, WhittleFactor, _next_pow2
 
 
@@ -382,49 +381,20 @@ def nsa_check(kernel: ImpactKernel, tol: float = 1e-6,
 # ---------------------------------------------------------------------------
 
 def save_kernel(directory, kernel: ImpactKernel):
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    np.savetxt(directory / "k0.csv", kernel.k0, fmt="%.17g", delimiter=",")
-    np.savetxt(directory / "lambda.csv", kernel.lam, fmt="%.17g",
-               delimiter=",")
-    for t in range(kernel.values.shape[0]):
-        np.savetxt(directory / f"kernel_lag_{t}.csv", kernel.values[t],
-                   fmt="%.17g", delimiter=",")
-    meta = {"delta": kernel.delta, "n_lags": kernel.n_lags,
-            "grid": kernel.grid, "provenance": kernel.provenance,
-            "tail_tol": kernel.tail_tol, "d": kernel.d,
-            "diagnostics": _json_safe(kernel.diagnostics)}
-    (directory / "meta.json").write_text(json.dumps(meta, sort_keys=True,
-                                                    indent=1))
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+    save_artifact(directory, {"delta": kernel.delta, "grid": kernel.grid,
+                              "provenance": kernel.provenance,
+                              "tail_tol": kernel.tail_tol,
+                              "diagnostics": kernel.diagnostics},
+                  values=kernel.values, k0=kernel.k0, lam=kernel.lam)
 
 
 def load_kernel(directory) -> ImpactKernel:
     directory = pathlib.Path(directory)
-    meta_path = directory / "meta.json"
-    if not meta_path.exists():
+    if not (directory / "meta.json").exists():
         raise KernelError(f"{directory} is not a kernel directory")
-    meta = json.loads(meta_path.read_text())
-    k0 = np.atleast_2d(np.loadtxt(directory / "k0.csv", delimiter=","))
-    lam = np.atleast_2d(np.loadtxt(directory / "lambda.csv", delimiter=","))
-    n_lags = meta["n_lags"]
-    d = meta["d"]
-    values = np.zeros((n_lags + 1, d, d))
-    for t in range(n_lags + 1):
-        values[t] = np.atleast_2d(
-            np.loadtxt(directory / f"kernel_lag_{t}.csv", delimiter=","))
-    return ImpactKernel(delta=meta["delta"], values=values, k0=k0, lam=lam,
+    meta, arrays = load_artifact(directory)
+    return ImpactKernel(delta=meta["delta"], values=arrays["values"],
+                        k0=arrays["k0"], lam=arrays["lam"],
                         provenance=meta["provenance"], grid=meta["grid"],
                         tail_tol=meta["tail_tol"],
                         diagnostics=meta.get("diagnostics", {}))

@@ -176,8 +176,13 @@ def estimate_omega(series: list, tau_max: int) -> np.ndarray:
     return acc / used
 
 
-def bartlett_weights(tau_max: int) -> np.ndarray:
-    return 1.0 - np.arange(tau_max + 1) / (tau_max + 1.0)
+def taper_weights(taper: str, tau_max: int) -> np.ndarray:
+    """Lag weights w_0..w_tau_max of a taper policy ("bartlett" or "none")."""
+    if taper == "bartlett":
+        return 1.0 - np.arange(tau_max + 1) / (tau_max + 1.0)
+    if taper == "none":
+        return np.ones(tau_max + 1)
+    raise ObservablesError(f"unknown taper policy {taper!r}")
 
 
 def omega_aggregates(omega, taper: str = "bartlett",
@@ -191,12 +196,7 @@ def omega_aggregates(omega, taper: str = "bartlett",
     """
     omega = np.asarray(omega, dtype=float)
     tau_max = omega.shape[0] - 1
-    if taper == "bartlett":
-        w = bartlett_weights(tau_max)
-    elif taper == "none":
-        w = np.ones(tau_max + 1)
-    else:
-        raise ObservablesError(f"unknown taper policy {taper!r}")
+    w = taper_weights(taper, tau_max)
     omega_zero = 0.5 * (omega[0] + omega[0].T)
     agg = omega_zero.copy()
     for tau in range(1, tau_max + 1):
@@ -254,52 +254,61 @@ def omega_laurent(obs_or_lags, taper: str = "bartlett") -> LaurentMatrix:
     else:
         lags = np.asarray(obs_or_lags, dtype=float)
     tau_max = lags.shape[0] - 1
-    if taper == "bartlett":
-        w = bartlett_weights(tau_max)
-    elif taper == "none":
-        w = np.ones(tau_max + 1)
-    else:
-        raise ObservablesError(f"unknown taper policy {taper!r}")
+    w = taper_weights(taper, tau_max)
     return LaurentMatrix.from_lag_list(
         lags[0], [w[t] * lags[t] for t in range(1, tau_max + 1)])
 
 
 # ---------------------------------------------------------------------------
-# Serialization: directory of CSV matrices plus a JSON metadata file
+# Serialization: an artifact is a directory holding arrays.npz (its arrays,
+# by name) and meta.json (its scalars and diagnostics)
 # ---------------------------------------------------------------------------
 
-def save_observables(directory, obs: ObservableSet):
+def _json_safe(obj):
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in sorted(obj.items())}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    return obj
+
+
+def save_artifact(directory, meta: dict, **arrays):
+    """Write arrays to directory/arrays.npz and meta to directory/meta.json.
+
+    The npz is uncompressed and its members carry zip's fixed default
+    date, so equal inputs give equal bytes.
+    """
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    np.savetxt(directory / "sigma.csv", obs.sigma, fmt="%.17g", delimiter=",")
-    np.savetxt(directory / "omega_zero.csv", obs.omega_zero, fmt="%.17g",
-               delimiter=",")
-    np.savetxt(directory / "omega_inf.csv", obs.omega_inf, fmt="%.17g",
-               delimiter=",")
-    for tau in range(obs.tau_max + 1):
-        np.savetxt(directory / f"omega_lag_{tau}.csv", obs.omega[tau],
-                   fmt="%.17g", delimiter=",")
-    meta = {"delta": obs.delta, "tau_max": obs.tau_max, "taper": obs.taper,
-            "n_days": obs.n_days, "n_bins": obs.n_bins, "d": obs.d}
-    (directory / "meta.json").write_text(json.dumps(meta, sort_keys=True,
-                                                    indent=1))
+    np.savez(directory / "arrays.npz", **arrays)
+    (directory / "meta.json").write_text(json.dumps(_json_safe(meta),
+                                                    sort_keys=True, indent=1))
+
+
+def load_artifact(directory):
+    """(meta, arrays) of an artifact directory; object arrays are refused."""
+    directory = pathlib.Path(directory)
+    meta = json.loads((directory / "meta.json").read_text())
+    with np.load(directory / "arrays.npz", allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    return meta, arrays
+
+
+def save_observables(directory, obs: ObservableSet):
+    save_artifact(directory, {"delta": obs.delta, "taper": obs.taper,
+                              "n_days": obs.n_days, "n_bins": obs.n_bins},
+                  sigma=obs.sigma, omega=obs.omega, omega_zero=obs.omega_zero,
+                  omega_inf=obs.omega_inf)
 
 
 def load_observables(directory) -> ObservableSet:
-    directory = pathlib.Path(directory)
-    meta = json.loads((directory / "meta.json").read_text())
-    sigma = np.atleast_2d(np.loadtxt(directory / "sigma.csv", delimiter=","))
-    omega_zero = np.atleast_2d(np.loadtxt(directory / "omega_zero.csv",
-                                          delimiter=","))
-    omega_inf = np.atleast_2d(np.loadtxt(directory / "omega_inf.csv",
-                                         delimiter=","))
-    tau_max = meta["tau_max"]
-    d = meta["d"]
-    omega = np.zeros((tau_max + 1, d, d))
-    for tau in range(tau_max + 1):
-        omega[tau] = np.atleast_2d(
-            np.loadtxt(directory / f"omega_lag_{tau}.csv", delimiter=","))
-    return ObservableSet(sigma=sigma, omega=omega, omega_zero=omega_zero,
-                         omega_inf=omega_inf, delta=meta["delta"],
+    meta, arrays = load_artifact(directory)
+    return ObservableSet(sigma=arrays["sigma"], omega=arrays["omega"],
+                         omega_zero=arrays["omega_zero"],
+                         omega_inf=arrays["omega_inf"], delta=meta["delta"],
                          n_days=meta["n_days"], n_bins=meta["n_bins"],
                          taper=meta["taper"])

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from crossimpact.arbitrage import (Piece, Strategy, StrategyError,
                                    buy_hold_sell, cost, min_roundtrip_cost,
-                                   pair_trading_strategy, predict_prices)
+                                   pair_trading_strategy, predict_prices,
+                                   save_predicted_prices)
 from crossimpact.kernels import ImpactKernel
 from crossimpact.observables import BinnedSeries
 
@@ -283,3 +286,21 @@ class TestPredict:
             predict_prices(k, flows, np.zeros(1))
         path = predict_prices(k, flows, np.zeros(1), resample=True)
         assert path.shape == (4, 1)
+
+
+class TestPredictedPricesCsv:
+    @pytest.mark.parametrize("n", [0, 300])
+    def test_bytes_match_csv_writer(self, tmp_path, n):
+        # 300 steps of 3 assets span several 256-row chunks
+        rng = np.random.default_rng(n)
+        times = np.cumsum(rng.exponential(size=n))
+        prices = 100.0 + rng.normal(size=(n, 3))
+        save_predicted_prices(tmp_path / "got.csv", times, prices)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["time", "asset", "price_hat"])
+            for t, row in zip(times, prices):
+                for a, p in enumerate(row):
+                    writer.writerow([f"{t:.9f}", a, f"{p:.17g}"])
+        assert (tmp_path / "got.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()

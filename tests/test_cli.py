@@ -168,7 +168,7 @@ class TestCalibrate:
                      "calibrate"]) == EXIT_OK
         assert main(["--config", str(cfg), "--output-dir", str(out2),
                      "calibrate"]) == EXIT_OK
-        for sub in ("k1", "k2"):
+        for sub in ("k1", "k2", "observables"):
             b1 = dir_bytes(out1 / sub)
             b2 = dir_bytes(out2 / sub)
             assert b1.keys() == b2.keys()
@@ -228,6 +228,31 @@ class TestCalibrate:
         save_kernel(tmp_path / "bad", k)
         assert main(["check", str(tmp_path / "bad")]) == EXIT_FAIL
 
+    @pytest.mark.parametrize("change, expected", [
+        ("drop_values", EXIT_INPUT), ("object_values", EXIT_INPUT),
+        ("extra_array", EXIT_FAIL)])
+    def test_check_reads_arrays_by_name(self, tmp_path, capsys, change,
+                                        expected):
+        vals = np.zeros((9, 2, 2))
+        vals[0, 0, 1] = 0.5
+        k = ImpactKernel(delta=1.0, values=vals, k0=vals[0],
+                         lam=np.zeros((2, 2)), provenance="k1", grid=256)
+        save_kernel(tmp_path / "k", k)
+        npz = tmp_path / "k" / "arrays.npz"
+        with np.load(npz) as stored:
+            arrays = dict(stored)
+        if change == "drop_values":
+            del arrays["values"]
+        elif change == "object_values":
+            # readable as floats, so only allow_pickle=False refuses it
+            arrays["values"] = vals.astype(object)
+        else:
+            arrays["spare"] = np.ones(3)
+        np.savez(npz, **arrays)
+        assert main(["check", str(tmp_path / "k")]) == expected
+        if expected == EXIT_INPUT:
+            assert "input error" in capsys.readouterr().err
+
     def test_predict_zero_flows_constant(self, tmp_path):
         cfg = small_config(tmp_path, n_days=1, horizon=120.0)
         out = tmp_path / "run"
@@ -250,7 +275,8 @@ class TestCalibrate:
                      "simulate"]) == EXIT_OK
         assert main(["--config", str(cfg), "--output-dir", str(out),
                      "estimate"]) == EXIT_OK
-        assert (out / "observables" / "sigma.csv").exists()
+        assert {p.name for p in (out / "observables").iterdir()} == \
+            {"arrays.npz", "meta.json"}
         assert main(["--config", str(cfg), "--output-dir", str(out),
                      "calibrate"]) == EXIT_OK
         assert not (out / "factor").exists()
@@ -274,7 +300,8 @@ class TestCalibrate:
         out = tmp_path / "from_data"
         assert main(["--config", str(data_cfg), "--output-dir", str(out),
                      "calibrate"]) == EXIT_OK
-        assert (out / "k2" / "lambda.csv").exists()
+        assert {p.name for p in (out / "k2").iterdir()} == \
+            {"arrays.npz", "meta.json"}
 
     def test_numerical_stage_failure_exits_3(self, tmp_path, capsys):
         cfg = small_config(tmp_path, n_days=1, horizon=10.0, tau_max=32)

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -360,16 +361,36 @@ class TestNsaCheck:
 
 
 class TestSerialization:
-    def test_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("provenance", ["k1", "k2"])
+    def test_roundtrip(self, tmp_path, provenance):
         k = decaying_kernel(tau_max=16, lam_scale=0.3)
         k.diagnostics["factor_residual"] = 1e-9
+        if provenance == "k2":
+            k = regularize_K2(k, n_grid=64)
+            # K2 diagnostics carry a nested list
+            assert isinstance(k.diagnostics["source_k0"][0], list)
         save_kernel(tmp_path / "k", k)
         back = load_kernel(tmp_path / "k")
         assert np.array_equal(back.values, k.values)
         assert np.array_equal(back.k0, k.k0)
         assert np.array_equal(back.lam, k.lam)
-        assert back.provenance == k.provenance
+        assert (back.delta, back.grid, back.provenance, back.tail_tol) == \
+            (k.delta, k.grid, k.provenance, k.tail_tol)
+        assert back.diagnostics == k.diagnostics
         assert back.diagnostics["factor_residual"] == 1e-9
+
+    def test_npz_bytes_ignore_wall_clock(self, tmp_path, monkeypatch):
+        k = regularize_K2(decaying_kernel(tau_max=16, lam_scale=0.3),
+                          n_grid=64)
+        save_kernel(tmp_path / "now", k)
+        later = time.time() + 3 * 365 * 86400.0
+        localtime = time.localtime
+        monkeypatch.setattr(time, "time", lambda: later)
+        monkeypatch.setattr(time, "localtime", lambda secs=None: localtime(
+            later if secs is None else secs))
+        save_kernel(tmp_path / "later", k)
+        assert (tmp_path / "now" / "arrays.npz").read_bytes() == \
+            (tmp_path / "later" / "arrays.npz").read_bytes()
 
     def test_malformed_directory(self, tmp_path):
         with pytest.raises(KernelError):

@@ -248,9 +248,13 @@ class TestSerialization:
         back = load_observables(tmp_path / "obs")
         assert np.array_equal(back.sigma, obs.sigma)
         assert np.array_equal(back.omega, obs.omega)
+        assert np.array_equal(back.omega_zero, obs.omega_zero)
         assert np.array_equal(back.omega_inf, obs.omega_inf)
+        assert back.delta == obs.delta
         assert back.taper == obs.taper
+        assert back.n_days == obs.n_days == 3
         assert back.n_bins == obs.n_bins
+        assert back.tau_max == obs.tau_max == 6
 
 
 class TestPriceCsv:
