@@ -12,9 +12,8 @@ from .hawkes import (EventStream, ExpTerm, HawkesSpec, analytic_flow_spectrum,
                      validate_spec)
 from .observables import (BinnedSeries, ObservableSet, PricePath, bin_events,
                           build_observables, estimate_omega, estimate_sigma,
-                          omega_aggregates, omega_laurent)
-from .polymat import (LaurentMatrix, WhittleFactor, eval_on_circle,
-                      whittle_factor)
+                          omega_aggregates, tapered_lags)
+from .polymat import WhittleFactor, spectrum_on_grid, whittle_factor
 from .kernels import (AdmissibilityReport, ImpactKernel, build_K1,
                       compute_K0, compute_Lambda, kyle_matrix, nsa_check,
                       regularize_K2)
@@ -26,13 +25,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityReport", "BinnedSeries", "CostBreakdown", "EventStream",
-    "ExpTerm", "HawkesSpec", "ImpactKernel", "LaurentMatrix",
-    "ObservableSet", "PricePath", "Strategy", "WhittleFactor",
+    "ExpTerm", "HawkesSpec", "ImpactKernel", "ObservableSet", "PricePath",
+    "Strategy", "WhittleFactor",
     "analytic_flow_spectrum", "analytic_kernel", "bin_events", "build_K1",
     "build_observables", "buy_hold_sell", "compute_K0", "compute_Lambda",
-    "cost", "estimate_omega", "estimate_sigma", "eval_on_circle",
-    "kyle_matrix", "min_roundtrip_cost", "nsa_check", "omega_aggregates",
-    "omega_laurent", "pair_trading_strategy", "predict_prices",
-    "regularize_K2", "simulate", "stationary_intensity", "validate_spec",
-    "whittle_factor",
+    "cost", "estimate_omega", "estimate_sigma", "kyle_matrix",
+    "min_roundtrip_cost", "nsa_check", "omega_aggregates",
+    "pair_trading_strategy", "predict_prices", "regularize_K2", "simulate",
+    "spectrum_on_grid", "stationary_intensity", "tapered_lags",
+    "validate_spec", "whittle_factor",
 ]

@@ -212,7 +212,10 @@ def _load_day_files(cfg, out_dir):
 
 
 def _bin_one_day(cfg, day, ef, pf):
-    stream = hawkes.EventStream.from_csv(ef)
+    # a day simulated from the config's spec spans its horizon; an event
+    # CSV on its own ends at its last event
+    stream = hawkes.EventStream.from_csv(
+        ef, horizon=cfg.horizon if cfg.spec is not None else None)
     prices = observables.PricePath.from_csv(pf, d=stream.d) \
         if pf is not None else None
     t_end = stream.horizon if stream.horizon > 0 else \
@@ -242,14 +245,10 @@ def _k1_health(k1, tail_tol):
     """K1's health block for diagnostics.json, and the faults that make
     its verdict "degraded" (none for "ok")."""
     tail = k1.diagnostics["tail_error"]
-    wrapped = k1.diagnostics["inverse_wrapped"]
     faults = []
     if tail > tail_tol:
         faults.append(f"tail error {tail:.2e} > tol {tail_tol:.2e}")
-    if wrapped:
-        faults.append("inverse factor wraps the grid")
     return {"tail_error": tail, "tail_tol": tail_tol,
-            "inverse_wrapped": wrapped,
             "verdict": "degraded" if faults else "ok"}, faults
 
 
@@ -276,19 +275,18 @@ def cmd_calibrate(cfg: RunConfig, out_dir) -> int:
             diagnostics["atom_diagnostic"] = atom_diag
         stage = "factorize"
         factor = polymat.whittle_factor(
-            observables.omega_laurent(obs, taper=obs.taper).causal_part(),
+            observables.tapered_lags(obs.omega, obs.taper),
             tol=cfg.factor_tol, n_grid=cfg.grid)
         diagnostics["factor_residual"] = factor.residual
         diagnostics["factor_order"] = factor.order
         diagnostics["reflection_norm"] = factor.reflection_norm
         stage = "build_k1"
-        k1 = kernels.build_K1(obs, factor,
-                              tau_max=cfg.tau_max, n_grid=cfg.grid,
+        k1 = kernels.build_K1(obs, factor, tau_max=cfg.tau_max,
                               tail_tol=cfg.tail_tol,
                               residual_bound=cfg.factor_residual_bound)
         kernels.save_kernel(out / "k1", k1)
         stage = "regularize_k2"
-        k2 = kernels.regularize_K2(k1, n_grid=cfg.grid)
+        k2 = kernels.regularize_K2(k1)
         kernels.save_kernel(out / "k2", k2)
         stage = "check"
         rep1 = kernels.nsa_check(k1, tol=cfg.nsa_tol)

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import dataclasses
 import pathlib
-import warnings
 
 import numpy as np
 
 from .observables import ObservableSet, load_artifact, save_artifact
-from .polymat import DEFAULT_GRID, LaurentMatrix, WhittleFactor, _next_pow2
+from .polymat import DEFAULT_GRID, WhittleFactor, _next_pow2
 
 
 class KernelError(ValueError):
@@ -155,32 +154,28 @@ def compute_Lambda(obs: ObservableSet, neg_tol: float = 1e-8) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def build_K1(obs: ObservableSet, factor: WhittleFactor,
-             tau_max: int | None = None, n_grid: int | None = None,
-             tail_tol: float = 1e-3,
+             tau_max: int | None = None, tail_tol: float = 1e-3,
              residual_bound: float = 1e-4) -> ImpactKernel:
     """Martingale-consistent kernel with no-arbitrage boundary matrices.
 
-    On the circle grid the derivative transform is M L(omega)^{-1} - K(0)
-    with M = Lambda L(0), which pins both the flow-covariance identity
-    and the zero-frequency boundary K(0) + Khat'(0) = Lambda.  The lag
-    coefficients recovered by inverse FFT are treated as derivative
-    densities at cell midpoints; the kernel is their half-cell-corrected
-    cumulative sum.
+    On the factor's circle grid the derivative transform is
+    M L(omega)^{-1} - K(0) with M = Lambda L(0), which pins both the
+    flow-covariance identity and the zero-frequency boundary
+    K(0) + Khat'(0) = Lambda.  The lag coefficients recovered by inverse
+    FFT are treated as derivative densities at cell midpoints; the kernel
+    is their half-cell-corrected cumulative sum.  The factor's order is
+    at most half its grid, so its inverse never wraps the grid.
     """
     if factor.residual > residual_bound:
         raise KernelError(f"factor residual {factor.residual:.2e} exceeds "
                           f"{residual_bound:.0e}")
     k0 = compute_K0(obs)
     lam = compute_Lambda(obs)
-    n = n_grid or DEFAULT_GRID
+    n = factor.grid
     if tau_max is None:
         tau_max = obs.tau_max
     if tau_max >= n // 2:
         raise KernelError("tau_max must be below half the grid size")
-    wrapped = factor.inverse.shape[0] > n
-    if wrapped:
-        warnings.warn("inverse factor support exceeds the frequency grid; "
-                      "far tails alias into the kept lags")
     l0 = factor.l_at_one
     try:
         l0_inv_check = np.linalg.cond(l0)
@@ -189,8 +184,7 @@ def build_K1(obs: ObservableSet, factor: WhittleFactor,
     if not np.isfinite(l0_inv_check) or l0_inv_check > 1e12:
         raise KernelError("L(0) is numerically singular")
     m_mat = lam @ l0
-    linv_w = LaurentMatrix.from_causal(factor.inverse).eval_on_circle(
-        n, allow_wrap=True)
+    linv_w = np.fft.fft(factor.inverse, n, axis=0)
     fhat = m_mat[None] @ linv_w - k0[None]
     g = np.fft.ifft(fhat, axis=0)
     imag_mass = np.abs(g.imag).max() / max(np.abs(g.real).max(), 1e-300)
@@ -204,8 +198,7 @@ def build_K1(obs: ObservableSet, factor: WhittleFactor,
     # rotation diagnostic: G O = M with G G^T = Lambda omega_inf Lambda^T
     diag = {"factor_residual": factor.residual, "imag_mass": imag_mass,
             "factor_order": factor.order,
-            "reflection_norm": factor.reflection_norm,
-            "inverse_wrapped": bool(wrapped)}
+            "reflection_norm": factor.reflection_norm}
     gram = _sym(lam @ obs.omega_inf @ lam.T)
     try:
         gchol = np.linalg.cholesky(gram)
@@ -219,11 +212,7 @@ def build_K1(obs: ObservableSet, factor: WhittleFactor,
     kernel = ImpactKernel(delta=obs.delta, values=values, k0=k0, lam=lam,
                           provenance="k1", grid=n, tail_tol=tail_tol,
                           diagnostics=diag)
-    tail = kernel.tail_error()
-    diag["tail_error"] = tail
-    if tail > tail_tol:
-        warnings.warn(f"kernel tail does not reach the permanent matrix: "
-                      f"relative gap {tail:.2e} (tolerance {tail_tol:.0e})")
+    diag["tail_error"] = kernel.tail_error()
     return kernel
 
 
@@ -270,11 +259,8 @@ def regularize_K2(k1: ImpactKernel, n_grid: int | None = None) -> ImpactKernel:
     """
     if k1.provenance not in ("k1", "analytic", "k2"):
         raise KernelError(f"unexpected provenance {k1.provenance!r}")
-    n = n_grid or k1.grid
-    support = k1.values.shape[0] - 1
-    if 2 * support > n:
-        n = _next_pow2(2 * support)
-    zhat = symmetrized_transform(k1, n)
+    zhat = symmetrized_transform(k1, n_grid)
+    n = zhat.shape[0]
     herm = 0.5 * (zhat + zhat.conj().transpose(0, 2, 1))
     w, v = np.linalg.eigh(herm)
     clipped_mass = float(np.sqrt(np.sum(np.minimum(w, 0.0) ** 2)))

@@ -15,7 +15,6 @@ import warnings
 import numpy as np
 
 from .hawkes import EventStream, _read_csv, _write_csv
-from .polymat import LaurentMatrix
 
 
 class ObservablesError(ValueError):
@@ -247,16 +246,11 @@ def build_observables(series: list, tau_max: int,
                          n_days=len(series), n_bins=n_bins, taper=taper)
 
 
-def omega_laurent(obs_or_lags, taper: str = "bartlett") -> LaurentMatrix:
-    """Tapered lattice spectral density as a para-Hermitian Laurent matrix."""
-    if isinstance(obs_or_lags, ObservableSet):
-        lags = obs_or_lags.omega
-    else:
-        lags = np.asarray(obs_or_lags, dtype=float)
-    tau_max = lags.shape[0] - 1
-    w = taper_weights(taper, tau_max)
-    return LaurentMatrix.from_lag_list(
-        lags[0], [w[t] * lags[t] for t in range(1, tau_max + 1)])
+def tapered_lags(omega, taper: str = "bartlett") -> np.ndarray:
+    """Lag covariances weighted by the taper: the causal lags of the
+    tapered lattice spectral density."""
+    omega = np.asarray(omega, dtype=float)
+    return taper_weights(taper, omega.shape[0] - 1)[:, None, None] * omega
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +274,17 @@ def save_artifact(directory, meta: dict, **arrays):
     """Write arrays to directory/arrays.npz and meta to directory/meta.json.
 
     The npz is uncompressed and its members carry zip's fixed default
-    date, so equal inputs give equal bytes.
+    date, so equal inputs give equal bytes.  Every other file in the
+    directory, such as one left by an earlier format, is deleted.
     """
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     np.savez(directory / "arrays.npz", **arrays)
     (directory / "meta.json").write_text(json.dumps(_json_safe(meta),
                                                     sort_keys=True, indent=1))
+    for path in directory.iterdir():
+        if path.is_file() and path.name not in ("arrays.npz", "meta.json"):
+            path.unlink()
 
 
 def load_artifact(directory):

@@ -1,9 +1,9 @@
-"""Laurent polynomial matrix algebra and spectral factorization.
+"""Spectral factorization of a para-Hermitian matrix spectrum.
 
-Matrix Laurent polynomials M(z) = sum_k C_k z^{-k} with real d x d
-coefficients C_k, k in [-m, m], are stored as a (2m+1, d, d) array with
-lag k at index m+k.  Evaluation on the unit circle uses z = e^{i omega},
-so M(omega_j) = sum_k C_k e^{-i omega_j k} at omega_j = 2 pi j / n.
+A spectrum R(z) = sum_k R_k z^{-k} with real d x d lags and
+R_{-k} = R_k^T is stored as its causal lags R_0..R_m, a (m+1, d, d)
+array.  Evaluation on the unit circle uses z = e^{i omega}, so
+R(omega_j) = sum_k R_k e^{-i omega_j k} at omega_j = 2 pi j / n.
 
 The spectral factor L of a para-Hermitian R (L L~ = R, L causal and
 minimum phase) is never formed: the block Whittle-Levinson recursion
@@ -35,99 +35,21 @@ def _next_pow2(n):
     return p
 
 
-@dataclasses.dataclass
-class LaurentMatrix:
-    """Matrix Laurent polynomial with coefficient lags -m..m."""
+def spectrum_on_grid(lags, n_grid: int) -> np.ndarray:
+    """R(omega_j) = sum_k R_k e^{-i omega_j k} at omega_j = 2 pi j / n_grid.
 
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.ndim != 3 or self.coeffs.shape[0] % 2 != 1:
-            raise PolymatError("coefficients must have shape (2m+1, d, d)")
-        if self.coeffs.shape[1] != self.coeffs.shape[2]:
-            raise PolymatError("coefficient matrices must be square")
-
-    @property
-    def order(self) -> int:
-        return (self.coeffs.shape[0] - 1) // 2
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[1]
-
-    @classmethod
-    def constant(cls, mat):
-        mat = np.asarray(mat, dtype=float)
-        return cls(mat[None, :, :].copy())
-
-    @classmethod
-    def from_causal(cls, causal):
-        """Embed causal coefficients (lags 0..n-1) into symmetric storage."""
-        causal = np.asarray(causal, dtype=float)
-        n, d, _ = causal.shape
-        m = n - 1
-        out = np.zeros((2 * m + 1, d, d))
-        out[m:] = causal
-        return cls(out)
-
-    @classmethod
-    def from_lag_list(cls, lag0, positive_lags):
-        """Build a para-Hermitian matrix from lag 0 and lags 1..m."""
-        lag0 = np.asarray(lag0, dtype=float)
-        d = lag0.shape[0]
-        m = len(positive_lags)
-        out = np.zeros((2 * m + 1, d, d))
-        out[m] = 0.5 * (lag0 + lag0.T)
-        for t, mat in enumerate(positive_lags, start=1):
-            out[m + t] = mat
-            out[m - t] = mat.T
-        return cls(out)
-
-    def causal_part(self) -> np.ndarray:
-        return self.coeffs[self.order:]
-
-    def para_conjugate(self) -> "LaurentMatrix":
-        """M~(z) = M(1/z)^T for real coefficients: C_k -> C_{-k}^T."""
-        return LaurentMatrix(self.coeffs[::-1].transpose(0, 2, 1).copy())
-
-    def para_hermitian_residual(self) -> float:
-        scale = np.abs(self.coeffs).max()
-        if scale == 0.0:
-            return 0.0
-        diff = self.coeffs - self.coeffs[::-1].transpose(0, 2, 1)
-        return np.abs(diff).max() / scale
-
-    def __matmul__(self, other) -> "LaurentMatrix":
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        ma, mb = self.order, other.order
-        d = self.dim
-        out = np.zeros((2 * (ma + mb) + 1, d, d))
-        for ka in range(a.shape[0]):
-            out[ka:ka + b.shape[0]] += np.einsum("pq,kqr->kpr", a[ka], b)
-        return LaurentMatrix(out)
-
-    def eval_on_circle(self, n_grid, allow_wrap=False) -> np.ndarray:
-        return eval_on_circle(self, n_grid, allow_wrap=allow_wrap)
-
-
-def eval_on_circle(M: LaurentMatrix, n_grid: int,
-                   allow_wrap: bool = False) -> np.ndarray:
-    """Evaluate at omega_j = 2 pi j / n_grid, exact when n_grid >= 2m+1.
-
-    Returns an (n_grid, d, d) complex array.  Lags are placed modulo the
-    grid, which is exact for evaluation at grid frequencies; grids that
-    cannot resolve the order are rejected unless wrapping is allowed.
+    lags[k] = R_k for k = 0..m are the causal lags of a para-Hermitian R,
+    with R_{-k} = R_k^T; lag 0 is symmetrized.  Returns an (n_grid, d, d)
+    complex array, exact when n_grid >= 2m+1; smaller grids are rejected.
     """
-    m = M.order
-    if n_grid < 2 * m + 1 and not allow_wrap:
+    lags = np.asarray(lags, dtype=float)
+    m = lags.shape[0] - 1
+    if n_grid < 2 * m + 1:
         raise PolymatError(f"n_grid={n_grid} cannot resolve order {m}")
-    d = M.dim
-    x = np.zeros((n_grid, d, d), dtype=complex)
-    idx = np.arange(-m, m + 1) % n_grid
-    np.add.at(x, idx, M.coeffs.astype(complex))
+    x = np.zeros((n_grid,) + lags.shape[1:])
+    x[0] = 0.5 * (lags[0] + lags[0].T)
+    x[1:m + 1] = lags[1:]
+    x[n_grid - m:] = lags[:0:-1].transpose(0, 2, 1)
     return np.fft.fft(x, axis=0)
 
 
@@ -181,14 +103,10 @@ def whittle_factor(lags, tol: float = FACTOR_TOL,
     n_lags, d, _ = lags.shape
     if np.abs(lags[0] - lags[0].T).max() > 1e-8 * np.abs(lags).max():
         raise PolymatError("lag-0 coefficient is not symmetric")
-    if n_grid < 2 * n_lags - 1:
-        raise PolymatError(f"n_grid={n_grid} cannot resolve order "
-                           f"{n_lags - 1}")
+    target = spectrum_on_grid(lags, n_grid)
     cap = n_grid // 2
     gam = np.zeros((cap + 1, d, d))
     gam[:n_lags] = lags
-    target = LaurentMatrix.from_lag_list(lags[0], lags[1:]) \
-        .eval_on_circle(n_grid)
     fwd = np.zeros((0, d, d))          # Phi_1..Phi_p
     bwd = np.zeros((0, d, d))          # backward predictor, same order
     v = u = 0.5 * (lags[0] + lags[0].T)

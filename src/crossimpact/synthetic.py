@@ -16,7 +16,6 @@ from scipy.linalg import expm, solve_sylvester
 
 from .hawkes import HawkesSpec
 from .observables import ObservableSet
-from .polymat import LaurentMatrix
 
 
 def single_rate_spec(A, beta, mu, sizes=None) -> HawkesSpec:
@@ -101,7 +100,6 @@ class ConsistentInstance:
     k0: np.ndarray
     lam: np.ndarray
     obs: ObservableSet
-    laurent: LaurentMatrix
 
     def closed_form_kernel(self, tau):
         f0 = self.A / self.beta
@@ -142,10 +140,8 @@ def consistent_instance(beta=0.02, branch=0.5, theta_bar=1.0,
     obs = ObservableSet(sigma=sigma, omega=lags, omega_zero=atom,
                         omega_inf=omega_inf, delta=1.0, n_days=0,
                         n_bins=0, taper="none")
-    laurent = LaurentMatrix.from_lag_list(
-        lags[0], [lags[t] for t in range(1, tau_max + 1)])
     return ConsistentInstance(spec=spec, A=A, beta=beta, theta=theta,
-                              k0=k0, lam=lam, obs=obs, laurent=laurent)
+                              k0=k0, lam=lam, obs=obs)
 
 
 def coupled_instance(beta=0.25, a11=0.06, a12=0.02, a21=0.035, a22=0.08,
@@ -164,9 +160,7 @@ def coupled_instance(beta=0.25, a11=0.06, a12=0.02, a21=0.035, a22=0.08,
     from .hawkes import stationary_intensity
     theta = stationary_intensity(spec)
     lags = lattice_flow_covariance(A, beta, theta, spec.sizes, tau_max)
-    laurent = LaurentMatrix.from_lag_list(
-        lags[0], [lags[t] for t in range(1, tau_max + 1)])
-    return spec, theta, lags, laurent
+    return spec, theta, lags
 
 
 def observables_from_model(spec, lam, tau_max):

@@ -31,14 +31,14 @@ def build_k1_quietly(obs, factor, **kwargs):
 def coupled_pipeline():
     """Lead-lag two-asset market, tau_max 256, Whittle factorization."""
     t0 = time.perf_counter()
-    spec, theta, lags, laurent = synthetic.coupled_instance(tau_max=256)
-    factor = polymat.whittle_factor(laurent.causal_part())
+    spec, theta, lags = synthetic.coupled_instance(tau_max=256)
+    factor = polymat.whittle_factor(lags)
     elapsed = time.perf_counter() - t0
     obs = synthetic.observables_from_model(
         spec, np.array([[1.0, 0.25], [0.25, 1.1]]), 256)
-    k1 = build_k1_quietly(obs, factor, tau_max=256, n_grid=4096)
+    k1 = build_k1_quietly(obs, factor, tau_max=256)
     k2 = kernels.regularize_K2(k1, n_grid=4096)
-    return {"spec": spec, "laurent": laurent, "factor": factor,
+    return {"spec": spec, "lags": lags, "factor": factor,
             "elapsed": elapsed, "obs": obs, "k1": k1, "k2": k2}
 
 
@@ -48,7 +48,7 @@ def consistent_pipeline():
     t0 = time.perf_counter()
     inst = synthetic.consistent_instance(beta=0.02, branch=0.5,
                                          tau_max=1600)
-    factor = polymat.whittle_factor(inst.laurent.causal_part())
+    factor = polymat.whittle_factor(inst.obs.omega)
     k1 = build_k1_quietly(inst.obs, factor, tau_max=1600)
     elapsed = time.perf_counter() - t0
     return {"inst": inst, "factor": factor, "k1": k1, "elapsed": elapsed}
@@ -83,9 +83,8 @@ def test_criterion_minimum_phase(coupled_pipeline):
 def test_criterion_diagonality_of_d(coupled_pipeline):
     # the factor whitens R: D = L^{-1} R L^{-H} is the identity on the grid
     n = 4096
-    r = coupled_pipeline["laurent"].eval_on_circle(n)
-    inv = polymat.LaurentMatrix.from_causal(
-        coupled_pipeline["factor"].inverse).eval_on_circle(n)
+    r = polymat.spectrum_on_grid(coupled_pipeline["lags"], n)
+    inv = np.fft.fft(coupled_pipeline["factor"].inverse, n, axis=0)
     d = inv @ r @ inv.conj().transpose(0, 2, 1)
     dia = np.einsum("wii->wi", d)
     off = d * (1.0 - np.eye(d.shape[1]))
@@ -248,14 +247,14 @@ def test_criterion_clipping_correctness(coupled_pipeline):
 
 
 def test_criterion_estimator_consistency():
-    spec, theta, lags_exact, _ = synthetic.coupled_instance(tau_max=128)
+    spec, theta, lags_exact = synthetic.coupled_instance(tau_max=128)
     series = []
     for day in range(50):
         st = hawkes.simulate(spec, 4000.0, seed=5000 + day)
         series.append(observables.bin_events(st, None, 1.0, day=day))
     om = observables.estimate_omega(series, 128)
-    est = observables.omega_laurent(om, taper="bartlett") \
-        .eval_on_circle(4096)
+    est = polymat.spectrum_on_grid(
+        observables.tapered_lags(om, taper="bartlett"), 4096)
     grid = 2 * np.pi * np.arange(4096) / 4096
     grid = np.where(grid <= np.pi, grid, grid - 2 * np.pi)
     target = hawkes.analytic_flow_spectrum(spec, grid)

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from crossimpact import cli, hawkes, kernels
 from crossimpact.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, RunConfig, main
 from crossimpact.kernels import ImpactKernel, load_kernel, save_kernel
+from crossimpact.observables import load_observables
 
 
 def small_config(tmp_path, seed=3, **overrides):
@@ -178,7 +182,6 @@ class TestCalibrate:
         assert "k1_admissibility" in diag
         # boundary files match the boundary operators applied to the
         # estimated observables
-        from crossimpact.observables import load_observables
         from crossimpact.kernels import compute_K0, compute_Lambda
         obs = load_observables(out1 / "observables")
         k1 = load_kernel(out1 / "k1")
@@ -196,7 +199,7 @@ class TestCalibrate:
                 (out / "diagnostics.json").read_text())["health"]
             assert health["verdict"] == verdict
             assert health["tail_tol"] == tail_tol
-            assert health["inverse_wrapped"] is False
+            assert set(health) == {"tail_error", "tail_tol", "verdict"}
             tail = load_kernel(out / "k1").tail_error()
             assert health["tail_error"] == pytest.approx(tail, rel=1e-12)
             printed = capsys.readouterr().out
@@ -284,6 +287,20 @@ class TestCalibrate:
         assert 0 < diag["factor_order"] <= 2048 // 2
         assert diag["reflection_norm"] < 1e-10
 
+    def test_simulated_days_span_the_horizon(self, tmp_path):
+        # a sparse market's last event falls seconds before the horizon;
+        # each simulated day is still binned up to the horizon
+        cfg = small_config(tmp_path, n_days=3, horizon=400.0, tau_max=8,
+                           spec={"mu": [0.02, 0.02]})
+        out = tmp_path / "sparse"
+        for command in ("simulate", "estimate"):
+            assert main(["--config", str(cfg), "--output-dir", str(out),
+                         command]) == EXIT_OK
+        last = [hawkes.EventStream.from_csv(f).times[-1]
+                for f in sorted(out.glob("events_*.csv"))]
+        assert min(last) < 399.0
+        assert load_observables(out / "observables").n_bins == 3 * 400
+
     def test_explicit_data_paths(self, tmp_path):
         cfg = small_config(tmp_path, n_days=2, horizon=400.0)
         sim_out = tmp_path / "sim"
@@ -306,8 +323,9 @@ class TestCalibrate:
     def test_numerical_stage_failure_exits_3(self, tmp_path, capsys):
         cfg = small_config(tmp_path, n_days=1, horizon=10.0, tau_max=32)
         out = tmp_path / "short"
-        rc = main(["--config", str(cfg), "--output-dir", str(out),
-                   "calibrate"])
+        with pytest.warns(UserWarning, match="dropped"):
+            rc = main(["--config", str(cfg), "--output-dir", str(out),
+                       "calibrate"])
         assert rc == 3
         assert "stage" in capsys.readouterr().err
 
@@ -329,3 +347,16 @@ class TestCalibrate:
         rc = main(["--config", str(cfg), "--output-dir",
                    str(tmp_path / "x"), "calibrate"])
         assert rc == EXIT_INPUT
+
+
+def test_import_loads_no_scipy_or_synthetic():
+    # scipy comes in only with the synthetic instances, which the package
+    # import leaves out
+    code = ("import sys, crossimpact; print(' '.join(sorted(m for m in "
+            "sys.modules if m.split('.')[0] == 'scipy' "
+            "or m == 'crossimpact.synthetic')))")
+    env = {**os.environ,
+           "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []

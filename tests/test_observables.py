@@ -10,8 +10,9 @@ from crossimpact.observables import (BinnedSeries, ObservablesError,
                                      PricePath, bin_events,
                                      build_observables, estimate_omega,
                                      estimate_sigma, load_observables,
-                                     omega_aggregates, omega_laurent,
-                                     save_observables)
+                                     omega_aggregates, save_artifact,
+                                     save_observables, tapered_lags)
+from crossimpact.polymat import spectrum_on_grid
 
 
 def make_stream(times, assets, sides, sizes, horizon, d=2):
@@ -148,7 +149,7 @@ class TestOmega:
             assert om[tau][0, 0] == pytest.approx(expect, abs=1e-14)
 
     def test_matches_exact_lattice_covariance(self):
-        spec, theta, lags, _ = synthetic.coupled_instance(tau_max=4)
+        spec, theta, lags = synthetic.coupled_instance(tau_max=4)
         days = []
         for day in range(10):
             stream = simulate(spec, 4000.0, seed=700 + day)
@@ -163,7 +164,7 @@ class TestOmega:
         # the forward one (identical product sums), so the structural
         # negative-lag identity holds exactly; convergence to the true
         # lag matrix improves with the sample on a fixed seed
-        spec, _, lags, _ = synthetic.coupled_instance(tau_max=4)
+        spec, _, lags = synthetic.coupled_instance(tau_max=4)
 
         def fwd_estimate(horizon, seed):
             stream = simulate(spec, horizon, seed=seed)
@@ -222,14 +223,13 @@ class TestAggregatesAndSpectrum:
             omega_aggregates(om, taper="none")
 
     def test_tapered_spectrum_psd(self):
-        spec, theta, lags, _ = synthetic.coupled_instance(tau_max=16)
+        spec, theta, lags = synthetic.coupled_instance(tau_max=16)
         days = []
         for day in range(4):
             stream = simulate(spec, 1500.0, seed=900 + day)
             days.append(bin_events(stream, None, 1.0, day=day))
         om = estimate_omega(days, 16)
-        lx = omega_laurent(om, taper="bartlett")
-        w = lx.eval_on_circle(256)
+        w = spectrum_on_grid(tapered_lags(om, taper="bartlett"), 256)
         herm = 0.5 * (w + w.conj().transpose(0, 2, 1))
         eigs = np.linalg.eigvalsh(herm)
         assert eigs.min() >= -1e-10 * np.abs(eigs).max()
@@ -237,7 +237,7 @@ class TestAggregatesAndSpectrum:
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
-        spec, theta, lags, _ = synthetic.coupled_instance(tau_max=6)
+        spec, theta, lags = synthetic.coupled_instance(tau_max=6)
         days = []
         for day in range(3):
             stream = simulate(spec, 800.0, seed=40 + day)
@@ -255,6 +255,17 @@ class TestSerialization:
         assert back.n_days == obs.n_days == 3
         assert back.n_bins == obs.n_bins
         assert back.tau_max == obs.tau_max == 6
+
+    def test_stale_files_removed(self, tmp_path):
+        # a directory written by the older per-lag CSV format keeps
+        # nothing of it once an artifact is saved there
+        target = tmp_path / "k2"
+        target.mkdir()
+        (target / "kernel_lag_0000.csv").write_text("0.5,0.0\n0.0,0.5\n")
+        (target / "lambda.csv").write_text("1.0,0.0\n0.0,1.0\n")
+        save_artifact(target, {"delta": 1.0}, values=np.zeros((2, 1, 1)))
+        assert {p.name for p in target.iterdir()} == \
+            {"arrays.npz", "meta.json"}
 
 
 class TestPriceCsv:

@@ -4,14 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossimpact import synthetic
-from crossimpact.polymat import (LaurentMatrix, PolymatError, eval_on_circle,
-                                 whittle_factor)
+from crossimpact.polymat import PolymatError, spectrum_on_grid, whittle_factor
 
 
 def spectrum_lags(causal):
-    """Lags 0..2m of R = L L~ for causal coefficients L_0..L_m."""
-    L = LaurentMatrix.from_causal(causal)
-    return (L @ L.para_conjugate()).causal_part()
+    """Lags R_k = sum_j L_{j+k} L_j^T, k = 0..m, of R = L L~ for causal
+    coefficients L_0..L_m."""
+    m = len(causal) - 1
+    return np.stack([np.einsum("jab,jcb->ac", causal[k:], causal[:m + 1 - k])
+                     for k in range(m + 1)])
+
+
+def causal_product(a, b):
+    """Coefficients c_k = sum_j a_j b_{k-j} of the product of two causal
+    matrix polynomials."""
+    out = np.zeros((len(a) + len(b) - 1,) + a.shape[1:])
+    for j, aj in enumerate(a):
+        out[j:j + len(b)] += aj @ b
+    return out
 
 
 def causal_series_inverse(p, n):
@@ -98,62 +108,42 @@ def wilson_inverse_factor(lags, n, max_iter=200, tol=1e-13):
     return linv.real, np.abs(linv.imag).max()
 
 
-class TestEval:
-    def test_constant_matrix(self):
+class TestSpectrumOnGrid:
+    def test_constant_is_symmetrized(self):
         mat = np.array([[1.0, 2.0], [3.0, 4.0]])
-        w = eval_on_circle(LaurentMatrix.constant(mat), 8)
-        assert np.allclose(w, mat[None], atol=1e-14)
+        w = spectrum_on_grid(mat[None], 8)
+        assert np.allclose(w, 0.5 * (mat + mat.T)[None], atol=1e-14)
 
-    def test_single_delay(self):
-        d = 2
-        coeffs = np.zeros((3, d, d))
-        coeffs[2] = np.eye(d)     # lag +1: z^{-1} I
-        w = eval_on_circle(LaurentMatrix(coeffs), 16)
+    def test_single_lag(self):
+        # lag 1 only: R(omega) = B e^{-i omega} + B^T e^{i omega}
+        b = np.array([[0.5, 0.1], [-0.2, 0.4]])
+        lags = np.stack([np.zeros((2, 2)), b])
+        w = spectrum_on_grid(lags, 16)
         om = 2 * np.pi * np.arange(16) / 16
-        expect = np.exp(-1j * om)[:, None, None] * np.eye(d)[None]
+        expect = (np.exp(-1j * om)[:, None, None] * b[None]
+                  + np.exp(1j * om)[:, None, None] * b.T[None])
         assert np.allclose(w, expect, atol=1e-13)
 
     def test_grid_too_small_rejected(self):
-        coeffs = np.zeros((9, 1, 1))
-        coeffs[:, 0, 0] = np.arange(9)
+        lags = np.arange(9.0)[:, None, None]
         with pytest.raises(PolymatError):
-            eval_on_circle(LaurentMatrix(coeffs), 7)
+            spectrum_on_grid(lags, 16)
+        assert spectrum_on_grid(lags, 17).shape == (17, 1, 1)
 
-    @given(st.integers(0, 4), st.integers(1, 2), st.integers(0, 10 ** 6))
+    @given(st.integers(0, 4), st.integers(1, 2), st.integers(0, 3),
+           st.integers(0, 10 ** 6))
     @settings(max_examples=25, deadline=None)
-    def test_parseval(self, m, d, seed):
+    def test_parseval_and_hermitian(self, m, d, extra, seed):
         rng = np.random.default_rng(seed)
-        coeffs = rng.normal(size=(2 * m + 1, d, d))
-        M = LaurentMatrix(coeffs)
-        n = 2 * (2 * m + 1) + 2
-        w = eval_on_circle(M, n)
+        lags = rng.normal(size=(m + 1, d, d))
+        lags[0] = lags[0] + lags[0].T
+        n = 2 * m + 1 + extra
+        w = spectrum_on_grid(lags, n)
         mean_sq = np.mean(np.sum(np.abs(w) ** 2, axis=(1, 2)))
-        coef_sq = np.sum(coeffs ** 2)
+        coef_sq = np.sum(lags[0] ** 2) + 2.0 * np.sum(lags[1:] ** 2)
         assert abs(mean_sq - coef_sq) <= 1e-12 * max(coef_sq, 1.0)
-
-
-class TestAlgebra:
-    def test_para_conjugate_involution(self):
-        rng = np.random.default_rng(0)
-        M = LaurentMatrix(rng.normal(size=(5, 2, 2)))
-        back = M.para_conjugate().para_conjugate()
-        assert np.allclose(back.coeffs, M.coeffs)
-
-    def test_product_matches_pointwise(self):
-        rng = np.random.default_rng(1)
-        A = LaurentMatrix(rng.normal(size=(3, 2, 2)))
-        B = LaurentMatrix(rng.normal(size=(5, 2, 2)))
-        C = A @ B
-        n = 32
-        lhs = C.eval_on_circle(n)
-        rhs = A.eval_on_circle(n) @ B.eval_on_circle(n)
-        assert np.allclose(lhs, rhs, atol=1e-12)
-
-    def test_para_hermitian_residual(self):
-        lag0 = np.array([[2.0, 0.3], [0.3, 1.0]])
-        lag1 = np.array([[0.5, 0.1], [-0.2, 0.4]])
-        R = LaurentMatrix.from_lag_list(lag0, [lag1])
-        assert R.para_hermitian_residual() < 1e-15
+        herm = np.abs(w - w.conj().transpose(0, 2, 1)).max()
+        assert herm <= 1e-12 * max(np.abs(w).max(), 1.0)
 
 
 class TestScalarFactor:
@@ -240,7 +230,7 @@ class TestAssembleInvert:
 
     def test_identity_inverse(self):
         f = whittle_factor(np.eye(2)[None])
-        w = LaurentMatrix.from_causal(f.inverse).eval_on_circle(64)
+        w = np.fft.fft(f.inverse, 64, axis=0)
         assert np.allclose(w, np.eye(2)[None], atol=1e-12)
 
     def test_geometric_inverse_series(self):
@@ -257,15 +247,15 @@ class TestAssembleInvert:
         l0 = np.array([[1.2, 0.0], [0.3, 0.8]])
         b1 = np.array([[0.5, -0.4], [0.2, 0.3]])
         b2 = np.array([[-0.6, 0.1], [0.0, 0.7]])
-        L = (LaurentMatrix.from_causal(l0[None])
-             @ LaurentMatrix.from_causal(np.stack([np.eye(2), b1]))
-             @ LaurentMatrix.from_causal(np.stack([np.eye(2), b2])))
-        f = whittle_factor((L @ L.para_conjugate()).causal_part())
+        L = causal_product(causal_product(l0[None],
+                                          np.stack([np.eye(2), b1])),
+                           np.stack([np.eye(2), b2]))
+        f = whittle_factor(spectrum_lags(L))
         n = 1024
-        lw = L.eval_on_circle(n)
-        iw = LaurentMatrix.from_causal(f.inverse).eval_on_circle(n)
+        lw = np.fft.fft(L, n, axis=0)
+        iw = np.fft.fft(f.inverse, n, axis=0)
         assert np.abs(lw @ iw - np.eye(2)).max() <= 1e-6
-        assert np.allclose(f.l_at_one, L.coeffs.sum(axis=0), atol=1e-6)
+        assert np.allclose(f.l_at_one, L.sum(axis=0), atol=1e-6)
         assert f.residual <= 1e-9
 
     def test_pole_guard(self):
