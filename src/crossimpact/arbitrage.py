@@ -5,10 +5,10 @@ expected impact cost of a strategy f under a kernel K is the double
 integral of f(t)^T K(t-s) f(s) over s < t, which is evaluated in closed
 form per piece pair through the second antiderivative of the lattice
 kernel (linear interpolation between lags, permanent plateau beyond).
+The four-corner sums of every piece pair are one array contraction.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 from fractions import Fraction
 
@@ -65,31 +65,6 @@ class Strategy:
     def is_round_trip(self) -> bool:
         return all(self.net_position(i) == 0 for i in range(self.d))
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["asset", "start", "end", "rate"])
-            for i, plist in enumerate(self.pieces):
-                for p in plist:
-                    writer.writerow([i, f"{p.start:.17g}", f"{p.end:.17g}",
-                                     f"{p.rate:.17g}"])
-
-    @classmethod
-    def from_csv(cls, path, d=None, horizon=None):
-        rows = []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                rows.append((int(row["asset"]), float(row["start"]),
-                             float(row["end"]), float(row["rate"])))
-        if d is None:
-            d = max(r[0] for r in rows) + 1 if rows else 1
-        pieces = [[] for _ in range(d)]
-        for a, s, e, r in rows:
-            pieces[a].append(Piece(s, e, r))
-        if horizon is None:
-            horizon = max((r[2] for r in rows), default=0.0)
-        return cls(pieces=pieces, horizon=horizon)
-
 
 @dataclasses.dataclass
 class CostBreakdown:
@@ -126,46 +101,44 @@ class _KernelIntegrals:
         self.v_nodes = np.concatenate([
             np.zeros((1,) + k.shape[1:]), np.cumsum(v_inc, axis=0)])
 
-    def v(self, x) -> np.ndarray:
-        if x <= 0.0:
-            return np.zeros_like(self.lam)
+    def v(self, x, a, b) -> np.ndarray:
+        """V_ab at the offsets x; x, a and b broadcast together."""
         dv = self.delta
         span = self.n * dv
-        if x >= span:
-            u = x - span
-            return (self.v_nodes[-1] + self.w_nodes[-1] * u
-                    + 0.5 * self.lam * u * u)
-        i = min(int(np.floor(x / dv)), self.n - 1)
+        i = np.clip(np.floor(x / dv), 0, self.n - 1).astype(int)
         s = x - i * dv
-        k0 = self.values[i]
-        dk = self.values[i + 1] - k0
-        return (self.v_nodes[i] + self.w_nodes[i] * s + 0.5 * k0 * s * s
-                + dk * s ** 3 / (6.0 * dv))
+        k0 = self.values[i, a, b]
+        dk = self.values[i + 1, a, b] - k0
+        inside = (self.v_nodes[i, a, b] + self.w_nodes[i, a, b] * s
+                  + 0.5 * k0 * s * s + dk * s ** 3 / (6.0 * dv))
+        u = x - span
+        plateau = (self.v_nodes[-1, a, b] + self.w_nodes[-1, a, b] * u
+                   + 0.5 * self.lam[a, b] * u * u)
+        return np.where(x <= 0.0, 0.0, np.where(x >= span, plateau, inside))
 
 
 def _constant_v(mat):
+    """V_ab of the constant kernel mat."""
     mat = np.asarray(mat, dtype=float)
 
-    class _V:
-        def v(self, x):
-            if x <= 0.0:
-                return np.zeros_like(mat)
-            return 0.5 * mat * x * x
-    return _V()
+    def v(x, a, b):
+        xp = np.maximum(x, 0.0)
+        return 0.5 * mat[a, b] * xp * xp
+    return v
 
 
-def _pairwise_cost(strategy, vfun, d):
-    total = 0.0
-    for i in range(d):
-        for p1 in strategy.pieces[i]:
-            for j in range(d):
-                for p2 in strategy.pieces[j]:
-                    corners = (vfun.v(p1.end - p2.start)
-                               - vfun.v(p1.start - p2.start)
-                               - vfun.v(p1.end - p2.end)
-                               + vfun.v(p1.start - p2.end))
-                    total += p1.rate * p2.rate * corners[i, j]
-    return total
+def _pairwise_cost(strategy, v):
+    """Sum of r_p r_q times the corner sum of V over all ordered piece
+    pairs (p, q), taken as one contraction over the flattened pieces."""
+    flat = np.array([(i, p.start, p.end, p.rate)
+                     for i, plist in enumerate(strategy.pieces)
+                     for p in plist], dtype=float).reshape(-1, 4)
+    asset = flat[:, 0].astype(int)
+    start, end, rate = flat[:, 1], flat[:, 2], flat[:, 3]
+    a, b = asset[:, None], asset[None, :]
+    corners = (v(end[:, None] - start, a, b) - v(start[:, None] - start, a, b)
+               - v(end[:, None] - end, a, b) + v(start[:, None] - end, a, b))
+    return float(rate @ corners @ rate)
 
 
 def cost(strategy: Strategy, kernel: ImpactKernel) -> CostBreakdown:
@@ -184,9 +157,9 @@ def cost(strategy: Strategy, kernel: ImpactKernel) -> CostBreakdown:
             "strategy horizon exceeds the kernel lattice and the kernel "
             "tail has not converged to its permanent matrix")
     full = _KernelIntegrals(kernel.values, kernel.delta, kernel.lam)
-    total = _pairwise_cost(strategy, full, d)
-    permanent = _pairwise_cost(strategy, _constant_v(kernel.lam), d)
-    immediate = _pairwise_cost(strategy, _constant_v(kernel.k0), d)
+    total = _pairwise_cost(strategy, full.v)
+    permanent = _pairwise_cost(strategy, _constant_v(kernel.lam))
+    immediate = _pairwise_cost(strategy, _constant_v(kernel.k0))
     return CostBreakdown(total=total, permanent=permanent,
                          transient=total - permanent, immediate=immediate)
 
@@ -260,26 +233,20 @@ def min_roundtrip_cost(kernel: ImpactKernel, n_steps: int, T: float):
     dt = round((T / n_steps) * (1 << 20)) / float(1 << 20)
     if dt <= 0:
         raise StrategyError("horizon too short for the step grid")
-    k0s = 0.25 * (kernel.k0 + kernel.k0.T)
     blocks = np.zeros((n_steps, d, d))
-    blocks[0] = k0s
-    for m in range(1, n_steps):
-        km = kernel.value_at(m * dt)
-        blocks[m] = 0.5 * km
-    g = np.zeros((n_steps * d, n_steps * d))
-    for t in range(n_steps):
-        for s in range(n_steps):
-            if t >= s:
-                b = blocks[t - s]
-            else:
-                b = blocks[s - t].T
-            g[t * d:(t + 1) * d, s * d:(s + 1) * d] = b
+    blocks[0] = 0.25 * (kernel.k0 + kernel.k0.T)
+    blocks[1:] = 0.5 * kernel.value_at(np.arange(1, n_steps) * dt)
+    # block (t, s) is the lag t - s of the two-sided sequence whose lag -m
+    # is blocks[m]^T
+    two_sided = np.concatenate([blocks[:0:-1].transpose(0, 2, 1), blocks])
+    lag = np.arange(n_steps)[:, None] - np.arange(n_steps)[None, :]
+    g = two_sided[lag + n_steps - 1].transpose(0, 2, 1, 3).reshape(
+        n_steps * d, n_steps * d)
     g = 0.5 * (g + g.T)
-    proj = np.eye(n_steps * d)
-    for i in range(d):
-        u = np.zeros(n_steps * d)
-        u[i::d] = 1.0 / np.sqrt(n_steps)
-        proj -= np.outer(u, u)
+    # remove the per-asset mean: u_i has 1/sqrt(n_steps) on asset i's rows
+    asset = np.arange(n_steps * d) % d
+    u = 1.0 / np.sqrt(n_steps)
+    proj = np.eye(n_steps * d) - (asset[:, None] == asset[None, :]) * (u * u)
     m = proj @ g @ proj
     m = 0.5 * (m + m.T)
     eigvals, eigvecs = np.linalg.eigh(m)
@@ -318,8 +285,7 @@ def predict_prices(kernel: ImpactKernel, flows: BinnedSeries, p0,
                 f"flow lattice {flows.delta} does not match kernel lattice "
                 f"{kernel.delta}; pass resample=True to interpolate")
         n_res = max(int(np.floor(kernel.tau_max / flows.delta)), 1)
-        values = np.stack([kernel.value_at(m * flows.delta)
-                           for m in range(n_res + 1)])
+        values = kernel.value_at(np.arange(n_res + 1) * flows.delta)
     else:
         values = kernel.values
     q = flows.flows

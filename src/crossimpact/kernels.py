@@ -68,17 +68,17 @@ class ImpactKernel:
         return np.linalg.norm(self.values[-1] - self.lam) / denom
 
     def value_at(self, tau) -> np.ndarray:
-        """Kernel at arbitrary nonnegative lag: linear interpolation on
-        the lattice, plateau at lam beyond it."""
-        if tau < 0:
-            return np.zeros((self.d, self.d))
+        """Kernel at a lag, or at an array of lags (shape tau.shape + (d, d)):
+        linear interpolation on the lattice, plateau at lam beyond it,
+        zero at negative lags."""
+        tau = np.asarray(tau, dtype=float)
         x = tau / self.delta
         n = self.n_lags
-        if x >= n:
-            return self.lam.copy()
-        i = int(np.floor(x))
-        w = x - i
-        return (1.0 - w) * self.values[i] + w * self.values[i + 1]
+        i = np.clip(np.floor(x), 0, n - 1).astype(int)
+        w = (x - i)[..., None, None]
+        inside = (1.0 - w) * self.values[i] + w * self.values[i + 1]
+        out = np.where((x >= n)[..., None, None], self.lam, inside)
+        return np.where((tau < 0)[..., None, None], 0.0, out)
 
 
 def _sym(m):
@@ -193,8 +193,7 @@ def build_K1(obs: ObservableSet, factor: WhittleFactor,
     values = np.zeros((tau_max + 1, d, d))
     values[0] = k0
     csum = np.cumsum(g[:tau_max + 1], axis=0)
-    for t in range(1, tau_max + 1):
-        values[t] = k0 + csum[t - 1] + 0.5 * g[t]
+    values[1:] = k0 + csum[:tau_max] + 0.5 * g[1:tau_max + 1]
     # rotation diagnostic: G O = M with G G^T = Lambda omega_inf Lambda^T
     diag = {"factor_residual": factor.residual, "imag_mass": imag_mass,
             "factor_order": factor.order,
@@ -237,13 +236,12 @@ def symmetrized_transform(kernel: ImpactKernel,
     d = kernel.d
     x = np.zeros((n, d, d))
     x[0] = trans[0]
+    x[1:support + 1] = trans[1:]
+    x[n - support:][::-1] = trans[1:].transpose(0, 2, 1)
     half = n // 2
-    for t in range(1, support + 1):
-        if t == half:
-            x[t] += _sym(trans[t])
-        else:
-            x[t] += trans[t]
-            x[n - t] += trans[t].T
+    if support == half:
+        # the Nyquist lag is its own reflection
+        x[half] = _sym(trans[half])
     return np.fft.fft(x, axis=0)
 
 

@@ -52,6 +52,100 @@ def riemann_cost(strategy, kernel, oversample=10):
     return total
 
 
+class LoopIntegrals:
+    """Reference second antiderivative V of every kernel entry at one
+    scalar offset: the cubic of its lattice cell, the plateau beyond."""
+
+    def __init__(self, kernel):
+        dv = self.delta = kernel.delta
+        k = self.values = kernel.values
+        self.lam = kernel.lam
+        self.n = k.shape[0] - 1
+        zero = np.zeros((1,) + k.shape[1:])
+        self.w_nodes = np.concatenate([
+            zero, np.cumsum(0.5 * dv * (k[:-1] + k[1:]), axis=0)])
+        v_inc = (self.w_nodes[:-1] * dv + 0.5 * k[:-1] * dv ** 2
+                 + np.diff(k, axis=0) * dv ** 2 / 6.0)
+        self.v_nodes = np.concatenate([zero, np.cumsum(v_inc, axis=0)])
+
+    def v(self, x):
+        if x <= 0.0:
+            return np.zeros_like(self.lam)
+        dv = self.delta
+        span = self.n * dv
+        if x >= span:
+            u = x - span
+            return (self.v_nodes[-1] + self.w_nodes[-1] * u
+                    + 0.5 * self.lam * u * u)
+        i = min(int(np.floor(x / dv)), self.n - 1)
+        s = x - i * dv
+        k0 = self.values[i]
+        dk = self.values[i + 1] - k0
+        return (self.v_nodes[i] + self.w_nodes[i] * s + 0.5 * k0 * s * s
+                + dk * s ** 3 / (6.0 * dv))
+
+
+class LoopConstant:
+    """Reference V of a constant kernel."""
+
+    def __init__(self, mat):
+        self.mat = np.asarray(mat, dtype=float)
+
+    def v(self, x):
+        if x <= 0.0:
+            return np.zeros_like(self.mat)
+        return 0.5 * self.mat * x * x
+
+
+def loop_pairwise_cost(strategy, vfun):
+    """Reference corner sums, one piece pair at a time; also returns the
+    uncancelled scale sum |r_p r_q corner_pq|."""
+    total = scale = 0.0
+    for i, plist in enumerate(strategy.pieces):
+        for p1 in plist:
+            for j, qlist in enumerate(strategy.pieces):
+                for p2 in qlist:
+                    corners = (vfun.v(p1.end - p2.start)
+                               - vfun.v(p1.start - p2.start)
+                               - vfun.v(p1.end - p2.end)
+                               + vfun.v(p1.start - p2.end))
+                    term = p1.rate * p2.rate * corners[i, j]
+                    total += term
+                    scale += abs(term)
+    return total, scale
+
+
+@st.composite
+def kernels_and_strategies(draw):
+    """A random lattice kernel with a converged tail (values[-1] = lam)
+    and random piece lists, some assets empty and some pieces running
+    past the lattice onto the plateau."""
+    d = draw(st.integers(1, 3))
+    n_lags = draw(st.integers(1, 12))
+    delta = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vals = rng.normal(size=(n_lags + 1, d, d))
+    kernel = ImpactKernel(delta=delta, values=vals, k0=vals[0],
+                          lam=vals[-1].copy(), provenance="analytic",
+                          grid=64)
+    horizon = draw(st.floats(0.2, 2.5)) * n_lags * delta
+    on_lattice = draw(st.booleans())
+    pieces = []
+    for _ in range(d):
+        n_pieces = draw(st.integers(0, 4))
+        if on_lattice:
+            # endpoints on quarter cells hit the lattice nodes exactly
+            ticks = np.arange(int(horizon / (0.25 * delta)) + 1) \
+                * (0.25 * delta)
+            cuts = np.sort(rng.choice(ticks, min(2 * n_pieces, ticks.size),
+                                      replace=False))
+        else:
+            cuts = np.sort(rng.uniform(0.0, horizon, 2 * n_pieces))
+        pieces.append([Piece(float(a), float(b), float(rng.normal()))
+                       for a, b in zip(cuts[::2], cuts[1::2]) if b > a])
+    return kernel, Strategy(pieces=pieces, horizon=horizon)
+
+
 class TestStrategy:
     def test_round_trip_flag_exact(self):
         s = pair_trading_strategy(0, 1, 1.3, 0.7, 3.0)
@@ -68,14 +162,6 @@ class TestStrategy:
             Strategy(pieces=[[Piece(0.0, 2.0, 1.0), Piece(1.0, 3.0, 1.0)]],
                      horizon=3.0)
 
-    def test_csv_roundtrip(self, tmp_path):
-        s = pair_trading_strategy(0, 1, 1.5, -0.5, 6.0)
-        path = tmp_path / "strategy.csv"
-        s.to_csv(path)
-        back = Strategy.from_csv(path)
-        assert back.d == s.d
-        for i in range(s.d):
-            assert back.pieces[i] == s.pieces[i]
 
 
 class TestCost:
@@ -131,6 +217,17 @@ class TestCost:
         c0 = cost(base, k).total
         c1 = cost(scaled, k).total
         assert c1 == pytest.approx(alpha ** 2 * c0, rel=1e-10, abs=1e-12)
+
+    @given(kernels_and_strategies())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_loop_oracle(self, case):
+        kernel, s = case
+        got = cost(s, kernel)
+        for field, vfun in (("total", LoopIntegrals(kernel)),
+                            ("permanent", LoopConstant(kernel.lam)),
+                            ("immediate", LoopConstant(kernel.k0))):
+            ref, scale = loop_pairwise_cost(s, vfun)
+            assert abs(getattr(got, field) - ref) <= 1e-12 * scale, field
 
     def test_horizon_beyond_unconverged_tail_rejected(self):
         tau = np.arange(9, dtype=float)

@@ -255,6 +255,57 @@ def decaying_kernel(tau_max=64, rate=0.15, lam_scale=0.0):
                         provenance="k1", grid=512)
 
 
+def loop_symmetrized_transform(kernel, n_grid=None):
+    """Reference reflection of the transient part, one lag at a time."""
+    n = n_grid or kernel.grid
+    trans = kernel.values - kernel.lam[None]
+    support = trans.shape[0] - 1
+    if 2 * support > n:
+        n = polymat._next_pow2(2 * support)
+    x = np.zeros((n,) + trans.shape[1:])
+    x[0] = trans[0]
+    for t in range(1, support + 1):
+        if t == n // 2:
+            x[t] += 0.5 * (trans[t] + trans[t].T)
+        else:
+            x[t] += trans[t]
+            x[n - t] += trans[t].T
+    return np.fft.fft(x, axis=0)
+
+
+class TestValueAt:
+    def test_matches_interp_per_entry(self):
+        rng = np.random.default_rng(7)
+        vals = rng.normal(size=(9, 2, 2))
+        lam = rng.normal(size=(2, 2))
+        k = ImpactKernel(delta=0.5, values=vals, k0=vals[0], lam=lam)
+        tau = np.array([-0.3, 0.0, 0.25, 0.5, 1.7, 3.999, 4.0, 9.0])
+        got = k.value_at(tau)
+        assert got.shape == (tau.size, 2, 2)
+        for i in range(2):
+            for j in range(2):
+                ref = np.interp(tau, 0.5 * np.arange(9), vals[:, i, j])
+                ref[tau >= 4.0] = lam[i, j]     # plateau from the last lag
+                ref[tau < 0] = 0.0
+                assert np.allclose(got[:, i, j], ref, rtol=1e-14, atol=0)
+        assert np.array_equal(k.value_at(1.7), got[4])
+
+
+class TestSymmetrizedTransform:
+    # (lags, kernel grid, n_grid): support below half the grid, at half,
+    # at half after growing a too-small override, and a larger override
+    @pytest.mark.parametrize("n_lags, grid, n_grid", [
+        (64, 512, None), (256, 512, None), (64, 64, 64), (64, 512, 2048)])
+    def test_matches_reflection_loop(self, n_lags, grid, n_grid):
+        rng = np.random.default_rng(n_lags + grid)
+        vals = rng.normal(size=(n_lags + 1, 2, 2))
+        k = ImpactKernel(delta=1.0, values=vals, k0=vals[0],
+                         lam=rng.normal(size=(2, 2)), provenance="k1",
+                         grid=grid)
+        assert np.array_equal(symmetrized_transform(k, n_grid),
+                              loop_symmetrized_transform(k, n_grid))
+
+
 class TestRegularize:
     def test_fixed_point_when_already_admissible(self):
         k = decaying_kernel()
