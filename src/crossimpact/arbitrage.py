@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hawkes import _write_csv
+from .hawkes import TIME_FORMAT, _write_csv
 from .kernels import ImpactKernel
 from .observables import BinnedSeries
 
@@ -141,6 +141,18 @@ def _pairwise_cost(strategy, v):
     return float(rate @ corners @ rate)
 
 
+def _check_horizon(kernel: ImpactKernel, horizon: float):
+    """Refuse a horizon past the kernel lattice unless the kernel tail has
+    converged to its permanent matrix, where the plateau extension
+    applies.  The horizon is compared first, so a lattice that covers it
+    costs no tail evaluation."""
+    if horizon > kernel.tau_max and kernel.tail_error() > kernel.tail_tol:
+        raise StrategyError(
+            f"horizon {horizon:g} exceeds the kernel lattice "
+            f"({kernel.tau_max:g}) and the kernel tail has not converged "
+            "to its permanent matrix")
+
+
 def cost(strategy: Strategy, kernel: ImpactKernel) -> CostBreakdown:
     """Expected impact cost of a piecewise-constant strategy.
 
@@ -151,11 +163,7 @@ def cost(strategy: Strategy, kernel: ImpactKernel) -> CostBreakdown:
     d = kernel.d
     if strategy.d != d:
         raise StrategyError("strategy and kernel dimensions differ")
-    if strategy.horizon > kernel.tau_max and \
-            kernel.tail_error() > kernel.tail_tol:
-        raise StrategyError(
-            "strategy horizon exceeds the kernel lattice and the kernel "
-            "tail has not converged to its permanent matrix")
+    _check_horizon(kernel, strategy.horizon)
     full = _KernelIntegrals(kernel.values, kernel.delta, kernel.lam)
     total = _pairwise_cost(strategy, full.v)
     permanent = _pairwise_cost(strategy, _constant_v(kernel.lam))
@@ -223,7 +231,8 @@ def min_roundtrip_cost(kernel: ImpactKernel, n_steps: int, T: float):
     on the lag-0 atom).  Minimization over the zero-net-position
     subspace is an eigenvalue problem; a negative minimum certifies a
     statistical arbitrage in this family and the witness strategy is
-    returned, while a nonnegative minimum is evidence only.
+    returned, while a nonnegative minimum is evidence only.  A witness
+    horizon that cost() would refuse raises StrategyError.
     """
     if n_steps < 2:
         raise StrategyError("need at least two steps")
@@ -233,6 +242,8 @@ def min_roundtrip_cost(kernel: ImpactKernel, n_steps: int, T: float):
     dt = round((T / n_steps) * (1 << 20)) / float(1 << 20)
     if dt <= 0:
         raise StrategyError("horizon too short for the step grid")
+    # the witness spans n_steps * dt; refuse what cost() would refuse
+    _check_horizon(kernel, n_steps * dt)
     blocks = np.zeros((n_steps, d, d))
     blocks[0] = 0.25 * (kernel.k0 + kernel.k0.T)
     blocks[1:] = 0.5 * kernel.value_at(np.arange(1, n_steps) * dt)
@@ -308,6 +319,7 @@ def save_predicted_prices(path, times, prices):
     """Write a (n_steps, d) price path as time,asset,price_hat rows."""
     prices = np.asarray(prices, dtype=float)
     n, d = prices.shape
-    _write_csv(path, ("time", "asset", "price_hat"), "%.9f,%d,%.17g",
+    _write_csv(path, ("time", "asset", "price_hat"),
+               TIME_FORMAT + ",%d,%.17g",
                (np.repeat(np.asarray(times, dtype=float), d),
                 np.tile(np.arange(d), n), prices.ravel()))

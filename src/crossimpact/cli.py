@@ -8,6 +8,7 @@ codes: 0 success, 1 admissibility failure (check), 2 input error,
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import os
@@ -161,31 +162,62 @@ def _event_prices(spec, stream, lam, p0) -> observables.PricePath:
                                  prices=prices.ravel(), d=d)
 
 
-def cmd_simulate(cfg: RunConfig, out_dir) -> int:
+def _valid_spec(cfg):
+    """The config's spec and its validation report; the spec is None,
+    with the faults on stderr, when the model is unstable."""
     if cfg.spec is None:
         raise StageError("input", "simulate needs a hawkes spec in config")
     spec = parse_spec(cfg.spec)
     report = hawkes.validate_spec(spec)
     if not report.stable:
         print("invalid spec:", "; ".join(report.messages), file=sys.stderr)
-        return EXIT_INPUT
+        return None, report
+    return spec, report
+
+
+def _simulated_days(cfg, spec, report, out):
+    """Simulate the config's days; write each day's event and price CSVs
+    under out, then yield its (stream, prices).  The manifest follows
+    the last day."""
     if cfg.horizon == 0:
         print("warning: zero horizon, writing empty streams", file=sys.stderr)
-    out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lam = _default_lambda(spec, cfg)
     p0 = np.asarray(cfg.p0 if cfg.p0 is not None else [100.0] * spec.d,
                     dtype=float)
-    manifest = {"n_days": cfg.n_days, "config": cfg.echo(),
-                "validation": dataclasses.asdict(report)}
     for day in range(cfg.n_days):
         stream = hawkes.simulate(spec, cfg.horizon, cfg.seed + day)
         prices = _event_prices(spec, stream, lam, p0)
         stream.to_csv(out / f"events_{day:03d}.csv")
         prices.to_csv(out / f"prices_{day:03d}.csv")
+        yield stream, prices
+    manifest = {"n_days": cfg.n_days, "config": cfg.echo(),
+                "validation": dataclasses.asdict(report)}
     (out / "manifest.json").write_text(json.dumps(
         observables._json_safe(manifest), sort_keys=True, indent=1))
+
+
+def cmd_simulate(cfg: RunConfig, out_dir) -> int:
+    spec, report = _valid_spec(cfg)
+    if spec is None:
+        return EXIT_INPUT
+    # drain without holding a finished day while the next is simulated
+    collections.deque(_simulated_days(cfg, spec, report,
+                                      pathlib.Path(out_dir)), maxlen=0)
     return EXIT_OK
+
+
+def _day_as_written(stream, prices, horizon):
+    """A simulated day as its event and price CSVs read back, spanning
+    horizon: times pass through the files' TIME_FORMAT, and assets,
+    sides, sizes and prices (at %.17g) read back exactly."""
+    return (hawkes.EventStream(times=hawkes._as_written(stream.times),
+                               assets=stream.assets, sides=stream.sides,
+                               sizes=stream.sizes, horizon=horizon,
+                               d=stream.d),
+            observables.PricePath(times=hawkes._as_written(prices.times),
+                                  assets=prices.assets,
+                                  prices=prices.prices, d=prices.d))
 
 
 def _load_day_files(cfg, out_dir):
@@ -211,13 +243,22 @@ def _load_day_files(cfg, out_dir):
     return pairs
 
 
-def _bin_one_day(cfg, day, ef, pf):
-    # a day simulated from the config's spec spans its horizon; an event
-    # CSV on its own ends at its last event
-    stream = hawkes.EventStream.from_csv(
-        ef, horizon=cfg.horizon if cfg.spec is not None else None)
-    prices = observables.PricePath.from_csv(pf, d=stream.d) \
-        if pf is not None else None
+def _read_day(cfg, ef, pf):
+    """(stream, prices) of one day's event and price files; a file that
+    cannot be read is an input error."""
+    try:
+        # a day simulated from the config's spec spans its horizon; an
+        # event CSV on its own ends at its last event
+        stream = hawkes.EventStream.from_csv(
+            ef, horizon=cfg.horizon if cfg.spec is not None else None)
+        prices = observables.PricePath.from_csv(pf, d=stream.d) \
+            if pf is not None else None
+    except (OSError, ValueError, KeyError) as exc:
+        raise StageError("input", f"{ef}: {exc}") from exc
+    return stream, prices
+
+
+def _bin_one_day(cfg, day, stream, prices):
     t_end = stream.horizon if stream.horizon > 0 else \
         (stream.times[-1] if len(stream) else cfg.delta)
     return observables.bin_events(stream, prices, cfg.delta,
@@ -225,16 +266,11 @@ def _bin_one_day(cfg, day, ef, pf):
                                   day=day)
 
 
-def _estimate(cfg, pairs) -> observables.ObservableSet:
-    series = [_bin_one_day(cfg, day, ef, pf)
-              for day, (ef, pf) in enumerate(pairs)]
-    return observables.build_observables(series, cfg.tau_max,
-                                         taper=cfg.taper)
-
-
 def cmd_estimate(cfg: RunConfig, out_dir) -> int:
-    pairs = _load_day_files(cfg, out_dir)
-    obs = _estimate(cfg, pairs)
+    series = [_bin_one_day(cfg, day, *_read_day(cfg, ef, pf))
+              for day, (ef, pf) in enumerate(_load_day_files(cfg, out_dir))]
+    obs = observables.build_observables(series, cfg.tau_max,
+                                        taper=cfg.taper)
     observables.save_observables(pathlib.Path(out_dir) / "observables", obs)
     print(f"estimated observables from {obs.n_days} days, "
           f"{obs.n_bins} bins")
@@ -252,23 +288,45 @@ def _k1_health(k1, tail_tol):
             "verdict": "degraded" if faults else "ok"}, faults
 
 
-def cmd_calibrate(cfg: RunConfig, out_dir) -> int:
+def _calibrate(cfg: RunConfig, out_dir):
+    """Run calibrate into out_dir.  Returns (K1, K2, day 0's event
+    stream), or None when the config's spec is unstable.
+
+    With a spec, each day is binned as its CSV files read back
+    (_day_as_written), not re-read from them.
+    """
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     diagnostics = {"config": cfg.echo()}
-    stage = "estimate"
+    source = "simulate" if cfg.spec is not None else "estimate"
+    stage = source
     try:
         if cfg.spec is not None:
-            stage = "simulate"
-            rc = cmd_simulate(cfg, out)
-            if rc != EXIT_OK:
-                return rc
+            spec, report = _valid_spec(cfg)
+            if spec is None:
+                return None
+            days = _simulated_days(cfg, spec, report, out)
+        else:
+            days = (_read_day(cfg, ef, pf)
+                    for ef, pf in _load_day_files(cfg, out))
+        series = []
+        for day, (stream, prices) in enumerate(days):
+            stage = "estimate"
+            if cfg.spec is not None:
+                stream, prices = _day_as_written(stream, prices, cfg.horizon)
+            series.append(_bin_one_day(cfg, day, stream, prices))
+            if day == 0:
+                day0 = stream
+            # the next day is simulated or read without this one
+            del stream, prices
+            stage = source
+        if not series:
+            raise StageError("input", "no days to estimate from")
         stage = "estimate"
-        pairs = _load_day_files(cfg, out)
-        obs = _estimate(cfg, pairs)
+        obs = observables.build_observables(series, cfg.tau_max,
+                                            taper=cfg.taper)
         observables.save_observables(out / "observables", obs)
         if cfg.spec is not None:
-            spec = parse_spec(cfg.spec)
             theta = hawkes.stationary_intensity(spec)
             one_sided = np.diag(theta * spec.sizes ** 2)
             _, atom_diag = kernels.compute_K0(obs, atom_reference=one_sided)
@@ -312,12 +370,19 @@ def cmd_calibrate(cfg: RunConfig, out_dir) -> int:
           f"{health['tail_tol']:.2e})")
     print(f"k1 {diagnostics['k1_admissibility']['label']}; "
           f"k2 {diagnostics['k2_admissibility']['label']}")
-    return EXIT_OK
+    return k1, k2, day0
 
 
-def cmd_check(kernel_dir, tol, n_steps=(4, 8, 16), horizons=(1.0, 10.0),
-              bps=False) -> int:
-    kernel = kernels.load_kernel(kernel_dir)
+def cmd_calibrate(cfg: RunConfig, out_dir) -> int:
+    return EXIT_INPUT if _calibrate(cfg, out_dir) is None else EXIT_OK
+
+
+def _check(kernel, tol, n_steps=(4, 8, 16), horizons=(1.0, 10.0),
+           bps=False) -> int:
+    """Print the NSA report, the boundary matrices and the round-trip
+    scans of a kernel; exit code from the NSA verdict.  A scan that
+    min_roundtrip_cost refuses is printed as skipped and left out of
+    the worst relative cost."""
     report = kernels.nsa_check(kernel, tol=tol)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=1))
     scale = 1e4 if bps else 1.0
@@ -326,24 +391,36 @@ def cmd_check(kernel_dir, tol, n_steps=(4, 8, 16), horizons=(1.0, 10.0),
     print(np.array2string(scale * kernel.k0, precision=4))
     print(f"permanent matrix ({unit}):")
     print(np.array2string(scale * kernel.lam, precision=4))
-    worst = 0.0
+    rels = []
     for n in n_steps:
         for T in horizons:
-            value, witness, info = arbitrage.min_roundtrip_cost(kernel, n, T)
+            try:
+                value, _, info = arbitrage.min_roundtrip_cost(kernel, n, T)
+            except arbitrage.StrategyError as exc:
+                print(f"min roundtrip cost n={n} T={T}: skipped ({exc})")
+                continue
             rel = value / max(info["gram_norm"] * info["step"] ** 2, 1e-300)
-            worst = min(worst, rel)
+            rels.append(rel)
             print(f"min roundtrip cost n={n} T={T}: {value:.3e} "
                   f"({rel:.2e} of gram scale)")
-    print(f"worst relative roundtrip cost: {worst:.3e}")
+    print(f"worst relative roundtrip cost: {min(rels):.3e}" if rels else
+          "worst relative roundtrip cost: none (every scan skipped)")
     return EXIT_OK if report.verdict else EXIT_FAIL
 
 
-def cmd_predict(kernel_dir, events_csv, p0, out_path) -> int:
-    kernel = kernels.load_kernel(kernel_dir)
-    stream = hawkes.EventStream.from_csv(events_csv, d=kernel.d)
-    horizon = stream.horizon if stream.horizon > 0 else kernel.delta
+def cmd_check(kernel_dir, tol, n_steps=(4, 8, 16), horizons=(1.0, 10.0),
+              bps=False) -> int:
+    return _check(kernels.load_kernel(kernel_dir), tol, n_steps, horizons,
+                  bps)
+
+
+def _predict(kernel, stream, p0, out_path) -> int:
+    """Write the kernel's predicted prices along an event tape.  The tape
+    is binned up to its last event, as a tape read from CSV carries no
+    horizon; p0 is one price per asset, or one price for all."""
+    last = stream.times[-1] if len(stream) else 0.0
     flows = observables.bin_events(stream, None, kernel.delta,
-                                   t_end=horizon)
+                                   t_end=last if last > 0 else kernel.delta)
     p0 = np.asarray(p0, dtype=float)
     if p0.size == 1:
         p0 = np.full(kernel.d, float(p0))
@@ -352,6 +429,13 @@ def cmd_predict(kernel_dir, events_csv, p0, out_path) -> int:
     arbitrage.save_predicted_prices(out_path, times, path)
     print(f"wrote {out_path}")
     return EXIT_OK
+
+
+def cmd_predict(kernel_dir, events_csv, p0, out_path) -> int:
+    kernel = kernels.load_kernel(kernel_dir)
+    return _predict(kernel, hawkes.EventStream.from_csv(events_csv,
+                                                        d=kernel.d),
+                    p0, out_path)
 
 
 def demo_config(seed=7, output_dir="demo_out") -> RunConfig:
@@ -369,17 +453,18 @@ def demo_config(seed=7, output_dir="demo_out") -> RunConfig:
 
 
 def cmd_demo(cfg: RunConfig, out_dir) -> int:
-    rc = cmd_calibrate(cfg, out_dir)
-    if rc != EXIT_OK:
-        return rc
-    out = pathlib.Path(out_dir)
-    rc = cmd_check(out / "k2", cfg.nsa_tol)
-    if rc not in (EXIT_OK,):
+    """calibrate, then check K2 and predict K1 along day 0's tape, on
+    the kernels and the tape calibrate holds; p0 is the config's, or 100
+    per asset."""
+    calibrated = _calibrate(cfg, out_dir)
+    if calibrated is None:
+        return EXIT_INPUT
+    k1, k2, day0 = calibrated
+    if _check(k2, cfg.nsa_tol) != EXIT_OK:
         print("warning: clipped kernel failed its own check",
               file=sys.stderr)
-    rc2 = cmd_predict(out / "k1", out / "events_000.csv",
-                      [100.0] * 2, out / "predicted_prices.csv")
-    return rc2
+    return _predict(k1, day0, cfg.p0 if cfg.p0 is not None else 100.0,
+                    pathlib.Path(out_dir) / "predicted_prices.csv")
 
 
 def build_parser():

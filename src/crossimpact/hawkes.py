@@ -337,26 +337,48 @@ class EventStream:
 
     def to_csv(self, path):
         _write_csv(path, ("time", "asset", "side", "size"),
-                  "%.9f,%d,%s,%.17g",
-                  (self.times, self.assets,
-                   np.where(self.sides > 0, "B", "S"), self.sizes))
+                   TIME_FORMAT + ",%d,%s,%.17g",
+                   (self.times, self.assets,
+                    np.where(self.sides > 0, "B", "S"), self.sizes))
 
     @classmethod
     def from_csv(cls, path, d=None, horizon=None):
         rows = _read_csv(path, [("time", float), ("asset", int),
-                                ("side", int), ("size", float)],
-                         side=lambda s: BUY if s.strip().upper() == "B"
-                         else SELL)
+                                ("side", f"S{SIDE_WIDTH}"), ("size", float)])
         times, assets = rows["time"], rows["asset"]
         if d is None:
             d = int(assets.max()) + 1 if len(assets) else 1
         if horizon is None:
             horizon = float(times[-1]) if len(times) else 0.0
-        return cls(times=times, assets=assets, sides=rows["side"],
+        return cls(times=times, assets=assets,
+                   sides=_parse_sides(rows["side"]),
                    sizes=rows["size"], horizon=horizon, d=d)
 
 
+def _parse_sides(labels):
+    """BUY/SELL from side labels B/S, read case- and space-insensitively.
+
+    Any other label, or one that may have been cut at SIDE_WIDTH
+    characters, raises HawkesError.
+    """
+    label = np.char.strip(labels)
+    buy = (label == b"B") | (label == b"b")
+    valid = (buy | (label == b"S") | (label == b"s")) \
+        & (np.char.str_len(labels) < SIDE_WIDTH)
+    if not valid.all():
+        bad = labels[~valid][0].decode("latin-1")
+        raise HawkesError(f"unknown side label {bad!r}, expected B or S")
+    return np.where(buy, BUY, SELL)
+
+
+# every CSV this package writes carries its times at this precision
+TIME_FORMAT = "%.9f"
+# side fields are read as this many bytes; one that fills them may have
+# been cut, and is refused
+SIDE_WIDTH = 8
 CSV_CHUNK_ROWS = 256
+# below this, ulp(t * 1e9) <= 1/2, so _as_written sees every rounding tie
+_EXACT_TIME_LIMIT = 2.0 ** 52 / 1e9
 
 
 def _write_csv(path, header, row_format, columns):
@@ -376,12 +398,38 @@ def _write_csv(path, header, row_format, columns):
                      % tuple(itertools.chain.from_iterable(rows)))
 
 
-def _read_csv(path, fields, **converters):
+def _as_written(times):
+    """Times as a TIME_FORMAT column of a CSV file reads them back.
+
+    Writing rounds t * 10**9 to the nearest integer N, ties to even, and
+    reading parses N / 10**9 to the nearest double: the IEEE quotient
+    N / 1e9.  N comes from the exact split t * 1e9 = p + err (Dekker's
+    product; 1e9 has 21 significant bits): rint(p) is N unless p lies
+    on a half-integer, where the sign of err breaks the tie.  Times at
+    or past _EXACT_TIME_LIMIT, and non-finite ones, go through the text.
+    """
+    times = np.asarray(times, dtype=float)
+    text = ~(np.abs(times) < _EXACT_TIME_LIMIT)
+    t = np.where(text, 0.0, times)
+    p = t * 1e9
+    hi = 134217729.0 * t            # 2**27 + 1 splits t into 26-bit halves
+    hi = hi - (hi - t)
+    err = (hi * 1e9 - p) + (t - hi) * 1e9
+    n = np.rint(p)
+    frac = p - n
+    n = np.where((frac == 0.5) & (err > 0), n + 1.0, n)
+    n = np.where((frac == -0.5) & (err < 0), n - 1.0, n)
+    out = n / 1e9
+    if text.any():
+        out[text] = [float(TIME_FORMAT % x) for x in times[text].tolist()]
+    return out
+
+
+def _read_csv(path, fields):
     """Named columns of a CSV file as a structured array.
 
     fields lists (column name, dtype); columns are found by header name,
-    in any order, and other columns are ignored.  A keyword argument
-    named after a column converts its text fields.  A file with no data
+    in any order, and other columns are ignored.  A file with no data
     rows gives an empty array; a missing column raises KeyError.
     """
     with open(path, newline="") as fh:
@@ -393,9 +441,7 @@ def _read_csv(path, fields, **converters):
         usecols = [position[name] for name, _ in fields]
         fh.seek(start)
         return np.loadtxt(fh, dtype=fields, delimiter=",", comments=None,
-                          quotechar='"', usecols=usecols, ndmin=1,
-                          converters={position[name]: fn
-                                      for name, fn in converters.items()})
+                          quotechar='"', usecols=usecols, ndmin=1)
 
 
 def _flatten_terms(spec):

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .hawkes import EventStream, _read_csv, _write_csv
+from .hawkes import TIME_FORMAT, EventStream, _read_csv, _write_csv
 
 
 class ObservablesError(ValueError):
@@ -39,8 +39,9 @@ class PricePath:
         return len(self.times)
 
     def to_csv(self, path):
-        _write_csv(path, ("time", "asset", "price"), "%.9f,%d,%.17g",
-                  (self.times, self.assets, self.prices))
+        _write_csv(path, ("time", "asset", "price"),
+                   TIME_FORMAT + ",%d,%.17g",
+                   (self.times, self.assets, self.prices))
 
     @classmethod
     def from_csv(cls, path, d=None):

@@ -295,6 +295,23 @@ class TestMinRoundtrip:
         recomputed = cost(witness, k).total
         assert recomputed == pytest.approx(value, rel=1e-6, abs=1e-12)
 
+    def test_refuses_horizon_beyond_unconverged_tail(self):
+        # the plateau lam = 0 is far from the lattice's last value, so a
+        # scan past the lattice would certify an arbitrage that cost()
+        # refuses to price
+        tau = np.arange(9, dtype=float)
+        vals = np.exp(-0.05 * tau)[:, None, None]
+        k = ImpactKernel(delta=1.0, values=vals, k0=vals[0],
+                         lam=np.zeros((1, 1)), provenance="k1", grid=64)
+        assert k.tail_error() > k.tail_tol
+        with pytest.raises(StrategyError, match="tail has not converged"):
+            min_roundtrip_cost(k, 8, 20.0)
+        # a lattice that covers the witness horizon needs no tail check
+        k.tail_error = lambda: pytest.fail("tail evaluated")
+        _, witness, _ = min_roundtrip_cost(k, 8, 8.0)
+        assert witness.horizon == 8.0
+        cost(witness, k)
+
     def test_admissible_kernel_nonnegative(self):
         k = exponential_kernel(rate=1.0, tau_max=40, delta=1.0)
         k.tail_tol = 1.0

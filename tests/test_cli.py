@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from crossimpact import cli, hawkes, kernels
+from crossimpact import cli, hawkes, kernels, observables
 from crossimpact.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, RunConfig, main
 from crossimpact.kernels import ImpactKernel, load_kernel, save_kernel
 from crossimpact.observables import load_observables
@@ -347,6 +347,164 @@ class TestCalibrate:
         rc = main(["--config", str(cfg), "--output-dir",
                    str(tmp_path / "x"), "calibrate"])
         assert rc == EXIT_INPUT
+
+
+class TestInMemoryDays:
+    def test_calibrate_bins_what_simulate_estimate_read(self, tmp_path,
+                                                         monkeypatch):
+        # each day gets an event 3e-10 s past a bin edge, which its CSV
+        # moves onto the edge, into the bin before
+        simulate = hawkes.simulate
+
+        def edge_simulate(spec, horizon, seed):
+            stream = simulate(spec, horizon, seed)
+            k = np.flatnonzero(np.floor(stream.times[1:])
+                               > stream.times[:-1])[0] + 1
+            stream.times[k] = np.floor(stream.times[k]) + 3e-10
+            return stream
+
+        monkeypatch.setattr(hawkes, "simulate", edge_simulate)
+        cfg = small_config(tmp_path)
+        for command in ("simulate", "estimate"):
+            assert main(["--config", str(cfg), "--output-dir",
+                         str(tmp_path / "files"), command]) == EXIT_OK
+        assert main(["--config", str(cfg), "--output-dir",
+                     str(tmp_path / "memory"), "calibrate"]) == EXIT_OK
+        files = dir_bytes(tmp_path / "files")
+        memory = dir_bytes(tmp_path / "memory")
+        for name in ("observables/arrays.npz", "observables/meta.json",
+                     "events_000.csv", "prices_001.csv", "manifest.json"):
+            assert memory[name] == files[name], name
+
+    def test_event_past_bin_edge_binned_as_read_back(self, tmp_path):
+        # 5 + 3e-10 s lies in bin 5 but is written as 5.000000000, which
+        # closes bin 4
+        stream = hawkes.EventStream(times=[0.5, 5.0 + 3e-10, 7.25],
+                                    assets=[0, 1, 0], sides=[1, -1, 1],
+                                    sizes=[1.0, 2.0, 1.0], horizon=10.0,
+                                    d=2)
+        prices = observables.PricePath(
+            times=np.repeat(stream.times, 2), assets=np.tile([0, 1], 3),
+            prices=[100.1, 99.9, 100.2, 99.7, 100.4, 99.6], d=2)
+        stream.to_csv(tmp_path / "events.csv")
+        prices.to_csv(tmp_path / "prices.csv")
+        cfg = RunConfig(spec={"mu": [1.0, 1.0]}, horizon=10.0)
+        read, read_prices = cli._read_day(cfg, tmp_path / "events.csv",
+                                          tmp_path / "prices.csv")
+        held, held_prices = cli._day_as_written(stream, prices, cfg.horizon)
+        for field in ("times", "assets", "sides", "sizes", "horizon", "d"):
+            assert np.array_equal(getattr(held, field),
+                                  getattr(read, field)), field
+        for field in ("times", "assets", "prices", "d"):
+            assert np.array_equal(getattr(held_prices, field),
+                                  getattr(read_prices, field)), field
+        binned = cli._bin_one_day(cfg, 0, held, held_prices)
+        assert binned.flows[4, 1] == -2.0
+        raw = cli._bin_one_day(cfg, 0, stream, prices)
+        assert raw.flows[5, 1] == -2.0
+
+
+def three_asset_config(tmp_path, **overrides):
+    beta = 0.3
+    A = [[0.08, 0.02, 0.0], [0.03, 0.07, 0.01], [0.0, 0.02, 0.06]]
+    block = [[[[a, beta]] if a else [] for a in row] for row in A]
+    payload = {"spec": {"mu": [0.5, 0.4, 0.3], "sizes": [1.0, 1.0, 2.0],
+                        "blocks": {"aa": block, "bb": block}},
+               "delta": 1.0, "tau_max": 8, "grid": 256, "seed": 5,
+               "horizon": 400.0, "n_days": 2,
+               "tolerances": {"tail_tol": 2.0}}
+    payload.update(overrides)
+    path = tmp_path / "config3.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def read_predicted(path):
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return rows[:, 1].astype(int), rows[:, 2]
+
+
+class TestDemo:
+    def test_three_assets(self, tmp_path):
+        # p0 defaults to 100 per asset; a configured p0 shifts each asset's
+        # path by its own constant
+        runs = {}
+        for name, extra in (("default", {}),
+                            ("p0", {"p0": [10.0, 20.0, 30.0]})):
+            cfg = three_asset_config(tmp_path, **extra)
+            out = tmp_path / name
+            assert main(["--config", str(cfg), "--output-dir", str(out),
+                         "demo"]) == EXIT_OK
+            runs[name] = read_predicted(out / "predicted_prices.csv")
+        assets, default = runs["default"]
+        assert len(assets) > 0
+        assert np.array_equal(assets, np.tile([0, 1, 2], len(assets) // 3))
+        p0_assets, shifted = runs["p0"]
+        assert np.array_equal(p0_assets, assets)
+        p0 = np.array([10.0, 20.0, 30.0])[assets]
+        assert np.allclose(shifted - p0, default - 100.0, rtol=0, atol=1e-9)
+
+
+def check_output(kernel, capsys):
+    save_kernel(pathlib.Path("kernel"), kernel)
+    rc = main(["check", "kernel"])
+    lines = capsys.readouterr().out.splitlines()
+    scans = [line for line in lines if line.startswith("min roundtrip")]
+    rels = [float(line.split("(")[1].split()[0])
+            for line in scans if "skipped" not in line]
+    worst, = [line for line in lines if line.startswith("worst")]
+    return rc, scans, rels, worst
+
+
+class TestCheckScans:
+    def test_worst_is_smallest_scan(self, tmp_path, capsys, monkeypatch):
+        # exp(-tau / 4) on both assets: every scan is positive
+        monkeypatch.chdir(tmp_path)
+        tau = np.arange(65, dtype=float)
+        vals = np.exp(-tau / 4.0)[:, None, None] * np.eye(2)
+        k = ImpactKernel(delta=1.0, values=vals, k0=vals[0],
+                         lam=np.zeros((2, 2)), provenance="k1", grid=256)
+        rc, scans, rels, worst = check_output(k, capsys)
+        assert rc == EXIT_OK
+        assert len(rels) == len(scans) == 6 and min(rels) > 0
+        assert float(worst.split()[-1]) == pytest.approx(min(rels),
+                                                         rel=6e-3)
+
+    def test_refused_scans_skipped(self, tmp_path, capsys, monkeypatch):
+        # 8 lags with an unconverged tail: the T = 10 scans are refused
+        monkeypatch.chdir(tmp_path)
+        tau = np.arange(9, dtype=float)
+        vals = np.exp(-0.05 * tau)[:, None, None]
+        k = ImpactKernel(delta=1.0, values=vals, k0=vals[0],
+                         lam=np.zeros((1, 1)), provenance="k1", grid=64)
+        rc, scans, rels, worst = check_output(k, capsys)
+        skipped = [line for line in scans if "skipped" in line]
+        assert len(skipped) == 3 and all("T=10.0" in s for s in skipped)
+        assert len(rels) == 3
+        assert float(worst.split()[-1]) == pytest.approx(min(rels),
+                                                         rel=6e-3)
+        verdict = kernels.nsa_check(k, tol=1e-6).verdict
+        assert rc == (EXIT_OK if verdict else EXIT_FAIL)
+
+
+class TestSideLabels:
+    def test_unknown_label_is_input_error(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, n_days=1, horizon=200.0)
+        sim = tmp_path / "sim"
+        assert main(["--config", str(cfg), "--output-dir", str(sim),
+                     "calibrate"]) == EXIT_OK
+        bad = tmp_path / "bad.csv"
+        text = (sim / "events_000.csv").read_text()
+        bad.write_text(text.replace(",S,", ",Q,", 1))
+        assert main(["predict", str(sim / "k1"), str(bad), "--out",
+                     str(tmp_path / "p.csv")]) == EXIT_INPUT
+        raw = json.loads(cfg.read_text())
+        del raw["spec"]
+        raw["events"] = [str(bad)]
+        cfg.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg), "--output-dir",
+                     str(tmp_path / "data"), "calibrate"]) == EXIT_INPUT
+        assert "unknown side label 'Q'" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy_or_synthetic():

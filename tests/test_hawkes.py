@@ -327,6 +327,51 @@ class TestEventCsv:
             EventStream(times=[1.0, 1.0], assets=[0, 1], sides=[1, 1],
                         sizes=[1.0, 1.0], horizon=2.0, d=2)
 
+    @pytest.mark.parametrize("label", ["X", "BUY", "", "B" + " " * 7 + "X"])
+    def test_unknown_side_label_rejected(self, tmp_path, label):
+        # a label past SIDE_WIDTH characters is refused, not cut to "B"
+        path = tmp_path / "events.csv"
+        path.write_text(f"time,asset,side,size\n0.5,0,S,1\n1.5,0,{label},1\n")
+        with pytest.raises(HawkesError, match="side label"):
+            EventStream.from_csv(path)
+
+    def test_side_labels_any_case_and_padding(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("time,asset,side,size\n"
+                        "1,0,b,1\n2,0, S,1\n3,0,s ,1\n4,0,  B  ,1\n")
+        assert np.array_equal(EventStream.from_csv(path).sides,
+                              [1, -1, -1, 1])
+
+
+class TestAsWritten:
+    def test_matches_csv_roundtrip(self, tmp_path):
+        rng = np.random.default_rng(2)
+        times = np.sort(np.concatenate([
+            rng.uniform(0.0, 5000.0, 2000),
+            # t * 1e9 rounds to a half-integer: the exact product breaks
+            # the tie; 3 ns apart so that no two read back equal
+            5001.0 + (3 * np.arange(300) + 0.5) / 1e9,
+            np.arange(300) * 3e-9 + 0.5e-9,
+            # exact ties, rounded to even
+            5002.0 + np.arange(1, 400, 2) / 1024.0,
+            # past _EXACT_TIME_LIMIT: through the text
+            [5e6 + 0.25, 1e7 + 1.0 / 1024.0 + 3e-10]]))
+        n = len(times)
+        stream = EventStream(times=times, assets=np.zeros(n, dtype=int),
+                             sides=np.ones(n, dtype=int), sizes=np.ones(n),
+                             horizon=2e7, d=1)
+        stream.to_csv(tmp_path / "events.csv")
+        back = EventStream.from_csv(tmp_path / "events.csv").times
+        assert not np.array_equal(back, times)
+        assert np.array_equal(hawkes._as_written(times), back)
+
+    def test_signs_and_non_finite(self):
+        times = np.array([-0.0, -1e-12, -1.0000000005, np.inf, -np.inf])
+        got = hawkes._as_written(times)
+        ref = np.array([float(hawkes.TIME_FORMAT % t) for t in times])
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
 
 class TestFlowSpectrum:
     def test_white_flow_flat(self):
