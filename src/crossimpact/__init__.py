@@ -7,7 +7,7 @@ no-arbitrage projection, and evaluate strategy costs and arbitrage
 diagnostics under either kernel.
 """
 
-from .hawkes import (EventStream, ExpTerm, HawkesSpec, analytic_flow_spectrum,
+from .hawkes import (EventStream, HawkesSpec, analytic_flow_spectrum,
                      analytic_kernel, simulate, stationary_intensity,
                      validate_spec)
 from .observables import (BinnedSeries, ObservableSet, PricePath, bin_events,
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityReport", "BinnedSeries", "CostBreakdown", "EventStream",
-    "ExpTerm", "HawkesSpec", "ImpactKernel", "ObservableSet", "PricePath",
+    "HawkesSpec", "ImpactKernel", "ObservableSet", "PricePath",
     "Strategy", "WhittleFactor",
     "analytic_flow_spectrum", "analytic_kernel", "bin_events", "build_K1",
     "build_observables", "buy_hold_sell", "compute_K0", "compute_Lambda",

@@ -84,17 +84,8 @@ class RunConfig:
 
 def parse_spec(blob) -> hawkes.HawkesSpec:
     mu = np.asarray(blob["mu"], dtype=float)
-    sizes = np.asarray(blob.get("sizes", np.ones_like(mu)), dtype=float)
-    d = len(mu)
-    phi = {}
-    for key in hawkes.BLOCK_KEYS:
-        block = [[[] for _ in range(d)] for _ in range(d)]
-        for i, row in enumerate(blob.get("blocks", {}).get(key, [])):
-            for j, terms in enumerate(row):
-                block[i][j] = [hawkes.ExpTerm(float(a), float(b))
-                               for a, b in terms]
-        phi[key] = block
-    return hawkes.HawkesSpec(mu=mu, phi=phi, sizes=sizes)
+    return hawkes.HawkesSpec.from_blocks(
+        mu, blob.get("sizes", np.ones_like(mu)), blob.get("blocks", {}))
 
 
 def _default_lambda(spec, cfg) -> np.ndarray:
@@ -151,12 +142,14 @@ def _event_prices(spec, stream, lam, p0) -> observables.PricePath:
     signs = np.zeros((n, d))
     signs[np.arange(n), stream.assets] = stream.sides
     prices = p0 + np.cumsum(signs * stream.sizes[:, None], axis=0) @ lam.T
-    terms = spec.imbalance_terms()
-    for beta in sorted({b for row in terms for entry in row for b in entry}):
-        weights = np.array([[entry.get(beta, 0.0) / beta for entry in row]
-                            for row in terms])
+    i, j, betas, alphas = spec.imbalance_terms().T
+    rates = sorted(set(betas.tolist()))
+    weights = np.zeros((len(rates), d, d))
+    weights[np.searchsorted(rates, betas), i.astype(int), j.astype(int)] = \
+        alphas / betas
+    for beta, w in zip(rates, weights):
         prices += _decayed_counts(stream.times, signs, beta) \
-            @ (loading @ weights).T
+            @ (loading @ w).T
     return observables.PricePath(times=np.repeat(stream.times, d),
                                  assets=np.tile(np.arange(d), n),
                                  prices=prices.ravel(), d=d)
@@ -259,18 +252,27 @@ def _read_day(cfg, ef, pf):
 
 
 def _bin_one_day(cfg, day, stream, prices):
+    """One day binned on the config's trimmed window; a window or price
+    path that cannot be binned is an input error."""
     t_end = stream.horizon if stream.horizon > 0 else \
         (stream.times[-1] if len(stream) else cfg.delta)
-    return observables.bin_events(stream, prices, cfg.delta,
-                                  t_start=cfg.trim, t_end=t_end - cfg.trim,
-                                  day=day)
+    try:
+        return observables.bin_events(stream, prices, cfg.delta,
+                                      t_start=cfg.trim,
+                                      t_end=t_end - cfg.trim, day=day)
+    except observables.ObservablesError as exc:
+        raise StageError("input", exc) from exc
 
 
 def cmd_estimate(cfg: RunConfig, out_dir) -> int:
     series = [_bin_one_day(cfg, day, *_read_day(cfg, ef, pf))
               for day, (ef, pf) in enumerate(_load_day_files(cfg, out_dir))]
-    obs = observables.build_observables(series, cfg.tau_max,
-                                        taper=cfg.taper)
+    try:
+        obs = observables.build_observables(series, cfg.tau_max,
+                                            taper=cfg.taper)
+    except observables.ObservablesError as exc:
+        # a numerical failure, as in calibrate
+        raise StageError("estimate", exc) from exc
     observables.save_observables(pathlib.Path(out_dir) / "observables", obs)
     print(f"estimated observables from {obs.n_days} days, "
           f"{obs.n_bins} bins")
@@ -298,8 +300,7 @@ def _calibrate(cfg: RunConfig, out_dir):
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     diagnostics = {"config": cfg.echo()}
-    source = "simulate" if cfg.spec is not None else "estimate"
-    stage = source
+    stage = "simulate" if cfg.spec is not None else "estimate"
     try:
         if cfg.spec is not None:
             spec, report = _valid_spec(cfg)
@@ -311,7 +312,6 @@ def _calibrate(cfg: RunConfig, out_dir):
                     for ef, pf in _load_day_files(cfg, out))
         series = []
         for day, (stream, prices) in enumerate(days):
-            stage = "estimate"
             if cfg.spec is not None:
                 stream, prices = _day_as_written(stream, prices, cfg.horizon)
             series.append(_bin_one_day(cfg, day, stream, prices))
@@ -319,7 +319,6 @@ def _calibrate(cfg: RunConfig, out_dir):
                 day0 = stream
             # the next day is simulated or read without this one
             del stream, prices
-            stage = source
         if not series:
             raise StageError("input", "no days to estimate from")
         stage = "estimate"
@@ -511,20 +510,14 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         out_dir = args.output_dir or cfg.output_dir
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir)
-        if args.command == "estimate":
-            return cmd_estimate(cfg, out_dir)
-        if args.command == "calibrate":
-            return cmd_calibrate(cfg, out_dir)
         if args.command == "check":
             return cmd_check(args.kernel_dir, args.tol, bps=args.bps)
         if args.command == "predict":
             return cmd_predict(args.kernel_dir, args.events_csv,
                                args.p0, args.out)
-        if args.command == "demo":
-            return cmd_demo(cfg, out_dir)
-        return EXIT_INPUT
+        command = {"simulate": cmd_simulate, "estimate": cmd_estimate,
+                   "calibrate": cmd_calibrate, "demo": cmd_demo}
+        return command[args.command](cfg, out_dir)
     except (FileNotFoundError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

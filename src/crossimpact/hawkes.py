@@ -1,9 +1,9 @@
 """Buy/sell Hawkes order-flow model: validation, simulation, analytic observables.
 
 The flow of each of d assets is driven by a 2d-dimensional Hawkes process
-(buy and sell components per asset) with shared baseline mu and four
-excitation blocks aa, ab, ba, bb.  Every kernel entry is a finite sum of
-exponentials alpha * exp(-beta t), which gives closed-form Fourier
+(buy and sell components per asset) with shared baseline mu and one table
+of excitation terms alpha * exp(-beta t), each from a source component to
+a target component.  Sums of exponentials give closed-form Fourier
 transforms, L1 norms, and an exact simulation through the cluster
 (branching) representation.
 """
@@ -22,124 +22,124 @@ class HawkesError(ValueError):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class ExpTerm:
-    """One exponential excitation term alpha * exp(-beta t)."""
-    alpha: float
-    beta: float
-
-    @property
-    def l1(self) -> float:
-        return self.alpha / self.beta
-
-
-def _empty_block(d):
-    return [[[] for _ in range(d)] for _ in range(d)]
-
-
 @dataclasses.dataclass
 class HawkesSpec:
-    """Model parameters: baseline, excitation blocks, order sizes.
+    """Model parameters: baseline, order sizes and one table of terms.
 
-    phi maps each block key to a d x d nested list of ExpTerm lists;
-    phi["ab"][i][j] excites buy intensity on asset i from sell orders on
-    asset j.  sizes holds the fixed order size per asset.
+    Components are side * d + asset, buys first.  Term k adds
+    alpha[k] exp(-beta[k] t) to the intensity of component target[k] at
+    lag t after each event of component source[k]; a term of block "ab"
+    excites buys (target < d) from sells (source >= d).  sizes holds the
+    fixed order size per asset.
     """
 
     mu: np.ndarray
-    phi: dict
     sizes: np.ndarray
+    alpha: np.ndarray = ()
+    beta: np.ndarray = ()
+    target: np.ndarray = ()
+    source: np.ndarray = ()
 
     def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.sizes = np.asarray(self.sizes, dtype=float)
-        d = len(self.mu)
-        for key in BLOCK_KEYS:
-            if key not in self.phi:
-                self.phi[key] = _empty_block(d)
+        for name, dtype in (("mu", float), ("sizes", float), ("alpha", float),
+                            ("beta", float), ("target", int), ("source", int)):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        columns = (self.alpha, self.beta, self.target, self.source)
+        if self.alpha.ndim != 1 or \
+                any(c.shape != self.alpha.shape for c in columns):
+            raise HawkesError("term columns must be 1-D and of equal length")
         if np.any(self.mu < 0):
             raise HawkesError("baseline intensities must be nonnegative")
         if np.any(self.sizes <= 0):
             raise HawkesError("order sizes must be positive")
-        for key in BLOCK_KEYS:
-            block = self.phi[key]
-            if len(block) != d or any(len(row) != d for row in block):
-                raise HawkesError(f"block {key} is not {d}x{d}")
-            for row in block:
-                for terms in row:
-                    for t in terms:
-                        if t.alpha < 0 or t.beta <= 0:
-                            raise HawkesError(
-                                "excitation terms need alpha >= 0, beta > 0")
+        if np.any(self.alpha < 0) or not np.all(self.beta > 0):
+            raise HawkesError("excitation terms need alpha >= 0, beta > 0")
 
     @property
     def d(self) -> int:
         return len(self.mu)
 
     @classmethod
+    def from_blocks(cls, mu, sizes, blocks):
+        """Spec from blocks[key][i][j], a list of (alpha, beta) terms.
+
+        key is one of BLOCK_KEYS, target side first: blocks["ab"][i][j]
+        excites buys on asset i from sells on asset j.  A missing key is
+        no excitation.  Terms are tabled by key, then row-major, then in
+        listed order.
+        """
+        d = len(mu)
+        unknown = set(blocks) - set(BLOCK_KEYS)
+        if unknown:
+            raise HawkesError(f"unknown blocks {sorted(unknown)}")
+        rows = []
+        for k, key in enumerate(BLOCK_KEYS):
+            block = blocks.get(key)
+            if block is None:
+                continue
+            if len(block) != d or any(len(row) != d for row in block):
+                raise HawkesError(f"block {key} is not {d}x{d}")
+            side, source_side = divmod(k, 2)
+            rows += [(float(a), float(b), side * d + i, source_side * d + j)
+                     for i, row in enumerate(block)
+                     for j, terms in enumerate(row) for a, b in terms]
+        alpha, beta, target, source = zip(*rows) if rows else ((),) * 4
+        return cls(mu=mu, sizes=sizes, alpha=alpha, beta=beta,
+                   target=target, source=source)
+
+    @classmethod
     def from_matrices(cls, mu, sizes, beta, aa=None, ab=None, ba=None,
                       bb=None):
-        """Single-decay-rate convenience constructor from alpha matrices."""
-        mu = np.asarray(mu, dtype=float)
-        d = len(mu)
-        phi = {}
-        for key, mat in zip(BLOCK_KEYS, (aa, ab, ba, bb)):
-            block = _empty_block(d)
-            if mat is not None:
-                mat = np.asarray(mat, dtype=float)
-                for i in range(d):
-                    for j in range(d):
-                        if mat[i, j] != 0.0:
-                            block[i][j] = [ExpTerm(float(mat[i, j]),
-                                                   float(beta))]
-            phi[key] = block
-        return cls(mu=mu, phi=phi, sizes=np.asarray(sizes, dtype=float))
-
-    def block_l1(self, key) -> np.ndarray:
-        """Matrix of integrated kernels, entries sum(alpha/beta)."""
-        d = self.d
-        out = np.zeros((d, d))
-        for i in range(d):
-            for j in range(d):
-                out[i, j] = sum(t.l1 for t in self.phi[key][i][j])
-        return out
+        """Single-decay-rate spec from d x d alpha matrices; zero entries
+        carry no term."""
+        blocks = {key: [[[(a, beta)] if a else [] for a in row]
+                        for row in np.asarray(mat, dtype=float).tolist()]
+                  for key, mat in zip(BLOCK_KEYS, (aa, ab, ba, bb))
+                  if mat is not None}
+        return cls.from_blocks(mu, sizes, blocks)
 
     def full_l1(self) -> np.ndarray:
         """Integrated 2d x 2d kernel, blocks [[aa, ab], [ba, bb]]."""
-        top = np.hstack([self.block_l1("aa"), self.block_l1("ab")])
-        bot = np.hstack([self.block_l1("ba"), self.block_l1("bb")])
-        return np.vstack([top, bot])
-
-    def block_fourier(self, key, omega) -> np.ndarray:
-        """Closed-form transform of one block at frequencies omega."""
-        omega = np.atleast_1d(np.asarray(omega, dtype=float))
-        d = self.d
-        out = np.zeros((len(omega), d, d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                for t in self.phi[key][i][j]:
-                    out[:, i, j] += t.alpha / (t.beta + 1j * omega)
+        out = np.zeros((2 * self.d, 2 * self.d))
+        np.add.at(out, (self.target, self.source), self.alpha / self.beta)
         return out
 
-    def imbalance_terms(self):
-        """Canonical merged terms of bb - ab per entry, grouped by beta.
+    def full_fourier(self, omega) -> np.ndarray:
+        """Closed-form transform of the 2d x 2d kernel at frequencies
+        omega, shape (len(omega), 2d, 2d)."""
+        omega = np.atleast_1d(np.asarray(omega, dtype=float))
+        out = np.zeros((2 * self.d, 2 * self.d, len(omega)), dtype=complex)
+        np.add.at(out, (self.target, self.source),
+                  self.alpha[:, None]
+                  / (self.beta[:, None] + 1j * omega[None, :]))
+        return out.transpose(2, 0, 1)
 
-        Requires martingale compatibility: bb - ab must equal aa - ba
-        term by term, which validate_spec checks at the parameter level.
+    def imbalance_terms(self) -> np.ndarray:
+        """Rows (i, j, beta, alpha) of the imbalance kernel bb - ab.
+
+        Each (i, j, beta) appears once, its alpha summed over the bb
+        terms and then the ab terms, in table order.  Requires
+        martingale compatibility: bb - ab must equal aa - ba term by
+        term, which validate_spec checks at the parameter level.
         """
-        return _merged_block_diff(self, "bb", "ab")
+        d = self.d
+        sells = self.source >= d
+        k = np.concatenate([np.flatnonzero(sells & (self.target >= d)),
+                            np.flatnonzero(sells & (self.target < d))])
+        return _merge_rates(self.target[k] % d, self.source[k] - d,
+                            self.beta[k],
+                            np.where(self.target[k] >= d, self.alpha[k],
+                                     -self.alpha[k]))
 
 
-def _merged_block_diff(spec, key_pos, key_neg):
-    d = spec.d
-    out = [[{} for _ in range(d)] for _ in range(d)]
-    for key, sign in ((key_pos, 1.0), (key_neg, -1.0)):
-        for i in range(d):
-            for j in range(d):
-                for t in spec.phi[key][i][j]:
-                    acc = out[i][j]
-                    acc[t.beta] = acc.get(t.beta, 0.0) + sign * t.alpha
-    return out
+def _merge_rates(i, j, beta, alpha) -> np.ndarray:
+    """Rows (i, j, beta, alpha), one per distinct (i, j, beta) in order of
+    first appearance, with its alphas summed in order."""
+    merged = {}
+    for key, a in zip(zip(i.tolist(), j.tolist(), beta.tolist()),
+                      alpha.tolist()):
+        merged[key] = merged.get(key, 0.0) + a
+    return np.array([(*key, a) for key, a in merged.items()]).reshape(-1, 4)
 
 
 @dataclasses.dataclass
@@ -170,23 +170,17 @@ def validate_spec(spec: HawkesSpec, atol: float = 1e-12) -> ValidationReport:
         messages.append(f"spectral radius of integrated kernel is "
                         f"{radius:.4f} >= 1")
     scale = max(np.abs(full).max(), 1.0)
-    row_a = spec.block_l1("aa") + spec.block_l1("ab")
-    row_b = spec.block_l1("ba") + spec.block_l1("bb")
-    balanced = bool(np.abs(row_a - row_b).max() <= atol * scale)
+    d = spec.d
+    rows = full[:, :d] + full[:, d:]
+    balanced = bool(np.abs(rows[:d] - rows[d:]).max() <= atol * scale)
     if not balanced:
         messages.append("buy and sell excitation row sums differ; "
                         "stationary buy/sell intensities will not match")
-    diff1 = _merged_block_diff(spec, "bb", "ab")
-    diff2 = _merged_block_diff(spec, "aa", "ba")
-    compatible = True
-    for i in range(spec.d):
-        for j in range(spec.d):
-            betas = set(diff1[i][j]) | set(diff2[i][j])
-            for b in betas:
-                a1 = diff1[i][j].get(b, 0.0)
-                a2 = diff2[i][j].get(b, 0.0)
-                if abs(a1 - a2) > atol * scale:
-                    compatible = False
+    # (bb - ab) - (aa - ba) per (i, j, beta): sell targets count +, buys -
+    gap = _merge_rates(spec.target % d, spec.source % d, spec.beta,
+                       np.where(spec.target >= d, spec.alpha,
+                                -spec.alpha))[:, 3]
+    compatible = bool(np.all(np.abs(gap) <= atol * scale))
     if not compatible:
         messages.append("bb - ab differs from aa - ba; no imbalance kernel")
     return ValidationReport(stable=stable, spectral_radius=radius,
@@ -201,15 +195,12 @@ def stationary_intensity(spec: HawkesSpec) -> np.ndarray:
     Solves the 2d-dimensional mean fixed point and returns the buy half;
     under the balance condition the sell half is identical.
     """
-    report = validate_spec(spec)
-    if not report.stable:
+    if not validate_spec(spec).stable:
         raise HawkesError("unstable model has no stationary intensity")
     d = spec.d
-    full = spec.full_l1()
     mu_full = np.concatenate([spec.mu, spec.mu])
-    mat = np.eye(2 * d) - full
     try:
-        theta_full = np.linalg.solve(mat, mu_full)
+        theta_full = np.linalg.solve(np.eye(2 * d) - spec.full_l1(), mu_full)
     except np.linalg.LinAlgError as exc:
         raise HawkesError("singular mean equations") from exc
     return theta_full[:d]
@@ -222,17 +213,10 @@ def analytic_flow_spectrum(spec: HawkesSpec, omega) -> np.ndarray:
     positive semi-definite at every frequency; with no excitation it is
     the flat white spectrum 2 diag(theta v^2).
     """
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
     d = spec.d
     theta = stationary_intensity(spec)
     theta_full = np.concatenate([theta, theta])
-    top = np.concatenate([spec.block_fourier("aa", omega),
-                          spec.block_fourier("ab", omega)], axis=2)
-    bot = np.concatenate([spec.block_fourier("ba", omega),
-                          spec.block_fourier("bb", omega)], axis=2)
-    phi_hat = np.concatenate([top, bot], axis=1)
-    eye = np.eye(2 * d)
-    resolvent = np.linalg.inv(eye[None] - phi_hat)
+    resolvent = np.linalg.inv(np.eye(2 * d)[None] - spec.full_fourier(omega))
     counts = resolvent @ np.diag(theta_full)[None] @ \
         resolvent.conj().transpose(0, 2, 1)
     u = np.hstack([np.eye(d), -np.eye(d)])
@@ -243,25 +227,18 @@ def analytic_flow_spectrum(spec: HawkesSpec, omega) -> np.ndarray:
 
 def imbalance_l1(spec: HawkesSpec) -> np.ndarray:
     """Integrated imbalance kernel, entries sum(alpha/beta) of bb - ab."""
-    d = spec.d
-    out = np.zeros((d, d))
-    terms = spec.imbalance_terms()
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = sum(a / b for b, a in terms[i][j].items())
-    return out
+    return imbalance_integral(spec, np.inf)
 
 
 def imbalance_integral(spec: HawkesSpec, t) -> np.ndarray:
-    """Entrywise integral of the imbalance kernel from 0 to t."""
-    d = spec.d
-    out = np.zeros((d, d))
-    terms = spec.imbalance_terms()
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = sum((a / b) * (1.0 - np.exp(-b * t))
-                            for b, a in terms[i][j].items())
-    return out
+    """Entrywise integral of the imbalance kernel from 0 to t: a d x d
+    matrix, or one per entry of an array t."""
+    i, j, beta, alpha = spec.imbalance_terms().T
+    t = np.asarray(t, dtype=float)
+    out = np.zeros((t.size, spec.d, spec.d))
+    np.add.at(out, (slice(None), i.astype(int), j.astype(int)),
+              (alpha / beta) * (1.0 - np.exp(-beta * t.reshape(-1, 1))))
+    return out.reshape(t.shape + (spec.d, spec.d))
 
 
 def analytic_kernel(spec: HawkesSpec, lam, delta, tau_max):
@@ -281,16 +258,13 @@ def analytic_kernel(spec: HawkesSpec, lam, delta, tau_max):
     d = spec.d
     dv = np.diag(spec.sizes)
     dv_inv = np.diag(1.0 / spec.sizes)
-    phi_l1 = imbalance_l1(spec)
-    mat = np.eye(d) - phi_l1
     try:
-        k0 = lam @ dv @ np.linalg.inv(mat) @ dv_inv
+        k0 = lam @ dv @ np.linalg.inv(np.eye(d) - imbalance_l1(spec)) @ dv_inv
     except np.linalg.LinAlgError as exc:
         raise HawkesError("I - integrated imbalance kernel is singular") from exc
-    values = np.zeros((tau_max + 1, d, d))
-    for t in range(tau_max + 1):
-        psi_int = dv @ imbalance_integral(spec, t * delta) @ dv_inv
-        values[t] = k0 @ (np.eye(d) - psi_int)
+    psi_int = dv @ imbalance_integral(spec, delta * np.arange(tau_max + 1)) \
+        @ dv_inv
+    values = k0 @ (np.eye(d) - psi_int)
     return ImpactKernel(delta=delta, values=values, k0=k0, lam=lam,
                         provenance="analytic")
 
@@ -327,12 +301,6 @@ class EventStream:
     def net_volume(self) -> np.ndarray:
         out = np.zeros(self.d)
         np.add.at(out, self.assets, self.sides * self.sizes)
-        return out
-
-    def counts(self) -> np.ndarray:
-        """Event counts per (asset, side): shape (d, 2), buy column first."""
-        out = np.zeros((self.d, 2))
-        np.add.at(out, (self.assets, (1 - self.sides) // 2), 1.0)
         return out
 
     def to_csv(self, path):
@@ -444,29 +412,6 @@ def _read_csv(path, fields):
                           quotechar='"', usecols=usecols, ndmin=1)
 
 
-def _flatten_terms(spec):
-    """Flatten excitation terms into parallel arrays for the simulator.
-
-    Components are indexed side*d + asset with side 0 = buy, 1 = sell.
-    """
-    alphas, betas, src, tgt = [], [], [], []
-    d = spec.d
-    side_of = {"aa": (0, 0), "ab": (0, 1), "ba": (1, 0), "bb": (1, 1)}
-    for key in BLOCK_KEYS:
-        tside, sside = side_of[key]
-        for i in range(d):
-            for j in range(d):
-                for t in spec.phi[key][i][j]:
-                    if t.alpha == 0.0:
-                        continue
-                    alphas.append(t.alpha)
-                    betas.append(t.beta)
-                    tgt.append(tside * d + i)
-                    src.append(sside * d + j)
-    return (np.asarray(alphas), np.asarray(betas), np.asarray(src),
-            np.asarray(tgt))
-
-
 def simulate(spec: HawkesSpec, horizon: float, seed: int) -> EventStream:
     """Exact-law sample of the order flow on [0, horizon], by clusters.
 
@@ -486,7 +431,9 @@ def simulate(spec: HawkesSpec, horizon: float, seed: int) -> EventStream:
     rng = np.random.default_rng(seed)
     d = spec.d
     n_comp = 2 * d
-    alphas, betas, src, tgt = _flatten_terms(spec)
+    live = spec.alpha != 0.0
+    alphas, betas = spec.alpha[live], spec.beta[live]
+    src, tgt = spec.source[live], spec.target[live]
     # per source component, its terms padded to a common width; a padded
     # slot has zero mean offspring
     by_src = [np.flatnonzero(src == c) for c in range(n_comp)]

@@ -14,8 +14,8 @@ import dataclasses
 import numpy as np
 from scipy.linalg import expm, solve_sylvester
 
-from .hawkes import HawkesSpec
-from .observables import ObservableSet
+from crossimpact.hawkes import HawkesSpec, stationary_intensity
+from crossimpact.observables import ObservableSet
 
 
 def single_rate_spec(A, beta, mu, sizes=None) -> HawkesSpec:
@@ -157,7 +157,6 @@ def coupled_instance(beta=0.25, a11=0.06, a12=0.02, a21=0.035, a22=0.08,
     """
     A = np.array([[a11, a12], [a21, a22]], dtype=float)
     spec = single_rate_spec(A, beta, np.asarray(mu, dtype=float), sizes)
-    from .hawkes import stationary_intensity
     theta = stationary_intensity(spec)
     lags = lattice_flow_covariance(A, beta, theta, spec.sizes, tau_max)
     return spec, theta, lags
@@ -171,15 +170,9 @@ def observables_from_model(spec, lam, tau_max):
     For non-commuting instances the Kyle recovery is approximate, which
     is the generic situation on data.
     """
-    from .hawkes import stationary_intensity
     d = spec.d
-    block = spec.block_l1("aa")
-    beta = None
-    for i in range(d):
-        for j in range(d):
-            for t in spec.phi["aa"][i][j]:
-                beta = t.beta
-    A = block * (beta if beta else 1.0)
+    beta = spec.beta[-1]
+    A = spec.full_l1()[:d, :d] * beta
     theta = stationary_intensity(spec)
     lags = lattice_flow_covariance(A, beta, theta, spec.sizes, tau_max)
     omega_inf = zero_frequency_covariance(A, beta, theta, spec.sizes)

@@ -12,7 +12,9 @@ import pytest
 from scipy import optimize
 
 from crossimpact import (arbitrage, cli, hawkes, kernels, observables,
-                         polymat, synthetic)
+                         polymat)
+
+import synthetic
 
 
 def report(name, ok, detail):

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -46,9 +47,8 @@ def event_prices_loop(spec, stream, lam, p0):
     dv = np.diag(spec.sizes)
     k0 = lam @ dv @ np.linalg.inv(np.eye(d) - hawkes.imbalance_l1(spec)) \
         @ np.diag(1.0 / spec.sizes)
-    terms = [(i, j, beta, alpha)
-             for i, row in enumerate(spec.imbalance_terms())
-             for j, entry in enumerate(row) for beta, alpha in entry.items()]
+    terms = [(int(i), int(j), beta, alpha)
+             for i, j, beta, alpha in spec.imbalance_terms()]
     state = np.zeros(len(terms))
     net = np.zeros(d)
     out, prev = [], 0.0
@@ -150,6 +150,22 @@ class TestSimulate:
         rc = main(["--config", str(cfg), "--output-dir",
                    str(tmp_path / "bad"), "simulate"])
         assert rc == EXIT_INPUT
+
+    @pytest.mark.parametrize("blocks", [
+        {"aa": [[[[0.1, 0.25]]]]},                        # 1 x 1 of 2 x 2
+        {"bb": [[[[0.1, 0.0]], []], [[], []]]},           # beta = 0
+        {"ab": [[[[-0.1, 0.25]], []], [[], []]]},         # alpha < 0
+        {"ba": [[[[0.1, 0.25, 1.0]], []], [[], []]]},     # not a pair
+    ])
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, blocks):
+        cfg = small_config(tmp_path, spec={"mu": [0.6, 0.45],
+                                           "blocks": blocks})
+        out = tmp_path / "bad"
+        rc = main(["--config", str(cfg), "--output-dir", str(out),
+                   "simulate"])
+        assert rc == EXIT_INPUT
+        assert "input error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_exits_2(self, capsys, monkeypatch):
         monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
@@ -340,6 +356,27 @@ class TestCalibrate:
         assert not (out / "factor").exists()
         assert not (out / "k1").exists()
 
+    @pytest.mark.parametrize("overrides, code, message", [
+        ({"trim": 60.0, "horizon": 100.0}, EXIT_INPUT, "empty time window"),
+        ({"horizon": 10.0, "tau_max": 32}, cli.EXIT_NUMERIC,
+         "tau_max too large"),
+    ])
+    def test_estimate_and_calibrate_agree_on_exit_code(
+            self, tmp_path, capsys, overrides, code, message):
+        # a window that bin_events cannot bin is an input error; a day set
+        # that build_observables cannot estimate from is a numerical one
+        cfg = small_config(tmp_path, n_days=1, **overrides)
+        staged = tmp_path / "staged"
+        assert main(["--config", str(cfg), "--output-dir", str(staged),
+                     "simulate"]) == EXIT_OK
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "day 0", UserWarning)
+            assert main(["--config", str(cfg), "--output-dir", str(staged),
+                         "estimate"]) == code
+            assert main(["--config", str(cfg), "--output-dir",
+                         str(tmp_path / "direct"), "calibrate"]) == code
+        assert capsys.readouterr().err.count(message) == 2
+
     def test_missing_data_exits_2(self, tmp_path):
         raw = {"events": [str(tmp_path / "nowhere.csv")], "tau_max": 8}
         cfg = tmp_path / "c.json"
@@ -507,9 +544,9 @@ class TestSideLabels:
         assert "unknown side label 'Q'" in capsys.readouterr().err
 
 
-def test_import_loads_no_scipy_or_synthetic():
-    # scipy comes in only with the synthetic instances, which the package
-    # import leaves out
+def test_import_loads_no_scipy_or_synthetic(tmp_path):
+    # scipy is a test dependency: the synthetic instances live with the
+    # tests, the package import loads no scipy, and the demo runs without it
     code = ("import sys, crossimpact; print(' '.join(sorted(m for m in "
             "sys.modules if m.split('.')[0] == 'scipy' "
             "or m == 'crossimpact.synthetic')))")
@@ -518,3 +555,11 @@ def test_import_loads_no_scipy_or_synthetic():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.split() == []
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from crossimpact import cli; "
+            f"sys.exit(cli.main(['--output-dir', {str(tmp_path)!r}, "
+            "'demo']))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "predicted_prices.csv").exists()

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from crossimpact import hawkes
-from crossimpact.hawkes import (EventStream, ExpTerm, HawkesError, HawkesSpec,
+from crossimpact.hawkes import (EventStream, HawkesError, HawkesSpec,
                                 analytic_flow_spectrum, analytic_kernel,
                                 imbalance_l1, simulate, stationary_intensity,
                                 validate_spec)
@@ -25,15 +25,18 @@ DEMO_A = [[0.06, 0.02], [0.035, 0.08]]
 TAPE_A = 0.15 * np.eye(4) + 0.03 * (1.0 - np.eye(4))
 
 
+FAST, SLOW = 2.0, 0.05
+CROSS_SAME = [[[(0.3, FAST), (0.01, SLOW)], [(0.1, FAST)]],
+              [[(0.02, SLOW)], [(0.4, FAST)]]]
+CROSS_AB = [[[(0.4, FAST)], []], [[], []]]
+
+
 def cross_spec():
     """Two assets, decay rates 2 and 0.05, and nonzero ab/ba blocks."""
-    fast, slow = 2.0, 0.05
-    same = [[[ExpTerm(0.3, fast), ExpTerm(0.01, slow)], [ExpTerm(0.1, fast)]],
-            [[ExpTerm(0.02, slow)], [ExpTerm(0.4, fast)]]]
-    cross = [[[ExpTerm(0.4, fast)], []], [[], []]]
-    return HawkesSpec(mu=[0.5, 0.3], phi={"aa": same, "bb": same,
-                                          "ab": cross, "ba": cross},
-                      sizes=[1.0, 3.0])
+    return HawkesSpec.from_blocks(
+        mu=[0.5, 0.3], sizes=[1.0, 3.0],
+        blocks={"aa": CROSS_SAME, "bb": CROSS_SAME,
+                "ab": CROSS_AB, "ba": CROSS_AB})
 
 
 MARKETS = {
@@ -45,21 +48,6 @@ MARKETS = {
 }
 
 
-def excitation_terms(spec):
-    """(alpha, beta, source, target) per term, components side * d + asset
-    with buys first; read from spec.phi, independent of the simulator."""
-    d = spec.d
-    sides = {"aa": (0, 0), "ab": (0, 1), "ba": (1, 0), "bb": (1, 1)}
-    out = []
-    for key, (tside, sside) in sides.items():
-        for i in range(d):
-            for j in range(d):
-                out += [(t.alpha, t.beta, sside * d + j, tside * d + i)
-                        for t in spec.phi[key][i][j]]
-    a, b, src, tgt = (np.asarray(x) for x in zip(*out))
-    return a, b, src.astype(int), tgt.astype(int)
-
-
 def components(stream):
     return np.where(stream.sides > 0, 0, stream.d) + stream.assets
 
@@ -67,7 +55,8 @@ def components(stream):
 def rescaled_gaps(spec, stream):
     """Compensator increments between consecutive events of each component
     (from 0 to the first); under the true law they are iid Exp(1)."""
-    alphas, betas, src, tgt = excitation_terms(spec)
+    alphas, betas, src, tgt = spec.alpha, spec.beta, spec.source, \
+        spec.target
     mu = np.concatenate([spec.mu, spec.mu])
     state = np.zeros(len(alphas))      # sum alpha exp(-beta (t - t_m))
     comp_int = np.zeros(2 * spec.d)    # compensator of each component
@@ -94,7 +83,8 @@ def thinning_simulate(spec, horizon, seed):
     """
     rng = np.random.default_rng(seed)
     d = spec.d
-    alphas, betas, src, tgt = excitation_terms(spec)
+    alphas, betas, src, tgt = spec.alpha, spec.beta, spec.source, \
+        spec.target
     mu = np.concatenate([spec.mu, spec.mu])
     state = np.zeros(len(alphas))
     t, comps = 0.0, []
@@ -156,12 +146,72 @@ class TestValidate:
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(HawkesError):
-            HawkesSpec(mu=np.array([-1.0]), phi={},
-                       sizes=np.array([1.0]))
+            HawkesSpec(mu=np.array([-1.0]), sizes=np.array([1.0]))
         with pytest.raises(HawkesError):
-            HawkesSpec(mu=np.array([1.0]),
-                       phi={"aa": [[[ExpTerm(0.1, -1.0)]]]},
-                       sizes=np.array([1.0]))
+            HawkesSpec.from_blocks(mu=[1.0], sizes=[1.0],
+                                   blocks={"aa": [[[(0.1, -1.0)]]]})
+
+    def test_compatibility_compares_each_rate(self):
+        # equal integrals and equal alpha sums, at different decay rates:
+        # balanced, but bb - ab and aa - ba differ as functions of time
+        spec = HawkesSpec.from_blocks(mu=[1.0], sizes=[1.0], blocks={
+            "aa": [[[(0.2, 1.0), (0.4, 4.0)]]], "bb": [[[(0.6, 2.0)]]]})
+        rep = validate_spec(spec)
+        assert rep.balanced
+        assert not rep.martingale_compatible
+
+
+class TestFromBlocks:
+    def test_cross_spec_table(self):
+        # (alpha, beta, target, source), components side * d + asset with
+        # buys first: by block aa, ab, ba, bb, then row-major, then listed
+        table = [(0.3, FAST, 0, 0), (0.01, SLOW, 0, 0), (0.1, FAST, 0, 1),
+                 (0.02, SLOW, 1, 0), (0.4, FAST, 1, 1),
+                 (0.4, FAST, 0, 2),
+                 (0.4, FAST, 2, 0),
+                 (0.3, FAST, 2, 2), (0.01, SLOW, 2, 2), (0.1, FAST, 2, 3),
+                 (0.02, SLOW, 3, 2), (0.4, FAST, 3, 3)]
+        spec = cross_spec()
+        got = list(zip(spec.alpha.tolist(), spec.beta.tolist(),
+                       spec.target.tolist(), spec.source.tolist()))
+        assert got == table
+
+    def test_cross_spec_imbalance_rows(self):
+        # bb - ab per (i, j, beta): the ab term merges into bb's (0, 0, FAST)
+        rows = [(0, 0, FAST, 0.3 - 0.4), (0, 0, SLOW, 0.01),
+                (0, 1, FAST, 0.1), (1, 0, SLOW, 0.02), (1, 1, FAST, 0.4)]
+        assert cross_spec().imbalance_terms().tolist() == \
+            [list(map(float, r)) for r in rows]
+
+    def test_from_matrices_table(self):
+        # zero entries carry no term; the rest are tabled as by from_blocks
+        aa = [[0.06, 0.0], [0.035, 0.08]]
+        ab = [[0.0, 0.01], [0.0, 0.0]]
+        spec = HawkesSpec.from_matrices(mu=[1.0, 1.0], sizes=[1.0, 2.0],
+                                        beta=0.5, aa=aa, ab=ab, ba=ab, bb=aa)
+        table = [(0.06, 0, 0), (0.035, 1, 0), (0.08, 1, 1), (0.01, 0, 3),
+                 (0.01, 2, 1), (0.06, 2, 2), (0.035, 3, 2), (0.08, 3, 3)]
+        got = list(zip(spec.alpha.tolist(), spec.target.tolist(),
+                       spec.source.tolist()))
+        assert got == table
+        assert spec.beta.tolist() == [0.5] * len(table)
+
+    @pytest.mark.parametrize("blocks", [
+        {"aa": [[[(0.1, 1.0)]]]},                        # 1 x 1 of 2 x 2
+        {"ab": [[[], []], [[]]]},                        # short row
+        {"bb": [[[(0.1, 0.0)], []], [[], []]]},          # beta = 0
+        {"ba": [[[(-0.1, 1.0)], []], [[], []]]},         # alpha < 0
+        {"AB": [[[], []], [[], []]]},                    # unknown key
+    ])
+    def test_malformed_blocks_rejected(self, blocks):
+        with pytest.raises(HawkesError):
+            HawkesSpec.from_blocks(mu=[1.0, 1.0], sizes=[1.0, 1.0],
+                                   blocks=blocks)
+
+    def test_unequal_term_columns_rejected(self):
+        with pytest.raises(HawkesError, match="equal length"):
+            HawkesSpec(mu=[1.0], sizes=[1.0], alpha=[0.1, 0.2], beta=[1.0],
+                       target=[0, 1], source=[0, 1])
 
 
 class TestStationaryIntensity:
@@ -203,6 +253,22 @@ class TestSimulate:
         assert np.array_equal(s1.times, s2.times)
         assert np.array_equal(s1.assets, s2.assets)
         assert np.array_equal(s1.sides, s2.sides)
+
+    def test_zero_alpha_terms_draw_nothing(self):
+        # a listed zero term is tabled but not sampled: same draws as
+        # the spec without it
+        padded = [[row + [(0.0, SLOW)] for row in block]
+                  for block in CROSS_SAME]
+        spec = HawkesSpec.from_blocks(
+            mu=[0.5, 0.3], sizes=[1.0, 3.0],
+            blocks={"aa": padded, "bb": CROSS_SAME, "ab": CROSS_AB,
+                    "ba": CROSS_AB})
+        assert len(spec.alpha) == len(cross_spec().alpha) + 4
+        a = simulate(spec, 300.0, seed=4)
+        b = simulate(cross_spec(), 300.0, seed=4)
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.assets, b.assets)
+        assert np.array_equal(a.sides, b.sides)
 
     def test_unstable_rejected(self):
         spec = HawkesSpec.from_matrices(mu=[1.0], sizes=[1.0], beta=1.0,

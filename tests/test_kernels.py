@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from crossimpact import kernels, polymat, synthetic
+from crossimpact import kernels, polymat
 from crossimpact.kernels import (ImpactKernel, KernelError, build_K1,
                                  compute_K0, compute_Lambda, kyle_matrix,
                                  load_kernel, nsa_check, regularize_K2,
                                  save_kernel, symmetrized_transform)
 from crossimpact.observables import ObservableSet
 from crossimpact.polymat import whittle_factor
+
+import synthetic
 
 
 def random_spd(rng, d, lo=0.1, hi=10.0):

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from crossimpact import synthetic
 from crossimpact.hawkes import EventStream, HawkesSpec, simulate
 from crossimpact.observables import (BinnedSeries, ObservablesError,
                                      PricePath, bin_events,
@@ -13,6 +12,8 @@ from crossimpact.observables import (BinnedSeries, ObservablesError,
                                      omega_aggregates, save_artifact,
                                      save_observables, tapered_lags)
 from crossimpact.polymat import spectrum_on_grid
+
+import synthetic
 
 
 def make_stream(times, assets, sides, sizes, horizon, d=2):

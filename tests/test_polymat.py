@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossimpact import synthetic
 from crossimpact.polymat import PolymatError, spectrum_on_grid, whittle_factor
+
+import synthetic
 
 
 def spectrum_lags(causal):
