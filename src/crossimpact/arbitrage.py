@@ -278,8 +278,8 @@ def min_roundtrip_cost(kernel: ImpactKernel, n_steps: int, T: float):
     return value, witness, info
 
 
-def predict_prices(kernel: ImpactKernel, flows: BinnedSeries, p0,
-                   resample: bool = False) -> np.ndarray:
+def predict_prices(kernel: ImpactKernel, flows: BinnedSeries,
+                   p0) -> np.ndarray:
     """Impact-implied price path: lattice convolution of the kernel with
     the signed flows, permanent plateau beyond the kernel support.
 
@@ -291,20 +291,16 @@ def predict_prices(kernel: ImpactKernel, flows: BinnedSeries, p0,
     if flows.d != d:
         raise StrategyError("flow and kernel dimensions differ")
     if abs(flows.delta - kernel.delta) > 1e-9 * kernel.delta:
-        if not resample:
-            raise StrategyError(
-                f"flow lattice {flows.delta} does not match kernel lattice "
-                f"{kernel.delta}; pass resample=True to interpolate")
-        n_res = max(int(np.floor(kernel.tau_max / flows.delta)), 1)
-        values = kernel.value_at(np.arange(n_res + 1) * flows.delta)
-    else:
-        values = kernel.values
+        raise StrategyError(
+            f"flow lattice {flows.delta} does not match kernel lattice "
+            f"{kernel.delta}")
     q = flows.flows
     n = q.shape[0]
-    L = values.shape[0] - 1
+    L = kernel.n_lags
     # one zero-padded transform of every (i, j) pair: no circular wrap
     n_fft = 1 << (n + L - 1).bit_length()
-    spectrum = np.einsum("fij,fj->fi", np.fft.rfft(values, n_fft, axis=0),
+    spectrum = np.einsum("fij,fj->fi",
+                         np.fft.rfft(kernel.values, n_fft, axis=0),
                          np.fft.rfft(q, n_fft, axis=0))
     out = p0 + np.fft.irfft(spectrum, n_fft, axis=0)[:n]
     if n > L + 1:

@@ -27,11 +27,15 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
+class InputError(ValueError):
+    """A fault of the config or its data files (exit 2)."""
+
+
 class StageError(RuntimeError):
+    """A numerical failure of a calibration stage (exit 3)."""
+
     def __init__(self, stage, cause):
         super().__init__(f"stage {stage!r} failed: {cause}")
-        self.stage = stage
-        self.cause = cause
 
 
 @dataclasses.dataclass
@@ -83,6 +87,8 @@ class RunConfig:
 
 
 def parse_spec(blob) -> hawkes.HawkesSpec:
+    if "mu" not in blob:
+        raise InputError("spec needs mu, one baseline intensity per asset")
     mu = np.asarray(blob["mu"], dtype=float)
     return hawkes.HawkesSpec.from_blocks(
         mu, blob.get("sizes", np.ones_like(mu)), blob.get("blocks", {}))
@@ -156,15 +162,14 @@ def _event_prices(spec, stream, lam, p0) -> observables.PricePath:
 
 
 def _valid_spec(cfg):
-    """The config's spec and its validation report; the spec is None,
-    with the faults on stderr, when the model is unstable."""
+    """The config's spec and its validation report.  A spec that cannot
+    be parsed, or that validate_spec does not pass, is an input error."""
     if cfg.spec is None:
-        raise StageError("input", "simulate needs a hawkes spec in config")
+        raise InputError("simulate needs a hawkes spec in config")
     spec = parse_spec(cfg.spec)
     report = hawkes.validate_spec(spec)
-    if not report.stable:
-        print("invalid spec:", "; ".join(report.messages), file=sys.stderr)
-        return None, report
+    if not report.ok:
+        raise InputError("invalid spec: " + "; ".join(report.messages))
     return spec, report
 
 
@@ -192,8 +197,6 @@ def _simulated_days(cfg, spec, report, out):
 
 def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     spec, report = _valid_spec(cfg)
-    if spec is None:
-        return EXIT_INPUT
     # drain without holding a finished day while the next is simulated
     collections.deque(_simulated_days(cfg, spec, report,
                                       pathlib.Path(out_dir)), maxlen=0)
@@ -218,22 +221,21 @@ def _load_day_files(cfg, out_dir):
         event_files = [pathlib.Path(p) for p in cfg.events]
         price_files = [pathlib.Path(p) for p in (cfg.prices or [])]
         if len(price_files) not in (0, len(event_files)):
-            raise StageError("input", "events/prices file counts differ")
+            raise InputError("events/prices file counts differ")
         if not price_files:
             price_files = [None] * len(event_files)
         for f in event_files + [p for p in price_files if p is not None]:
             if not f.exists():
-                raise StageError("input", f"missing data file {f}")
+                raise InputError(f"missing data file {f}")
         return list(zip(event_files, price_files))
     data_dir = pathlib.Path(out_dir)
     event_files = sorted(data_dir.glob("events_*.csv"))
     if not event_files:
-        raise StageError("input", f"no events_*.csv under {data_dir}")
-    pairs = []
-    for ef in event_files:
-        pf = data_dir / ef.name.replace("events_", "prices_")
-        pairs.append((ef, pf if pf.exists() else None))
-    return pairs
+        raise InputError(f"no events_*.csv under {data_dir}")
+    price_files = [data_dir / ef.name.replace("events_", "prices_")
+                   for ef in event_files]
+    return [(ef, pf if pf.exists() else None)
+            for ef, pf in zip(event_files, price_files)]
 
 
 def _read_day(cfg, ef, pf):
@@ -247,7 +249,7 @@ def _read_day(cfg, ef, pf):
         prices = observables.PricePath.from_csv(pf, d=stream.d) \
             if pf is not None else None
     except (OSError, ValueError, KeyError) as exc:
-        raise StageError("input", f"{ef}: {exc}") from exc
+        raise InputError(f"{ef}: {exc}") from exc
     return stream, prices
 
 
@@ -261,19 +263,38 @@ def _bin_one_day(cfg, day, stream, prices):
                                       t_start=cfg.trim,
                                       t_end=t_end - cfg.trim, day=day)
     except observables.ObservablesError as exc:
-        raise StageError("input", exc) from exc
+        raise InputError(exc) from exc
 
 
-def cmd_estimate(cfg: RunConfig, out_dir) -> int:
-    series = [_bin_one_day(cfg, day, *_read_day(cfg, ef, pf))
-              for day, (ef, pf) in enumerate(_load_day_files(cfg, out_dir))]
+def _read_days(cfg, out_dir):
+    """(stream, prices) of each day file pair, read as it is reached."""
+    return (_read_day(cfg, ef, pf) for ef, pf in _load_day_files(cfg, out_dir))
+
+
+def _estimate(cfg, days, out):
+    """Bin the (stream, prices) days, then build and save their
+    observables under out; returns them with day 0's event stream.
+    Days that build_observables cannot use fail stage estimate."""
+    series = []
+    for day, (stream, prices) in enumerate(days):
+        series.append(_bin_one_day(cfg, day, stream, prices))
+        if day == 0:
+            day0 = stream
+        # the next day is simulated or read without this one
+        del stream, prices
+    if not series:
+        raise InputError("no days to estimate from")
     try:
         obs = observables.build_observables(series, cfg.tau_max,
                                             taper=cfg.taper)
     except observables.ObservablesError as exc:
-        # a numerical failure, as in calibrate
         raise StageError("estimate", exc) from exc
-    observables.save_observables(pathlib.Path(out_dir) / "observables", obs)
+    observables.save_observables(out / "observables", obs)
+    return obs, day0
+
+
+def cmd_estimate(cfg: RunConfig, out_dir) -> int:
+    obs, _ = _estimate(cfg, _read_days(cfg, out_dir), pathlib.Path(out_dir))
     print(f"estimated observables from {obs.n_days} days, "
           f"{obs.n_bins} bins")
     return EXIT_OK
@@ -291,40 +312,25 @@ def _k1_health(k1, tail_tol):
 
 
 def _calibrate(cfg: RunConfig, out_dir):
-    """Run calibrate into out_dir.  Returns (K1, K2, day 0's event
-    stream), or None when the config's spec is unstable.
+    """Run calibrate into out_dir; returns (K1, K2, day 0's event stream).
 
-    With a spec, each day is binned as its CSV files read back
-    (_day_as_written), not re-read from them.
+    Input faults are raised before anything is written.  With a spec,
+    each day is binned as its CSV files read back (_day_as_written), not
+    re-read from them.
     """
     out = pathlib.Path(out_dir)
+    if cfg.spec is not None:
+        spec, report = _valid_spec(cfg)
+        days = (_day_as_written(stream, prices, cfg.horizon)
+                for stream, prices in _simulated_days(cfg, spec, report, out))
+    else:
+        days = _read_days(cfg, out)
     out.mkdir(parents=True, exist_ok=True)
     diagnostics = {"config": cfg.echo()}
     stage = "simulate" if cfg.spec is not None else "estimate"
     try:
-        if cfg.spec is not None:
-            spec, report = _valid_spec(cfg)
-            if spec is None:
-                return None
-            days = _simulated_days(cfg, spec, report, out)
-        else:
-            days = (_read_day(cfg, ef, pf)
-                    for ef, pf in _load_day_files(cfg, out))
-        series = []
-        for day, (stream, prices) in enumerate(days):
-            if cfg.spec is not None:
-                stream, prices = _day_as_written(stream, prices, cfg.horizon)
-            series.append(_bin_one_day(cfg, day, stream, prices))
-            if day == 0:
-                day0 = stream
-            # the next day is simulated or read without this one
-            del stream, prices
-        if not series:
-            raise StageError("input", "no days to estimate from")
+        obs, day0 = _estimate(cfg, days, out)
         stage = "estimate"
-        obs = observables.build_observables(series, cfg.tau_max,
-                                            taper=cfg.taper)
-        observables.save_observables(out / "observables", obs)
         if cfg.spec is not None:
             theta = hawkes.stationary_intensity(spec)
             one_sided = np.diag(theta * spec.sizes ** 2)
@@ -356,7 +362,7 @@ def _calibrate(cfg: RunConfig, out_dir):
         diagnostics["k2_admissibility"] = rep2.to_dict()
         health, faults = _k1_health(k1, cfg.tail_tol)
         diagnostics["health"] = health
-    except StageError:
+    except (InputError, StageError):
         raise
     except Exception as exc:
         raise StageError(stage, exc) from exc
@@ -373,26 +379,25 @@ def _calibrate(cfg: RunConfig, out_dir):
 
 
 def cmd_calibrate(cfg: RunConfig, out_dir) -> int:
-    return EXIT_INPUT if _calibrate(cfg, out_dir) is None else EXIT_OK
+    _calibrate(cfg, out_dir)
+    return EXIT_OK
 
 
-def _check(kernel, tol, n_steps=(4, 8, 16), horizons=(1.0, 10.0),
-           bps=False) -> int:
+def _check(kernel, tol, bps=False) -> int:
     """Print the NSA report, the boundary matrices and the round-trip
     scans of a kernel; exit code from the NSA verdict.  A scan that
     min_roundtrip_cost refuses is printed as skipped and left out of
     the worst relative cost."""
     report = kernels.nsa_check(kernel, tol=tol)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=1))
-    scale = 1e4 if bps else 1.0
-    unit = "bps" if bps else "price units"
+    scale, unit = (1e4, "bps") if bps else (1.0, "price units")
     print(f"immediate matrix ({unit}):")
     print(np.array2string(scale * kernel.k0, precision=4))
     print(f"permanent matrix ({unit}):")
     print(np.array2string(scale * kernel.lam, precision=4))
     rels = []
-    for n in n_steps:
-        for T in horizons:
+    for n in (4, 8, 16):
+        for T in (1.0, 10.0):
             try:
                 value, _, info = arbitrage.min_roundtrip_cost(kernel, n, T)
             except arbitrage.StrategyError as exc:
@@ -407,12 +412,6 @@ def _check(kernel, tol, n_steps=(4, 8, 16), horizons=(1.0, 10.0),
     return EXIT_OK if report.verdict else EXIT_FAIL
 
 
-def cmd_check(kernel_dir, tol, n_steps=(4, 8, 16), horizons=(1.0, 10.0),
-              bps=False) -> int:
-    return _check(kernels.load_kernel(kernel_dir), tol, n_steps, horizons,
-                  bps)
-
-
 def _predict(kernel, stream, p0, out_path) -> int:
     """Write the kernel's predicted prices along an event tape.  The tape
     is binned up to its last event, as a tape read from CSV carries no
@@ -420,21 +419,11 @@ def _predict(kernel, stream, p0, out_path) -> int:
     last = stream.times[-1] if len(stream) else 0.0
     flows = observables.bin_events(stream, None, kernel.delta,
                                    t_end=last if last > 0 else kernel.delta)
-    p0 = np.asarray(p0, dtype=float)
-    if p0.size == 1:
-        p0 = np.full(kernel.d, float(p0))
     path = arbitrage.predict_prices(kernel, flows, p0)
     times = kernel.delta * (1 + np.arange(path.shape[0]))
     arbitrage.save_predicted_prices(out_path, times, path)
     print(f"wrote {out_path}")
     return EXIT_OK
-
-
-def cmd_predict(kernel_dir, events_csv, p0, out_path) -> int:
-    kernel = kernels.load_kernel(kernel_dir)
-    return _predict(kernel, hawkes.EventStream.from_csv(events_csv,
-                                                        d=kernel.d),
-                    p0, out_path)
 
 
 def demo_config(seed=7, output_dir="demo_out") -> RunConfig:
@@ -455,10 +444,7 @@ def cmd_demo(cfg: RunConfig, out_dir) -> int:
     """calibrate, then check K2 and predict K1 along day 0's tape, on
     the kernels and the tape calibrate holds; p0 is the config's, or 100
     per asset."""
-    calibrated = _calibrate(cfg, out_dir)
-    if calibrated is None:
-        return EXIT_INPUT
-    k1, k2, day0 = calibrated
+    k1, k2, day0 = _calibrate(cfg, out_dir)
     if _check(k2, cfg.nsa_tol) != EXIT_OK:
         print("warning: clipped kernel failed its own check",
               file=sys.stderr)
@@ -493,38 +479,32 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        # check and predict read a kernel, never a config
+        if args.command == "check":
+            return _check(kernels.load_kernel(args.kernel_dir), args.tol,
+                          bps=args.bps)
+        if args.command == "predict":
+            kernel = kernels.load_kernel(args.kernel_dir)
+            return _predict(kernel, hawkes.EventStream.from_csv(
+                args.events_csv, d=kernel.d), args.p0, args.out)
         cfg_path = args.config or os.environ.get(ENV_CONFIG)
-        if args.command == "demo" and cfg_path is None:
-            cfg = demo_config(seed=args.seed if args.seed is not None else 7)
-        elif cfg_path is not None:
+        if cfg_path is not None:
             cfg = RunConfig.from_file(cfg_path)
-        elif args.command in ("check", "predict"):
-            cfg = RunConfig()
+        elif args.command == "demo":
+            cfg = demo_config()
         else:
-            print("error: this command needs --config or "
-                  f"${ENV_CONFIG}", file=sys.stderr)
-            return EXIT_INPUT
+            raise InputError(f"this command needs --config or ${ENV_CONFIG}")
         if args.seed is not None:
             cfg.seed = args.seed
-        out_dir = args.output_dir or cfg.output_dir
-        if args.command == "check":
-            return cmd_check(args.kernel_dir, args.tol, bps=args.bps)
-        if args.command == "predict":
-            return cmd_predict(args.kernel_dir, args.events_csv,
-                               args.p0, args.out)
         command = {"simulate": cmd_simulate, "estimate": cmd_estimate,
                    "calibrate": cmd_calibrate, "demo": cmd_demo}
-        return command[args.command](cfg, out_dir)
+        return command[args.command](cfg, args.output_dir or cfg.output_dir)
     except (FileNotFoundError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except StageError as exc:
-        if exc.stage == "input":
-            print(f"input error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

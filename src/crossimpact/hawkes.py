@@ -80,9 +80,16 @@ class HawkesSpec:
             if len(block) != d or any(len(row) != d for row in block):
                 raise HawkesError(f"block {key} is not {d}x{d}")
             side, source_side = divmod(k, 2)
-            rows += [(float(a), float(b), side * d + i, source_side * d + j)
-                     for i, row in enumerate(block)
-                     for j, terms in enumerate(row) for a, b in terms]
+            for i, row in enumerate(block):
+                for j, terms in enumerate(row):
+                    for term in terms:
+                        try:
+                            a, b = map(float, term)
+                        except (TypeError, ValueError):
+                            raise HawkesError(
+                                f"block {key}[{i}][{j}]: term {term!r} is "
+                                "not an (alpha, beta) pair") from None
+                        rows.append((a, b, side * d + i, source_side * d + j))
         alpha, beta, target, source = zip(*rows) if rows else ((),) * 4
         return cls(mu=mu, sizes=sizes, alpha=alpha, beta=beta,
                    target=target, source=source)

@@ -398,8 +398,6 @@ class TestPredict:
                              flows=np.ones((4, 1)))
         with pytest.raises(StrategyError):
             predict_prices(k, flows, np.zeros(1))
-        path = predict_prices(k, flows, np.zeros(1), resample=True)
-        assert path.shape == (4, 1)
 
 
 class TestPredictedPricesCsv:

@@ -32,6 +32,19 @@ def small_config(tmp_path, seed=3, **overrides):
     return path
 
 
+def assert_refused(cfg, tmp_path, capsys, message):
+    """Each command that reads a spec exits 2 on cfg before writing
+    anything, and prints the cause as one input error."""
+    for command in ("simulate", "calibrate", "demo"):
+        out = tmp_path / f"refused-{command}"
+        rc = main(["--config", str(cfg), "--output-dir", str(out), command])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT, command
+        assert err.startswith("input error: ") and message in err, command
+        assert "stage" not in err, command
+        assert not out.exists(), command
+
+
 def dir_bytes(directory):
     directory = pathlib.Path(directory)
     out = {}
@@ -143,29 +156,44 @@ class TestSimulate:
         assert len(lines) == 1    # header only
 
     def test_invalid_spec_exits_2(self, tmp_path, capsys):
+        # a spec that validate_spec does not pass: unstable, then stable
+        # but with no imbalance kernel (bb - ab differs from aa - ba)
         cfg = small_config(tmp_path)
         raw = json.loads(cfg.read_text())
         raw["spec"]["blocks"]["aa"][0][0] = [[0.6, 0.25]]  # radius > 1
         cfg.write_text(json.dumps(raw))
-        rc = main(["--config", str(cfg), "--output-dir",
-                   str(tmp_path / "bad"), "simulate"])
-        assert rc == EXIT_INPUT
+        assert_refused(cfg, tmp_path, capsys, "spectral radius")
+        cfg = small_config(tmp_path, spec={
+            "mu": [1.0], "blocks": {"aa": [[[[0.3, 1.0]]]],
+                                    "bb": [[[[0.2, 1.0]]]]}})
+        assert_refused(cfg, tmp_path, capsys, "no imbalance kernel")
 
-    @pytest.mark.parametrize("blocks", [
-        {"aa": [[[[0.1, 0.25]]]]},                        # 1 x 1 of 2 x 2
-        {"bb": [[[[0.1, 0.0]], []], [[], []]]},           # beta = 0
-        {"ab": [[[[-0.1, 0.25]], []], [[], []]]},         # alpha < 0
-        {"ba": [[[[0.1, 0.25, 1.0]], []], [[], []]]},     # not a pair
+    # explicit ids: each case keeps its id as cases are added
+    @pytest.mark.parametrize("blocks, message", [
+        pytest.param({"aa": [[[[0.1, 0.25]]]]},           # 1 x 1 of 2 x 2
+                     "block aa is not 2x2", id="blocks0"),
+        pytest.param({"bb": [[[[0.1, 0.0]], []], [[], []]]},   # beta = 0
+                     "beta > 0", id="blocks1"),
+        pytest.param({"ab": [[[[-0.1, 0.25]], []], [[], []]]},  # alpha < 0
+                     "alpha >= 0", id="blocks2"),
+        pytest.param({"ba": [[[[0.1, 0.25, 1.0]], []], [[], []]]},
+                     "block ba[0][0]: term [0.1, 0.25, 1.0] is not an "
+                     "(alpha, beta) pair", id="blocks3"),
+        pytest.param({"ba": [[[0.1], []], [[], []]]},     # scalar term
+                     "block ba[0][0]: term 0.1 is not", id="blocks4"),
+        pytest.param({"ab": [[[], []], [[], [["x", 0.25]]]]},
+                     "block ab[1][1]: term ['x', 0.25] is not",
+                     id="blocks5"),
     ])
-    def test_malformed_spec_exits_2(self, tmp_path, capsys, blocks):
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, blocks,
+                                    message):
         cfg = small_config(tmp_path, spec={"mu": [0.6, 0.45],
                                            "blocks": blocks})
-        out = tmp_path / "bad"
-        rc = main(["--config", str(cfg), "--output-dir", str(out),
-                   "simulate"])
-        assert rc == EXIT_INPUT
-        assert "input error" in capsys.readouterr().err
-        assert not out.exists()
+        assert_refused(cfg, tmp_path, capsys, message)
+
+    def test_spec_without_mu_exits_2(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, spec={"sizes": [1.0, 2.0]})
+        assert_refused(cfg, tmp_path, capsys, "spec needs mu")
 
     def test_missing_config_exits_2(self, capsys, monkeypatch):
         monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
@@ -235,6 +263,29 @@ class TestCalibrate:
         # the martingale kernel of a lead-lag market fails the check
         assert main(["check", str(out / "k1")]) == EXIT_FAIL
         assert main(["check", str(tmp_path)]) == EXIT_INPUT
+
+    def test_check_and_predict_read_no_config(self, tmp_path, capsys,
+                                              monkeypatch):
+        # a broken config in the environment does not reach check or
+        # predict: check's exit code follows the NSA verdict
+        cfg = small_config(tmp_path, n_days=1, horizon=200.0)
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--output-dir", str(out),
+                     "calibrate"]) == EXIT_OK
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps({"speled_wrong": 1}))
+        monkeypatch.setenv(cli.ENV_CONFIG, str(broken))
+        for name in ("k1", "k2"):
+            verdict = kernels.nsa_check(load_kernel(out / name),
+                                        tol=1e-6).verdict
+            assert main(["check", str(out / name)]) == \
+                (EXIT_OK if verdict else EXIT_FAIL)
+        assert main(["predict", str(out / "k1"),
+                     str(out / "events_000.csv"), "--out",
+                     str(tmp_path / "p.csv")]) == EXIT_OK
+        assert "speled_wrong" not in capsys.readouterr().err
+        assert main(["--output-dir", str(tmp_path / "env"),
+                     "calibrate"]) == EXIT_INPUT
 
     def test_check_detects_constructed_asymmetry(self, tmp_path):
         tau = np.arange(9, dtype=float)
@@ -364,18 +415,27 @@ class TestCalibrate:
     def test_estimate_and_calibrate_agree_on_exit_code(
             self, tmp_path, capsys, overrides, code, message):
         # a window that bin_events cannot bin is an input error; a day set
-        # that build_observables cannot estimate from is a numerical one
+        # that build_observables cannot estimate from is a numerical one.
+        # calibrate agrees on the spec and on the simulated files by path
         cfg = small_config(tmp_path, n_days=1, **overrides)
         staged = tmp_path / "staged"
         assert main(["--config", str(cfg), "--output-dir", str(staged),
                      "simulate"]) == EXIT_OK
+        raw = json.loads(cfg.read_text())
+        del raw["spec"]
+        raw["events"] = [str(staged / "events_000.csv")]
+        raw["prices"] = [str(staged / "prices_000.csv")]
+        data_cfg = tmp_path / "data_config.json"
+        data_cfg.write_text(json.dumps(raw))
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "day 0", UserWarning)
             assert main(["--config", str(cfg), "--output-dir", str(staged),
                          "estimate"]) == code
             assert main(["--config", str(cfg), "--output-dir",
                          str(tmp_path / "direct"), "calibrate"]) == code
-        assert capsys.readouterr().err.count(message) == 2
+            assert main(["--config", str(data_cfg), "--output-dir",
+                         str(tmp_path / "data"), "calibrate"]) == code
+        assert capsys.readouterr().err.count(message) == 3
 
     def test_missing_data_exits_2(self, tmp_path):
         raw = {"events": [str(tmp_path / "nowhere.csv")], "tau_max": 8}

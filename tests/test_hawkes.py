@@ -1,4 +1,5 @@
 import csv
+import re
 import warnings
 
 import numpy as np
@@ -205,6 +206,16 @@ class TestFromBlocks:
     ])
     def test_malformed_blocks_rejected(self, blocks):
         with pytest.raises(HawkesError):
+            HawkesSpec.from_blocks(mu=[1.0, 1.0], sizes=[1.0, 1.0],
+                                   blocks=blocks)
+
+    @pytest.mark.parametrize("term", [(0.1, 0.25, 1.0), 0.1, ("x", 0.25),
+                                      None])
+    def test_term_not_a_pair_names_its_entry(self, term):
+        blocks = {"ab": [[[], [(0.1, 1.0), term]], [[], []]]}
+        with pytest.raises(HawkesError, match=re.escape(
+                f"block ab[0][1]: term {term!r} is not an (alpha, beta) "
+                "pair")):
             HawkesSpec.from_blocks(mu=[1.0, 1.0], sizes=[1.0, 1.0],
                                    blocks=blocks)
 
