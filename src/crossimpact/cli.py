@@ -38,6 +38,15 @@ class StageError(RuntimeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 
+# the JSON values a RunConfig field of each annotated type takes; no
+# field takes a bool
+CONFIG_TYPES = {"int": (int, "an integer"),
+                "float": ((int, float), "a number"),
+                "str": (str, "a string"),
+                "dict | None": ((dict, type(None)), "an object or null"),
+                "list | None": ((list, type(None)), "a list or null")}
+
+
 @dataclasses.dataclass
 class RunConfig:
     spec: dict | None = None
@@ -63,14 +72,22 @@ class RunConfig:
     @classmethod
     def from_file(cls, path):
         raw = json.loads(pathlib.Path(path).read_text())
-        known = {f.name for f in dataclasses.fields(cls)}
-        tol = raw.pop("tolerances", {})
-        raw.update(tol)
-        if "lambda" in raw:
-            raw["lam"] = raw.pop("lambda")
-        unknown = set(raw) - known
+        if not isinstance(raw, dict) or \
+                not isinstance(raw.get("tolerances", {}), dict):
+            raise InputError("a config and its tolerances are JSON objects")
+        raw.update(raw.pop("tolerances", {}))
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        types["lambda"] = types["lam"]
+        unknown = set(raw) - set(types)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in raw.items():
+            allowed, kind = CONFIG_TYPES[types[key]]
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise InputError(f"config key {key!r} must be {kind}, "
+                                 f"not {value!r}")
+        if "lambda" in raw:
+            raw["lam"] = raw.pop("lambda")
         cfg = cls(**raw)
         for tol_name in ("delta", "factor_tol", "tail_tol", "nsa_tol",
                          "factor_residual_bound"):
@@ -203,19 +220,6 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     return EXIT_OK
 
 
-def _day_as_written(stream, prices, horizon):
-    """A simulated day as its event and price CSVs read back, spanning
-    horizon: times pass through the files' TIME_FORMAT, and assets,
-    sides, sizes and prices (at %.17g) read back exactly."""
-    return (hawkes.EventStream(times=hawkes._as_written(stream.times),
-                               assets=stream.assets, sides=stream.sides,
-                               sizes=stream.sizes, horizon=horizon,
-                               d=stream.d),
-            observables.PricePath(times=hawkes._as_written(prices.times),
-                                  assets=prices.assets,
-                                  prices=prices.prices, d=prices.d))
-
-
 def _load_day_files(cfg, out_dir):
     if cfg.events is not None:
         event_files = [pathlib.Path(p) for p in cfg.events]
@@ -315,14 +319,12 @@ def _calibrate(cfg: RunConfig, out_dir):
     """Run calibrate into out_dir; returns (K1, K2, day 0's event stream).
 
     Input faults are raised before anything is written.  With a spec,
-    each day is binned as its CSV files read back (_day_as_written), not
-    re-read from them.
+    each day is binned as simulated, which is what its CSV files hold.
     """
     out = pathlib.Path(out_dir)
     if cfg.spec is not None:
         spec, report = _valid_spec(cfg)
-        days = (_day_as_written(stream, prices, cfg.horizon)
-                for stream, prices in _simulated_days(cfg, spec, report, out))
+        days = _simulated_days(cfg, spec, report, out)
     else:
         days = _read_days(cfg, out)
     out.mkdir(parents=True, exist_ok=True)

@@ -69,6 +69,8 @@ class HawkesSpec:
         listed order.
         """
         d = len(mu)
+        if not isinstance(blocks, dict):
+            raise HawkesError(f"blocks {blocks!r} is not a map of blocks")
         unknown = set(blocks) - set(BLOCK_KEYS)
         if unknown:
             raise HawkesError(f"unknown blocks {sorted(unknown)}")
@@ -77,11 +79,18 @@ class HawkesSpec:
             block = blocks.get(key)
             if block is None:
                 continue
-            if len(block) != d or any(len(row) != d for row in block):
+            if not _listing(block, d):
                 raise HawkesError(f"block {key} is not {d}x{d}")
             side, source_side = divmod(k, 2)
             for i, row in enumerate(block):
+                if not _listing(row, d):
+                    raise HawkesError(f"block {key}[{i}]: row {row!r} is "
+                                      f"not a list of {d} entries")
                 for j, terms in enumerate(row):
+                    if not _listing(terms):
+                        raise HawkesError(
+                            f"block {key}[{i}][{j}]: entry {terms!r} is not "
+                            "a list of (alpha, beta) terms")
                     for term in terms:
                         try:
                             a, b = map(float, term)
@@ -137,6 +146,12 @@ class HawkesSpec:
                             self.beta[k],
                             np.where(self.target[k] >= d, self.alpha[k],
                                      -self.alpha[k]))
+
+
+def _listing(value, n=None) -> bool:
+    """value is a sized iterable, of n items when n is given."""
+    return hasattr(value, "__iter__") and hasattr(value, "__len__") \
+        and (n is None or len(value) == n)
 
 
 def _merge_rates(i, j, beta, alpha) -> np.ndarray:
@@ -346,14 +361,13 @@ def _parse_sides(labels):
     return np.where(buy, BUY, SELL)
 
 
-# every CSV this package writes carries its times at this precision
+# every CSV this package writes carries its times at this precision, and
+# simulate draws its times on the same grid
 TIME_FORMAT = "%.9f"
 # side fields are read as this many bytes; one that fills them may have
 # been cut, and is refused
 SIDE_WIDTH = 8
 CSV_CHUNK_ROWS = 256
-# below this, ulp(t * 1e9) <= 1/2, so _as_written sees every rounding tie
-_EXACT_TIME_LIMIT = 2.0 ** 52 / 1e9
 
 
 def _write_csv(path, header, row_format, columns):
@@ -371,33 +385,6 @@ def _write_csv(path, header, row_format, columns):
             rows = zip(*(c[start:stop].tolist() for c in columns))
             fh.write((row_format + "\r\n") * (stop - start)
                      % tuple(itertools.chain.from_iterable(rows)))
-
-
-def _as_written(times):
-    """Times as a TIME_FORMAT column of a CSV file reads them back.
-
-    Writing rounds t * 10**9 to the nearest integer N, ties to even, and
-    reading parses N / 10**9 to the nearest double: the IEEE quotient
-    N / 1e9.  N comes from the exact split t * 1e9 = p + err (Dekker's
-    product; 1e9 has 21 significant bits): rint(p) is N unless p lies
-    on a half-integer, where the sign of err breaks the tie.  Times at
-    or past _EXACT_TIME_LIMIT, and non-finite ones, go through the text.
-    """
-    times = np.asarray(times, dtype=float)
-    text = ~(np.abs(times) < _EXACT_TIME_LIMIT)
-    t = np.where(text, 0.0, times)
-    p = t * 1e9
-    hi = 134217729.0 * t            # 2**27 + 1 splits t into 26-bit halves
-    hi = hi - (hi - t)
-    err = (hi * 1e9 - p) + (t - hi) * 1e9
-    n = np.rint(p)
-    frac = p - n
-    n = np.where((frac == 0.5) & (err > 0), n + 1.0, n)
-    n = np.where((frac == -0.5) & (err < 0), n - 1.0, n)
-    out = n / 1e9
-    if text.any():
-        out[text] = [float(TIME_FORMAT % x) for x in times[text].tolist()]
-    return out
 
 
 def _read_csv(path, fields):
@@ -427,8 +414,11 @@ def simulate(spec: HawkesSpec, horizon: float, seed: int) -> EventStream:
     event of component c has, for each excitation term k with source c,
     Poisson(alpha_k / beta_k) children of component tgt_k at Exp(beta_k)
     delays.  Generations are drawn one at a time, children past the
-    horizon are dropped, and the union is sorted.  Deterministic given
-    the seed; coincident event times raise HawkesError in EventStream.
+    horizon are dropped, and the union is sorted.  Times are returned on
+    the 1 ns grid of TIME_FORMAT, so a stream reads back from its CSV
+    unchanged; this moves each event by at most 5e-10 s.  Deterministic
+    given the seed; coincident event times raise HawkesError in
+    EventStream.
     """
     report = validate_spec(spec)
     if not report.stable:
@@ -469,7 +459,7 @@ def simulate(spec: HawkesSpec, horizon: float, seed: int) -> EventStream:
         all_comps.append(comps)
     times = np.concatenate(all_times)
     order = np.argsort(times, kind="stable")
-    times = times[order]
+    times = np.rint(times[order] * 1e9) / 1e9
     comps = np.concatenate(all_comps)[order]
     assets = comps % d
     return EventStream(times=times, assets=assets,

@@ -280,16 +280,17 @@ def regularize_K2(k1: ImpactKernel, n_grid: int | None = None) -> ImpactKernel:
     values[1:half] = lam2[None] + z[1:half]
     values[half] = lam2 + z[half]
     k0_new = values[0].copy()
-    diag = dict(k1.diagnostics)
-    diag.update({
+    diag = {
         "clipped_negative_mass": clipped_mass,
         "source_k0": k1.k0.tolist(),
         "spectral_distance_to_input": float(
             np.linalg.norm(zclip - zhat) / max(np.linalg.norm(zhat), 1e-300)),
-    })
-    return ImpactKernel(delta=k1.delta, values=values, k0=k0_new, lam=lam2,
-                        provenance="k2", grid=n, tail_tol=k1.tail_tol,
-                        diagnostics=diag)
+    }
+    kernel = ImpactKernel(delta=k1.delta, values=values, k0=k0_new, lam=lam2,
+                          provenance="k2", grid=n, tail_tol=k1.tail_tol,
+                          diagnostics=diag)
+    diag["tail_error"] = kernel.tail_error()
+    return kernel
 
 
 @dataclasses.dataclass

@@ -122,6 +122,43 @@ class TestConfig:
         with pytest.raises(ValueError):
             RunConfig.from_file(path)
 
+    @pytest.mark.parametrize("raw, message", [
+        pytest.param({"delta": "1"}, "'delta' must be a number",
+                     id="delta-str"),
+        pytest.param({"tau_max": "8"}, "'tau_max' must be an integer",
+                     id="tau_max-str"),
+        pytest.param({"n_days": 1.5}, "'n_days' must be an integer",
+                     id="n_days-float"),
+        pytest.param({"n_days": True}, "'n_days' must be an integer",
+                     id="n_days-bool"),
+        pytest.param({"tolerances": {"tail_tol": False}},
+                     "'tail_tol' must be a number", id="tail_tol-bool"),
+        pytest.param({"lambda": 2.0}, "'lambda' must be a list or null",
+                     id="lambda-float"),
+        pytest.param({"taper": 3}, "'taper' must be a string",
+                     id="taper-int"),
+        pytest.param({"spec": [1.0]}, "'spec' must be an object or null",
+                     id="spec-list"),
+        pytest.param({"tolerances": 1e-3}, "tolerances are JSON objects",
+                     id="tolerances-float"),
+    ])
+    def test_wrong_value_type_exits_2(self, tmp_path, capsys, raw, message):
+        # refused for every config command before any directory is made
+        cfg = small_config(tmp_path, **raw)
+        for command in ("simulate", "estimate", "calibrate", "demo"):
+            out = tmp_path / f"refused-{command}"
+            rc = main(["--config", str(cfg), "--output-dir", str(out),
+                       command])
+            err = capsys.readouterr().err
+            assert rc == EXIT_INPUT, command
+            assert err.startswith("input error: ") and message in err, \
+                command
+            assert not out.exists(), command
+
+    def test_int_taken_for_float(self, tmp_path):
+        cfg = RunConfig.from_file(small_config(tmp_path, delta=1, trim=0))
+        assert (cfg.delta, cfg.trim) == (1, 0)
+
     def test_nonpositive_tolerance_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"tolerances": {"factor_tol": 0.0}}))
@@ -184,6 +221,11 @@ class TestSimulate:
         pytest.param({"ab": [[[], []], [[], [["x", 0.25]]]]},
                      "block ab[1][1]: term ['x', 0.25] is not",
                      id="blocks5"),
+        pytest.param({"aa": [0.1, 0.2]},                  # scalar row
+                     "block aa[0]: row 0.1 is not", id="blocks6"),
+        pytest.param({"bb": [[0.1, []], [[], []]]},       # scalar entry
+                     "block bb[0][0]: entry 0.1 is not", id="blocks7"),
+        pytest.param([], "blocks [] is not a map", id="blocks8"),
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, blocks,
                                     message):
@@ -449,18 +491,23 @@ class TestCalibrate:
 class TestInMemoryDays:
     def test_calibrate_bins_what_simulate_estimate_read(self, tmp_path,
                                                          monkeypatch):
-        # each day gets an event 3e-10 s past a bin edge, which its CSV
-        # moves onto the edge, into the bin before
-        simulate = hawkes.simulate
+        # each day's first immigrant is drawn 3e-10 s past a bin edge;
+        # simulate puts it on the edge, which closes the bin before
+        default_rng = np.random.default_rng
 
-        def edge_simulate(spec, horizon, seed):
-            stream = simulate(spec, horizon, seed)
-            k = np.flatnonzero(np.floor(stream.times[1:])
-                               > stream.times[:-1])[0] + 1
-            stream.times[k] = np.floor(stream.times[k]) + 3e-10
-            return stream
+        class EdgeRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
 
-        monkeypatch.setattr(hawkes, "simulate", edge_simulate)
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def uniform(self, low, high, size):
+                times = self.rng.uniform(low, high, size)
+                times[0] = np.floor(times[0]) + 3e-10
+                return times
+
+        monkeypatch.setattr(np.random, "default_rng", EdgeRng)
         cfg = small_config(tmp_path)
         for command in ("simulate", "estimate"):
             assert main(["--config", str(cfg), "--output-dir",
@@ -469,36 +516,10 @@ class TestInMemoryDays:
                      str(tmp_path / "memory"), "calibrate"]) == EXIT_OK
         files = dir_bytes(tmp_path / "files")
         memory = dir_bytes(tmp_path / "memory")
+        assert b".000000000," in files["events_000.csv"]
         for name in ("observables/arrays.npz", "observables/meta.json",
                      "events_000.csv", "prices_001.csv", "manifest.json"):
             assert memory[name] == files[name], name
-
-    def test_event_past_bin_edge_binned_as_read_back(self, tmp_path):
-        # 5 + 3e-10 s lies in bin 5 but is written as 5.000000000, which
-        # closes bin 4
-        stream = hawkes.EventStream(times=[0.5, 5.0 + 3e-10, 7.25],
-                                    assets=[0, 1, 0], sides=[1, -1, 1],
-                                    sizes=[1.0, 2.0, 1.0], horizon=10.0,
-                                    d=2)
-        prices = observables.PricePath(
-            times=np.repeat(stream.times, 2), assets=np.tile([0, 1], 3),
-            prices=[100.1, 99.9, 100.2, 99.7, 100.4, 99.6], d=2)
-        stream.to_csv(tmp_path / "events.csv")
-        prices.to_csv(tmp_path / "prices.csv")
-        cfg = RunConfig(spec={"mu": [1.0, 1.0]}, horizon=10.0)
-        read, read_prices = cli._read_day(cfg, tmp_path / "events.csv",
-                                          tmp_path / "prices.csv")
-        held, held_prices = cli._day_as_written(stream, prices, cfg.horizon)
-        for field in ("times", "assets", "sides", "sizes", "horizon", "d"):
-            assert np.array_equal(getattr(held, field),
-                                  getattr(read, field)), field
-        for field in ("times", "assets", "prices", "d"):
-            assert np.array_equal(getattr(held_prices, field),
-                                  getattr(read_prices, field)), field
-        binned = cli._bin_one_day(cfg, 0, held, held_prices)
-        assert binned.flows[4, 1] == -2.0
-        raw = cli._bin_one_day(cfg, 0, stream, prices)
-        assert raw.flows[5, 1] == -2.0
 
 
 def three_asset_config(tmp_path, **overrides):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from crossimpact import hawkes
 from crossimpact.hawkes import (EventStream, HawkesError, HawkesSpec,
                                 analytic_flow_spectrum, analytic_kernel,
                                 imbalance_l1, simulate, stationary_intensity,
@@ -420,34 +419,19 @@ class TestEventCsv:
                               [1, -1, -1, 1])
 
 
-class TestAsWritten:
-    def test_matches_csv_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        times = np.sort(np.concatenate([
-            rng.uniform(0.0, 5000.0, 2000),
-            # t * 1e9 rounds to a half-integer: the exact product breaks
-            # the tie; 3 ns apart so that no two read back equal
-            5001.0 + (3 * np.arange(300) + 0.5) / 1e9,
-            np.arange(300) * 3e-9 + 0.5e-9,
-            # exact ties, rounded to even
-            5002.0 + np.arange(1, 400, 2) / 1024.0,
-            # past _EXACT_TIME_LIMIT: through the text
-            [5e6 + 0.25, 1e7 + 1.0 / 1024.0 + 3e-10]]))
-        n = len(times)
-        stream = EventStream(times=times, assets=np.zeros(n, dtype=int),
-                             sides=np.ones(n, dtype=int), sizes=np.ones(n),
-                             horizon=2e7, d=1)
+class TestTimeGrid:
+    @pytest.mark.parametrize("spec,horizon", [
+        (MARKETS["demo"](), 3000.0),
+        # about 8000 events over 2e7 s, more than half of them past
+        # 2**23 s, where doubles lie further apart than 1 ns
+        (scalar_hawkes(alpha=0.5, mu=1e-4), 2e7),
+    ], ids=["demo", "sparse"])
+    def test_times_read_back_from_csv(self, tmp_path, spec, horizon):
+        stream = simulate(spec, horizon, seed=2)
+        assert len(stream) > 3000
         stream.to_csv(tmp_path / "events.csv")
-        back = EventStream.from_csv(tmp_path / "events.csv").times
-        assert not np.array_equal(back, times)
-        assert np.array_equal(hawkes._as_written(times), back)
-
-    def test_signs_and_non_finite(self):
-        times = np.array([-0.0, -1e-12, -1.0000000005, np.inf, -np.inf])
-        got = hawkes._as_written(times)
-        ref = np.array([float(hawkes.TIME_FORMAT % t) for t in times])
-        assert np.array_equal(got, ref)
-        assert np.array_equal(np.signbit(got), np.signbit(ref))
+        back = EventStream.from_csv(tmp_path / "events.csv")
+        assert np.array_equal(back.times, stream.times)
 
 
 class TestFlowSpectrum:

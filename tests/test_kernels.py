@@ -352,6 +352,17 @@ class TestRegularize:
         scale = np.abs(eigs).max()
         assert eigs.min() >= -1e-10 * scale
 
+    def test_diagnostics_are_k2s_own(self):
+        # K1's diagnostics stay with K1; K2 reports its own tail error,
+        # far below that of K1 cut at 16 lags (2.2e-2)
+        k1 = lead_lag_k1(16, [[0.9, 0.2], [0.2, 1.0]], a12=0.0, a21=0.12)
+        k2 = regularize_K2(k1, n_grid=1024)
+        assert k2.diagnostics["tail_error"] == k2.tail_error()
+        assert k2.tail_error() < 1e-3 * k1.diagnostics["tail_error"]
+        assert set(k2.diagnostics) == {
+            "clipped_negative_mass", "source_k0",
+            "spectral_distance_to_input", "tail_error"}
+
     def test_clip_is_frobenius_projection(self):
         # per-frequency convex oracle: no PSD candidate is closer
         rng = np.random.default_rng(17)
@@ -417,11 +428,11 @@ class TestSerialization:
     @pytest.mark.parametrize("provenance", ["k1", "k2"])
     def test_roundtrip(self, tmp_path, provenance):
         k = decaying_kernel(tau_max=16, lam_scale=0.3)
-        k.diagnostics["factor_residual"] = 1e-9
         if provenance == "k2":
             k = regularize_K2(k, n_grid=64)
             # K2 diagnostics carry a nested list
             assert isinstance(k.diagnostics["source_k0"][0], list)
+        k.diagnostics["factor_residual"] = 1e-9
         save_kernel(tmp_path / "k", k)
         back = load_kernel(tmp_path / "k")
         assert np.array_equal(back.values, k.values)
