@@ -93,6 +93,8 @@ class RunConfig:
                          "factor_residual_bound"):
             if getattr(cfg, tol_name) <= 0:
                 raise ValueError(f"{tol_name} must be positive")
+        if cfg.n_days < 1:
+            raise InputError(f"n_days must be at least 1, not {cfg.n_days}")
         if cfg.spec is not None and cfg.events is not None:
             raise ValueError("config must carry either a spec or data "
                              "paths, not both")
@@ -157,11 +159,8 @@ def _event_prices(spec, stream, lam, p0) -> observables.PricePath:
     price at every jump.
     """
     d, n = spec.d, len(stream)
-    dv = np.diag(spec.sizes)
-    dv_inv = np.diag(1.0 / spec.sizes)
-    k0 = lam @ dv @ np.linalg.inv(np.eye(d) - hawkes.imbalance_l1(spec)) \
-        @ dv_inv
-    loading = k0 @ dv       # price response to per-source decayed counts
+    k0 = hawkes.analytic_kernel(spec, lam, 1.0, 0).k0
+    loading = k0 * spec.sizes   # price response to per-source decayed counts
     signs = np.zeros((n, d))
     signs[np.arange(n), stream.assets] = stream.sides
     prices = p0 + np.cumsum(signs * stream.sizes[:, None], axis=0) @ lam.T
@@ -221,25 +220,26 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
 
 
 def _load_day_files(cfg, out_dir):
+    """The (events, prices) file pair of each day: the config's lists, or
+    each events_NNN.csv under out_dir with its prices_NNN.csv.  A day
+    without its price file is an input error."""
     if cfg.events is not None:
         event_files = [pathlib.Path(p) for p in cfg.events]
         price_files = [pathlib.Path(p) for p in (cfg.prices or [])]
-        if len(price_files) not in (0, len(event_files)):
-            raise InputError("events/prices file counts differ")
-        if not price_files:
-            price_files = [None] * len(event_files)
-        for f in event_files + [p for p in price_files if p is not None]:
-            if not f.exists():
-                raise InputError(f"missing data file {f}")
-        return list(zip(event_files, price_files))
-    data_dir = pathlib.Path(out_dir)
-    event_files = sorted(data_dir.glob("events_*.csv"))
-    if not event_files:
-        raise InputError(f"no events_*.csv under {data_dir}")
-    price_files = [data_dir / ef.name.replace("events_", "prices_")
-                   for ef in event_files]
-    return [(ef, pf if pf.exists() else None)
-            for ef, pf in zip(event_files, price_files)]
+        if len(price_files) != len(event_files):
+            raise InputError(f"config lists {len(event_files)} event files "
+                             f"but {len(price_files)} price files")
+    else:
+        data_dir = pathlib.Path(out_dir)
+        event_files = sorted(data_dir.glob("events_*.csv"))
+        if not event_files:
+            raise InputError(f"no events_*.csv under {data_dir}")
+        price_files = [data_dir / ef.name.replace("events_", "prices_")
+                       for ef in event_files]
+    for f in event_files + price_files:
+        if not f.exists():
+            raise InputError(f"missing data file {f}")
+    return list(zip(event_files, price_files))
 
 
 def _read_day(cfg, ef, pf):
@@ -250,8 +250,7 @@ def _read_day(cfg, ef, pf):
         # event CSV on its own ends at its last event
         stream = hawkes.EventStream.from_csv(
             ef, horizon=cfg.horizon if cfg.spec is not None else None)
-        prices = observables.PricePath.from_csv(pf, d=stream.d) \
-            if pf is not None else None
+        prices = observables.PricePath.from_csv(pf, d=stream.d)
     except (OSError, ValueError, KeyError) as exc:
         raise InputError(f"{ef}: {exc}") from exc
     return stream, prices
@@ -309,7 +308,7 @@ def _k1_health(k1, tail_tol):
     its verdict "degraded" (none for "ok")."""
     tail = k1.diagnostics["tail_error"]
     faults = []
-    if tail > tail_tol:
+    if not tail <= tail_tol:       # a NaN tail error is a fault too
         faults.append(f"tail error {tail:.2e} > tol {tail_tol:.2e}")
     return {"tail_error": tail, "tail_tol": tail_tol,
             "verdict": "degraded" if faults else "ok"}, faults
@@ -323,28 +322,19 @@ def _calibrate(cfg: RunConfig, out_dir):
     """
     out = pathlib.Path(out_dir)
     if cfg.spec is not None:
-        spec, report = _valid_spec(cfg)
-        days = _simulated_days(cfg, spec, report, out)
+        days = _simulated_days(cfg, *_valid_spec(cfg), out)
+        stage = "simulate"
     else:
         days = _read_days(cfg, out)
+        stage = "estimate"
     out.mkdir(parents=True, exist_ok=True)
     diagnostics = {"config": cfg.echo()}
-    stage = "simulate" if cfg.spec is not None else "estimate"
     try:
         obs, day0 = _estimate(cfg, days, out)
-        stage = "estimate"
-        if cfg.spec is not None:
-            theta = hawkes.stationary_intensity(spec)
-            one_sided = np.diag(theta * spec.sizes ** 2)
-            _, atom_diag = kernels.compute_K0(obs, atom_reference=one_sided)
-            diagnostics["atom_diagnostic"] = atom_diag
         stage = "factorize"
         factor = polymat.whittle_factor(
             observables.tapered_lags(obs.omega, obs.taper),
             tol=cfg.factor_tol, n_grid=cfg.grid)
-        diagnostics["factor_residual"] = factor.residual
-        diagnostics["factor_order"] = factor.order
-        diagnostics["reflection_norm"] = factor.reflection_norm
         stage = "build_k1"
         k1 = kernels.build_K1(obs, factor, tau_max=cfg.tau_max,
                               tail_tol=cfg.tail_tol,

@@ -48,6 +48,13 @@ class HawkesSpec:
         if self.alpha.ndim != 1 or \
                 any(c.shape != self.alpha.shape for c in columns):
             raise HawkesError("term columns must be 1-D and of equal length")
+        if self.mu.ndim != 1:
+            raise HawkesError("mu must be 1-D, one baseline intensity per "
+                              "asset")
+        if self.sizes.shape != self.mu.shape:
+            raise HawkesError(f"sizes has {self.sizes.size} entries but mu "
+                              f"has {self.mu.size}; each asset needs one "
+                              "order size")
         if np.any(self.mu < 0):
             raise HawkesError("baseline intensities must be nonnegative")
         if np.any(self.sizes <= 0):
@@ -287,7 +294,7 @@ def analytic_kernel(spec: HawkesSpec, lam, delta, tau_max):
     psi_int = dv @ imbalance_integral(spec, delta * np.arange(tau_max + 1)) \
         @ dv_inv
     values = k0 @ (np.eye(d) - psi_int)
-    return ImpactKernel(delta=delta, values=values, k0=k0, lam=lam,
+    return ImpactKernel(delta=delta, values=values, lam=lam,
                         provenance="analytic")
 
 

@@ -33,13 +33,12 @@ class ImpactKernel:
     """Sampled matrix impact kernel on a uniform lag lattice.
 
     values[t] is the price move (currency per contract unit) at lag
-    t * delta per unit of signed flow; values[0] equals k0 and the tail
-    approaches the permanent matrix lam.
+    t * delta per unit of signed flow; values[0] is the immediate matrix
+    k0 and the tail approaches the permanent matrix lam.
     """
 
     delta: float
     values: np.ndarray        # (n_lags+1, d, d)
-    k0: np.ndarray
     lam: np.ndarray
     provenance: str = "analytic"
     grid: int = DEFAULT_GRID
@@ -48,8 +47,12 @@ class ImpactKernel:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        self.k0 = np.asarray(self.k0, dtype=float)
         self.lam = np.asarray(self.lam, dtype=float)
+
+    @property
+    def k0(self):
+        """The immediate matrix, stored once as the lattice's lag 0."""
+        return self.values[0]
 
     @property
     def d(self):
@@ -113,21 +116,9 @@ def kyle_matrix(sigma, c, neg_tol: float = 1e-8) -> np.ndarray:
     return _sym(m)
 
 
-def compute_K0(obs: ObservableSet, atom_reference=None):
-    """Immediate impact matrix from sigma and the flow atom omega(0).
-
-    When a model-implied diagonal diag(theta v^2) is supplied as
-    atom_reference, the ratio against the estimated atom is returned as
-    a consistency diagnostic (the estimated atom of a balanced buy/sell
-    flow runs at twice the one-sided value).
-    """
-    k0 = kyle_matrix(obs.sigma, obs.omega_zero)
-    if atom_reference is None:
-        return k0
-    ref = np.asarray(atom_reference, dtype=float)
-    ratio = np.diag(obs.omega_zero) / np.where(np.diag(ref) > 0,
-                                               np.diag(ref), np.nan)
-    return k0, {"atom_over_reference": ratio.tolist()}
+def compute_K0(obs: ObservableSet) -> np.ndarray:
+    """Immediate impact matrix from sigma and the flow atom omega(0)."""
+    return kyle_matrix(obs.sigma, obs.omega_zero)
 
 
 def compute_Lambda(obs: ObservableSet, neg_tol: float = 1e-8) -> np.ndarray:
@@ -186,29 +177,15 @@ def build_K1(obs: ObservableSet, factor: WhittleFactor,
     m_mat = lam @ l0
     linv_w = np.fft.fft(factor.inverse, n, axis=0)
     fhat = m_mat[None] @ linv_w - k0[None]
-    g = np.fft.ifft(fhat, axis=0)
-    imag_mass = np.abs(g.imag).max() / max(np.abs(g.real).max(), 1e-300)
-    g = g.real
-    d = obs.d
-    values = np.zeros((tau_max + 1, d, d))
+    # the spectrum of a real filter: the imaginary part is roundoff
+    g = np.fft.ifft(fhat, axis=0).real
+    values = np.zeros((tau_max + 1, obs.d, obs.d))
     values[0] = k0
     csum = np.cumsum(g[:tau_max + 1], axis=0)
     values[1:] = k0 + csum[:tau_max] + 0.5 * g[1:tau_max + 1]
-    # rotation diagnostic: G O = M with G G^T = Lambda omega_inf Lambda^T
-    diag = {"factor_residual": factor.residual, "imag_mass": imag_mass,
-            "factor_order": factor.order,
+    diag = {"factor_residual": factor.residual, "factor_order": factor.order,
             "reflection_norm": factor.reflection_norm}
-    gram = _sym(lam @ obs.omega_inf @ lam.T)
-    try:
-        gchol = np.linalg.cholesky(gram)
-        rot = np.linalg.solve(gchol, m_mat)
-        diag["rotation_residual"] = float(
-            np.linalg.norm(rot @ rot.T - np.eye(d)))
-        diag["rotation_conditioning"] = float(np.linalg.cond(gram))
-    except np.linalg.LinAlgError:
-        diag["rotation_residual"] = float("nan")
-        diag["rotation_conditioning"] = float("inf")
-    kernel = ImpactKernel(delta=obs.delta, values=values, k0=k0, lam=lam,
+    kernel = ImpactKernel(delta=obs.delta, values=values, lam=lam,
                           provenance="k1", grid=n, tail_tol=tail_tol,
                           diagnostics=diag)
     diag["tail_error"] = kernel.tail_error()
@@ -279,14 +256,12 @@ def regularize_K2(k1: ImpactKernel, n_grid: int | None = None) -> ImpactKernel:
     values[0] = lam2 + z[0]
     values[1:half] = lam2[None] + z[1:half]
     values[half] = lam2 + z[half]
-    k0_new = values[0].copy()
     diag = {
         "clipped_negative_mass": clipped_mass,
-        "source_k0": k1.k0.tolist(),
         "spectral_distance_to_input": float(
             np.linalg.norm(zclip - zhat) / max(np.linalg.norm(zhat), 1e-300)),
     }
-    kernel = ImpactKernel(delta=k1.delta, values=values, k0=k0_new, lam=lam2,
+    kernel = ImpactKernel(delta=k1.delta, values=values, lam=lam2,
                           provenance="k2", grid=n, tail_tol=k1.tail_tol,
                           diagnostics=diag)
     diag["tail_error"] = kernel.tail_error()
@@ -370,16 +345,18 @@ def save_kernel(directory, kernel: ImpactKernel):
                               "provenance": kernel.provenance,
                               "tail_tol": kernel.tail_tol,
                               "diagnostics": kernel.diagnostics},
-                  values=kernel.values, k0=kernel.k0, lam=kernel.lam)
+                  values=kernel.values, lam=kernel.lam)
 
 
 def load_kernel(directory) -> ImpactKernel:
+    """The kernel saved under directory; a k0 array, which an older
+    artifact holds next to values, is ignored."""
     directory = pathlib.Path(directory)
     if not (directory / "meta.json").exists():
         raise KernelError(f"{directory} is not a kernel directory")
     meta, arrays = load_artifact(directory)
     return ImpactKernel(delta=meta["delta"], values=arrays["values"],
-                        k0=arrays["k0"], lam=arrays["lam"],
+                        lam=arrays["lam"],
                         provenance=meta["provenance"], grid=meta["grid"],
                         tail_tol=meta["tail_tol"],
                         diagnostics=meta.get("diagnostics", {}))

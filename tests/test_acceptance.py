@@ -196,7 +196,7 @@ def test_criterion_martingale_desk_check(consistent_pipeline):
 def test_criterion_arbitrage_detection(coupled_pipeline):
     m = np.array([[0.5, 0.35], [0.25, 0.5]])   # M_pq - M_qp = 0.1
     vals = np.tile(m, (9, 1, 1))
-    const = kernels.ImpactKernel(delta=1.0, values=vals, k0=m.copy(),
+    const = kernels.ImpactKernel(delta=1.0, values=vals,
                                  lam=m.copy(), provenance="analytic",
                                  grid=256)
     vp, vq, T = 1.3, 0.7, 3.0
@@ -233,7 +233,7 @@ def test_criterion_clipping_correctness(coupled_pipeline):
     min_eig_rel = eigs.min() / np.abs(eigs).max()
     tau = np.arange(65, dtype=float)
     svals = (np.exp(-0.15 * tau) - 0.8 * np.exp(-0.5 * tau))[:, None, None]
-    scal = kernels.ImpactKernel(delta=1.0, values=svals, k0=svals[0],
+    scal = kernels.ImpactKernel(delta=1.0, values=svals,
                                 lam=np.zeros((1, 1)), provenance="k1",
                                 grid=512)
     zs = kernels.symmetrized_transform(scal, 512)[:, 0, 0].real

@@ -16,14 +16,14 @@ from crossimpact.observables import BinnedSeries
 def constant_kernel(mat, tau_max=8, delta=1.0):
     mat = np.asarray(mat, dtype=float)
     vals = np.tile(mat, (tau_max + 1, 1, 1))
-    return ImpactKernel(delta=delta, values=vals, k0=mat.copy(),
+    return ImpactKernel(delta=delta, values=vals,
                         lam=mat.copy(), provenance="analytic", grid=256)
 
 
 def exponential_kernel(rate=1.0, tau_max=2000, delta=0.01, d=1):
     tau = delta * np.arange(tau_max + 1)
     vals = np.exp(-rate * tau)[:, None, None] * np.eye(d)[None]
-    return ImpactKernel(delta=delta, values=vals, k0=vals[0],
+    return ImpactKernel(delta=delta, values=vals,
                         lam=np.zeros((d, d)), provenance="analytic",
                         grid=4096, tail_tol=1e-6)
 
@@ -125,7 +125,7 @@ def kernels_and_strategies(draw):
     delta = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     vals = rng.normal(size=(n_lags + 1, d, d))
-    kernel = ImpactKernel(delta=delta, values=vals, k0=vals[0],
+    kernel = ImpactKernel(delta=delta, values=vals,
                           lam=vals[-1].copy(), provenance="analytic",
                           grid=64)
     horizon = draw(st.floats(0.2, 2.5)) * n_lags * delta
@@ -194,7 +194,7 @@ class TestCost:
         vals[:, 1, 1] = 0.8 + 0.5 * np.exp(-0.2 * tau)
         vals[:, 0, 1] = 0.3 * np.exp(-0.25 * tau) + 0.2
         vals[:, 1, 0] = 0.25 * np.exp(-0.35 * tau) + 0.2
-        k = ImpactKernel(delta=1.0, values=vals, k0=vals[0], lam=vals[-1],
+        k = ImpactKernel(delta=1.0, values=vals, lam=vals[-1],
                          provenance="analytic", grid=256, tail_tol=0.2)
         s = Strategy(pieces=[[Piece(0.0, 5.0, 1.0), Piece(9.0, 14.0, -1.0)],
                              [Piece(2.0, 8.0, -0.5), Piece(10.0, 16.0, 0.5)]],
@@ -232,7 +232,7 @@ class TestCost:
     def test_horizon_beyond_unconverged_tail_rejected(self):
         tau = np.arange(9, dtype=float)
         vals = np.exp(-0.05 * tau)[:, None, None]
-        k = ImpactKernel(delta=1.0, values=vals, k0=vals[0],
+        k = ImpactKernel(delta=1.0, values=vals,
                          lam=np.zeros((1, 1)), provenance="k1", grid=64)
         s = Strategy(pieces=[[Piece(0.0, 20.0, 1.0)]], horizon=20.0)
         with pytest.raises(StrategyError):
@@ -301,7 +301,7 @@ class TestMinRoundtrip:
         # refuses to price
         tau = np.arange(9, dtype=float)
         vals = np.exp(-0.05 * tau)[:, None, None]
-        k = ImpactKernel(delta=1.0, values=vals, k0=vals[0],
+        k = ImpactKernel(delta=1.0, values=vals,
                          lam=np.zeros((1, 1)), provenance="k1", grid=64)
         assert k.tail_error() > k.tail_tol
         with pytest.raises(StrategyError, match="tail has not converged"):
@@ -337,7 +337,7 @@ class TestPredict:
         vals[:, 1, 1] = np.exp(-0.2 * tau)
         vals[:, 1, 0] = 0.4 * np.exp(-0.3 * tau)
         lam = np.zeros((2, 2))
-        k = ImpactKernel(delta=1.0, values=vals, k0=vals[0], lam=lam,
+        k = ImpactKernel(delta=1.0, values=vals, lam=lam,
                          provenance="analytic", grid=64, tail_tol=0.5)
         n = 12
         flows = np.zeros((n, 2))
@@ -356,7 +356,7 @@ class TestPredict:
         tau = np.arange(9, dtype=float)
         vals = np.exp(-0.4 * tau)[:, None, None] * np.eye(2)[None] \
             + 0.1 * np.ones((2, 2))[None]
-        k = ImpactKernel(delta=1.0, values=vals, k0=vals[0], lam=vals[-1],
+        k = ImpactKernel(delta=1.0, values=vals, lam=vals[-1],
                          provenance="analytic", grid=64, tail_tol=0.6)
         q1 = rng.normal(size=(30, 2))
         q2 = rng.normal(size=(30, 2))
@@ -376,7 +376,7 @@ class TestPredict:
         rng = np.random.default_rng(n)
         vals = rng.normal(size=(13, 3, 3))
         lam = rng.normal(size=(3, 3))
-        k = ImpactKernel(delta=1.0, values=vals, k0=vals[0], lam=lam,
+        k = ImpactKernel(delta=1.0, values=vals, lam=lam,
                          provenance="analytic", grid=64, tail_tol=10.0)
         q = rng.normal(size=(n, 3))
         series = BinnedSeries(delta=1.0, open_prices=np.zeros((n, 3)),

@@ -141,6 +141,8 @@ class TestConfig:
                      id="spec-list"),
         pytest.param({"tolerances": 1e-3}, "tolerances are JSON objects",
                      id="tolerances-float"),
+        pytest.param({"n_days": -1}, "n_days must be at least 1, not -1",
+                     id="n_days-negative"),
     ])
     def test_wrong_value_type_exits_2(self, tmp_path, capsys, raw, message):
         # refused for every config command before any directory is made
@@ -205,32 +207,36 @@ class TestSimulate:
                                     "bb": [[[[0.2, 1.0]]]]}})
         assert_refused(cfg, tmp_path, capsys, "no imbalance kernel")
 
-    # explicit ids: each case keeps its id as cases are added
-    @pytest.mark.parametrize("blocks, message", [
-        pytest.param({"aa": [[[[0.1, 0.25]]]]},           # 1 x 1 of 2 x 2
+    # explicit ids: each case keeps its id as cases are added; a case
+    # overrides keys of a spec with mu [0.6, 0.45] and no blocks
+    @pytest.mark.parametrize("spec, message", [
+        pytest.param({"blocks": {"aa": [[[[0.1, 0.25]]]]}},   # 1 x 1 of 2 x 2
                      "block aa is not 2x2", id="blocks0"),
-        pytest.param({"bb": [[[[0.1, 0.0]], []], [[], []]]},   # beta = 0
-                     "beta > 0", id="blocks1"),
-        pytest.param({"ab": [[[[-0.1, 0.25]], []], [[], []]]},  # alpha < 0
-                     "alpha >= 0", id="blocks2"),
-        pytest.param({"ba": [[[[0.1, 0.25, 1.0]], []], [[], []]]},
+        pytest.param({"blocks": {"bb": [[[[0.1, 0.0]], []], [[], []]]}},
+                     "beta > 0", id="blocks1"),               # beta = 0
+        pytest.param({"blocks": {"ab": [[[[-0.1, 0.25]], []], [[], []]]}},
+                     "alpha >= 0", id="blocks2"),             # alpha < 0
+        pytest.param({"blocks": {"ba": [[[[0.1, 0.25, 1.0]], []],
+                                        [[], []]]}},
                      "block ba[0][0]: term [0.1, 0.25, 1.0] is not an "
                      "(alpha, beta) pair", id="blocks3"),
-        pytest.param({"ba": [[[0.1], []], [[], []]]},     # scalar term
+        pytest.param({"blocks": {"ba": [[[0.1], []], [[], []]]}},
                      "block ba[0][0]: term 0.1 is not", id="blocks4"),
-        pytest.param({"ab": [[[], []], [[], [["x", 0.25]]]]},
+        pytest.param({"blocks": {"ab": [[[], []], [[], [["x", 0.25]]]]}},
                      "block ab[1][1]: term ['x', 0.25] is not",
                      id="blocks5"),
-        pytest.param({"aa": [0.1, 0.2]},                  # scalar row
+        pytest.param({"blocks": {"aa": [0.1, 0.2]}},         # scalar row
                      "block aa[0]: row 0.1 is not", id="blocks6"),
-        pytest.param({"bb": [[0.1, []], [[], []]]},       # scalar entry
+        pytest.param({"blocks": {"bb": [[0.1, []], [[], []]]}},
                      "block bb[0][0]: entry 0.1 is not", id="blocks7"),
-        pytest.param([], "blocks [] is not a map", id="blocks8"),
+        pytest.param({"blocks": []}, "blocks [] is not a map", id="blocks8"),
+        pytest.param({"sizes": [1.0]}, "sizes has 1 entries but mu has 2",
+                     id="sizes0"),
+        pytest.param({"mu": [[0.6, 0.45]], "sizes": [[1.0, 2.0]]},
+                     "mu must be 1-D", id="mu0"),
     ])
-    def test_malformed_spec_exits_2(self, tmp_path, capsys, blocks,
-                                    message):
-        cfg = small_config(tmp_path, spec={"mu": [0.6, 0.45],
-                                           "blocks": blocks})
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, spec, message):
+        cfg = small_config(tmp_path, spec={"mu": [0.6, 0.45], **spec})
         assert_refused(cfg, tmp_path, capsys, message)
 
     def test_spec_without_mu_exits_2(self, tmp_path, capsys):
@@ -264,8 +270,14 @@ class TestCalibrate:
             assert b1.keys() == b2.keys()
             assert all(b1[k] == b2[k] for k in b1)
         diag = json.loads((out1 / "diagnostics.json").read_text())
-        assert diag["factor_residual"] < 1e-5
-        assert "k1_admissibility" in diag
+        # each number is recorded once: the factor's under k1_diagnostics
+        assert set(diag) == {"config", "health", "k1_boundaries",
+                             "k1_diagnostics", "k2_diagnostics",
+                             "k1_admissibility", "k2_admissibility"}
+        assert set(diag["k1_diagnostics"]) == {
+            "factor_residual", "factor_order", "reflection_norm",
+            "tail_error"}
+        assert diag["k1_diagnostics"]["factor_residual"] < 1e-5
         # boundary files match the boundary operators applied to the
         # estimated observables
         from crossimpact.kernels import compute_K0, compute_Lambda
@@ -295,6 +307,34 @@ class TestCalibrate:
             else:
                 assert f"k1 degraded (tail error {tail:.2e} > tol " \
                     f"{tail_tol:.2e})" in printed
+
+    def test_nan_tail_error_degraded(self, tmp_path, capsys):
+        # one constant price per asset: sigma and both kernels are zero,
+        # and the tail error 0/0 is NaN, which is no healthy tail
+        cfg = small_config(tmp_path, n_days=1)
+        sim = tmp_path / "sim"
+        assert main(["--config", str(cfg), "--output-dir", str(sim),
+                     "simulate"]) == EXIT_OK
+        rows = (sim / "prices_000.csv").read_text().splitlines()
+        const = tmp_path / "const.csv"
+        const.write_text("\n".join([rows[0]] + [
+            row.rsplit(",", 1)[0] + ",100" for row in rows[1:]]) + "\n")
+        raw = json.loads(cfg.read_text())
+        del raw["spec"]
+        raw.update(events=[str(sim / "events_000.csv")], prices=[str(const)],
+                   tolerances={"tail_tol": 2.0})
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "flat"
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "invalid value", RuntimeWarning)
+            assert main(["--config", str(cfg), "--output-dir", str(out),
+                         "calibrate"]) == EXIT_OK
+        assert not load_kernel(out / "k1").values.any()
+        health = json.loads((out / "diagnostics.json").read_text())["health"]
+        assert np.isnan(health["tail_error"])
+        assert health["verdict"] == "degraded"
+        assert "k1 degraded (tail error nan > tol 2.00e+00)" in \
+            capsys.readouterr().out
 
     def test_check_exit_codes(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -335,7 +375,7 @@ class TestCalibrate:
         vals[:, 0, 0] = np.exp(-tau)
         vals[:, 1, 1] = np.exp(-tau)
         vals[0, 0, 1] = 0.5
-        k = ImpactKernel(delta=1.0, values=vals, k0=vals[0],
+        k = ImpactKernel(delta=1.0, values=vals,
                          lam=np.zeros((2, 2)), provenance="k1", grid=256)
         save_kernel(tmp_path / "bad", k)
         assert main(["check", str(tmp_path / "bad")]) == EXIT_FAIL
@@ -347,7 +387,7 @@ class TestCalibrate:
                                         expected):
         vals = np.zeros((9, 2, 2))
         vals[0, 0, 1] = 0.5
-        k = ImpactKernel(delta=1.0, values=vals, k0=vals[0],
+        k = ImpactKernel(delta=1.0, values=vals,
                          lam=np.zeros((2, 2)), provenance="k1", grid=256)
         save_kernel(tmp_path / "k", k)
         npz = tmp_path / "k" / "arrays.npz"
@@ -393,8 +433,8 @@ class TestCalibrate:
                      "calibrate"]) == EXIT_OK
         assert not (out / "factor").exists()
         diag = json.loads((out / "diagnostics.json").read_text())
-        assert 0 < diag["factor_order"] <= 2048 // 2
-        assert diag["reflection_norm"] < 1e-10
+        assert 0 < diag["k1_diagnostics"]["factor_order"] <= 2048 // 2
+        assert diag["k1_diagnostics"]["reflection_norm"] < 1e-10
 
     def test_simulated_days_span_the_horizon(self, tmp_path):
         # a sparse market's last event falls seconds before the horizon;
@@ -486,6 +526,28 @@ class TestCalibrate:
         rc = main(["--config", str(cfg), "--output-dir",
                    str(tmp_path / "x"), "calibrate"])
         assert rc == EXIT_INPUT
+
+    def test_day_without_price_file_exits_2(self, tmp_path, capsys):
+        # a day is never binned with zero returns in place of its prices
+        cfg = small_config(tmp_path, n_days=2)
+        sim = tmp_path / "sim"
+        assert main(["--config", str(cfg), "--output-dir", str(sim),
+                     "simulate"]) == EXIT_OK
+        (sim / "prices_001.csv").unlink()
+        assert main(["--config", str(cfg), "--output-dir", str(sim),
+                     "estimate"]) == EXIT_INPUT
+        assert f"missing data file {sim / 'prices_001.csv'}" in \
+            capsys.readouterr().err
+        assert not (sim / "observables").exists()
+        raw = json.loads(cfg.read_text())
+        del raw["spec"]
+        raw["events"] = [str(sim / "events_000.csv")]
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "no-prices"
+        assert main(["--config", str(cfg), "--output-dir", str(out),
+                     "calibrate"]) == EXIT_INPUT
+        assert "1 event files but 0 price files" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInMemoryDays:
@@ -580,7 +642,7 @@ class TestCheckScans:
         monkeypatch.chdir(tmp_path)
         tau = np.arange(65, dtype=float)
         vals = np.exp(-tau / 4.0)[:, None, None] * np.eye(2)
-        k = ImpactKernel(delta=1.0, values=vals, k0=vals[0],
+        k = ImpactKernel(delta=1.0, values=vals,
                          lam=np.zeros((2, 2)), provenance="k1", grid=256)
         rc, scans, rels, worst = check_output(k, capsys)
         assert rc == EXIT_OK
@@ -593,7 +655,7 @@ class TestCheckScans:
         monkeypatch.chdir(tmp_path)
         tau = np.arange(9, dtype=float)
         vals = np.exp(-0.05 * tau)[:, None, None]
-        k = ImpactKernel(delta=1.0, values=vals, k0=vals[0],
+        k = ImpactKernel(delta=1.0, values=vals,
                          lam=np.zeros((1, 1)), provenance="k1", grid=64)
         rc, scans, rels, worst = check_output(k, capsys)
         skipped = [line for line in scans if "skipped" in line]

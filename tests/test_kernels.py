@@ -100,14 +100,6 @@ class TestBoundaryMatrices:
         expect = np.diag(np.sqrt(np.diag(sigma) / np.diag(c)) / np.sqrt(2))
         assert np.allclose(k0, expect, atol=1e-12)
 
-    def test_atom_diagnostic_ratio(self):
-        theta = np.array([1.0, 0.5])
-        v = np.array([1.0, 2.0])
-        atom = 2.0 * np.diag(theta * v ** 2)
-        obs = white_observables(np.eye(2), atom)
-        k0, diag = compute_K0(obs, atom_reference=np.diag(theta * v ** 2))
-        assert np.allclose(diag["atom_over_reference"], [2.0, 2.0])
-
     def test_white_flow_lambda_equals_k0(self):
         rng = np.random.default_rng(5)
         sigma = random_spd(rng, 2)
@@ -170,6 +162,14 @@ class TestBuildK1:
         k1, obs = build_white_k1(sigma, c)
         assert np.array_equal(k1.k0, compute_K0(obs))
         assert np.array_equal(k1.lam, compute_Lambda(obs))
+        # on long-memory flow with a tiny factor residual, L(0) L(0)^T is
+        # omega_inf, so M = Lambda L(0) carries Lambda omega_inf Lambda^T
+        inst = synthetic.consistent_instance(beta=0.05, branch=0.5,
+                                             tau_max=600)
+        factor = whittle_factor(inst.obs.omega)
+        assert factor.residual <= 1e-6
+        l0, winf = factor.l_at_one, inst.obs.omega_inf
+        assert np.abs(l0 @ l0.T - winf).max() <= 1e-6 * np.abs(winf).max()
 
     def test_scalar_matches_independent_wiener_hopf(self):
         # one-asset pipeline against the exact rational factor of the
@@ -217,17 +217,6 @@ class TestBuildK1:
         dev = np.abs(k1.values[:, 0, 0] - vals).max() / np.abs(vals).max()
         assert dev <= 1e-6
 
-    def test_rotation_diagnostic_orthogonal(self):
-        # whenever the factor residual is tiny, the implied rotation in
-        # the boundary identity is orthogonal to matching accuracy
-        inst = synthetic.consistent_instance(beta=0.05, branch=0.5,
-                                             tau_max=600)
-        factor = whittle_factor(inst.obs.omega)
-        assert factor.residual <= 1e-6
-        k1 = build_K1(inst.obs, factor, tau_max=600)
-        assert k1.diagnostics["rotation_residual"] <= 1e-6
-        assert np.isfinite(k1.diagnostics["rotation_conditioning"])
-
     def test_exact_lags_tail_reaches_lambda(self):
         # lead-lag flow with its exact lattice lags: the kernel settles on
         # the permanent matrix, which an aliased inverse factor misses
@@ -253,7 +242,7 @@ def decaying_kernel(tau_max=64, rate=0.15, lam_scale=0.0):
     vals = (np.exp(-rate * tau))[:, None, None] * np.eye(1)[None]
     lam = lam_scale * np.eye(1)
     vals = vals + lam[None]
-    return ImpactKernel(delta=1.0, values=vals, k0=vals[0], lam=lam,
+    return ImpactKernel(delta=1.0, values=vals, lam=lam,
                         provenance="k1", grid=512)
 
 
@@ -280,7 +269,7 @@ class TestValueAt:
         rng = np.random.default_rng(7)
         vals = rng.normal(size=(9, 2, 2))
         lam = rng.normal(size=(2, 2))
-        k = ImpactKernel(delta=0.5, values=vals, k0=vals[0], lam=lam)
+        k = ImpactKernel(delta=0.5, values=vals, lam=lam)
         tau = np.array([-0.3, 0.0, 0.25, 0.5, 1.7, 3.999, 4.0, 9.0])
         got = k.value_at(tau)
         assert got.shape == (tau.size, 2, 2)
@@ -301,7 +290,7 @@ class TestSymmetrizedTransform:
     def test_matches_reflection_loop(self, n_lags, grid, n_grid):
         rng = np.random.default_rng(n_lags + grid)
         vals = rng.normal(size=(n_lags + 1, 2, 2))
-        k = ImpactKernel(delta=1.0, values=vals, k0=vals[0],
+        k = ImpactKernel(delta=1.0, values=vals,
                          lam=rng.normal(size=(2, 2)), provenance="k1",
                          grid=grid)
         assert np.array_equal(symmetrized_transform(k, n_grid),
@@ -330,7 +319,7 @@ class TestRegularize:
         tau = np.arange(65, dtype=float)
         vals = (np.exp(-0.15 * tau)
                 - 0.8 * np.exp(-0.5 * tau))[:, None, None]
-        k = ImpactKernel(delta=1.0, values=vals, k0=vals[0],
+        k = ImpactKernel(delta=1.0, values=vals,
                          lam=np.zeros((1, 1)), provenance="k1", grid=512)
         z = symmetrized_transform(k, 512)[:, 0, 0].real
         assert z.min() < -1e-3    # the dip is real
@@ -360,8 +349,8 @@ class TestRegularize:
         assert k2.diagnostics["tail_error"] == k2.tail_error()
         assert k2.tail_error() < 1e-3 * k1.diagnostics["tail_error"]
         assert set(k2.diagnostics) == {
-            "clipped_negative_mass", "source_k0",
-            "spectral_distance_to_input", "tail_error"}
+            "clipped_negative_mass", "spectral_distance_to_input",
+            "tail_error"}
 
     def test_clip_is_frobenius_projection(self):
         # per-frequency convex oracle: no PSD candidate is closer
@@ -408,7 +397,7 @@ class TestNsaCheck:
         vals[:, 1, 1] = base
         vals[:, 0, 1] = 0.5 * base
         vals[0, 0, 1] = 0.9    # asymmetric immediate matrix
-        k = ImpactKernel(delta=1.0, values=vals, k0=vals[0],
+        k = ImpactKernel(delta=1.0, values=vals,
                          lam=np.zeros((2, 2)), provenance="k1", grid=256)
         rep = nsa_check(k)
         assert not rep.verdict
@@ -430,9 +419,8 @@ class TestSerialization:
         k = decaying_kernel(tau_max=16, lam_scale=0.3)
         if provenance == "k2":
             k = regularize_K2(k, n_grid=64)
-            # K2 diagnostics carry a nested list
-            assert isinstance(k.diagnostics["source_k0"][0], list)
         k.diagnostics["factor_residual"] = 1e-9
+        k.diagnostics["nested"] = k.lam.tolist()
         save_kernel(tmp_path / "k", k)
         back = load_kernel(tmp_path / "k")
         assert np.array_equal(back.values, k.values)
@@ -455,6 +443,23 @@ class TestSerialization:
         save_kernel(tmp_path / "later", k)
         assert (tmp_path / "now" / "arrays.npz").read_bytes() == \
             (tmp_path / "later" / "arrays.npz").read_bytes()
+
+    def test_npz_holds_values_and_lam(self, tmp_path):
+        k = decaying_kernel(tau_max=16, lam_scale=0.3)
+        save_kernel(tmp_path / "k", k)
+        with np.load(tmp_path / "k" / "arrays.npz") as npz:
+            assert sorted(npz.files) == ["lam", "values"]
+
+    def test_k0_array_of_older_artifact_ignored(self, tmp_path):
+        # an artifact that also stores k0 loads with k0 = values[0], even
+        # where its stored k0 disagrees
+        k = decaying_kernel(tau_max=16, lam_scale=0.3)
+        save_kernel(tmp_path / "k", k)
+        npz = tmp_path / "k" / "arrays.npz"
+        np.savez(npz, values=k.values, k0=k.k0 + 1.0, lam=k.lam)
+        back = load_kernel(tmp_path / "k")
+        assert np.array_equal(back.k0, k.values[0])
+        assert np.array_equal(back.values, k.values)
 
     def test_malformed_directory(self, tmp_path):
         with pytest.raises(KernelError):
