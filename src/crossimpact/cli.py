@@ -95,7 +95,8 @@ class RunConfig:
                 raise ValueError(f"{tol_name} must be positive")
         if cfg.n_days < 1:
             raise InputError(f"n_days must be at least 1, not {cfg.n_days}")
-        if cfg.spec is not None and cfg.events is not None:
+        if cfg.spec is not None and (cfg.events is not None
+                                     or cfg.prices is not None):
             raise ValueError("config must carry either a spec or data "
                              "paths, not both")
         return cfg
@@ -179,36 +180,49 @@ def _event_prices(spec, stream, lam, p0) -> observables.PricePath:
 
 def _valid_spec(cfg):
     """The config's spec and its validation report.  A spec that cannot
-    be parsed, or that validate_spec does not pass, is an input error."""
+    be parsed, or that validate_spec does not pass, is an input error;
+    so are a lambda or p0 that do not fit its assets."""
     if cfg.spec is None:
         raise InputError("simulate needs a hawkes spec in config")
     spec = parse_spec(cfg.spec)
     report = hawkes.validate_spec(spec)
     if not report.ok:
         raise InputError("invalid spec: " + "; ".join(report.messages))
+    d = spec.d
+    for key, value, shape in (("lambda", cfg.lam, (d, d)),
+                              ("p0", cfg.p0, (d,))):
+        if value is not None and np.shape(value) != shape:
+            raise InputError(f"{key} has shape {np.shape(value)}, not "
+                             f"{shape} for the spec's {d} assets")
     return spec, report
 
 
 def _simulated_days(cfg, spec, report, out):
-    """Simulate the config's days; write each day's event and price CSVs
-    under out, then yield its (stream, prices).  The manifest follows
-    the last day."""
+    """Simulate the config's days; write each day's event CSV under out,
+    then yield its stream.  The manifest follows the last day."""
     if cfg.horizon == 0:
         print("warning: zero horizon, writing empty streams", file=sys.stderr)
     out.mkdir(parents=True, exist_ok=True)
-    lam = _default_lambda(spec, cfg)
-    p0 = np.asarray(cfg.p0 if cfg.p0 is not None else [100.0] * spec.d,
-                    dtype=float)
     for day in range(cfg.n_days):
         stream = hawkes.simulate(spec, cfg.horizon, cfg.seed + day)
-        prices = _event_prices(spec, stream, lam, p0)
         stream.to_csv(out / f"events_{day:03d}.csv")
-        prices.to_csv(out / f"prices_{day:03d}.csv")
-        yield stream, prices
+        yield stream
     manifest = {"n_days": cfg.n_days, "config": cfg.echo(),
                 "validation": dataclasses.asdict(report)}
     (out / "manifest.json").write_text(json.dumps(
         observables._json_safe(manifest), sort_keys=True, indent=1))
+
+
+def _priced_days(cfg, spec, streams):
+    """(stream, prices) of each simulated stream: the prices are
+    _event_prices under the spec, lam from _default_lambda and p0, the
+    config's or 100 per asset.  A spec-mode day's prices are derived
+    this way, both as it is simulated and as it is read back."""
+    lam = _default_lambda(spec, cfg)
+    p0 = np.asarray(cfg.p0 if cfg.p0 is not None else [100.0] * spec.d,
+                    dtype=float)
+    for stream in streams:
+        yield stream, _event_prices(spec, stream, lam, p0)
 
 
 def cmd_simulate(cfg: RunConfig, out_dir) -> int:
@@ -219,21 +233,31 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     return EXIT_OK
 
 
+def _event_files(data_dir):
+    """Each events_NNN.csv under data_dir, in day order; none is an input
+    error."""
+    event_files = sorted(data_dir.glob("events_*.csv"))
+    if not event_files:
+        raise InputError(f"no events_*.csv under {data_dir}")
+    return event_files
+
+
 def _load_day_files(cfg, out_dir):
-    """The (events, prices) file pair of each day: the config's lists, or
-    each events_NNN.csv under out_dir with its prices_NNN.csv.  A day
-    without its price file is an input error."""
-    if cfg.events is not None:
-        event_files = [pathlib.Path(p) for p in cfg.events]
-        price_files = [pathlib.Path(p) for p in (cfg.prices or [])]
+    """The (events, prices) file pair of each data-path day: the config's
+    lists, or each events_NNN.csv under out_dir with its prices_NNN.csv.
+    Lists without an event file, lists of unequal length and a day
+    without its price file are input errors."""
+    if cfg.events is not None or cfg.prices is not None:
+        event_files = [pathlib.Path(p) for p in cfg.events or []]
+        price_files = [pathlib.Path(p) for p in cfg.prices or []]
+        if not event_files:
+            raise InputError("config lists no event files")
         if len(price_files) != len(event_files):
             raise InputError(f"config lists {len(event_files)} event files "
                              f"but {len(price_files)} price files")
     else:
         data_dir = pathlib.Path(out_dir)
-        event_files = sorted(data_dir.glob("events_*.csv"))
-        if not event_files:
-            raise InputError(f"no events_*.csv under {data_dir}")
+        event_files = _event_files(data_dir)
         price_files = [data_dir / ef.name.replace("events_", "prices_")
                        for ef in event_files]
     for f in event_files + price_files:
@@ -242,18 +266,45 @@ def _load_day_files(cfg, out_dir):
     return list(zip(event_files, price_files))
 
 
-def _read_day(cfg, ef, pf):
-    """(stream, prices) of one day's event and price files; a file that
-    cannot be read is an input error."""
+# the config keys that, with a day's events, fix its simulated prices
+PRICE_KEYS = ("spec", "lam", "impact_scale", "p0")
+
+
+def _simulated_event_files(cfg, out_dir):
+    """Each events_NNN.csv that simulate wrote under out_dir.  Their
+    prices are derived from the config, so the directory's manifest must
+    record the config's PRICE_KEYS; a missing manifest, or one that
+    records other values, is an input error."""
+    data_dir = pathlib.Path(out_dir)
+    path = data_dir / "manifest.json"
+    echo = cfg.echo()
     try:
-        # a day simulated from the config's spec spans its horizon; an
-        # event CSV on its own ends at its last event
-        stream = hawkes.EventStream.from_csv(
-            ef, horizon=cfg.horizon if cfg.spec is not None else None)
-        prices = observables.PricePath.from_csv(pf, d=stream.d)
+        recorded = json.loads(path.read_text())["config"]
+        differ = [key for key in PRICE_KEYS if recorded[key] != echo[key]]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"{path}: no simulation manifest to derive the "
+                         f"prices from ({exc})") from exc
+    if differ:
+        raise InputError(f"{path} records another {', '.join(differ)} than "
+                         "the config; the simulated prices cannot be "
+                         "derived")
+    return _event_files(data_dir)
+
+
+def _read(reader, path, **kwargs):
+    """reader(path, **kwargs); a file that cannot be read is an input
+    error."""
+    try:
+        return reader(path, **kwargs)
     except (OSError, ValueError, KeyError) as exc:
-        raise InputError(f"{ef}: {exc}") from exc
-    return stream, prices
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _read_day(ef, pf):
+    """(stream, prices) of one data-path day.  An event CSV on its own
+    ends at its last event."""
+    stream = _read(hawkes.EventStream.from_csv, ef)
+    return stream, _read(observables.PricePath.from_csv, pf, d=stream.d)
 
 
 def _bin_one_day(cfg, day, stream, prices):
@@ -270,8 +321,16 @@ def _bin_one_day(cfg, day, stream, prices):
 
 
 def _read_days(cfg, out_dir):
-    """(stream, prices) of each day file pair, read as it is reached."""
-    return (_read_day(cfg, ef, pf) for ef, pf in _load_day_files(cfg, out_dir))
+    """(stream, prices) of each day, read as it is reached.  With a spec,
+    the days are the event CSVs that simulate wrote under out_dir: each
+    spans the horizon it was simulated on, and its prices are derived
+    from its events as simulate derived them."""
+    if cfg.spec is None:
+        return (_read_day(ef, pf) for ef, pf in _load_day_files(cfg, out_dir))
+    spec, _ = _valid_spec(cfg)
+    return _priced_days(cfg, spec, (
+        _read(hawkes.EventStream.from_csv, ef, d=spec.d, horizon=cfg.horizon)
+        for ef in _simulated_event_files(cfg, out_dir)))
 
 
 def _estimate(cfg, days, out):
@@ -285,8 +344,6 @@ def _estimate(cfg, days, out):
             day0 = stream
         # the next day is simulated or read without this one
         del stream, prices
-    if not series:
-        raise InputError("no days to estimate from")
     try:
         obs = observables.build_observables(series, cfg.tau_max,
                                             taper=cfg.taper)
@@ -318,11 +375,13 @@ def _calibrate(cfg: RunConfig, out_dir):
     """Run calibrate into out_dir; returns (K1, K2, day 0's event stream).
 
     Input faults are raised before anything is written.  With a spec,
-    each day is binned as simulated, which is what its CSV files hold.
+    each day is binned as simulated, which is what its event CSV holds.
     """
     out = pathlib.Path(out_dir)
     if cfg.spec is not None:
-        days = _simulated_days(cfg, *_valid_spec(cfg), out)
+        spec, report = _valid_spec(cfg)
+        days = _priced_days(cfg, spec,
+                            _simulated_days(cfg, spec, report, out))
         stage = "simulate"
     else:
         days = _read_days(cfg, out)

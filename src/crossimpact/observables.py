@@ -133,7 +133,11 @@ def bin_events(stream: EventStream, prices: PricePath | None, delta: float,
 
 
 def estimate_sigma(series: list) -> np.ndarray:
-    """Average of per-day return covariances (1/(T-1)) sum r_t r_t^T."""
+    """Average of per-day return covariances (1/(T-1)) sum r_t r_t^T.
+
+    Prices that never move give no impact to calibrate: a covariance of
+    zero trace raises.
+    """
     if not series:
         raise ObservablesError("no binned series")
     mats = []
@@ -145,6 +149,9 @@ def estimate_sigma(series: list) -> np.ndarray:
     if not mats:
         raise ObservablesError("need at least 2 bins in some day")
     sigma = np.mean(mats, axis=0)
+    if np.trace(sigma) == 0:
+        raise ObservablesError("return covariance has zero trace: no "
+                               "price moves in any day")
     return 0.5 * (sigma + sigma.T)
 
 

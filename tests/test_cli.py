@@ -78,6 +78,32 @@ def event_prices_loop(spec, stream, lam, p0):
     return np.asarray(out).ravel()
 
 
+def write_price_tape(path, stream, prices):
+    """A data-path price CSV: each asset's price at every event of stream."""
+    d = stream.d
+    observables.PricePath(times=np.repeat(stream.times, d),
+                          assets=np.tile(np.arange(d), len(stream)),
+                          prices=prices, d=d).to_csv(path)
+
+
+def loop_price_tapes(cfg, sim):
+    """Write prices_NNN.csv beside each events_NNN.csv that a spec-mode
+    simulate on cfg wrote under sim, from event_prices_loop with the
+    config's lambda (or the default) and p0 (or 100 per asset); returns
+    the paths."""
+    run = RunConfig.from_file(cfg)
+    spec = cli.parse_spec(run.spec)
+    lam = cli._default_lambda(spec, run)
+    p0 = np.asarray(run.p0 if run.p0 is not None else [100.0] * spec.d)
+    paths = []
+    for ef in sorted(sim.glob("events_*.csv")):
+        stream = hawkes.EventStream.from_csv(ef, d=spec.d)
+        paths.append(ef.with_name(ef.name.replace("events_", "prices_")))
+        write_price_tape(paths[-1], stream,
+                         event_prices_loop(spec, stream, lam, p0))
+    return paths
+
+
 class TestEventPrices:
     def test_matches_per_event_loop(self):
         # decay rates 2 and 0.05 over 3000 s: the fast rate spans ten
@@ -111,10 +137,10 @@ class TestEventPrices:
 class TestConfig:
     def test_spec_and_data_rejected(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"spec": {"mu": [1.0]},
-                                    "events": ["x.csv"]}))
-        with pytest.raises(ValueError):
-            RunConfig.from_file(path)
+        for data in ({"events": ["x.csv"]}, {"prices": ["x.csv"]}):
+            path.write_text(json.dumps({"spec": {"mu": [1.0]}, **data}))
+            with pytest.raises(ValueError, match="not both"):
+                RunConfig.from_file(path)
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -181,8 +207,8 @@ class TestSimulate:
         b = dir_bytes(tmp_path / "b")
         assert a.keys() == b.keys()
         assert all(a[k] == b[k] for k in a)
-        assert "events_000.csv" in a
-        assert "prices_001.csv" in a
+        # a spec-mode day's prices are derived, never written
+        assert set(a) == {"events_000.csv", "events_001.csv", "manifest.json"}
 
     def test_zero_horizon_warns_but_succeeds(self, tmp_path, capsys):
         cfg = small_config(tmp_path, horizon=0.0, n_days=1)
@@ -237,6 +263,19 @@ class TestSimulate:
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, spec, message):
         cfg = small_config(tmp_path, spec={"mu": [0.6, 0.45], **spec})
+        assert_refused(cfg, tmp_path, capsys, message)
+
+    @pytest.mark.parametrize("key, value, message", [
+        pytest.param("p0", [1.0, 2.0, 3.0], "p0 has shape (3,), not (2,)",
+                     id="p0"),
+        pytest.param("lambda", [[1.0]], "lambda has shape (1, 1), not (2, 2)",
+                     id="lambda"),
+    ])
+    def test_price_law_of_another_shape_exits_2(self, tmp_path, capsys, key,
+                                                 value, message):
+        # simulate prices no day, so it refuses these before writing the
+        # manifest that records them
+        cfg = small_config(tmp_path, **{key: value})
         assert_refused(cfg, tmp_path, capsys, message)
 
     def test_spec_without_mu_exits_2(self, tmp_path, capsys):
@@ -308,33 +347,42 @@ class TestCalibrate:
                 assert f"k1 degraded (tail error {tail:.2e} > tol " \
                     f"{tail_tol:.2e})" in printed
 
-    def test_nan_tail_error_degraded(self, tmp_path, capsys):
-        # one constant price per asset: sigma and both kernels are zero,
-        # and the tail error 0/0 is NaN, which is no healthy tail
+    def test_nan_tail_error_degraded(self):
+        # the tail error of an all-zero kernel is 0/0: NaN is no healthy
+        # tail
+        k1 = ImpactKernel(delta=1.0, values=np.zeros((9, 2, 2)),
+                          lam=np.zeros((2, 2)), provenance="k1", grid=64)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "invalid value", RuntimeWarning)
+            k1.diagnostics["tail_error"] = k1.tail_error()
+        health, faults = cli._k1_health(k1, 2.0)
+        assert np.isnan(health["tail_error"])
+        assert health["verdict"] == "degraded"
+        assert faults == ["tail error nan > tol 2.00e+00"]
+
+    def test_constant_prices_exit_3(self, tmp_path, capsys):
+        # one constant price per asset: a zero return covariance fails
+        # stage estimate, where it once gave all-zero kernels and exit 0
         cfg = small_config(tmp_path, n_days=1)
         sim = tmp_path / "sim"
         assert main(["--config", str(cfg), "--output-dir", str(sim),
                      "simulate"]) == EXIT_OK
-        rows = (sim / "prices_000.csv").read_text().splitlines()
+        stream = hawkes.EventStream.from_csv(sim / "events_000.csv")
         const = tmp_path / "const.csv"
-        const.write_text("\n".join([rows[0]] + [
-            row.rsplit(",", 1)[0] + ",100" for row in rows[1:]]) + "\n")
+        write_price_tape(const, stream, np.full(2 * len(stream), 100.0))
         raw = json.loads(cfg.read_text())
         del raw["spec"]
         raw.update(events=[str(sim / "events_000.csv")], prices=[str(const)],
                    tolerances={"tail_tol": 2.0})
         cfg.write_text(json.dumps(raw))
-        out = tmp_path / "flat"
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "invalid value", RuntimeWarning)
+        for command in ("estimate", "calibrate"):
+            out = tmp_path / f"flat-{command}"
             assert main(["--config", str(cfg), "--output-dir", str(out),
-                         "calibrate"]) == EXIT_OK
-        assert not load_kernel(out / "k1").values.any()
-        health = json.loads((out / "diagnostics.json").read_text())["health"]
-        assert np.isnan(health["tail_error"])
-        assert health["verdict"] == "degraded"
-        assert "k1 degraded (tail error nan > tol 2.00e+00)" in \
-            capsys.readouterr().out
+                         command]) == cli.EXIT_NUMERIC
+            assert "numerical failure: stage 'estimate' failed: return " \
+                "covariance has zero trace" in capsys.readouterr().err
+            assert not (out / "observables").exists()
+            assert not (out / "k1").exists()
 
     def test_check_exit_codes(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -459,8 +507,7 @@ class TestCalibrate:
         del raw["spec"]
         raw["events"] = [str(sim_out / f"events_{d:03d}.csv")
                          for d in range(2)]
-        raw["prices"] = [str(sim_out / f"prices_{d:03d}.csv")
-                         for d in range(2)]
+        raw["prices"] = [str(p) for p in loop_price_tapes(cfg, sim_out)]
         data_cfg = tmp_path / "data_config.json"
         data_cfg.write_text(json.dumps(raw))
         out = tmp_path / "from_data"
@@ -506,7 +553,7 @@ class TestCalibrate:
         raw = json.loads(cfg.read_text())
         del raw["spec"]
         raw["events"] = [str(staged / "events_000.csv")]
-        raw["prices"] = [str(staged / "prices_000.csv")]
+        raw["prices"] = [str(p) for p in loop_price_tapes(cfg, staged)]
         data_cfg = tmp_path / "data_config.json"
         data_cfg.write_text(json.dumps(raw))
         with warnings.catch_warnings():
@@ -528,19 +575,23 @@ class TestCalibrate:
         assert rc == EXIT_INPUT
 
     def test_day_without_price_file_exits_2(self, tmp_path, capsys):
-        # a day is never binned with zero returns in place of its prices
+        # a data-path day is never binned with zero returns in place of
+        # its prices: a directory read without a spec needs each day's
+        # price file
         cfg = small_config(tmp_path, n_days=2)
         sim = tmp_path / "sim"
         assert main(["--config", str(cfg), "--output-dir", str(sim),
                      "simulate"]) == EXIT_OK
+        loop_price_tapes(cfg, sim)
         (sim / "prices_001.csv").unlink()
+        raw = json.loads(cfg.read_text())
+        del raw["spec"]
+        cfg.write_text(json.dumps(raw))
         assert main(["--config", str(cfg), "--output-dir", str(sim),
                      "estimate"]) == EXIT_INPUT
         assert f"missing data file {sim / 'prices_001.csv'}" in \
             capsys.readouterr().err
         assert not (sim / "observables").exists()
-        raw = json.loads(cfg.read_text())
-        del raw["spec"]
         raw["events"] = [str(sim / "events_000.csv")]
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "no-prices"
@@ -548,6 +599,106 @@ class TestCalibrate:
                      "calibrate"]) == EXIT_INPUT
         assert "1 event files but 0 price files" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("lists", [
+        pytest.param({"prices": ["nowhere.csv"]}, id="prices-only"),
+        pytest.param({"events": [], "prices": []}, id="empty-lists"),
+    ])
+    def test_config_lists_without_events_exit_2(self, tmp_path, capsys,
+                                                lists):
+        # a price list without events is never dropped for the days of
+        # the output directory, and empty lists are refused before any
+        # output directory is made
+        cfg = small_config(tmp_path, n_days=1)
+        sim = tmp_path / "sim"
+        assert main(["--config", str(cfg), "--output-dir", str(sim),
+                     "simulate"]) == EXIT_OK
+        loop_price_tapes(cfg, sim)
+        raw = json.loads(cfg.read_text())
+        del raw["spec"]
+        cfg.write_text(json.dumps({**raw, **lists}))
+        for command, out in (("estimate", sim),
+                             ("calibrate", tmp_path / "fresh")):
+            assert main(["--config", str(cfg), "--output-dir", str(out),
+                         command]) == EXIT_INPUT, command
+            assert "input error: config lists no event files" in \
+                capsys.readouterr().err
+        assert not (sim / "observables").exists()
+        assert not (tmp_path / "fresh").exists()
+
+
+class TestDerivedPrices:
+    def test_spec_estimate_matches_price_tapes(self, tmp_path):
+        # the oracle: a spec-mode directory holds events and a manifest
+        # only, and estimate derives the prices that a data-path estimate
+        # reads from tapes of event_prices_loop.  At a price level of 1e8
+        # a double resolves moves to about 1e-8, so the observables carry
+        # the level's rounding: prices from another p0 move sigma by
+        # about 4e-10.  Each day's last event falls in (400, 400.5], so
+        # the data-path day, which ends at its last event, has the
+        # spec-mode day's 400 bins
+        lam = [[0.9, 0.05], [0.1, 0.7]]
+        p0 = [1e8, 3e8]
+        cfg = small_config(tmp_path, horizon=400.5, p0=p0, **{"lambda": lam})
+        sim = tmp_path / "sim"
+        for command in ("simulate", "estimate"):
+            assert main(["--config", str(cfg), "--output-dir", str(sim),
+                         command]) == EXIT_OK
+        assert {p.name for p in sim.iterdir()} == {
+            "events_000.csv", "events_001.csv", "manifest.json",
+            "observables"}
+        raw = json.loads(cfg.read_text())
+        del raw["spec"]
+        raw["events"] = [str(sim / f"events_{d:03d}.csv") for d in range(2)]
+        raw["prices"] = [str(p) for p in loop_price_tapes(cfg, sim)]
+        for ef in raw["events"]:
+            assert 400.0 < hawkes.EventStream.from_csv(ef).times[-1] <= 400.5
+        data_cfg = tmp_path / "data_config.json"
+        data_cfg.write_text(json.dumps(raw))
+        data = tmp_path / "data"
+        assert main(["--config", str(data_cfg), "--output-dir", str(data),
+                     "estimate"]) == EXIT_OK
+        got = load_observables(sim / "observables")
+        ref = load_observables(data / "observables")
+        assert (got.n_days, got.n_bins) == (ref.n_days, ref.n_bins) == \
+            (2, 800)
+        for name in ("sigma", "omega", "omega_zero", "omega_inf"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("spec", {"mu": [0.6, 0.4], "sizes": [1.0, 2.0]},
+                     id="spec"),
+        pytest.param("lambda", [[1.0, 0.0], [0.0, 1.0]], id="lambda"),
+        pytest.param("impact_scale", 2.0, id="impact_scale"),
+        pytest.param("p0", [50.0, 50.0], id="p0"),
+    ])
+    def test_manifest_of_another_price_law_exits_2(self, tmp_path, capsys,
+                                                   key, value):
+        # the prices derived from a config that is not the simulation's
+        # would silently stop matching its events
+        sim = tmp_path / "sim"
+        assert main(["--config", str(small_config(tmp_path, n_days=1)),
+                     "--output-dir", str(sim), "simulate"]) == EXIT_OK
+        other = small_config(tmp_path, n_days=1, **{key: value})
+        assert main(["--config", str(other), "--output-dir", str(sim),
+                     "estimate"]) == EXIT_INPUT
+        name = "lam" if key == "lambda" else key
+        assert f"records another {name} than the config" in \
+            capsys.readouterr().err
+        assert not (sim / "observables").exists()
+
+    def test_directory_without_manifest_exits_2(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, n_days=1)
+        sim = tmp_path / "sim"
+        assert main(["--config", str(cfg), "--output-dir", str(sim),
+                     "simulate"]) == EXIT_OK
+        (sim / "manifest.json").unlink()
+        assert main(["--config", str(cfg), "--output-dir", str(sim),
+                     "estimate"]) == EXIT_INPUT
+        assert f"{sim / 'manifest.json'}: no simulation manifest" in \
+            capsys.readouterr().err
+        assert not (sim / "observables").exists()
 
 
 class TestInMemoryDays:
@@ -579,8 +730,12 @@ class TestInMemoryDays:
         files = dir_bytes(tmp_path / "files")
         memory = dir_bytes(tmp_path / "memory")
         assert b".000000000," in files["events_000.csv"]
-        for name in ("observables/arrays.npz", "observables/meta.json",
-                     "events_000.csv", "prices_001.csv", "manifest.json"):
+        # estimate derives the prices that calibrate binned; neither
+        # writes a price tape
+        assert set(files) == {"observables/arrays.npz",
+                              "observables/meta.json", "events_000.csv",
+                              "events_001.csv", "manifest.json"}
+        for name in files:
             assert memory[name] == files[name], name
 
 

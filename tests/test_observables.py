@@ -80,11 +80,13 @@ class TestBinning:
 
 class TestSigma:
     def test_constant_prices(self):
+        # prices that never move give no impact to calibrate
         series = BinnedSeries(delta=1.0,
                               open_prices=np.full((10, 2), 5.0),
                               close_prices=np.full((10, 2), 5.0),
                               flows=np.zeros((10, 2)))
-        assert np.allclose(estimate_sigma([series]), 0.0)
+        with pytest.raises(ObservablesError, match="zero trace"):
+            estimate_sigma([series])
 
     def test_iid_unit_returns(self):
         rng = np.random.default_rng(1)
@@ -243,6 +245,7 @@ class TestSerialization:
         for day in range(3):
             stream = simulate(spec, 800.0, seed=40 + day)
             prices = flat_prices(800.0)
+            prices.prices += np.sin(prices.times + day)
             days.append(bin_events(stream, prices, 1.0, day=day))
         obs = build_observables(days, 6)
         save_observables(tmp_path / "obs", obs)
