@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import collections
 import dataclasses
+import functools
 import json
 import os
 import pathlib
@@ -102,8 +103,8 @@ class RunConfig:
         return cfg
 
     def echo(self) -> dict:
-        out = dataclasses.asdict(self)
-        return observables._json_safe(out)
+        return observables._json_safe(
+            {f.name: getattr(self, f.name) for f in dataclasses.fields(self)})
 
 
 def parse_spec(blob) -> hawkes.HawkesSpec:
@@ -301,10 +302,11 @@ def _read(reader, path, **kwargs):
 
 
 def _read_day(ef, pf):
-    """(stream, prices) of one data-path day.  An event CSV on its own
-    ends at its last event."""
-    stream = _read(hawkes.EventStream.from_csv, ef)
-    return stream, _read(observables.PricePath.from_csv, pf, d=stream.d)
+    """(stream, prices) of one data-path day.  The price file lists every
+    asset, so it fixes the day's width, and the events are read against
+    it; an event CSV on its own ends at its last event."""
+    prices = _read(observables.PricePath.from_csv, pf)
+    return _read(hawkes.EventStream.from_csv, ef, d=prices.d), prices
 
 
 def _bin_one_day(cfg, day, stream, prices):
@@ -336,12 +338,16 @@ def _read_days(cfg, out_dir):
 def _estimate(cfg, days, out):
     """Bin the (stream, prices) days, then build and save their
     observables under out; returns them with day 0's event stream.
-    Days that build_observables cannot use fail stage estimate."""
+    A day whose width differs from day 0's is an input error; days that
+    build_observables cannot use fail stage estimate."""
     series = []
     for day, (stream, prices) in enumerate(days):
-        series.append(_bin_one_day(cfg, day, stream, prices))
         if day == 0:
             day0 = stream
+        elif stream.d != day0.d:
+            raise InputError(f"day {day} has {stream.d} assets, but day 0 "
+                             f"has {day0.d}")
+        series.append(_bin_one_day(cfg, day, stream, prices))
         # the next day is simulated or read without this one
         del stream, prices
     try:
@@ -386,7 +392,6 @@ def _calibrate(cfg: RunConfig, out_dir):
     else:
         days = _read_days(cfg, out)
         stage = "estimate"
-    out.mkdir(parents=True, exist_ok=True)
     diagnostics = {"config": cfg.echo()}
     try:
         obs, day0 = _estimate(cfg, days, out)
@@ -503,6 +508,7 @@ def cmd_demo(cfg: RunConfig, out_dir) -> int:
                     pathlib.Path(out_dir) / "predicted_prices.csv")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="crossimpact",

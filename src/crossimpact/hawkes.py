@@ -333,10 +333,19 @@ class EventStream:
         return out
 
     def to_csv(self, path):
-        _write_csv(path, ("time", "asset", "side", "size"),
-                   TIME_FORMAT + ",%d,%s,%.17g",
-                   (self.times, self.assets,
-                    np.where(self.sides > 0, "B", "S"), self.sizes))
+        """Write the stream as CRLF-terminated rows time,asset,side,size.
+
+        The bytes are those of TIME_FORMAT + ",%d,%s,%.17g" per row, with
+        side B or S, but are assembled in numpy EVENT_BLOCK_ROWS rows at
+        a time: see _event_rows.
+        """
+        with open(path, "wb") as fh:
+            fh.write(b"time,asset,side,size\r\n")
+            for start in range(0, len(self), EVENT_BLOCK_ROWS):
+                block = slice(start, start + EVENT_BLOCK_ROWS)
+                fh.write(_event_rows(self.times[block], self.assets[block],
+                                     self.sides[block], self.sizes[block],
+                                     self.d))
 
     @classmethod
     def from_csv(cls, path, d=None, horizon=None):
@@ -375,6 +384,68 @@ TIME_FORMAT = "%.9f"
 # been cut, and is refused
 SIDE_WIDTH = 8
 CSV_CHUNK_ROWS = 256
+# rows of an event tape encoded at once, which bounds the encoder's memory
+EVENT_BLOCK_ROWS = 1 << 14
+# below this, doubles lie at most 2**-31 s apart: a time t that is the
+# double nearest to ns / 1e9 for integer ns is within 2**-32 s of it, so
+# TIME_FORMAT rounds t back to ns, and the integer part has 7 digits
+GRID_TIME_LIMIT = 2.0 ** 22
+# integer-part digits worth 10**6, ..., 10**1, each printed only when
+# the integer part reaches its value
+_LEADING_PLACES = 10 ** np.arange(6, 0, -1)
+
+
+def _event_rows(times, assets, sides, sizes, d) -> bytes:
+    """The CSV rows TIME_FORMAT + ",%d,%s,%.17g" of a block of events,
+    with side B for a buy and S for a sell, and CRLF line ends.
+
+    Each row is laid out in a uint8 matrix whose unused slots are 0, and
+    the 0 bytes are dropped from the matrix's bytes.  A time t in
+    [0, GRID_TIME_LIMIT) on the 1 ns grid (ns / 1e9 == t for
+    ns = rint(t * 1e9)) is printed from the decimal digits of ns.  Any
+    other time (off the grid, past the limit, with its sign bit set, NaN
+    or inf) is formatted with TIME_FORMAT into its own row.  The tail
+    ",asset,side,size" is formatted once for each distinct asset, side
+    and size bit pattern, and gathered into the rows by index.
+    """
+    grid = (times < GRID_TIME_LIMIT) & ~np.signbit(times)   # NaN: False
+    ns = np.rint(np.where(grid, times, 0.0) * 1e9).astype(np.int64)
+    grid &= ns / 1e9 == times
+    off = np.flatnonzero(~grid)
+    off_text = _byte_rows([TIME_FORMAT % t for t in times[off].tolist()])
+    size_bits, size_index = np.unique(sizes.view(np.int64),
+                                      return_inverse=True)
+    keys, tail_index = np.unique((size_index * d + assets) * 2 + (sides > 0),
+                                 return_inverse=True)
+    tail_size, tail_side = np.divmod(keys, 2)
+    tail_size, tail_asset = np.divmod(tail_size, d)
+    tails = _byte_rows([",%d,%s,%.17g\r\n" % (a, "SB"[s], v)
+                        for a, s, v in zip(tail_asset.tolist(),
+                                           tail_side.tolist(),
+                                           size_bits.view(float)[tail_size]
+                                           .tolist())])
+    # a time on the grid takes 7 integer digits, a point and 9 decimals
+    width = max(17, off_text.shape[1])
+    rows = np.zeros((len(times), width + tails.shape[1]), np.uint8)
+    seconds, nanos = (part.astype(np.int32) for part in np.divmod(ns, 10**9))
+    leading = seconds[:, None] >= _LEADING_PLACES
+    for col in range(6, -1, -1):
+        seconds, rows[:, col] = np.divmod(seconds, 10)
+    for col in range(16, 7, -1):
+        nanos, rows[:, col] = np.divmod(nanos, 10)
+    rows[:, :17] += np.uint8(ord("0"))
+    rows[:, :6] *= leading
+    rows[:, 7] = ord(".")
+    rows[off, :width] = 0
+    rows[off, :off_text.shape[1]] = off_text
+    rows[:, width:] = tails[tail_index]
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _byte_rows(strings):
+    """ASCII strings as the rows of a uint8 matrix, padded with 0 bytes."""
+    packed = np.array([s.encode() for s in strings], dtype=bytes)
+    return packed.view(np.uint8).reshape(len(strings), packed.itemsize)
 
 
 def _write_csv(path, header, row_format, columns):

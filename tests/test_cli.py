@@ -574,19 +574,26 @@ class TestCalibrate:
                    str(tmp_path / "x"), "calibrate"])
         assert rc == EXIT_INPUT
 
-    def test_day_without_price_file_exits_2(self, tmp_path, capsys):
-        # a data-path day is never binned with zero returns in place of
-        # its prices: a directory read without a spec needs each day's
-        # price file
+    def data_path_days(self, tmp_path):
+        """A two-day directory with loop price tapes, and its config
+        without the spec, so that it is read as a data path."""
         cfg = small_config(tmp_path, n_days=2)
         sim = tmp_path / "sim"
         assert main(["--config", str(cfg), "--output-dir", str(sim),
                      "simulate"]) == EXIT_OK
         loop_price_tapes(cfg, sim)
-        (sim / "prices_001.csv").unlink()
         raw = json.loads(cfg.read_text())
         del raw["spec"]
         cfg.write_text(json.dumps(raw))
+        return cfg, sim
+
+    def test_day_without_price_file_exits_2(self, tmp_path, capsys):
+        # a data-path day is never binned with zero returns in place of
+        # its prices: a directory read without a spec needs each day's
+        # price file
+        cfg, sim = self.data_path_days(tmp_path)
+        (sim / "prices_001.csv").unlink()
+        raw = json.loads(cfg.read_text())
         assert main(["--config", str(cfg), "--output-dir", str(sim),
                      "estimate"]) == EXIT_INPUT
         assert f"missing data file {sim / 'prices_001.csv'}" in \
@@ -598,6 +605,45 @@ class TestCalibrate:
         assert main(["--config", str(cfg), "--output-dir", str(out),
                      "calibrate"]) == EXIT_INPUT
         assert "1 event files but 0 price files" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_day_without_top_asset_takes_width_from_prices(self, tmp_path):
+        # the price file lists every asset; the events of day 1 name only
+        # asset 0
+        cfg, sim = self.data_path_days(tmp_path)
+        ef = sim / "events_001.csv"
+        s = hawkes.EventStream.from_csv(ef)
+        keep = s.assets == 0
+        hawkes.EventStream(times=s.times[keep], assets=s.assets[keep],
+                           sides=s.sides[keep], sizes=s.sizes[keep],
+                           horizon=s.horizon, d=1).to_csv(ef)
+        assert main(["--config", str(cfg), "--output-dir", str(sim),
+                     "estimate"]) == EXIT_OK
+        assert load_observables(sim / "observables").d == 2
+
+    def test_days_of_unequal_width_exit_2(self, tmp_path, capsys):
+        cfg, sim = self.data_path_days(tmp_path)
+        pf = sim / "prices_001.csv"
+        p = observables.PricePath.from_csv(pf)
+        observables.PricePath(
+            times=np.concatenate([p.times, [0.0]]),
+            assets=np.concatenate([p.assets, [2]]),
+            prices=np.concatenate([p.prices, [100.0]]), d=3).to_csv(pf)
+        assert main(["--config", str(cfg), "--output-dir", str(sim),
+                     "estimate"]) == EXIT_INPUT
+        assert "day 1 has 3 assets, but day 0 has 2" in \
+            capsys.readouterr().err
+        assert not (sim / "observables").exists()
+        # the same days listed by path: calibrate refuses them before it
+        # creates its output directory
+        raw = json.loads(cfg.read_text())
+        raw["events"] = [str(f) for f in sorted(sim.glob("events_*.csv"))]
+        raw["prices"] = [str(f) for f in sorted(sim.glob("prices_*.csv"))]
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--output-dir", str(out),
+                     "calibrate"]) == EXIT_INPUT
+        assert "day 1 has 3 assets" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("lists", [

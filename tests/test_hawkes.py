@@ -1,15 +1,19 @@
 import csv
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from crossimpact.hawkes import (EventStream, HawkesError, HawkesSpec,
-                                analytic_flow_spectrum, analytic_kernel,
-                                imbalance_l1, simulate, stationary_intensity,
-                                validate_spec)
+from crossimpact import hawkes
+from crossimpact.hawkes import (BUY, SELL, EventStream, HawkesError,
+                                HawkesSpec, analytic_flow_spectrum,
+                                analytic_kernel, imbalance_l1, simulate,
+                                stationary_intensity, validate_spec)
 
 
 def poisson_spec(mu=(1.0, 1.0), sizes=(1.0, 1.0)):
@@ -45,6 +49,9 @@ MARKETS = {
     "tape": lambda: HawkesSpec.from_matrices(
         mu=[0.4] * 4, sizes=[1.0] * 4, beta=0.5, aa=TAPE_A, bb=TAPE_A),
     "cross": cross_spec,
+    # about 8000 events over 2e7 s, more than half of them past 2**23 s,
+    # where doubles lie further apart than 1 ns
+    "sparse": lambda: scalar_hawkes(alpha=0.5, mu=1e-4),
 }
 
 
@@ -350,6 +357,36 @@ class TestClusterLaw:
         assert 2 * min(tail, 1 - tail) >= 1e-3
 
 
+def stream_of(times, d=2, sizes=(1.0, 2.0)):
+    """A stream on the given times with cycling assets, sides and sizes."""
+    n = len(times)
+    return EventStream(times=times, assets=np.arange(n) * 7 % d,
+                       sides=np.where(np.arange(n) % 3, BUY, SELL),
+                       sizes=np.resize(np.asarray(sizes, dtype=float), n),
+                       horizon=1.0, d=d)
+
+
+@st.composite
+def event_streams(draw):
+    """Streams whose times mix the 1 ns grid with every time the grid
+    cannot print: off the grid (half a nanosecond off, where rint and
+    TIME_FORMAT round apart about half the time), past 2**22 s, signed,
+    NaN and inf; up to 12 assets, and sizes that print as 1e-07 and -0."""
+    ns = st.integers(0, 2 ** 22 * 10 ** 9 - 1)
+    times = np.unique(draw(st.lists(st.one_of(
+        ns.map(lambda n: n / 1e9), ns.map(lambda n: (n + 0.5) / 1e9),
+        st.floats(), st.floats(2.0 ** 22, 2.0 ** 24),
+        st.sampled_from([-0.0, np.inf, -np.inf])), max_size=40)))
+    d = draw(st.integers(1, 12))
+    sizes = draw(st.lists(st.one_of(st.sampled_from([1.0, 0.1, 1e-7, -0.0]),
+                                    st.floats()), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = len(times)
+    return EventStream(times=times, assets=rng.integers(0, d, n),
+                       sides=rng.choice([BUY, SELL], n),
+                       sizes=rng.choice(sizes, n), horizon=1.0, d=d)
+
+
 class TestEventCsv:
     @staticmethod
     def writer_bytes(stream, path):
@@ -362,14 +399,43 @@ class TestEventCsv:
                                  f"{v:.17g}"])
         return path.read_bytes()
 
-    @pytest.mark.parametrize("horizon", [0.0, 300.0])
+    @pytest.mark.parametrize("horizon", [0.0, 300.0, 4000.0])
     def test_bytes_match_csv_writer(self, tmp_path, horizon):
-        # 300 s gives a little over 1000 rows: several write chunks
+        # 300 s gives about 1700 rows; 4000 s more than one encoding block
         spec = HawkesSpec.from_matrices(mu=[1.5, 0.5], sizes=[1.0, 0.1],
                                         beta=1.0, aa=[[0.3, 0], [0, 0.2]],
                                         bb=[[0.3, 0], [0, 0.2]])
         stream = simulate(spec, horizon, seed=4)
         stream.to_csv(tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == \
+            self.writer_bytes(stream, tmp_path / "ref.csv")
+
+    def test_bytes_past_the_grid_limit(self, tmp_path):
+        # the sparse market's times pass 2**22 and 2**23 s, where each
+        # row's time is formatted on its own
+        stream = simulate(MARKETS["sparse"](), 2e7, seed=2)
+        assert stream.times[-1] > 2.0 ** 23 and \
+            stream.times[0] < hawkes.GRID_TIME_LIMIT
+        stream.to_csv(tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == \
+            self.writer_bytes(stream, tmp_path / "ref.csv")
+
+    @given(stream=event_streams(),
+           block=st.sampled_from([1, 3, hawkes.EVENT_BLOCK_ROWS]))
+    @example(stream=stream_of([-0.0, 1e-10, 5e-10, 2.5e-9, 0.5, 2.0 ** 22,
+                               2.0 ** 23 + 0.1]), block=2)
+    @example(stream=stream_of([-np.inf, -2.5, -1e-9, 0.25, np.inf, np.nan],
+                              d=12, sizes=[1e-7, -0.0, 0.0, np.nan]),
+             block=hawkes.EVENT_BLOCK_ROWS)
+    @example(stream=stream_of([]), block=1)
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_match_csv_writer_for_any_times(self, tmp_path, stream,
+                                                  block):
+        with mock.patch.object(hawkes, "EVENT_BLOCK_ROWS", block), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stream.to_csv(tmp_path / "got.csv")
         assert (tmp_path / "got.csv").read_bytes() == \
             self.writer_bytes(stream, tmp_path / "ref.csv")
 
@@ -420,14 +486,11 @@ class TestEventCsv:
 
 
 class TestTimeGrid:
-    @pytest.mark.parametrize("spec,horizon", [
-        (MARKETS["demo"](), 3000.0),
-        # about 8000 events over 2e7 s, more than half of them past
-        # 2**23 s, where doubles lie further apart than 1 ns
-        (scalar_hawkes(alpha=0.5, mu=1e-4), 2e7),
-    ], ids=["demo", "sparse"])
-    def test_times_read_back_from_csv(self, tmp_path, spec, horizon):
-        stream = simulate(spec, horizon, seed=2)
+    @pytest.mark.parametrize("market,horizon", [("demo", 3000.0),
+                                                ("sparse", 2e7)],
+                             ids=["demo", "sparse"])
+    def test_times_read_back_from_csv(self, tmp_path, market, horizon):
+        stream = simulate(MARKETS[market](), horizon, seed=2)
         assert len(stream) > 3000
         stream.to_csv(tmp_path / "events.csv")
         back = EventStream.from_csv(tmp_path / "events.csv")
