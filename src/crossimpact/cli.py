@@ -81,7 +81,9 @@ class RunConfig:
         types["lambda"] = types["lam"]
         unknown = set(raw) - set(types)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise InputError(f"unknown config keys: {sorted(unknown)}")
+        if "lam" in raw and "lambda" in raw:
+            raise InputError("config gives both lam and lambda; give one")
         for key, value in raw.items():
             allowed, kind = CONFIG_TYPES[types[key]]
             if isinstance(value, bool) or not isinstance(value, allowed):
@@ -93,12 +95,12 @@ class RunConfig:
         for tol_name in ("delta", "factor_tol", "tail_tol", "nsa_tol",
                          "factor_residual_bound"):
             if getattr(cfg, tol_name) <= 0:
-                raise ValueError(f"{tol_name} must be positive")
+                raise InputError(f"{tol_name} must be positive")
         if cfg.n_days < 1:
             raise InputError(f"n_days must be at least 1, not {cfg.n_days}")
         if cfg.spec is not None and (cfg.events is not None
                                      or cfg.prices is not None):
-            raise ValueError("config must carry either a spec or data "
+            raise InputError("config must carry either a spec or data "
                              "paths, not both")
         return cfg
 
@@ -214,18 +216,6 @@ def _simulated_days(cfg, spec, report, out):
         observables._json_safe(manifest), sort_keys=True, indent=1))
 
 
-def _priced_days(cfg, spec, streams):
-    """(stream, prices) of each simulated stream: the prices are
-    _event_prices under the spec, lam from _default_lambda and p0, the
-    config's or 100 per asset.  A spec-mode day's prices are derived
-    this way, both as it is simulated and as it is read back."""
-    lam = _default_lambda(spec, cfg)
-    p0 = np.asarray(cfg.p0 if cfg.p0 is not None else [100.0] * spec.d,
-                    dtype=float)
-    for stream in streams:
-        yield stream, _event_prices(spec, stream, lam, p0)
-
-
 def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     spec, report = _valid_spec(cfg)
     # drain without holding a finished day while the next is simulated
@@ -309,37 +299,39 @@ def _read_day(ef, pf):
     return _read(hawkes.EventStream.from_csv, ef, d=prices.d), prices
 
 
-def _bin_one_day(cfg, day, stream, prices):
-    """One day binned on the config's trimmed window; a window or price
-    path that cannot be binned is an input error."""
-    t_end = stream.horizon if stream.horizon > 0 else \
-        (stream.times[-1] if len(stream) else cfg.delta)
-    try:
-        return observables.bin_events(stream, prices, cfg.delta,
-                                      t_start=cfg.trim,
-                                      t_end=t_end - cfg.trim, day=day)
-    except observables.ObservablesError as exc:
-        raise InputError(exc) from exc
-
-
-def _read_days(cfg, out_dir):
-    """(stream, prices) of each day, read as it is reached.  With a spec,
-    the days are the event CSVs that simulate wrote under out_dir: each
-    spans the horizon it was simulated on, and its prices are derived
-    from its events as simulate derived them."""
+def _days(cfg, out, simulate=False):
+    """(stream, prices) of each day, as a generator that simulates the
+    day into out (simulate=True) or reads it as it is reached.  Input
+    faults are raised here, before anything is written: this is not a
+    generator function, and a generator expression evaluates its
+    outermost iterable (the file list) at once.  Without a spec
+    the days are the data-path files.  With one, each day spans the
+    config horizon, which must leave one bin between the trims, and its
+    prices are derived from its events (lam from _default_lambda, p0
+    the config's or 100 per asset)."""
     if cfg.spec is None:
-        return (_read_day(ef, pf) for ef, pf in _load_day_files(cfg, out_dir))
-    spec, _ = _valid_spec(cfg)
-    return _priced_days(cfg, spec, (
+        return (_read_day(ef, pf) for ef, pf in _load_day_files(cfg, out))
+    spec, report = _valid_spec(cfg)
+    if cfg.horizon - 2 * cfg.trim < cfg.delta:
+        raise InputError(f"empty time window: horizon {cfg.horizon} less "
+                         f"twice trim {cfg.trim} is shorter than one bin "
+                         f"of {cfg.delta}")
+    lam = _default_lambda(spec, cfg)
+    p0 = np.asarray(cfg.p0 if cfg.p0 is not None else [100.0] * spec.d,
+                    dtype=float)
+    streams = _simulated_days(cfg, spec, report, out) if simulate else (
         _read(hawkes.EventStream.from_csv, ef, d=spec.d, horizon=cfg.horizon)
-        for ef in _simulated_event_files(cfg, out_dir)))
+        for ef in _simulated_event_files(cfg, out))
+    return ((stream, _event_prices(spec, stream, lam, p0))
+            for stream in streams)
 
 
 def _estimate(cfg, days, out):
-    """Bin the (stream, prices) days, then build and save their
-    observables under out; returns them with day 0's event stream.
-    A day whose width differs from day 0's is an input error; days that
-    build_observables cannot use fail stage estimate."""
+    """Bin the (stream, prices) days, each on [trim, horizon - trim],
+    then build and save their observables under out; returns them with
+    day 0's event stream.  A day whose width differs from day 0's, or
+    that cannot be binned, is an input error that names it; a day that
+    build_observables cannot use fails stage estimate."""
     series = []
     for day, (stream, prices) in enumerate(days):
         if day == 0:
@@ -347,7 +339,12 @@ def _estimate(cfg, days, out):
         elif stream.d != day0.d:
             raise InputError(f"day {day} has {stream.d} assets, but day 0 "
                              f"has {day0.d}")
-        series.append(_bin_one_day(cfg, day, stream, prices))
+        try:
+            series.append(observables.bin_events(
+                stream, prices, cfg.delta, t_start=cfg.trim,
+                t_end=stream.horizon - cfg.trim))
+        except observables.ObservablesError as exc:
+            raise InputError(f"day {day}: {exc}") from exc
         # the next day is simulated or read without this one
         del stream, prices
     try:
@@ -360,7 +357,8 @@ def _estimate(cfg, days, out):
 
 
 def cmd_estimate(cfg: RunConfig, out_dir) -> int:
-    obs, _ = _estimate(cfg, _read_days(cfg, out_dir), pathlib.Path(out_dir))
+    out = pathlib.Path(out_dir)
+    obs, _ = _estimate(cfg, _days(cfg, out), out)
     print(f"estimated observables from {obs.n_days} days, "
           f"{obs.n_bins} bins")
     return EXIT_OK
@@ -384,14 +382,8 @@ def _calibrate(cfg: RunConfig, out_dir):
     each day is binned as simulated, which is what its event CSV holds.
     """
     out = pathlib.Path(out_dir)
-    if cfg.spec is not None:
-        spec, report = _valid_spec(cfg)
-        days = _priced_days(cfg, spec,
-                            _simulated_days(cfg, spec, report, out))
-        stage = "simulate"
-    else:
-        days = _read_days(cfg, out)
-        stage = "estimate"
+    days = _days(cfg, out, simulate=True)
+    stage = "simulate" if cfg.spec is not None else "estimate"
     diagnostics = {"config": cfg.echo()}
     try:
         obs, day0 = _estimate(cfg, days, out)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
-import warnings
 
 import numpy as np
 
@@ -62,7 +61,6 @@ class BinnedSeries:
     open_prices: np.ndarray   # (n_bins, d)
     close_prices: np.ndarray  # (n_bins, d)
     flows: np.ndarray         # (n_bins, d), contract units
-    day: int = 0
 
     @property
     def n_bins(self):
@@ -78,8 +76,8 @@ class BinnedSeries:
 
 
 def bin_events(stream: EventStream, prices: PricePath | None, delta: float,
-               t_start: float = 0.0, t_end: float | None = None,
-               day: int = 0) -> BinnedSeries:
+               t_start: float = 0.0,
+               t_end: float | None = None) -> BinnedSeries:
     """Aggregate signed flow and open/close prices on bins of width delta.
 
     Empty bins carry the last close forward as both open and close, so
@@ -112,7 +110,7 @@ def bin_events(stream: EventStream, prices: PricePath | None, delta: float,
     closes = np.zeros((n_bins, d))
     if prices is None:
         return BinnedSeries(delta=delta, open_prices=opens,
-                            close_prices=closes, flows=flows, day=day)
+                            close_prices=closes, flows=flows)
     order = np.argsort(prices.times, kind="stable")
     pt, pa, pv = (prices.times[order], prices.assets[order],
                   prices.prices[order])
@@ -129,25 +127,25 @@ def bin_events(stream: EventStream, prices: PricePath | None, delta: float,
         opens[:, a] = at_edges[:-1]
         closes[:, a] = at_edges[1:]
     return BinnedSeries(delta=delta, open_prices=opens, close_prices=closes,
-                        flows=flows, day=day)
+                        flows=flows)
 
 
 def estimate_sigma(series: list) -> np.ndarray:
     """Average of per-day return covariances (1/(T-1)) sum r_t r_t^T.
 
-    Prices that never move give no impact to calibrate: a covariance of
-    zero trace raises.
+    A day of fewer than 2 bins has no return covariance and raises,
+    naming the day by its position.  Prices that never move give no
+    impact to calibrate: a covariance of zero trace raises.
     """
     if not series:
         raise ObservablesError("no binned series")
     mats = []
-    for s in series:
+    for day, s in enumerate(series):
         r = s.returns
         if r.shape[0] < 2:
-            continue
+            raise ObservablesError(f"day {day}: {r.shape[0]} bins < 2, "
+                                   "no return covariance")
         mats.append(r.T @ r / (r.shape[0] - 1))
-    if not mats:
-        raise ObservablesError("need at least 2 bins in some day")
     sigma = np.mean(mats, axis=0)
     if np.trace(sigma) == 0:
         raise ObservablesError("return covariance has zero trace: no "
@@ -159,28 +157,25 @@ def estimate_omega(series: list, tau_max: int) -> np.ndarray:
     """Per-day lag covariances omega(tau) = (1/T) sum q_{t+tau} q_t^T.
 
     The biased 1/T normalization keeps Bartlett-tapered spectral
-    estimates positive semi-definite.  Days shorter than tau_max + 2
-    bins are dropped with a warning.
+    estimates positive semi-definite.  A day shorter than tau_max + 2
+    bins raises, naming the day by its position: every day counted is
+    in both estimators.
     """
     if not series:
         raise ObservablesError("no binned series")
     d = series[0].d
     acc = np.zeros((tau_max + 1, d, d))
-    used = 0
-    for s in series:
+    for day, s in enumerate(series):
         q = s.flows
         n = q.shape[0]
         if n < tau_max + 2:
-            warnings.warn(f"day {s.day}: {n} bins < tau_max + 2, dropped")
-            continue
-        day = np.zeros_like(acc)
+            raise ObservablesError(f"tau_max too large for day {day}: "
+                                   f"{n} bins < {tau_max + 2}")
+        lags = np.zeros_like(acc)
         for tau in range(tau_max + 1):
-            day[tau] = q[tau:].T @ q[:n - tau] / n
-        acc += day
-        used += 1
-    if used == 0:
-        raise ObservablesError("tau_max too large for every day")
-    return acc / used
+            lags[tau] = q[tau:].T @ q[:n - tau] / n
+        acc += lags
+    return acc / len(series)
 
 
 def taper_weights(taper: str, tau_max: int) -> np.ndarray:

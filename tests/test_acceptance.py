@@ -253,7 +253,7 @@ def test_criterion_estimator_consistency():
     series = []
     for day in range(50):
         st = hawkes.simulate(spec, 4000.0, seed=5000 + day)
-        series.append(observables.bin_events(st, None, 1.0, day=day))
+        series.append(observables.bin_events(st, None, 1.0))
     om = observables.estimate_omega(series, 128)
     est = polymat.spectrum_on_grid(
         observables.tapered_lags(om, taper="bartlett"), 4096)
@@ -269,7 +269,7 @@ def test_criterion_estimator_consistency():
     series_p = []
     for day in range(20):
         st = hawkes.simulate(spec_p, 3000.0, seed=900 + day)
-        series_p.append(observables.bin_events(st, None, 1.0, day=day))
+        series_p.append(observables.bin_events(st, None, 1.0))
     om_p = observables.estimate_omega(series_p, 32)
     nbins = 20 * 3000
     sd = np.sqrt(np.outer(np.diag(om_p[0]), np.diag(om_p[0])) / nbins)

@@ -139,13 +139,13 @@ class TestConfig:
         path = tmp_path / "c.json"
         for data in ({"events": ["x.csv"]}, {"prices": ["x.csv"]}):
             path.write_text(json.dumps({"spec": {"mu": [1.0]}, **data}))
-            with pytest.raises(ValueError, match="not both"):
+            with pytest.raises(cli.InputError, match="not both"):
                 RunConfig.from_file(path)
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"speled_wrong": 1}))
-        with pytest.raises(ValueError):
+        with pytest.raises(cli.InputError, match="unknown config keys"):
             RunConfig.from_file(path)
 
     @pytest.mark.parametrize("raw, message", [
@@ -183,6 +183,18 @@ class TestConfig:
                 command
             assert not out.exists(), command
 
+    def test_lam_and_lambda_exit_2(self, tmp_path, capsys):
+        # one of them would be dropped without a word
+        cfg = small_config(tmp_path, lam=[[1.0, 0.0], [0.0, 1.0]],
+                           **{"lambda": [[2.0, 0.0], [0.0, 2.0]]})
+        for command in ("simulate", "estimate", "calibrate", "demo"):
+            out = tmp_path / f"refused-{command}"
+            assert main(["--config", str(cfg), "--output-dir", str(out),
+                         command]) == EXIT_INPUT, command
+            assert "input error: config gives both lam and lambda" in \
+                capsys.readouterr().err, command
+            assert not out.exists(), command
+
     def test_int_taken_for_float(self, tmp_path):
         cfg = RunConfig.from_file(small_config(tmp_path, delta=1, trim=0))
         assert (cfg.delta, cfg.trim) == (1, 0)
@@ -190,7 +202,7 @@ class TestConfig:
     def test_nonpositive_tolerance_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"tolerances": {"factor_tol": 0.0}}))
-        with pytest.raises(ValueError):
+        with pytest.raises(cli.InputError, match="factor_tol must be"):
             RunConfig.from_file(path)
 
 
@@ -517,13 +529,41 @@ class TestCalibrate:
             {"arrays.npz", "meta.json"}
 
     def test_numerical_stage_failure_exits_3(self, tmp_path, capsys):
+        # a day too short for tau_max is refused, not dropped with a
+        # warning (warnings are errors here)
         cfg = small_config(tmp_path, n_days=1, horizon=10.0, tau_max=32)
         out = tmp_path / "short"
-        with pytest.warns(UserWarning, match="dropped"):
-            rc = main(["--config", str(cfg), "--output-dir", str(out),
-                       "calibrate"])
+        rc = main(["--config", str(cfg), "--output-dir", str(out),
+                   "calibrate"])
         assert rc == 3
-        assert "stage" in capsys.readouterr().err
+        assert "stage 'estimate' failed: tau_max too large for day 0: " \
+            "10 bins < 34" in capsys.readouterr().err
+        assert not (out / "observables").exists()
+
+    def test_short_data_path_day_exits_3(self, tmp_path, capsys):
+        # a 400 s day and a 12 s day by path: the short day is never
+        # dropped from omega while it is counted in sigma, n_days and
+        # n_bins; stage estimate fails on it by name
+        events = []
+        for name, horizon in (("long", 400.0), ("short", 12.0)):
+            (tmp_path / name).mkdir()
+            cfg = small_config(tmp_path / name, n_days=1, horizon=horizon)
+            sim = tmp_path / name / "sim"
+            assert main(["--config", str(cfg), "--output-dir", str(sim),
+                         "simulate"]) == EXIT_OK
+            loop_price_tapes(cfg, sim)
+            events.append(str(sim / "events_000.csv"))
+        raw = json.loads(cfg.read_text())
+        del raw["spec"]
+        raw.update(tau_max=16, events=events,
+                   prices=[e.replace("events_", "prices_") for e in events])
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--output-dir", str(out),
+                     "calibrate"]) == cli.EXIT_NUMERIC
+        assert "stage 'estimate' failed: tau_max too large for day 1: " in \
+            capsys.readouterr().err
+        assert not (out / "observables").exists()
 
     def test_factor_residual_over_bound_exits_3(self, tmp_path, capsys):
         cfg = small_config(tmp_path, tolerances={
@@ -556,15 +596,35 @@ class TestCalibrate:
         raw["prices"] = [str(p) for p in loop_price_tapes(cfg, staged)]
         data_cfg = tmp_path / "data_config.json"
         data_cfg.write_text(json.dumps(raw))
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "day 0", UserWarning)
-            assert main(["--config", str(cfg), "--output-dir", str(staged),
-                         "estimate"]) == code
-            assert main(["--config", str(cfg), "--output-dir",
-                         str(tmp_path / "direct"), "calibrate"]) == code
-            assert main(["--config", str(data_cfg), "--output-dir",
-                         str(tmp_path / "data"), "calibrate"]) == code
+        assert main(["--config", str(cfg), "--output-dir", str(staged),
+                     "estimate"]) == code
+        assert main(["--config", str(cfg), "--output-dir",
+                     str(tmp_path / "direct"), "calibrate"]) == code
+        assert main(["--config", str(data_cfg), "--output-dir",
+                     str(tmp_path / "data"), "calibrate"]) == code
         assert capsys.readouterr().err.count(message) == 3
+        assert not (staged / "observables").exists()
+        assert not (tmp_path / "data").exists()
+        # an input fault is raised before calibrate simulates a day
+        assert (tmp_path / "direct").exists() == (code != EXIT_INPUT)
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({"horizon": 0.0}, id="zero-horizon"),
+        pytest.param({"trim": 60.0, "horizon": 100.0}, id="trim-60"),
+        pytest.param({"trim": 0.25, "horizon": 1.25}, id="under-one-bin"),
+    ])
+    def test_spec_window_fault_writes_nothing(self, tmp_path, capsys,
+                                              overrides):
+        # every spec-mode day spans the config horizon, so a window of
+        # less than one bin is refused before a day is simulated or read
+        cfg = small_config(tmp_path, n_days=1, **overrides)
+        for command in ("estimate", "calibrate", "demo"):
+            out = tmp_path / f"refused-{command}"
+            assert main(["--config", str(cfg), "--output-dir", str(out),
+                         command]) == EXIT_INPUT, command
+            assert capsys.readouterr().err.startswith(
+                "input error: empty time window: "), command
+            assert not out.exists(), command
 
     def test_missing_data_exits_2(self, tmp_path):
         raw = {"events": [str(tmp_path / "nowhere.csv")], "tau_max": 8}
@@ -620,6 +680,17 @@ class TestCalibrate:
         assert main(["--config", str(cfg), "--output-dir", str(sim),
                      "estimate"]) == EXIT_OK
         assert load_observables(sim / "observables").d == 2
+
+    def test_empty_event_file_exits_2(self, tmp_path, capsys):
+        # an event file read by path ends at its last event, so a file
+        # without events spans no window
+        cfg, sim = self.data_path_days(tmp_path)
+        (sim / "events_001.csv").write_text("time,asset,side,size\n")
+        assert main(["--config", str(cfg), "--output-dir", str(sim),
+                     "estimate"]) == EXIT_INPUT
+        assert "input error: day 1: empty time window" in \
+            capsys.readouterr().err
+        assert not (sim / "observables").exists()
 
     def test_days_of_unequal_width_exit_2(self, tmp_path, capsys):
         cfg, sim = self.data_path_days(tmp_path)

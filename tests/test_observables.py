@@ -114,7 +114,7 @@ class TestSigma:
             days.append(BinnedSeries(delta=1.0,
                                      open_prices=np.zeros((300, 3)),
                                      close_prices=r,
-                                     flows=np.zeros((300, 3)), day=day))
+                                     flows=np.zeros((300, 3))))
         sigma = estimate_sigma(days)
         assert np.abs(sigma - sigma.T).max() <= 1e-12 * np.abs(sigma).max()
         eigs = np.linalg.eigvalsh(sigma)
@@ -124,8 +124,29 @@ class TestSigma:
         series = BinnedSeries(delta=1.0, open_prices=np.zeros((1, 1)),
                               close_prices=np.zeros((1, 1)),
                               flows=np.zeros((1, 1)))
-        with pytest.raises(ObservablesError):
+        with pytest.raises(ObservablesError, match="day 0: 1 bins < 2"):
             estimate_sigma([series])
+
+
+def moving_day(n_bins, seed):
+    rng = np.random.default_rng(seed)
+    return BinnedSeries(delta=1.0, open_prices=np.zeros((n_bins, 2)),
+                        close_prices=rng.normal(size=(n_bins, 2)),
+                        flows=rng.normal(size=(n_bins, 2)))
+
+
+class TestShortDay:
+    # a day that an estimator cannot use is refused by its position, so
+    # that every day counted in n_days and n_bins is in sigma and omega
+    @pytest.mark.parametrize("n_bins, tau_max, message", [
+        (10, 16, "tau_max too large for day 1: 10 bins < 18"),
+        (1, 4, "day 1: 1 bins < 2"),
+    ])
+    def test_short_second_day_refused(self, n_bins, tau_max, message):
+        days = [moving_day(40, 1), moving_day(n_bins, 2)]
+        with pytest.raises(ObservablesError, match=message):
+            build_observables(days, tau_max)
+        assert build_observables(days[:1], tau_max).n_bins == 40
 
 
 class TestOmega:
@@ -134,7 +155,7 @@ class TestOmega:
         days = []
         for day in range(10):
             stream = simulate(spec, 3000.0, seed=50 + day)
-            days.append(bin_events(stream, None, 1.0, day=day))
+            days.append(bin_events(stream, None, 1.0))
         om = estimate_omega(days, 6)
         n = 10 * 3000
         assert om[0][0, 0] == pytest.approx(2.0, abs=4 * np.sqrt(8.0 / n))
@@ -156,7 +177,7 @@ class TestOmega:
         days = []
         for day in range(10):
             stream = simulate(spec, 4000.0, seed=700 + day)
-            days.append(bin_events(stream, None, 1.0, day=day))
+            days.append(bin_events(stream, None, 1.0))
         om = estimate_omega(days, 4)
         scale = np.abs(lags[0]).max()
         for tau in range(5):
@@ -184,12 +205,13 @@ class TestOmega:
         assert long < short
 
     def test_tau_max_too_large(self):
+        # refused, not dropped with a warning (warnings are errors here)
         series = BinnedSeries(delta=1.0, open_prices=np.zeros((5, 1)),
                               close_prices=np.zeros((5, 1)),
                               flows=np.ones((5, 1)))
-        with pytest.warns(UserWarning):
-            with pytest.raises(ObservablesError):
-                estimate_omega([series], 5)
+        with pytest.raises(ObservablesError,
+                           match="tau_max too large for day 0: 5 bins < 7"):
+            estimate_omega([series], 5)
 
 
 class TestAggregatesAndSpectrum:
@@ -230,7 +252,7 @@ class TestAggregatesAndSpectrum:
         days = []
         for day in range(4):
             stream = simulate(spec, 1500.0, seed=900 + day)
-            days.append(bin_events(stream, None, 1.0, day=day))
+            days.append(bin_events(stream, None, 1.0))
         om = estimate_omega(days, 16)
         w = spectrum_on_grid(tapered_lags(om, taper="bartlett"), 256)
         herm = 0.5 * (w + w.conj().transpose(0, 2, 1))
@@ -246,7 +268,7 @@ class TestSerialization:
             stream = simulate(spec, 800.0, seed=40 + day)
             prices = flat_prices(800.0)
             prices.prices += np.sin(prices.times + day)
-            days.append(bin_events(stream, prices, 1.0, day=day))
+            days.append(bin_events(stream, prices, 1.0))
         obs = build_observables(days, 6)
         save_observables(tmp_path / "obs", obs)
         back = load_observables(tmp_path / "obs")
