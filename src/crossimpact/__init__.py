@@ -7,8 +7,7 @@ no-arbitrage projection, and evaluate strategy costs and arbitrage
 diagnostics under either kernel.
 """
 
-from .hawkes import (EventStream, HawkesSpec, analytic_flow_spectrum,
-                     analytic_kernel, simulate, stationary_intensity,
+from .hawkes import (EventStream, HawkesSpec, analytic_kernel, simulate,
                      validate_spec)
 from .observables import (BinnedSeries, ObservableSet, PricePath, bin_events,
                           build_observables, estimate_omega, estimate_sigma,
@@ -27,11 +26,10 @@ __all__ = [
     "AdmissibilityReport", "BinnedSeries", "CostBreakdown", "EventStream",
     "HawkesSpec", "ImpactKernel", "ObservableSet", "PricePath",
     "Strategy", "WhittleFactor",
-    "analytic_flow_spectrum", "analytic_kernel", "bin_events", "build_K1",
-    "build_observables", "buy_hold_sell", "compute_K0", "compute_Lambda",
-    "cost", "estimate_omega", "estimate_sigma", "kyle_matrix",
-    "min_roundtrip_cost", "nsa_check", "omega_aggregates",
-    "pair_trading_strategy", "predict_prices", "regularize_K2", "simulate",
-    "spectrum_on_grid", "stationary_intensity", "tapered_lags",
-    "validate_spec", "whittle_factor",
+    "analytic_kernel", "bin_events", "build_K1", "build_observables",
+    "buy_hold_sell", "compute_K0", "compute_Lambda", "cost",
+    "estimate_omega", "estimate_sigma", "kyle_matrix", "min_roundtrip_cost",
+    "nsa_check", "omega_aggregates", "pair_trading_strategy",
+    "predict_prices", "regularize_K2", "simulate", "spectrum_on_grid",
+    "tapered_lags", "validate_spec", "whittle_factor",
 ]

@@ -69,14 +69,11 @@ class Strategy:
 @dataclasses.dataclass
 class CostBreakdown:
     """Impact cost split: permanent is the cost under the constant
-    permanent matrix alone, transient is the remainder, and immediate is
-    the cost under the constant immediate matrix (informational; the
-    immediate and permanent splits overlap)."""
+    permanent matrix alone, transient is the remainder."""
 
     total: float
     permanent: float
     transient: float
-    immediate: float
 
 
 class _KernelIntegrals:
@@ -167,9 +164,8 @@ def cost(strategy: Strategy, kernel: ImpactKernel) -> CostBreakdown:
     full = _KernelIntegrals(kernel.values, kernel.delta, kernel.lam)
     total = _pairwise_cost(strategy, full.v)
     permanent = _pairwise_cost(strategy, _constant_v(kernel.lam))
-    immediate = _pairwise_cost(strategy, _constant_v(kernel.k0))
     return CostBreakdown(total=total, permanent=permanent,
-                         transient=total - permanent, immediate=immediate)
+                         transient=total - permanent)
 
 
 def pair_trading_strategy(p: int, q: int, v_p: float, v_q: float, T: float,

@@ -94,8 +94,7 @@ class RunConfig:
         cfg = cls(**raw)
         for tol_name in ("delta", "factor_tol", "tail_tol", "nsa_tol",
                          "factor_residual_bound"):
-            if getattr(cfg, tol_name) <= 0:
-                raise InputError(f"{tol_name} must be positive")
+            _finite_positive(tol_name, getattr(cfg, tol_name))
         if cfg.n_days < 1:
             raise InputError(f"n_days must be at least 1, not {cfg.n_days}")
         if cfg.spec is not None and (cfg.events is not None
@@ -107,6 +106,12 @@ class RunConfig:
     def echo(self) -> dict:
         return observables._json_safe(
             {f.name: getattr(self, f.name) for f in dataclasses.fields(self)})
+
+
+def _finite_positive(name, value):
+    """Refuse a value that is not a finite number above zero."""
+    if not 0 < value < np.inf:
+        raise InputError(f"{name} must be positive and finite, not {value!r}")
 
 
 def parse_spec(blob) -> hawkes.HawkesSpec:
@@ -376,7 +381,8 @@ def _k1_health(k1, tail_tol):
 
 
 def _calibrate(cfg: RunConfig, out_dir):
-    """Run calibrate into out_dir; returns (K1, K2, day 0's event stream).
+    """Run calibrate into out_dir; returns (K1, K2, K2's NSA report,
+    day 0's event stream).
 
     Input faults are raised before anything is written.  With a spec,
     each day is binned as simulated, which is what its event CSV holds.
@@ -423,7 +429,7 @@ def _calibrate(cfg: RunConfig, out_dir):
           f"{health['tail_tol']:.2e})")
     print(f"k1 {diagnostics['k1_admissibility']['label']}; "
           f"k2 {diagnostics['k2_admissibility']['label']}")
-    return k1, k2, day0
+    return k1, k2, rep2, day0
 
 
 def cmd_calibrate(cfg: RunConfig, out_dir) -> int:
@@ -431,12 +437,11 @@ def cmd_calibrate(cfg: RunConfig, out_dir) -> int:
     return EXIT_OK
 
 
-def _check(kernel, tol, bps=False) -> int:
-    """Print the NSA report, the boundary matrices and the round-trip
-    scans of a kernel; exit code from the NSA verdict.  A scan that
+def _check(kernel, report, bps=False) -> int:
+    """Print the kernel's NSA report, its boundary matrices and its
+    round-trip scans; exit code from the report's verdict.  A scan that
     min_roundtrip_cost refuses is printed as skipped and left out of
     the worst relative cost."""
-    report = kernels.nsa_check(kernel, tol=tol)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=1))
     scale, unit = (1e4, "bps") if bps else (1.0, "price units")
     print(f"immediate matrix ({unit}):")
@@ -490,10 +495,10 @@ def demo_config(seed=7, output_dir="demo_out") -> RunConfig:
 
 def cmd_demo(cfg: RunConfig, out_dir) -> int:
     """calibrate, then check K2 and predict K1 along day 0's tape, on
-    the kernels and the tape calibrate holds; p0 is the config's, or 100
-    per asset."""
-    k1, k2, day0 = _calibrate(cfg, out_dir)
-    if _check(k2, cfg.nsa_tol) != EXIT_OK:
+    the kernels, K2's NSA report and the tape calibrate holds; p0 is the
+    config's, or 100 per asset."""
+    k1, k2, rep2, day0 = _calibrate(cfg, out_dir)
+    if _check(k2, rep2) != EXIT_OK:
         print("warning: clipped kernel failed its own check",
               file=sys.stderr)
     return _predict(k1, day0, cfg.p0 if cfg.p0 is not None else 100.0,
@@ -532,7 +537,9 @@ def main(argv=None) -> int:
     try:
         # check and predict read a kernel, never a config
         if args.command == "check":
-            return _check(kernels.load_kernel(args.kernel_dir), args.tol,
+            _finite_positive("--tol", args.tol)
+            kernel = kernels.load_kernel(args.kernel_dir)
+            return _check(kernel, kernels.nsa_check(kernel, tol=args.tol),
                           bps=args.bps)
         if args.command == "predict":
             kernel = kernels.load_kernel(args.kernel_dir)

@@ -1,10 +1,10 @@
-"""Buy/sell Hawkes order-flow model: validation, simulation, analytic observables.
+"""Buy/sell Hawkes order-flow model: validation, simulation, analytic kernel.
 
 The flow of each of d assets is driven by a 2d-dimensional Hawkes process
 (buy and sell components per asset) with shared baseline mu and one table
 of excitation terms alpha * exp(-beta t), each from a source component to
-a target component.  Sums of exponentials give closed-form Fourier
-transforms, L1 norms, and an exact simulation through the cluster
+a target component.  Sums of exponentials give closed-form L1 norms and
+kernel integrals, and an exact simulation through the cluster
 (branching) representation.
 """
 from __future__ import annotations
@@ -127,16 +127,6 @@ class HawkesSpec:
         np.add.at(out, (self.target, self.source), self.alpha / self.beta)
         return out
 
-    def full_fourier(self, omega) -> np.ndarray:
-        """Closed-form transform of the 2d x 2d kernel at frequencies
-        omega, shape (len(omega), 2d, 2d)."""
-        omega = np.atleast_1d(np.asarray(omega, dtype=float))
-        out = np.zeros((2 * self.d, 2 * self.d, len(omega)), dtype=complex)
-        np.add.at(out, (self.target, self.source),
-                  self.alpha[:, None]
-                  / (self.beta[:, None] + 1j * omega[None, :]))
-        return out.transpose(2, 0, 1)
-
     def imbalance_terms(self) -> np.ndarray:
         """Rows (i, j, beta, alpha) of the imbalance kernel bb - ab.
 
@@ -218,42 +208,6 @@ def validate_spec(spec: HawkesSpec, atol: float = 1e-12) -> ValidationReport:
                             messages=messages)
 
 
-def stationary_intensity(spec: HawkesSpec) -> np.ndarray:
-    """Per-asset one-sided stationary intensity theta.
-
-    Solves the 2d-dimensional mean fixed point and returns the buy half;
-    under the balance condition the sell half is identical.
-    """
-    if not validate_spec(spec).stable:
-        raise HawkesError("unstable model has no stationary intensity")
-    d = spec.d
-    mu_full = np.concatenate([spec.mu, spec.mu])
-    try:
-        theta_full = np.linalg.solve(np.eye(2 * d) - spec.full_l1(), mu_full)
-    except np.linalg.LinAlgError as exc:
-        raise HawkesError("singular mean equations") from exc
-    return theta_full[:d]
-
-
-def analytic_flow_spectrum(spec: HawkesSpec, omega) -> np.ndarray:
-    """Spectral density of the signed volume flow at each frequency.
-
-    Units are (contract units)^2 per unit time.  The output is Hermitian
-    positive semi-definite at every frequency; with no excitation it is
-    the flat white spectrum 2 diag(theta v^2).
-    """
-    d = spec.d
-    theta = stationary_intensity(spec)
-    theta_full = np.concatenate([theta, theta])
-    resolvent = np.linalg.inv(np.eye(2 * d)[None] - spec.full_fourier(omega))
-    counts = resolvent @ np.diag(theta_full)[None] @ \
-        resolvent.conj().transpose(0, 2, 1)
-    u = np.hstack([np.eye(d), -np.eye(d)])
-    signed = u[None] @ counts @ u.T[None]
-    dv = np.diag(spec.sizes)
-    return dv[None] @ signed @ dv[None]
-
-
 def imbalance_l1(spec: HawkesSpec) -> np.ndarray:
     """Integrated imbalance kernel, entries sum(alpha/beta) of bb - ab."""
     return imbalance_integral(spec, np.inf)
@@ -326,11 +280,6 @@ class EventStream:
 
     def __len__(self):
         return len(self.times)
-
-    def net_volume(self) -> np.ndarray:
-        out = np.zeros(self.d)
-        np.add.at(out, self.assets, self.sides * self.sizes)
-        return out
 
     def to_csv(self, path):
         """Write the stream as CRLF-terminated rows time,asset,side,size.

@@ -20,7 +20,7 @@ import pathlib
 
 import numpy as np
 
-from .observables import ObservableSet, load_artifact, save_artifact
+from .observables import NEG_TOL, ObservableSet, load_artifact, save_artifact
 from .polymat import DEFAULT_GRID, WhittleFactor, _next_pow2
 
 
@@ -88,17 +88,17 @@ def _sym(m):
     return 0.5 * (m + m.T)
 
 
-def _psd_sqrt(m, neg_tol, what):
+def _psd_sqrt(m, what):
     m = _sym(np.asarray(m, dtype=float))
     w, v = np.linalg.eigh(m)
     scale = max(np.abs(w).max(), 1e-300)
-    if w.min() < -neg_tol * scale:
+    if w.min() < -NEG_TOL * scale:
         raise KernelError(f"{what} is indefinite beyond tolerance "
                           f"(min eigenvalue {w.min():.3e})")
     return v @ np.diag(np.sqrt(np.maximum(w, 0.0))) @ v.T
 
 
-def kyle_matrix(sigma, c, neg_tol: float = 1e-8) -> np.ndarray:
+def kyle_matrix(sigma, c) -> np.ndarray:
     """Unique symmetric PSD M with M c M^T = Sigma / 2.
 
     Uses a Cholesky factor L of the conditioner c; the result does not
@@ -110,7 +110,7 @@ def kyle_matrix(sigma, c, neg_tol: float = 1e-8) -> np.ndarray:
         chol = np.linalg.cholesky(c)
     except np.linalg.LinAlgError as exc:
         raise KernelError("flow conditioner is not positive definite") from exc
-    inner = _psd_sqrt(chol.T @ sigma @ chol, neg_tol, "return covariance")
+    inner = _psd_sqrt(chol.T @ sigma @ chol, "return covariance")
     li = np.linalg.inv(chol)
     m = li.T @ inner @ li / np.sqrt(2.0)
     return _sym(m)
@@ -121,7 +121,7 @@ def compute_K0(obs: ObservableSet) -> np.ndarray:
     return kyle_matrix(obs.sigma, obs.omega_zero)
 
 
-def compute_Lambda(obs: ObservableSet, neg_tol: float = 1e-8) -> np.ndarray:
+def compute_Lambda(obs: ObservableSet) -> np.ndarray:
     """Permanent impact matrix from sigma and the aggregate omega_inf.
 
     Small negative eigenvalues of omega_inf (estimation noise) are
@@ -131,7 +131,7 @@ def compute_Lambda(obs: ObservableSet, neg_tol: float = 1e-8) -> np.ndarray:
     c = _sym(obs.omega_inf)
     w, v = np.linalg.eigh(c)
     tr = max(np.trace(c), 1e-300)
-    if w.min() < -neg_tol * tr:
+    if w.min() < -NEG_TOL * tr:
         raise KernelError("omega_inf indefinite beyond tolerance")
     if w.min() <= 0:
         floor = 1e-12 * tr
@@ -238,7 +238,6 @@ def regularize_K2(k1: ImpactKernel, n_grid: int | None = None) -> ImpactKernel:
     n = zhat.shape[0]
     herm = 0.5 * (zhat + zhat.conj().transpose(0, 2, 1))
     w, v = np.linalg.eigh(herm)
-    clipped_mass = float(np.sqrt(np.sum(np.minimum(w, 0.0) ** 2)))
     wp = np.maximum(w, 0.0)
     zclip = v @ (wp[:, :, None] * v.conj().transpose(0, 2, 1))
     z = np.fft.ifft(zclip, axis=0)
@@ -256,11 +255,8 @@ def regularize_K2(k1: ImpactKernel, n_grid: int | None = None) -> ImpactKernel:
     values[0] = lam2 + z[0]
     values[1:half] = lam2[None] + z[1:half]
     values[half] = lam2 + z[half]
-    diag = {
-        "clipped_negative_mass": clipped_mass,
-        "spectral_distance_to_input": float(
-            np.linalg.norm(zclip - zhat) / max(np.linalg.norm(zhat), 1e-300)),
-    }
+    diag = {"spectral_distance_to_input": float(
+        np.linalg.norm(zclip - zhat) / max(np.linalg.norm(zhat), 1e-300))}
     kernel = ImpactKernel(delta=k1.delta, values=values, lam=lam2,
                           provenance="k2", grid=n, tail_tol=k1.tail_tol,
                           diagnostics=diag)
@@ -275,13 +271,10 @@ class AdmissibilityReport:
     The verdict covers the symmetry of K(0), the spectral positivity of
     the symmetrized transform, and symmetry/positivity of the permanent
     matrix; these are necessary conditions only, so a pass reads
-    "necessary conditions pass", never "admissible".  The slope
-    antisymmetry residual at lag zero applies to twice-differentiable
-    kernels and is reported as information, not folded into the verdict.
+    "necessary conditions pass", never "admissible".
     """
 
     k0_symmetry: float
-    kprime0_antisymmetry: float
     min_spectral_eig: float          # relative to the spectral scale
     lambda_symmetry: float
     lambda_min_eig: float            # relative to |lambda|
@@ -296,24 +289,14 @@ class AdmissibilityReport:
         return out
 
 
-def nsa_check(kernel: ImpactKernel, tol: float = 1e-6,
-              n_grid: int | None = None) -> AdmissibilityReport:
-    """Check the grid-level no-statistical-arbitrage necessary conditions."""
+def nsa_check(kernel: ImpactKernel, tol: float = 1e-6) -> AdmissibilityReport:
+    """Check the grid-level no-statistical-arbitrage necessary conditions
+    on the kernel's own grid."""
     notes = []
     k0 = kernel.k0
     k0_scale = max(np.linalg.norm(k0), 1e-300)
     k0_sym = float(np.linalg.norm(k0 - k0.T) / k0_scale)
-    # one-sided second-order slope at lag 0
-    if kernel.values.shape[0] >= 3:
-        dv = kernel.delta
-        kp0 = (-3.0 * kernel.values[0] + 4.0 * kernel.values[1]
-               - kernel.values[2]) / (2.0 * dv)
-        kp_scale = max(np.linalg.norm(kp0), 1e-300)
-        kp_anti = float(np.linalg.norm(kp0 + kp0.T) / kp_scale)
-    else:
-        kp_anti = float("nan")
-        notes.append("kernel too short for a slope estimate")
-    zhat = symmetrized_transform(kernel, n_grid)
+    zhat = symmetrized_transform(kernel)
     herm = 0.5 * (zhat + zhat.conj().transpose(0, 2, 1))
     asym = np.abs(zhat - herm).max()
     w = np.linalg.eigvalsh(herm)
@@ -329,7 +312,6 @@ def nsa_check(kernel: ImpactKernel, tol: float = 1e-6,
     verdict = (k0_sym <= tol and min_eig >= -tol and lam_sym <= tol
                and lam_min >= -tol)
     return AdmissibilityReport(k0_symmetry=k0_sym,
-                               kprime0_antisymmetry=kp_anti,
                                min_spectral_eig=min_eig,
                                lambda_symmetry=lam_sym,
                                lambda_min_eig=lam_min,
@@ -350,13 +332,31 @@ def save_kernel(directory, kernel: ImpactKernel):
 
 def load_kernel(directory) -> ImpactKernel:
     """The kernel saved under directory; a k0 array, which an older
-    artifact holds next to values, is ignored."""
+    artifact holds next to values, is ignored.  values must be
+    (n+1, d, d) and lam (d, d), both finite, and delta a positive finite
+    number; any other artifact is refused, naming the array at fault."""
     directory = pathlib.Path(directory)
     if not (directory / "meta.json").exists():
         raise KernelError(f"{directory} is not a kernel directory")
     meta, arrays = load_artifact(directory)
-    return ImpactKernel(delta=meta["delta"], values=arrays["values"],
-                        lam=arrays["lam"],
-                        provenance=meta["provenance"], grid=meta["grid"],
-                        tail_tol=meta["tail_tol"],
-                        diagnostics=meta.get("diagnostics", {}))
+    delta = meta["delta"]
+    if type(delta) not in (int, float) or not 0 < delta < np.inf:
+        raise KernelError(f"{directory}: delta must be a positive finite "
+                          f"number, not {delta!r}")
+    kernel = ImpactKernel(delta=delta, values=arrays["values"],
+                          lam=arrays["lam"],
+                          provenance=meta["provenance"], grid=meta["grid"],
+                          tail_tol=meta["tail_tol"],
+                          diagnostics=meta.get("diagnostics", {}))
+    values, lam = kernel.values, kernel.lam
+    if values.ndim != 3 or 0 in values.shape or \
+            values.shape[1] != values.shape[2]:
+        raise KernelError(f"{directory}: values has shape {values.shape}, "
+                          "not (n+1, d, d)")
+    if lam.shape != values.shape[1:]:
+        raise KernelError(f"{directory}: lam has shape {lam.shape}, not "
+                          f"{values.shape[1:]} for values {values.shape}")
+    for name, array in (("values", values), ("lam", lam)):
+        if not np.all(np.isfinite(array)):
+            raise KernelError(f"{directory}: {name} is not finite")
+    return kernel

@@ -13,7 +13,11 @@ import pathlib
 
 import numpy as np
 
-from .hawkes import TIME_FORMAT, EventStream, _read_csv, _write_csv
+from .hawkes import EventStream, _read_csv
+
+# a negative eigenvalue of an estimated covariance down to NEG_TOL of its
+# scale is estimation noise and is clipped; a larger one is refused
+NEG_TOL = 1e-8
 
 
 class ObservablesError(ValueError):
@@ -36,11 +40,6 @@ class PricePath:
 
     def __len__(self):
         return len(self.times)
-
-    def to_csv(self, path):
-        _write_csv(path, ("time", "asset", "price"),
-                   TIME_FORMAT + ",%d,%.17g",
-                   (self.times, self.assets, self.prices))
 
     @classmethod
     def from_csv(cls, path, d=None):
@@ -187,13 +186,12 @@ def taper_weights(taper: str, tau_max: int) -> np.ndarray:
     raise ObservablesError(f"unknown taper policy {taper!r}")
 
 
-def omega_aggregates(omega, taper: str = "bartlett",
-                     neg_tol: float = 1e-8):
+def omega_aggregates(omega, taper: str = "bartlett"):
     """Aggregate lag covariances into (omega_zero, omega_inf).
 
     omega_inf is the lattice zero-frequency value omega(0) +
-    sum_tau w_tau (omega(tau) + omega(tau)^T), symmetrized; small
-    negative eigenvalues from estimation noise are clipped, larger
+    sum_tau w_tau (omega(tau) + omega(tau)^T), symmetrized; negative
+    eigenvalues within NEG_TOL of its scale are clipped, larger
     violations raise (insufficient data).
     """
     omega = np.asarray(omega, dtype=float)
@@ -205,7 +203,7 @@ def omega_aggregates(omega, taper: str = "bartlett",
         agg += w[tau] * (omega[tau] + omega[tau].T)
     agg = 0.5 * (agg + agg.T)
     eigvals, eigvecs = np.linalg.eigh(agg)
-    floor = -neg_tol * max(np.trace(agg), np.abs(eigvals).max())
+    floor = -NEG_TOL * max(np.trace(agg), np.abs(eigvals).max())
     if eigvals.min() < floor:
         raise ObservablesError(
             f"aggregate flow covariance strongly indefinite "

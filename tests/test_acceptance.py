@@ -259,7 +259,7 @@ def test_criterion_estimator_consistency():
         observables.tapered_lags(om, taper="bartlett"), 4096)
     grid = 2 * np.pi * np.arange(4096) / 4096
     grid = np.where(grid <= np.pi, grid, grid - 2 * np.pi)
-    target = hawkes.analytic_flow_spectrum(spec, grid)
+    target = synthetic.analytic_flow_spectrum(spec, grid)
     rel = np.linalg.norm(est - target, axis=(1, 2)) \
         / np.linalg.norm(target, axis=(1, 2))
     hawkes_ok = rel.max() <= 0.10

@@ -224,8 +224,7 @@ class TestCost:
         kernel, s = case
         got = cost(s, kernel)
         for field, vfun in (("total", LoopIntegrals(kernel)),
-                            ("permanent", LoopConstant(kernel.lam)),
-                            ("immediate", LoopConstant(kernel.k0))):
+                            ("permanent", LoopConstant(kernel.lam))):
             ref, scale = loop_pairwise_cost(s, vfun)
             assert abs(getattr(got, field) - ref) <= 1e-12 * scale, field
 

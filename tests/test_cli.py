@@ -13,6 +13,8 @@ from crossimpact.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, RunConfig, main
 from crossimpact.kernels import ImpactKernel, load_kernel, save_kernel
 from crossimpact.observables import load_observables
 
+import synthetic
+
 
 def small_config(tmp_path, seed=3, **overrides):
     beta = 0.25
@@ -81,9 +83,8 @@ def event_prices_loop(spec, stream, lam, p0):
 def write_price_tape(path, stream, prices):
     """A data-path price CSV: each asset's price at every event of stream."""
     d = stream.d
-    observables.PricePath(times=np.repeat(stream.times, d),
-                          assets=np.tile(np.arange(d), len(stream)),
-                          prices=prices, d=d).to_csv(path)
+    synthetic.write_price_csv(path, np.repeat(stream.times, d),
+                              np.tile(np.arange(d), len(stream)), prices)
 
 
 def loop_price_tapes(cfg, sim):
@@ -204,6 +205,34 @@ class TestConfig:
         path.write_text(json.dumps({"tolerances": {"factor_tol": 0.0}}))
         with pytest.raises(cli.InputError, match="factor_tol must be"):
             RunConfig.from_file(path)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    @pytest.mark.parametrize("key", ["--tol", "delta", "factor_tol",
+                                     "tail_tol", "nsa_tol",
+                                     "factor_residual_bound"])
+    def test_tolerance_not_finite_positive_exits_2(self, tmp_path, capsys,
+                                                   key, value):
+        # with nsa_tol or --tol inf every kernel would pass; with a NaN
+        # tail_tol every K1 would read degraded
+        message = f"input error: {key} must be positive and finite"
+        if key == "--tol":
+            k = ImpactKernel(delta=1.0, values=np.ones((9, 1, 1)),
+                             lam=np.ones((1, 1)), provenance="k1", grid=64)
+            save_kernel(tmp_path / "k", k)
+            assert main(["check", str(tmp_path / "k"),
+                         f"--tol={value}"]) == EXIT_INPUT
+            assert capsys.readouterr().err.startswith(message)
+            return
+        raw = {"delta": value} if key == "delta" else \
+            {"tolerances": {key: value}}
+        cfg = small_config(tmp_path, **raw)
+        for command in ("simulate", "estimate", "calibrate", "demo"):
+            out = tmp_path / f"refused-{command}"
+            assert main(["--config", str(cfg), "--output-dir", str(out),
+                         command]) == EXIT_INPUT, command
+            assert capsys.readouterr().err.startswith(message), command
+            assert not out.exists(), command
 
 
 class TestSimulate:
@@ -696,10 +725,9 @@ class TestCalibrate:
         cfg, sim = self.data_path_days(tmp_path)
         pf = sim / "prices_001.csv"
         p = observables.PricePath.from_csv(pf)
-        observables.PricePath(
-            times=np.concatenate([p.times, [0.0]]),
-            assets=np.concatenate([p.assets, [2]]),
-            prices=np.concatenate([p.prices, [100.0]]), d=3).to_csv(pf)
+        synthetic.write_price_csv(pf, np.concatenate([p.times, [0.0]]),
+                                  np.concatenate([p.assets, [2]]),
+                                  np.concatenate([p.prices, [100.0]]))
         assert main(["--config", str(cfg), "--output-dir", str(sim),
                      "estimate"]) == EXIT_INPUT
         assert "day 1 has 3 assets, but day 0 has 2" in \
@@ -877,6 +905,29 @@ def read_predicted(path):
 
 
 class TestDemo:
+    def test_each_kernel_checked_once(self, tmp_path, capsys, monkeypatch):
+        # demo prints the K2 report that calibrate computed and recorded;
+        # check computes one report, on the kernel it loads
+        checked = []
+        nsa_check = kernels.nsa_check
+
+        def counted(kernel, **kwargs):
+            checked.append(kernel.provenance)
+            return nsa_check(kernel, **kwargs)
+        monkeypatch.setattr(kernels, "nsa_check", counted)
+        out = tmp_path / "demo"
+        assert main(["--config", str(small_config(tmp_path)),
+                     "--output-dir", str(out), "demo"]) == EXIT_OK
+        assert checked == ["k1", "k2"]
+        printed = capsys.readouterr().out
+        report = json.loads(printed[printed.index("{\n"):
+                                    printed.index("\n}\n") + 2])
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert report == diag["k2_admissibility"]
+        checked.clear()
+        assert main(["check", str(out / "k2")]) == EXIT_OK
+        assert checked == ["k2"]
+
     def test_three_assets(self, tmp_path):
         # p0 defaults to 100 per asset; a configured p0 shifts each asset's
         # path by its own constant
@@ -939,6 +990,64 @@ class TestCheckScans:
         assert rc == (EXIT_OK if verdict else EXIT_FAIL)
 
 
+@pytest.fixture(scope="module")
+def calibrated(tmp_path_factory):
+    """A calibrate run's output directory, with K1 and day 0's events."""
+    root = tmp_path_factory.mktemp("calibrated")
+    out = root / "run"
+    assert main(["--config", str(small_config(root, n_days=1,
+                                              horizon=200.0)),
+                 "--output-dir", str(out), "calibrate"]) == EXIT_OK
+    return out
+
+
+def with_entry(index, value):
+    """An edit that copies an array and sets one entry."""
+    def edit(array):
+        array = array.copy()
+        array[index] = value
+        return array
+    return edit
+
+
+class TestKernelArtifact:
+    @pytest.mark.parametrize("name, edit", [
+        pytest.param("values", lambda v: v[:, :, :1], id="values-d-by-1"),
+        pytest.param("values", lambda v: v[:, 0], id="values-2d"),
+        pytest.param("values", lambda v: v[:0], id="values-no-lag"),
+        pytest.param("values", with_entry((3, 0, 0), np.nan),
+                     id="values-nan"),
+        pytest.param("lam", lambda lam: lam[:1], id="lam-1-by-2"),
+        pytest.param("lam", with_entry((0, 1), np.inf), id="lam-inf"),
+        pytest.param("delta", lambda _: 0.0, id="delta-zero"),
+        pytest.param("delta", lambda _: float("nan"), id="delta-nan"),
+        pytest.param("delta", lambda _: "1.0", id="delta-str"),
+    ])
+    def test_malformed_kernel_exits_2(self, tmp_path, capsys, calibrated,
+                                      name, edit):
+        # unrefused, a (n+1, 2, 1) K1 is checked and used, and a NaN lag
+        # predicts nan prices with exit 0
+        kernel_dir = tmp_path / "k1"
+        kernel_dir.mkdir()
+        meta = json.loads((calibrated / "k1" / "meta.json").read_text())
+        with np.load(calibrated / "k1" / "arrays.npz") as stored:
+            arrays = dict(stored)
+        fields = meta if name == "delta" else arrays
+        fields[name] = edit(fields[name])
+        np.savez(kernel_dir / "arrays.npz", **arrays)
+        (kernel_dir / "meta.json").write_text(json.dumps(meta))
+        pred = tmp_path / "pred.csv"
+        for argv in (["check", str(kernel_dir)],
+                     ["predict", str(kernel_dir),
+                      str(calibrated / "events_000.csv"), "--out",
+                      str(pred)]):
+            assert main(argv) == EXIT_INPUT, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("input error: "), argv[0]
+            assert f": {name} " in err, argv[0]
+        assert not pred.exists()
+
+
 class TestSideLabels:
     def test_unknown_label_is_input_error(self, tmp_path, capsys):
         cfg = small_config(tmp_path, n_days=1, horizon=200.0)
@@ -978,3 +1087,15 @@ def test_import_loads_no_scipy_or_synthetic(tmp_path):
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "predicted_prices.csv").exists()
+
+
+def test_star_import_resolves_all():
+    # a name left in __all__ after its function moved breaks only the
+    # star import; the simulator oracles live in tests/synthetic.py
+    import crossimpact
+    namespace = {}
+    exec("from crossimpact import *", namespace)
+    assert set(crossimpact.__all__) <= set(namespace)
+    for name in ("analytic_flow_spectrum", "stationary_intensity"):
+        assert name not in namespace and not hasattr(hawkes, name)
+    assert not hasattr(hawkes.HawkesSpec, "full_fourier")

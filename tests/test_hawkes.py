@@ -11,9 +11,9 @@ from scipy import stats
 
 from crossimpact import hawkes
 from crossimpact.hawkes import (BUY, SELL, EventStream, HawkesError,
-                                HawkesSpec, analytic_flow_spectrum,
-                                analytic_kernel, imbalance_l1, simulate,
-                                stationary_intensity, validate_spec)
+                                HawkesSpec, analytic_kernel, imbalance_l1,
+                                simulate, validate_spec)
+from synthetic import analytic_flow_spectrum, stationary_intensity
 
 
 def poisson_spec(mu=(1.0, 1.0), sizes=(1.0, 1.0)):

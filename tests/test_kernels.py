@@ -348,9 +348,8 @@ class TestRegularize:
         k2 = regularize_K2(k1, n_grid=1024)
         assert k2.diagnostics["tail_error"] == k2.tail_error()
         assert k2.tail_error() < 1e-3 * k1.diagnostics["tail_error"]
-        assert set(k2.diagnostics) == {
-            "clipped_negative_mass", "spectral_distance_to_input",
-            "tail_error"}
+        assert set(k2.diagnostics) == {"spectral_distance_to_input",
+                                       "tail_error"}
 
     def test_clip_is_frobenius_projection(self):
         # per-frequency convex oracle: no PSD candidate is closer
@@ -385,9 +384,6 @@ class TestNsaCheck:
         rep = nsa_check(k)
         assert rep.verdict
         assert rep.min_spectral_eig >= -1e-10
-        # the slope condition fails for this kernel family and is
-        # reported as information only
-        assert rep.kprime0_antisymmetry > 0.5
 
     def test_asymmetric_immediate_matrix_fails(self):
         tau = np.arange(17, dtype=float)

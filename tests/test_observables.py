@@ -52,7 +52,8 @@ class TestBinning:
         sizes = rng.integers(1, 5, size=n).astype(float)
         stream = make_stream(times, assets, sides, sizes, horizon=10.0)
         series = bin_events(stream, None, 1.0)
-        assert np.array_equal(series.flows.sum(axis=0), stream.net_volume())
+        net = np.bincount(assets, weights=sides * sizes, minlength=2)
+        assert np.array_equal(series.flows.sum(axis=0), net)
 
     def test_empty_bins_carry_prices_forward(self):
         stream = make_stream([0.5], [0], [1], [1.0], horizon=4.0, d=1)
@@ -302,7 +303,8 @@ class TestPriceCsv:
                                          2),
                          assets=np.tile([0, 1], n),
                          prices=100.0 + rng.normal(size=2 * n), d=2)
-        path.to_csv(tmp_path / "got.csv")
+        synthetic.write_price_csv(tmp_path / "got.csv", path.times,
+                                  path.assets, path.prices)
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["time", "asset", "price"])
