@@ -97,6 +97,9 @@ class RunConfig:
             _finite_positive(tol_name, getattr(cfg, tol_name))
         if cfg.n_days < 1:
             raise InputError(f"n_days must be at least 1, not {cfg.n_days}")
+        if not 0 <= cfg.tau_max < cfg.grid // 2:
+            raise InputError(f"tau_max must be at least 0 and below grid // 2,"
+                             f" not {cfg.tau_max} with grid {cfg.grid}")
         if cfg.spec is not None and (cfg.events is not None
                                      or cfg.prices is not None):
             raise InputError("config must carry either a spec or data "

@@ -9,8 +9,9 @@ negative eigenvalues of its symmetrized transform per frequency.
 All frequency-domain checks share one transform convention: for a
 kernel with permanent part Lambda, Zhat(omega) is the transform of the
 two-sided extension of the transient K - Lambda with the lag-0 atom
-counted once.  Zhat is Hermitian per frequency whenever K(0) is
-symmetric, and clipping it is an exact projection that round-trips
+counted once, given at the non-redundant half of the grid
+(polymat.spectrum_on_grid).  Zhat is Hermitian per frequency by
+construction, and clipping it is an exact projection that round-trips
 through the stored lattice values.
 """
 from __future__ import annotations
@@ -21,7 +22,8 @@ import pathlib
 import numpy as np
 
 from .observables import NEG_TOL, ObservableSet, load_artifact, save_artifact
-from .polymat import DEFAULT_GRID, WhittleFactor, _next_pow2
+from .polymat import (DEFAULT_GRID, WhittleFactor, _next_pow2, circle_norm,
+                      spectrum_on_grid)
 
 
 class KernelError(ValueError):
@@ -149,13 +151,12 @@ def build_K1(obs: ObservableSet, factor: WhittleFactor,
              residual_bound: float = 1e-4) -> ImpactKernel:
     """Martingale-consistent kernel with no-arbitrage boundary matrices.
 
-    On the factor's circle grid the derivative transform is
-    M L(omega)^{-1} - K(0) with M = Lambda L(0), which pins both the
-    flow-covariance identity and the zero-frequency boundary
-    K(0) + Khat'(0) = Lambda.  The lag coefficients recovered by inverse
-    FFT are treated as derivative densities at cell midpoints; the kernel
-    is their half-cell-corrected cumulative sum.  The factor's order is
-    at most half its grid, so its inverse never wraps the grid.
+    The derivative transform is M L(omega)^{-1} - K(0) with
+    M = Lambda L(0), which pins both the flow-covariance identity and the
+    zero-frequency boundary K(0) + Khat'(0) = Lambda.  Its lag
+    coefficients, M inverse[k] less K(0) at lag 0 and zero past the
+    factor's order, are treated as derivative densities at cell
+    midpoints; the kernel is their half-cell-corrected cumulative sum.
     """
     if factor.residual > residual_bound:
         raise KernelError(f"factor residual {factor.residual:.2e} exceeds "
@@ -174,15 +175,14 @@ def build_K1(obs: ObservableSet, factor: WhittleFactor,
         raise KernelError("L(0) is singular") from exc
     if not np.isfinite(l0_inv_check) or l0_inv_check > 1e12:
         raise KernelError("L(0) is numerically singular")
-    m_mat = lam @ l0
-    linv_w = np.fft.fft(factor.inverse, n, axis=0)
-    fhat = m_mat[None] @ linv_w - k0[None]
-    # the spectrum of a real filter: the imaginary part is roundoff
-    g = np.fft.ifft(fhat, axis=0).real
+    g = np.zeros((tau_max + 1, obs.d, obs.d))
+    p = min(factor.order, tau_max) + 1
+    g[:p] = lam @ l0 @ factor.inverse[:p]
+    g[0] -= k0
     values = np.zeros((tau_max + 1, obs.d, obs.d))
     values[0] = k0
-    csum = np.cumsum(g[:tau_max + 1], axis=0)
-    values[1:] = k0 + csum[:tau_max] + 0.5 * g[1:tau_max + 1]
+    csum = np.cumsum(g, axis=0)
+    values[1:] = k0 + csum[:tau_max] + 0.5 * g[1:]
     diag = {"factor_residual": factor.residual, "factor_order": factor.order,
             "reflection_norm": factor.reflection_norm}
     kernel = ImpactKernel(delta=obs.delta, values=values, lam=lam,
@@ -196,30 +196,25 @@ def build_K1(obs: ObservableSet, factor: WhittleFactor,
 # Symmetrized transform, clipping, admissibility
 # ---------------------------------------------------------------------------
 
+def _transform_grid(kernel: ImpactKernel, n_grid: int | None) -> int:
+    """n_grid, or the kernel's grid, grown to the next power of two that
+    holds the two-sided support of its lags."""
+    n = n_grid or kernel.grid
+    return n if 2 * kernel.n_lags <= n else _next_pow2(2 * kernel.n_lags)
+
+
 def symmetrized_transform(kernel: ImpactKernel,
                           n_grid: int | None = None) -> np.ndarray:
-    """Zhat(omega_k) = Khat + Khat^* of the transient part K - Lambda.
+    """Zhat(omega_k) = Khat + Khat^* of the transient part K - Lambda at
+    the n // 2 + 1 non-redundant frequencies of the transform grid n.
 
     The transient sequence is reflected with its transpose to negative
-    lags, the lag-0 atom counted once, and transformed on an FFT grid
-    large enough to hold the full two-sided support, so the transform is
-    exactly Hermitian and bijective with the stored lattice values.
+    lags, the lag-0 atom counted once, on a grid large enough to hold the
+    full two-sided support, so the transform is exactly Hermitian and
+    bijective with the stored lattice values.
     """
-    n = n_grid or kernel.grid
-    trans = kernel.values - kernel.lam[None]
-    support = trans.shape[0] - 1
-    if 2 * support > n:
-        n = _next_pow2(2 * support)
-    d = kernel.d
-    x = np.zeros((n, d, d))
-    x[0] = trans[0]
-    x[1:support + 1] = trans[1:]
-    x[n - support:][::-1] = trans[1:].transpose(0, 2, 1)
-    half = n // 2
-    if support == half:
-        # the Nyquist lag is its own reflection
-        x[half] = _sym(trans[half])
-    return np.fft.fft(x, axis=0)
+    return spectrum_on_grid(kernel.values - kernel.lam[None],
+                            _transform_grid(kernel, n_grid))
 
 
 def regularize_K2(k1: ImpactKernel, n_grid: int | None = None) -> ImpactKernel:
@@ -234,16 +229,12 @@ def regularize_K2(k1: ImpactKernel, n_grid: int | None = None) -> ImpactKernel:
     """
     if k1.provenance not in ("k1", "analytic", "k2"):
         raise KernelError(f"unexpected provenance {k1.provenance!r}")
-    zhat = symmetrized_transform(k1, n_grid)
-    n = zhat.shape[0]
-    herm = 0.5 * (zhat + zhat.conj().transpose(0, 2, 1))
-    w, v = np.linalg.eigh(herm)
-    wp = np.maximum(w, 0.0)
-    zclip = v @ (wp[:, :, None] * v.conj().transpose(0, 2, 1))
-    z = np.fft.ifft(zclip, axis=0)
-    z = z.real
-    d = k1.d
-    half = n // 2
+    n = _transform_grid(k1, n_grid)
+    zhat = symmetrized_transform(k1, n)
+    w, v = np.linalg.eigh(zhat)
+    zclip = v @ (np.maximum(w, 0.0)[:, :, None]
+                 * v.conj().transpose(0, 2, 1))
+    z = np.fft.irfft(zclip, n, axis=0)
     lam_sym = _sym(k1.lam)
     lam_w, lam_v = np.linalg.eigh(lam_sym)
     if lam_w.min() >= 0.0:
@@ -251,15 +242,11 @@ def regularize_K2(k1: ImpactKernel, n_grid: int | None = None) -> ImpactKernel:
         lam2 = k1.lam if np.array_equal(lam_sym, k1.lam) else lam_sym
     else:
         lam2 = _sym(lam_v @ np.diag(np.maximum(lam_w, 0.0)) @ lam_v.T)
-    values = np.zeros((half + 1, d, d))
-    values[0] = lam2 + z[0]
-    values[1:half] = lam2[None] + z[1:half]
-    values[half] = lam2 + z[half]
-    diag = {"spectral_distance_to_input": float(
-        np.linalg.norm(zclip - zhat) / max(np.linalg.norm(zhat), 1e-300))}
-    kernel = ImpactKernel(delta=k1.delta, values=values, lam=lam2,
-                          provenance="k2", grid=n, tail_tol=k1.tail_tol,
-                          diagnostics=diag)
+    diag = {"spectral_distance_to_input": circle_norm(zclip - zhat, n)
+            / max(circle_norm(zhat, n), 1e-300)}
+    kernel = ImpactKernel(delta=k1.delta, values=lam2 + z[:n // 2 + 1],
+                          lam=lam2, provenance="k2", grid=n,
+                          tail_tol=k1.tail_tol, diagnostics=diag)
     diag["tail_error"] = kernel.tail_error()
     return kernel
 
@@ -280,7 +267,6 @@ class AdmissibilityReport:
     lambda_min_eig: float            # relative to |lambda|
     tol: float
     verdict: bool
-    notes: list
 
     def to_dict(self):
         out = dataclasses.asdict(self)
@@ -292,17 +278,11 @@ class AdmissibilityReport:
 def nsa_check(kernel: ImpactKernel, tol: float = 1e-6) -> AdmissibilityReport:
     """Check the grid-level no-statistical-arbitrage necessary conditions
     on the kernel's own grid."""
-    notes = []
     k0 = kernel.k0
     k0_scale = max(np.linalg.norm(k0), 1e-300)
     k0_sym = float(np.linalg.norm(k0 - k0.T) / k0_scale)
-    zhat = symmetrized_transform(kernel)
-    herm = 0.5 * (zhat + zhat.conj().transpose(0, 2, 1))
-    asym = np.abs(zhat - herm).max()
-    w = np.linalg.eigvalsh(herm)
+    w = np.linalg.eigvalsh(symmetrized_transform(kernel))
     scale = max(np.abs(w).max(), 1e-300)
-    if asym > 1e-9 * scale:
-        notes.append("transform not Hermitian (asymmetric immediate matrix)")
     min_eig = float(w.min() / scale)
     lam = kernel.lam
     lam_scale = max(np.linalg.norm(lam), 1e-300)
@@ -315,7 +295,7 @@ def nsa_check(kernel: ImpactKernel, tol: float = 1e-6) -> AdmissibilityReport:
                                min_spectral_eig=min_eig,
                                lambda_symmetry=lam_sym,
                                lambda_min_eig=lam_min,
-                               tol=tol, verdict=verdict, notes=notes)
+                               tol=tol, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +313,21 @@ def save_kernel(directory, kernel: ImpactKernel):
 def load_kernel(directory) -> ImpactKernel:
     """The kernel saved under directory; a k0 array, which an older
     artifact holds next to values, is ignored.  values must be
-    (n+1, d, d) and lam (d, d), both finite, and delta a positive finite
-    number; any other artifact is refused, naming the array at fault."""
+    (n+1, d, d) and lam (d, d), both finite, delta and tail_tol positive
+    finite numbers, and grid an integer of at least 1; any other artifact
+    is refused, naming the array or key at fault."""
     directory = pathlib.Path(directory)
     if not (directory / "meta.json").exists():
         raise KernelError(f"{directory} is not a kernel directory")
     meta, arrays = load_artifact(directory)
-    delta = meta["delta"]
-    if type(delta) not in (int, float) or not 0 < delta < np.inf:
-        raise KernelError(f"{directory}: delta must be a positive finite "
-                          f"number, not {delta!r}")
-    kernel = ImpactKernel(delta=delta, values=arrays["values"],
+    for key in ("delta", "tail_tol"):
+        if type(meta[key]) not in (int, float) or not 0 < meta[key] < np.inf:
+            raise KernelError(f"{directory}: {key} must be a positive finite "
+                              f"number, not {meta[key]!r}")
+    if type(meta["grid"]) is not int or meta["grid"] < 1:
+        raise KernelError(f"{directory}: grid must be an integer of at least "
+                          f"1, not {meta['grid']!r}")
+    kernel = ImpactKernel(delta=meta["delta"], values=arrays["values"],
                           lam=arrays["lam"],
                           provenance=meta["provenance"], grid=meta["grid"],
                           tail_tol=meta["tail_tol"],

@@ -36,21 +36,35 @@ def _next_pow2(n):
 
 
 def spectrum_on_grid(lags, n_grid: int) -> np.ndarray:
-    """R(omega_j) = sum_k R_k e^{-i omega_j k} at omega_j = 2 pi j / n_grid.
+    """R(omega_j) = sum_k R_k e^{-i omega_j k} at omega_j = 2 pi j / n_grid
+    for j = 0..n_grid // 2; the other frequencies are their conjugates.
 
     lags[k] = R_k for k = 0..m are the causal lags of a para-Hermitian R,
-    with R_{-k} = R_k^T; lag 0 is symmetrized.  Returns an (n_grid, d, d)
-    complex array, exact when n_grid >= 2m+1; smaller grids are rejected.
+    with R_{-k} = R_k^T, so R = F + F^H with F the transform of the causal
+    lags, lag 0 halved.  At n_grid = 2m the last lag is the Nyquist lag,
+    its own reflection, and is counted once (halved as well).  Returns an
+    (n_grid // 2 + 1, d, d) array, Hermitian per frequency; grids below
+    2m are rejected.
     """
-    lags = np.asarray(lags, dtype=float)
-    m = lags.shape[0] - 1
-    if n_grid < 2 * m + 1:
+    x = np.array(lags, dtype=float)
+    m = x.shape[0] - 1
+    if n_grid < max(2 * m, 1):
         raise PolymatError(f"n_grid={n_grid} cannot resolve order {m}")
-    x = np.zeros((n_grid,) + lags.shape[1:])
-    x[0] = 0.5 * (lags[0] + lags[0].T)
-    x[1:m + 1] = lags[1:]
-    x[n_grid - m:] = lags[:0:-1].transpose(0, 2, 1)
-    return np.fft.fft(x, axis=0)
+    x[0] *= 0.5
+    if 2 * m == n_grid:
+        x[m] *= 0.5
+    f = np.fft.rfft(x, n_grid, axis=0)
+    return f + f.conj().transpose(0, 2, 1)
+
+
+def circle_norm(z, n_grid: int) -> float:
+    """Frobenius norm over all n_grid frequencies of a real sequence's
+    transform z, given at its n_grid // 2 + 1 non-redundant ones: the
+    interior frequencies count twice, DC and an even grid's Nyquist
+    once."""
+    sq = np.sum(np.abs(z) ** 2, axis=(1, 2))
+    return float(np.sqrt(2.0 * sq.sum() - sq[0]
+                         - (sq[-1] if n_grid % 2 == 0 else 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +135,10 @@ def whittle_factor(lags, tol: float = FACTOR_TOL,
         if p == cap or refl < tol:
             cv_inv = np.linalg.inv(cv)
             inverse = np.concatenate([cv_inv[None], -cv_inv @ fwd])
-            l_w = np.linalg.inv(np.fft.fft(inverse, n=n_grid, axis=0))
+            l_w = np.linalg.inv(np.fft.rfft(inverse, n_grid, axis=0))
             rec = l_w @ l_w.conj().transpose(0, 2, 1)
-            residual = float(np.linalg.norm(rec - target)
-                             / np.linalg.norm(target))
+            residual = (circle_norm(rec - target, n_grid)
+                        / circle_norm(target, n_grid))
             if p == cap or residual <= STOP_RESIDUAL:
                 break
         a_new = np.linalg.solve(u.T, delta.T).T

@@ -170,6 +170,17 @@ class TestConfig:
                      id="tolerances-float"),
         pytest.param({"n_days": -1}, "n_days must be at least 1, not -1",
                      id="n_days-negative"),
+        # build_K1's rule; unrefused, each wrote the events, the manifest
+        # and observables/ before failing a later stage
+        pytest.param({"tau_max": 64, "grid": 128},
+                     "tau_max must be at least 0 and below grid // 2, not "
+                     "64 with grid 128", id="tau_max-half-grid"),
+        pytest.param({"tau_max": 64, "grid": 0}, "not 64 with grid 0",
+                     id="grid-zero"),
+        pytest.param({"tau_max": 64, "grid": -4096},
+                     "not 64 with grid -4096", id="grid-negative"),
+        pytest.param({"tau_max": -1}, "not -1 with grid 2048",
+                     id="tau_max-negative"),
     ])
     def test_wrong_value_type_exits_2(self, tmp_path, capsys, raw, message):
         # refused for every config command before any directory is made
@@ -365,6 +376,22 @@ class TestCalibrate:
         k1 = load_kernel(out1 / "k1")
         assert np.allclose(k1.k0, compute_K0(obs), atol=0, rtol=0)
         assert np.allclose(k1.lam, compute_Lambda(obs), atol=0, rtol=0)
+
+    def test_odd_grid_k2_passes_its_check(self, tmp_path):
+        # on an odd grid the last stored lag is not the Nyquist lag; taken
+        # for one, this config's clipped kernel failed its own check with
+        # a min spectral eigenvalue of -6.5e-6
+        cfg = small_config(tmp_path, grid=301, tau_max=64, horizon=1200.0,
+                           n_days=5)
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--output-dir", str(out),
+                     "calibrate"]) == EXIT_OK
+        report = json.loads(
+            (out / "diagnostics.json").read_text())["k2_admissibility"]
+        assert report["verdict"]
+        assert report["min_spectral_eig"] >= -1e-12
+        k2 = load_kernel(out / "k2")
+        assert (k2.grid, k2.n_lags) == (301, 150)
 
     def test_degraded_k1_reported(self, tmp_path, capsys):
         # the exit code stays 0; diagnostics and console name the fault
@@ -1022,17 +1049,26 @@ class TestKernelArtifact:
         pytest.param("delta", lambda _: 0.0, id="delta-zero"),
         pytest.param("delta", lambda _: float("nan"), id="delta-nan"),
         pytest.param("delta", lambda _: "1.0", id="delta-str"),
+        pytest.param("tail_tol", lambda _: "abc", id="tail_tol-str"),
+        pytest.param("tail_tol", lambda _: float("nan"), id="tail_tol-nan"),
+        pytest.param("tail_tol", lambda _: 0, id="tail_tol-zero"),
+        pytest.param("tail_tol", lambda _: -1.0, id="tail_tol-negative"),
+        pytest.param("grid", lambda _: "x", id="grid-str"),
+        pytest.param("grid", lambda _: 2.5, id="grid-float"),
+        pytest.param("grid", lambda _: 0, id="grid-zero"),
+        pytest.param("grid", lambda _: True, id="grid-bool"),
     ])
     def test_malformed_kernel_exits_2(self, tmp_path, capsys, calibrated,
                                       name, edit):
-        # unrefused, a (n+1, 2, 1) K1 is checked and used, and a NaN lag
-        # predicts nan prices with exit 0
+        # unrefused, a (n+1, 2, 1) K1 is checked and used, a NaN lag
+        # predicts nan prices with exit 0, and a NaN tail_tol lets the
+        # scans run past an unconverged lattice
         kernel_dir = tmp_path / "k1"
         kernel_dir.mkdir()
         meta = json.loads((calibrated / "k1" / "meta.json").read_text())
         with np.load(calibrated / "k1" / "arrays.npz") as stored:
             arrays = dict(stored)
-        fields = meta if name == "delta" else arrays
+        fields = arrays if name in arrays else meta
         fields[name] = edit(fields[name])
         np.savez(kernel_dir / "arrays.npz", **arrays)
         (kernel_dir / "meta.json").write_text(json.dumps(meta))

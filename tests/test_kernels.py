@@ -256,7 +256,7 @@ def loop_symmetrized_transform(kernel, n_grid=None):
     x = np.zeros((n,) + trans.shape[1:])
     x[0] = trans[0]
     for t in range(1, support + 1):
-        if t == n // 2:
+        if 2 * t == n:
             x[t] += 0.5 * (trans[t] + trans[t].T)
         else:
             x[t] += trans[t]
@@ -284,17 +284,23 @@ class TestValueAt:
 
 class TestSymmetrizedTransform:
     # (lags, kernel grid, n_grid): support below half the grid, at half,
-    # at half after growing a too-small override, and a larger override
+    # at half after growing a too-small override, a larger override, and
+    # an odd grid whose last lag is not the Nyquist lag
     @pytest.mark.parametrize("n_lags, grid, n_grid", [
-        (64, 512, None), (256, 512, None), (64, 64, 64), (64, 512, 2048)])
+        (64, 512, None), (256, 512, None), (64, 64, 64), (64, 512, 2048),
+        (150, 301, None)])
     def test_matches_reflection_loop(self, n_lags, grid, n_grid):
         rng = np.random.default_rng(n_lags + grid)
         vals = rng.normal(size=(n_lags + 1, 2, 2))
         k = ImpactKernel(delta=1.0, values=vals,
                          lam=rng.normal(size=(2, 2)), provenance="k1",
                          grid=grid)
-        assert np.array_equal(symmetrized_transform(k, n_grid),
-                              loop_symmetrized_transform(k, n_grid))
+        ref = loop_symmetrized_transform(k, n_grid)
+        ref = 0.5 * (ref + ref.conj().transpose(0, 2, 1))
+        ref = ref[:ref.shape[0] // 2 + 1]
+        got = symmetrized_transform(k, n_grid)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestRegularize:
