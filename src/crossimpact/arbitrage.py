@@ -10,6 +10,8 @@ The four-corner sums of every piece pair are one array contraction.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -38,9 +40,14 @@ class Strategy:
     horizon: float
 
     def __post_init__(self):
+        if not math.isfinite(self.horizon):
+            raise StrategyError(f"horizon {self.horizon} is not finite")
         for i, plist in enumerate(self.pieces):
             ordered = sorted(plist, key=lambda p: p.start)
             for p in ordered:
+                if not (math.isfinite(p.start) and math.isfinite(p.end)
+                        and math.isfinite(p.rate)):
+                    raise StrategyError(f"asset {i}: non-finite piece {p}")
                 if p.end <= p.start:
                     raise StrategyError(f"asset {i}: empty piece {p}")
                 if p.start < 0 or p.end > self.horizon + 1e-12:
@@ -80,61 +87,55 @@ class _KernelIntegrals:
     """Second antiderivative V of each kernel entry, V'' = k, V(x<=0) = 0.
 
     V is exact for the piecewise-linear lattice kernel extended by its
-    permanent plateau, so piece-pair costs are exact corner sums."""
+    permanent plateau, so piece-pair costs are exact corner sums.  Table
+    row (i * d + a) * d + b holds V, W = V', k / 2 at node i of entry
+    (a, b) and the rise dk of cell i: V is a cubic in the offset from the
+    node.  Row i = n_lags, k = lam and dk = 0, is the plateau."""
 
-    def __init__(self, values, delta, lam):
-        self.delta = float(delta)
-        self.values = np.asarray(values, dtype=float)
-        self.lam = np.asarray(lam, dtype=float)
-        self.n = self.values.shape[0] - 1
-        dv = self.delta
-        k = self.values
-        dk = np.diff(k, axis=0)
-        self.w_nodes = np.concatenate([
-            np.zeros((1,) + k.shape[1:]),
-            np.cumsum(0.5 * dv * (k[:-1] + k[1:]), axis=0)])
-        v_inc = (self.w_nodes[:-1] * dv + 0.5 * k[:-1] * dv ** 2
-                 + dk * dv ** 2 / 6.0)
-        self.v_nodes = np.concatenate([
-            np.zeros((1,) + k.shape[1:]), np.cumsum(v_inc, axis=0)])
+    def __init__(self, kernel: ImpactKernel):
+        self.delta = dv = float(kernel.delta)
+        k = kernel.values
+        self.n = n = k.shape[0] - 1
+        self.entries = k.shape[1] * k.shape[2]
+        table = np.zeros(k.shape + (4,))
+        v, w, half_k, dk = np.moveaxis(table, -1, 0)
+        dk[:-1] = np.diff(k, axis=0)
+        half_k[:-1] = 0.5 * k[:-1]
+        half_k[n] = 0.5 * kernel.lam
+        w[1:] = np.cumsum(0.5 * dv * (k[:-1] + k[1:]), axis=0)
+        v[1:] = np.cumsum(w[:-1] * dv + half_k[:-1] * dv ** 2
+                          + dk[:-1] * dv ** 2 / 6.0, axis=0)
+        self.table = table.reshape(-1, 4)
 
-    def v(self, x, a, b) -> np.ndarray:
-        """V_ab at the offsets x; x, a and b broadcast together."""
+    def v(self, x, entry) -> np.ndarray:
+        """V at the offsets x of the flat entries a * d + b, which
+        broadcast with x."""
         dv = self.delta
-        span = self.n * dv
-        i = np.clip(np.floor(x / dv), 0, self.n - 1).astype(int)
+        i = np.maximum(np.minimum(np.floor(x / dv), self.n - 1), 0.0)
+        i[x >= self.n * dv] = self.n
         s = x - i * dv
-        k0 = self.values[i, a, b]
-        dk = self.values[i + 1, a, b] - k0
-        inside = (self.v_nodes[i, a, b] + self.w_nodes[i, a, b] * s
-                  + 0.5 * k0 * s * s + dk * s ** 3 / (6.0 * dv))
-        u = x - span
-        plateau = (self.v_nodes[-1, a, b] + self.w_nodes[-1, a, b] * u
-                   + 0.5 * self.lam[a, b] * u * u)
-        return np.where(x <= 0.0, 0.0, np.where(x >= span, plateau, inside))
+        rows = np.take(self.table, i.astype(int) * self.entries + entry,
+                       axis=0)
+        v, w, half_k, dk = np.moveaxis(rows, -1, 0)
+        inside = v + w * s + half_k * s * s + dk * (s * s * s) / (6.0 * dv)
+        return np.where(x <= 0.0, 0.0, inside)
 
 
 def _constant_v(mat):
-    """V_ab of the constant kernel mat."""
-    mat = np.asarray(mat, dtype=float)
+    """V of the constant kernel mat, in the signature of _KernelIntegrals.v."""
+    half = 0.5 * mat.ravel()
 
-    def v(x, a, b):
+    def v(x, entry):
         xp = np.maximum(x, 0.0)
-        return 0.5 * mat[a, b] * xp * xp
+        return half[entry] * xp * xp
     return v
 
 
-def _pairwise_cost(strategy, v):
+def _corner_cost(v, offsets, entry, rate):
     """Sum of r_p r_q times the corner sum of V over all ordered piece
-    pairs (p, q), taken as one contraction over the flattened pieces."""
-    flat = np.array([(i, p.start, p.end, p.rate)
-                     for i, plist in enumerate(strategy.pieces)
-                     for p in plist], dtype=float).reshape(-1, 4)
-    asset = flat[:, 0].astype(int)
-    start, end, rate = flat[:, 1], flat[:, 2], flat[:, 3]
-    a, b = asset[:, None], asset[None, :]
-    corners = (v(end[:, None] - start, a, b) - v(start[:, None] - start, a, b)
-               - v(end[:, None] - end, a, b) + v(start[:, None] - end, a, b))
+    pairs (p, q), one (P, P) corner offset array at a time."""
+    corners = (v(offsets[0], entry) - v(offsets[1], entry)
+               - v(offsets[2], entry) + v(offsets[3], entry))
     return float(rate @ corners @ rate)
 
 
@@ -161,9 +162,16 @@ def cost(strategy: Strategy, kernel: ImpactKernel) -> CostBreakdown:
     if strategy.d != d:
         raise StrategyError("strategy and kernel dimensions differ")
     _check_horizon(kernel, strategy.horizon)
-    full = _KernelIntegrals(kernel.values, kernel.delta, kernel.lam)
-    total = _pairwise_cost(strategy, full.v)
-    permanent = _pairwise_cost(strategy, _constant_v(kernel.lam))
+    flat = np.array([(i, p.start, p.end, p.rate)
+                     for i, plist in enumerate(strategy.pieces)
+                     for p in plist], dtype=float).reshape(-1, 4)
+    asset = flat[:, 0].astype(int)
+    start, end, rate = flat[:, 1], flat[:, 2], flat[:, 3]
+    entry = asset[:, None] * d + asset[None, :]
+    offsets = (end[:, None] - start, start[:, None] - start,
+               end[:, None] - end, start[:, None] - end)
+    total = _corner_cost(_KernelIntegrals(kernel).v, offsets, entry, rate)
+    permanent = _corner_cost(_constant_v(kernel.lam), offsets, entry, rate)
     return CostBreakdown(total=total, permanent=permanent,
                          transient=total - permanent)
 
@@ -177,8 +185,8 @@ def pair_trading_strategy(p: int, q: int, v_p: float, v_q: float, T: float,
     """
     if p == q:
         raise StrategyError("pair strategy needs two distinct assets")
-    if T <= 0:
-        raise StrategyError("horizon must be positive")
+    if not (math.isfinite(T) and T > 0):
+        raise StrategyError("horizon must be positive and finite")
     if d is None:
         d = max(p, q) + 1
     pieces = [[] for _ in range(d)]
@@ -193,8 +201,8 @@ def buy_hold_sell(eta, tau: float, width: float | None = None) -> Strategy:
     """Buy the portfolio eta, hold tau, sell it; narrow pieces of the
     given width approximate impulse trades."""
     eta = np.asarray(eta, dtype=float)
-    if tau <= 0:
-        raise StrategyError("holding time must be positive")
+    if not (math.isfinite(tau) and tau > 0):
+        raise StrategyError("holding time must be positive and finite")
     if width is None:
         width = tau / 64.0
     if width <= 0 or width > tau:
@@ -210,28 +218,31 @@ def buy_hold_sell(eta, tau: float, width: float | None = None) -> Strategy:
 
 
 def _snap_zero_sum(rates):
-    """Quantize rates to binary rationals and zero each asset's sum exactly."""
-    scale = 2.0 ** 40
-    q = np.round(rates * scale) / scale
-    for i in range(q.shape[1]):
-        resid = -sum(Fraction(x) for x in q[:-1, i])
-        q[-1, i] = float(resid)
-    return q
+    """Round rates to multiples of 2**-40 and set each asset's last step
+    to minus the sum of its others, so every asset's sum is exactly 0;
+    the units sum in int64, which holds any n_steps * 2**40."""
+    q = np.round(rates * 2.0 ** 40)
+    q[-1] = -q[:-1].astype(np.int64).sum(axis=0)
+    return q / 2.0 ** 40
 
 
 def min_roundtrip_cost(kernel: ImpactKernel, n_steps: int, T: float):
     """Cheapest unit-energy round trip among per-asset step strategies.
 
-    The cost of step rates f is the quadratic form Delta'^2 f^T G f with
-    the symmetrized causal Gram G built from kernel samples (half weight
-    on the lag-0 atom).  Minimization over the zero-net-position
-    subspace is an eigenvalue problem; a negative minimum certifies a
-    statistical arbitrage in this family and the witness strategy is
-    returned, while a nonnegative minimum is evidence only.  A witness
-    horizon that cost() would refuse raises StrategyError.
+    The cost of step rates f is Delta'^2 f^T G f with the symmetric Gram
+    G of kernel samples: block (t, s) is K((t - s) Delta') / 2 below the
+    diagonal, (K(0) + K(0)^T) / 4 on it.  On the zero-net-position
+    subspace, spanned by the DCT-II columns k = 1..n_steps - 1 of every
+    asset, the minimum is one eigenvalue problem.  A negative minimum
+    certifies a statistical arbitrage in this family; a nonnegative one
+    is evidence only.  The witness's lowest traded asset opens with a
+    buy; info["gram_norm"] is the spectral norm of G.  A witness horizon
+    that cost() would refuse raises StrategyError.
     """
-    if n_steps < 2:
-        raise StrategyError("need at least two steps")
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 2:
+        raise StrategyError(f"n_steps {n_steps!r} is not an integer >= 2")
+    if not math.isfinite(T):
+        raise StrategyError(f"horizon {T} is not finite")
     d = kernel.d
     # binary-exact step width keeps every witness piece width identical,
     # so the exact-rational round-trip flag holds by construction
@@ -240,36 +251,32 @@ def min_roundtrip_cost(kernel: ImpactKernel, n_steps: int, T: float):
         raise StrategyError("horizon too short for the step grid")
     # the witness spans n_steps * dt; refuse what cost() would refuse
     _check_horizon(kernel, n_steps * dt)
-    blocks = np.zeros((n_steps, d, d))
+    blocks = 0.5 * kernel.value_at(np.arange(n_steps) * dt)
     blocks[0] = 0.25 * (kernel.k0 + kernel.k0.T)
-    blocks[1:] = 0.5 * kernel.value_at(np.arange(1, n_steps) * dt)
-    # block (t, s) is the lag t - s of the two-sided sequence whose lag -m
-    # is blocks[m]^T
+    # g[a, b, t, s] is entry (a, b) of block (t, s), the lag t - s of the
+    # two-sided sequence whose lag -m is blocks[m]^T: symmetric bitwise
     two_sided = np.concatenate([blocks[:0:-1].transpose(0, 2, 1), blocks])
-    lag = np.arange(n_steps)[:, None] - np.arange(n_steps)[None, :]
-    g = two_sided[lag + n_steps - 1].transpose(0, 2, 1, 3).reshape(
-        n_steps * d, n_steps * d)
-    g = 0.5 * (g + g.T)
-    # remove the per-asset mean: u_i has 1/sqrt(n_steps) on asset i's rows
-    asset = np.arange(n_steps * d) % d
-    u = 1.0 / np.sqrt(n_steps)
-    proj = np.eye(n_steps * d) - (asset[:, None] == asset[None, :]) * (u * u)
-    m = proj @ g @ proj
-    m = 0.5 * (m + m.T)
+    lag = np.arange(n_steps)[:, None] - np.arange(n_steps) + (n_steps - 1)
+    g = two_sided.transpose(1, 2, 0)[:, :, lag]
+    # the zero-sum basis on each asset: DCT-II columns k = 1..n_steps - 1
+    dct = math.sqrt(2.0 / n_steps) * np.cos(
+        np.pi / n_steps * np.outer(np.arange(0.5, n_steps),
+                                   np.arange(1, n_steps)))
+    m = (dct.T @ g @ dct).transpose(0, 2, 1, 3).reshape(
+        d * (n_steps - 1), -1)
     eigvals, eigvecs = np.linalg.eigh(m)
-    in_subspace = np.linalg.norm(proj @ eigvecs, axis=0) > 0.5
-    idx = np.where(in_subspace)[0]
-    best = idx[np.argmin(eigvals[idx])]
-    value = float(eigvals[best]) * dt * dt
-    rates = _snap_zero_sum(eigvecs[:, best].reshape(n_steps, d))
-    pieces = [[] for _ in range(d)]
-    for i in range(d):
-        for t in range(n_steps):
-            if rates[t, i] != 0.0:
-                pieces[i].append(Piece(t * dt, (t + 1) * dt,
-                                       float(rates[t, i])))
+    value = float(eigvals[0]) * dt * dt
+    rates = _snap_zero_sum(dct @ eigvecs[:, 0].reshape(d, n_steps - 1).T)
+    # the first nonzero rate of the lowest traded asset is a buy
+    if rates.T[rates.T != 0.0][0] < 0.0:
+        rates = -rates
+    edges = (np.arange(n_steps + 1) * dt).tolist()
+    pieces = [[Piece(edges[t], edges[t + 1], rate)
+               for t, rate in enumerate(column) if rate != 0.0]
+              for column in rates.T.tolist()]
     witness = Strategy(pieces=pieces, horizon=n_steps * dt)
-    info = {"gram_norm": float(np.linalg.norm(g, 2)),
+    gram = g.transpose(0, 2, 1, 3).reshape(d * n_steps, -1)
+    info = {"gram_norm": float(np.abs(np.linalg.eigvalsh(gram)).max()),
             "step": dt, "n_steps": n_steps}
     return value, witness, info
 

@@ -1,4 +1,5 @@
 import csv
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossimpact.arbitrage import (Piece, Strategy, StrategyError,
-                                   buy_hold_sell, cost, min_roundtrip_cost,
-                                   pair_trading_strategy, predict_prices,
-                                   save_predicted_prices)
+                                   _snap_zero_sum, buy_hold_sell, cost,
+                                   min_roundtrip_cost, pair_trading_strategy,
+                                   predict_prices, save_predicted_prices)
 from crossimpact.kernels import ImpactKernel
 from crossimpact.observables import BinnedSeries
 
@@ -146,6 +147,49 @@ def kernels_and_strategies(draw):
     return kernel, Strategy(pieces=pieces, horizon=horizon)
 
 
+def gram_oracle(kernel, n_steps, dt):
+    """The round-trip Gram assembled one step pair at a time: K(lag) / 2
+    below the diagonal, its transpose above, (K(0) + K(0)^T) / 4 on it."""
+    d = kernel.d
+    g = np.zeros((n_steps * d, n_steps * d))
+    for t in range(n_steps):
+        for s in range(n_steps):
+            if t > s:
+                block = 0.5 * kernel.value_at((t - s) * dt)
+            elif t < s:
+                block = 0.5 * kernel.value_at((s - t) * dt).T
+            else:
+                block = 0.25 * (kernel.k0 + kernel.k0.T)
+            g[t * d:(t + 1) * d, s * d:(s + 1) * d] = block
+    return g
+
+
+def fraction_snap(rates):
+    """Reference snap: rates rounded to multiples of 2**-40, each asset's
+    last step set to minus the exact rational sum of its others."""
+    scale = 2.0 ** 40
+    q = np.round(rates * scale) / scale
+    for i in range(q.shape[1]):
+        q[-1, i] = float(-sum(Fraction(x) for x in q[:-1, i]))
+    return q
+
+
+@st.composite
+def scan_cases(draw):
+    """A random lattice kernel with a converged tail, a step count and a
+    horizon that may run past the lattice onto the plateau."""
+    d = draw(st.integers(1, 3))
+    n_lags = draw(st.integers(1, 12))
+    delta = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vals = rng.normal(size=(n_lags + 1, d, d))
+    kernel = ImpactKernel(delta=delta, values=vals, lam=vals[-1].copy(),
+                          provenance="analytic", grid=64)
+    n_steps = draw(st.integers(2, 12))
+    T = draw(st.floats(0.1, 3.0)) * n_lags * delta
+    return kernel, n_steps, T
+
+
 class TestStrategy:
     def test_round_trip_flag_exact(self):
         s = pair_trading_strategy(0, 1, 1.3, 0.7, 3.0)
@@ -162,6 +206,31 @@ class TestStrategy:
             Strategy(pieces=[[Piece(0.0, 2.0, 1.0), Piece(1.0, 3.0, 1.0)]],
                      horizon=3.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["start", "end", "rate", "horizon"])
+    def test_non_finite_refused(self, field, bad):
+        piece = {"start": 0.0, "end": 1.0, "rate": 1.0}
+        horizon = 2.0
+        if field == "horizon":
+            horizon = bad
+        else:
+            piece[field] = bad
+        with pytest.raises(StrategyError):
+            Strategy(pieces=[[Piece(**piece)]], horizon=horizon)
+
+    def test_non_finite_horizon_refused_without_pieces(self):
+        with pytest.raises(StrategyError):
+            Strategy(pieces=[[]], horizon=np.nan)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_constructions_refuse_non_finite_inputs(self, bad):
+        for eta in (np.ones(2), np.zeros(2)):
+            with pytest.raises(StrategyError):
+                buy_hold_sell(eta, bad)
+        with pytest.raises(StrategyError):
+            pair_trading_strategy(0, 1, 1.0, 1.0, bad)
+        with pytest.raises(StrategyError):
+            buy_hold_sell(np.array([bad, 1.0]), 2.0)
 
 
 class TestCost:
@@ -236,6 +305,27 @@ class TestCost:
         s = Strategy(pieces=[[Piece(0.0, 20.0, 1.0)]], horizon=20.0)
         with pytest.raises(StrategyError):
             cost(s, k)
+
+    def test_desk_size_matches_loop_oracle(self):
+        # a 64-piece step witness, and 64 pieces at off-lattice times;
+        # both run past the 40-lag lattice onto the plateau
+        rng = np.random.default_rng(11)
+        vals = rng.normal(size=(41, 2, 2))
+        kernel = ImpactKernel(delta=1.0, values=vals, lam=vals[-1].copy(),
+                              provenance="analytic", grid=128)
+        _, witness, _ = min_roundtrip_cost(kernel, 32, 64.0)
+        assert sum(len(p) for p in witness.pieces) == 64
+        cuts = np.sort(rng.uniform(0.0, 60.0, size=(2, 64)), axis=1)
+        off_lattice = Strategy(
+            pieces=[[Piece(float(a), float(b), float(rng.normal()))
+                     for a, b in zip(row[::2], row[1::2])] for row in cuts],
+            horizon=60.0)
+        for s in (witness, off_lattice):
+            got = cost(s, kernel)
+            for field, vfun in (("total", LoopIntegrals(kernel)),
+                                ("permanent", LoopConstant(kernel.lam))):
+                ref, scale = loop_pairwise_cost(s, vfun)
+                assert abs(getattr(got, field) - ref) <= 1e-12 * scale, field
 
 
 class TestConstructions:
@@ -318,6 +408,70 @@ class TestMinRoundtrip:
             for T in (1.0, 10.0):
                 value, _, info = min_roundtrip_cost(k, n, T)
                 assert value >= -1e-8 * info["gram_norm"] * info["step"] ** 2
+
+    @given(scan_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_gram_oracle(self, case):
+        kernel, n_steps, T = case
+        d = kernel.d
+        value, witness, info = min_roundtrip_cost(kernel, n_steps, T)
+        dt = info["step"]
+        g = gram_oracle(kernel, n_steps, dt)
+        # null space of the per-asset sums, from an SVD
+        sums = np.kron(np.ones((1, n_steps)), np.eye(d))
+        null = np.linalg.svd(sums)[2][d:].T
+        lam_min = np.linalg.eigvalsh(null.T @ g @ null)[0]
+        gram_norm = np.linalg.norm(g, 2)
+        assert abs(info["gram_norm"] - gram_norm) <= 1e-12 * gram_norm
+        assert abs(value - dt * dt * lam_min) <= 1e-12 * gram_norm * dt * dt
+        assert witness.is_round_trip
+        assert witness.horizon == n_steps * dt
+        # the witness steps are the minimizing direction
+        f = np.zeros((n_steps, d))
+        for i, plist in enumerate(witness.pieces):
+            for p in plist:
+                assert p.end - p.start == dt
+                f[round(p.start / dt), i] = p.rate
+        f = f.ravel()
+        assert abs(f @ g @ f / (f @ f) - lam_min) <= 1e-10 * gram_norm
+        # sign convention: the lowest traded asset opens with a buy
+        lowest = next(plist for plist in witness.pieces if plist)
+        assert lowest[0].rate > 0.0
+
+    @given(st.integers(2, 40), st.integers(1, 3),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_snap_is_exact(self, n, d, seed):
+        # unit vectors in the zero-sum subspace, as the scan snaps them
+        rates = np.random.default_rng(seed).normal(size=(n, d))
+        rates -= rates.mean(axis=0)
+        rates /= np.linalg.norm(rates)
+        got = _snap_zero_sum(rates)
+        for i in range(d):
+            assert sum(Fraction(x) for x in got[:, i]) == 0
+        # every step but the last is rounded once; the last carries the
+        # other steps' rounding and the input's own residual sum
+        assert np.abs(got[:-1] - rates[:-1]).max(initial=0.0) <= 2.0 ** -41
+        assert np.all(np.abs(got[-1] - rates[-1])
+                      <= (n - 1) * 2.0 ** -41 + np.abs(rates.sum(axis=0)))
+        assert got.tobytes() == fraction_snap(rates).tobytes()
+
+    @pytest.mark.parametrize("n_steps", [2.5, "4", None, 1])
+    def test_refuses_bad_step_count(self, n_steps):
+        k = constant_kernel(np.eye(2))
+        with pytest.raises(StrategyError):
+            min_roundtrip_cost(k, n_steps, 3.0)
+
+    @pytest.mark.parametrize("T", [np.inf, -np.inf, np.nan])
+    def test_refuses_non_finite_horizon(self, T):
+        k = constant_kernel(np.eye(2))
+        with pytest.raises(StrategyError):
+            min_roundtrip_cost(k, 4, T)
+
+    def test_numpy_step_count(self):
+        k = constant_kernel(np.eye(2))
+        _, witness, info = min_roundtrip_cost(k, np.int64(4), 3.0)
+        assert info["n_steps"] == 4 and witness.is_round_trip
 
 
 class TestPredict:
