@@ -42,8 +42,10 @@ class Strategy:
     def __post_init__(self):
         if not math.isfinite(self.horizon):
             raise StrategyError(f"horizon {self.horizon} is not finite")
-        for i, plist in enumerate(self.pieces):
-            ordered = sorted(plist, key=lambda p: p.start)
+        # new lists: the caller's are left as they are
+        self.pieces = [sorted(plist, key=lambda p: p.start)
+                       for plist in self.pieces]
+        for i, ordered in enumerate(self.pieces):
             for p in ordered:
                 if not (math.isfinite(p.start) and math.isfinite(p.end)
                         and math.isfinite(p.rate)):
@@ -55,7 +57,6 @@ class Strategy:
             for a, b in zip(ordered, ordered[1:]):
                 if b.start < a.end - 1e-12:
                     raise StrategyError(f"asset {i}: overlapping pieces")
-            self.pieces[i] = ordered
 
     @property
     def d(self):

@@ -184,9 +184,7 @@ def _event_prices(spec, stream, lam, p0) -> observables.PricePath:
     for beta, w in zip(rates, weights):
         prices += _decayed_counts(stream.times, signs, beta) \
             @ (loading @ w).T
-    return observables.PricePath(times=np.repeat(stream.times, d),
-                                 assets=np.tile(np.arange(d), n),
-                                 prices=prices.ravel(), d=d)
+    return observables.PricePath(stream.times, prices)
 
 
 def _valid_spec(cfg):
@@ -546,8 +544,9 @@ def main(argv=None) -> int:
                           bps=args.bps)
         if args.command == "predict":
             kernel = kernels.load_kernel(args.kernel_dir)
-            return _predict(kernel, hawkes.EventStream.from_csv(
-                args.events_csv, d=kernel.d), args.p0, args.out)
+            return _predict(kernel, _read(hawkes.EventStream.from_csv,
+                                          args.events_csv, d=kernel.d),
+                            args.p0, args.out)
         cfg_path = args.config or os.environ.get(ENV_CONFIG)
         if cfg_path is not None:
             cfg = RunConfig.from_file(cfg_path)

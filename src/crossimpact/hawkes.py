@@ -57,8 +57,8 @@ class HawkesSpec:
                               "order size")
         if np.any(self.mu < 0):
             raise HawkesError("baseline intensities must be nonnegative")
-        if np.any(self.sizes <= 0):
-            raise HawkesError("order sizes must be positive")
+        if not np.all((self.sizes > 0) & (self.sizes < np.inf)):
+            raise HawkesError("order sizes must be positive and finite")
         if np.any(self.alpha < 0) or not np.all(self.beta > 0):
             raise HawkesError("excitation terms need alpha >= 0, beta > 0")
 
@@ -272,8 +272,12 @@ class EventStream:
         self.assets = np.asarray(self.assets, dtype=int)
         self.sides = np.asarray(self.sides, dtype=int)
         self.sizes = np.asarray(self.sizes, dtype=float)
+        if not np.isfinite(self.times).all():
+            raise HawkesError("event times must be finite")
         if len(self.times) and np.any(np.diff(self.times) <= 0):
             raise HawkesError("event times must be strictly increasing")
+        if not np.all((self.sizes > 0) & (self.sizes < np.inf)):
+            raise HawkesError("event sizes must be positive and finite")
         if len(self.assets) and (self.assets.min() < 0
                                  or self.assets.max() >= self.d):
             raise HawkesError("asset index out of range")

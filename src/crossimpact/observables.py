@@ -26,40 +26,56 @@ class ObservablesError(ValueError):
 
 @dataclasses.dataclass
 class PricePath:
-    """Sampled mid prices: parallel (time, asset, price) columns."""
+    """Mid prices: row k holds each asset's price in force at times[k]."""
 
-    times: np.ndarray
-    assets: np.ndarray
-    prices: np.ndarray
-    d: int
+    times: np.ndarray    # (m,), increasing
+    prices: np.ndarray   # (m, d)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        self.assets = np.asarray(self.assets, dtype=int)
         self.prices = np.asarray(self.prices, dtype=float)
+
+    @property
+    def d(self):
+        return self.prices.shape[1]
 
     def __len__(self):
         return len(self.times)
 
     @classmethod
     def from_csv(cls, path, d=None):
+        """The table of rows time,asset,price in any order.  Of an asset's
+        rows at one time the last listed counts, and its first before."""
         rows = _read_csv(path, [("time", float), ("asset", int),
                                ("price", float)])
-        assets = rows["asset"]
+        if not (np.isfinite(rows["time"]).all()
+                and np.isfinite(rows["price"]).all()):
+            raise ObservablesError("price times and prices must be finite")
+        rows = rows[np.lexsort((rows["time"], rows["asset"]))]
+        times, assets, prices = rows["time"], rows["asset"], rows["price"]
         if d is None:
-            d = int(assets.max()) + 1 if len(assets) else 1
-        return cls(times=rows["time"], assets=assets, prices=rows["price"],
-                   d=d)
+            d = int(assets[-1]) + 1 if len(assets) else 1
+        if len(assets) and not 0 <= assets[0] <= assets[-1] < d:
+            raise ObservablesError(f"assets {assets[0]}..{assets[-1]} are "
+                                   f"not all in 0..{d - 1}")
+        grid = np.unique(times)
+        table = np.empty((len(grid), d))
+        bounds = np.searchsorted(assets, np.arange(d + 1))
+        for a, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if lo == hi:
+                raise ObservablesError(f"no prices for asset {a}")
+            pos = np.searchsorted(times[lo:hi], grid, side="right") - 1
+            table[:, a] = prices[lo:hi][np.maximum(pos, 0)]
+        return cls(times=grid, prices=table)
 
 
 @dataclasses.dataclass
 class BinnedSeries:
-    """Per-bin open/close prices and net signed flow on a uniform lattice."""
+    """Net signed flow per bin and, for a priced day, each bin's return."""
 
     delta: float
-    open_prices: np.ndarray   # (n_bins, d)
-    close_prices: np.ndarray  # (n_bins, d)
-    flows: np.ndarray         # (n_bins, d), contract units
+    flows: np.ndarray                   # (n_bins, d), contract units
+    returns: np.ndarray | None = None   # (n_bins, d)
 
     @property
     def n_bins(self):
@@ -69,19 +85,15 @@ class BinnedSeries:
     def d(self):
         return self.flows.shape[1]
 
-    @property
-    def returns(self):
-        return self.close_prices - self.open_prices
-
 
 def bin_events(stream: EventStream, prices: PricePath | None, delta: float,
                t_start: float = 0.0,
                t_end: float | None = None) -> BinnedSeries:
-    """Aggregate signed flow and open/close prices on bins of width delta.
+    """Aggregate signed flow and price changes on bins of width delta.
 
-    Empty bins carry the last close forward as both open and close, so
-    they contribute zero return.  Passing a start/end pair trims session
-    edges before binning.  prices may be None when only flows are needed.
+    A bin's return is the change of the prices in force at its edges, so
+    an empty bin has zero return.  A start/end pair trims session edges
+    before binning.  prices may be None when only flows are needed.
     """
     if delta <= 0:
         raise ObservablesError("bin width must be positive")
@@ -91,56 +103,44 @@ def bin_events(stream: EventStream, prices: PricePath | None, delta: float,
         raise ObservablesError("empty time window")
     if prices is not None and len(prices) == 0:
         raise ObservablesError("empty price path")
-    if prices is not None and len(prices) and \
-            prices.times.max() < min(t_end, stream.times.max()
-                                     if len(stream) else t_start):
+    if prices is not None and prices.times[-1] < min(
+            t_end, stream.times[-1] if len(stream) else t_start):
         raise ObservablesError("price path is shorter than the event stream")
+    if prices is not None and prices.d != stream.d:
+        raise ObservablesError(f"price path has {prices.d} assets, but the "
+                               f"event stream has {stream.d}")
     n_bins = int(np.floor((t_end - t_start) / delta + 1e-9))
     if n_bins < 1:
         raise ObservablesError("window shorter than one bin")
-    d = stream.d
-    flows = np.zeros((n_bins, d))
+    flows = np.zeros((n_bins, stream.d))
     mask = (stream.times > t_start) & (stream.times <= t_start + n_bins * delta)
     idx = np.ceil((stream.times[mask] - t_start) / delta).astype(int) - 1
     idx = np.clip(idx, 0, n_bins - 1)
     np.add.at(flows, (idx, stream.assets[mask]),
               stream.sides[mask] * stream.sizes[mask])
-    opens = np.zeros((n_bins, d))
-    closes = np.zeros((n_bins, d))
     if prices is None:
-        return BinnedSeries(delta=delta, open_prices=opens,
-                            close_prices=closes, flows=flows)
-    order = np.argsort(prices.times, kind="stable")
-    pt, pa, pv = (prices.times[order], prices.assets[order],
-                  prices.prices[order])
-    for a in range(d):
-        sel = pa == a
-        ta, va = pt[sel], pv[sel]
-        if len(ta) == 0:
-            raise ObservablesError(f"no prices for asset {a}")
-        edges = t_start + delta * np.arange(n_bins + 1)
-        # last observation at or before each edge, first price before start
-        pos = np.searchsorted(ta, edges, side="right") - 1
-        pos = np.clip(pos, 0, len(ta) - 1)
-        at_edges = va[pos]
-        opens[:, a] = at_edges[:-1]
-        closes[:, a] = at_edges[1:]
-    return BinnedSeries(delta=delta, open_prices=opens, close_prices=closes,
-                        flows=flows)
+        return BinnedSeries(delta=delta, flows=flows)
+    edges = t_start + delta * np.arange(n_bins + 1)
+    # the table row in force at each edge; its first row before it
+    pos = np.maximum(np.searchsorted(prices.times, edges, "right") - 1, 0)
+    return BinnedSeries(delta=delta, flows=flows,
+                        returns=np.diff(prices.prices[pos], axis=0))
 
 
 def estimate_sigma(series: list) -> np.ndarray:
     """Average of per-day return covariances (1/(T-1)) sum r_t r_t^T.
 
-    A day of fewer than 2 bins has no return covariance and raises,
-    naming the day by its position.  Prices that never move give no
-    impact to calibrate: a covariance of zero trace raises.
+    A day binned without prices or of fewer than 2 bins has no return
+    covariance and raises, naming the day by its position.  Prices that
+    never move give no impact to calibrate: zero trace raises.
     """
     if not series:
         raise ObservablesError("no binned series")
     mats = []
     for day, s in enumerate(series):
         r = s.returns
+        if r is None:
+            raise ObservablesError(f"day {day}: binned without prices")
         if r.shape[0] < 2:
             raise ObservablesError(f"day {day}: {r.shape[0]} bins < 2, "
                                    "no return covariance")

@@ -201,6 +201,15 @@ class TestStrategy:
         s = Strategy(pieces=[[Piece(0.0, 1.0, 1.0)]], horizon=1.0)
         assert not s.is_round_trip
 
+    def test_callers_lists_unchanged(self):
+        # the strategy sorts new lists; the caller's keep their order
+        late, early = Piece(2.0, 3.0, 1.0), Piece(0.0, 1.0, -1.0)
+        inner = [late, early]
+        pieces = [inner]
+        s = Strategy(pieces=pieces, horizon=3.0)
+        assert pieces[0] is inner and inner == [late, early]
+        assert s.pieces is not pieces and s.pieces == [[early, late]]
+
     def test_overlap_rejected(self):
         with pytest.raises(StrategyError):
             Strategy(pieces=[[Piece(0.0, 2.0, 1.0), Piece(1.0, 3.0, 1.0)]],
@@ -477,9 +486,7 @@ class TestMinRoundtrip:
 class TestPredict:
     def test_zero_kernel_flat_path(self):
         k = constant_kernel(np.zeros((2, 2)))
-        flows = BinnedSeries(delta=1.0, open_prices=np.zeros((10, 2)),
-                             close_prices=np.zeros((10, 2)),
-                             flows=np.ones((10, 2)))
+        flows = BinnedSeries(delta=1.0, flows=np.ones((10, 2)))
         path = predict_prices(k, flows, np.array([5.0, 7.0]))
         assert np.allclose(path, [5.0, 7.0])
 
@@ -495,8 +502,7 @@ class TestPredict:
         n = 12
         flows = np.zeros((n, 2))
         flows[3, 0] = 1.0
-        series = BinnedSeries(delta=1.0, open_prices=np.zeros((n, 2)),
-                              close_prices=np.zeros((n, 2)), flows=flows)
+        series = BinnedSeries(delta=1.0, flows=flows)
         path = predict_prices(k, series, np.zeros(2))
         for t in range(n):
             lag = t - 3
@@ -515,8 +521,7 @@ class TestPredict:
         q2 = rng.normal(size=(30, 2))
 
         def series(q):
-            return BinnedSeries(delta=1.0, open_prices=np.zeros((30, 2)),
-                                close_prices=np.zeros((30, 2)), flows=q)
+            return BinnedSeries(delta=1.0, flows=q)
 
         p1 = predict_prices(k, series(q1), np.zeros(2))
         p2 = predict_prices(k, series(q2), np.zeros(2))
@@ -532,8 +537,7 @@ class TestPredict:
         k = ImpactKernel(delta=1.0, values=vals, lam=lam,
                          provenance="analytic", grid=64, tail_tol=10.0)
         q = rng.normal(size=(n, 3))
-        series = BinnedSeries(delta=1.0, open_prices=np.zeros((n, 3)),
-                              close_prices=np.zeros((n, 3)), flows=q)
+        series = BinnedSeries(delta=1.0, flows=q)
         p0 = np.array([100.0, 50.0, 0.0])
         path = predict_prices(k, series, p0)
         ext = np.concatenate([vals, np.tile(lam, (max(n - 13, 0), 1, 1))])
@@ -546,9 +550,7 @@ class TestPredict:
 
     def test_lattice_mismatch(self):
         k = constant_kernel(np.eye(1), delta=1.0)
-        flows = BinnedSeries(delta=0.5, open_prices=np.zeros((4, 1)),
-                             close_prices=np.zeros((4, 1)),
-                             flows=np.ones((4, 1)))
+        flows = BinnedSeries(delta=0.5, flows=np.ones((4, 1)))
         with pytest.raises(StrategyError):
             predict_prices(k, flows, np.zeros(1))
 

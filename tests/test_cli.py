@@ -105,6 +105,20 @@ def loop_price_tapes(cfg, sim):
     return paths
 
 
+def data_path_days(tmp_path):
+    """A two-day directory with loop price tapes, and its config
+    without the spec, so that it is read as a data path."""
+    cfg = small_config(tmp_path, n_days=2)
+    sim = tmp_path / "sim"
+    assert main(["--config", str(cfg), "--output-dir", str(sim),
+                 "simulate"]) == EXIT_OK
+    loop_price_tapes(cfg, sim)
+    raw = json.loads(cfg.read_text())
+    del raw["spec"]
+    cfg.write_text(json.dumps(raw))
+    return cfg, sim
+
+
 class TestEventPrices:
     def test_matches_per_event_loop(self):
         # decay rates 2 and 0.05 over 3000 s: the fast rate spans ten
@@ -122,9 +136,10 @@ class TestEventPrices:
         p0 = np.array([100.0, 50.0])
         got = cli._event_prices(spec, stream, lam, p0)
         ref = event_prices_loop(spec, stream, lam, p0)
-        assert np.array_equal(got.times, np.repeat(stream.times, 2))
-        assert np.array_equal(got.assets, np.tile([0, 1], len(stream)))
-        assert np.abs(got.prices - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(got.times, stream.times)
+        assert got.prices.shape == (len(stream), 2)
+        assert np.abs(got.prices.ravel() - ref).max() <= \
+            1e-12 * np.abs(ref).max()
 
     def test_empty_stream(self):
         spec = hawkes.HawkesSpec.from_matrices(mu=[1.0], sizes=[1.0],
@@ -310,6 +325,8 @@ class TestSimulate:
         pytest.param({"blocks": []}, "blocks [] is not a map", id="blocks8"),
         pytest.param({"sizes": [1.0]}, "sizes has 1 entries but mu has 2",
                      id="sizes0"),
+        pytest.param({"sizes": [1.0, float("nan")]},
+                     "order sizes must be positive and finite", id="sizes1"),
         pytest.param({"mu": [[0.6, 0.45]], "sizes": [[1.0, 2.0]]},
                      "mu must be 1-D", id="mu0"),
     ])
@@ -690,24 +707,11 @@ class TestCalibrate:
                    str(tmp_path / "x"), "calibrate"])
         assert rc == EXIT_INPUT
 
-    def data_path_days(self, tmp_path):
-        """A two-day directory with loop price tapes, and its config
-        without the spec, so that it is read as a data path."""
-        cfg = small_config(tmp_path, n_days=2)
-        sim = tmp_path / "sim"
-        assert main(["--config", str(cfg), "--output-dir", str(sim),
-                     "simulate"]) == EXIT_OK
-        loop_price_tapes(cfg, sim)
-        raw = json.loads(cfg.read_text())
-        del raw["spec"]
-        cfg.write_text(json.dumps(raw))
-        return cfg, sim
-
     def test_day_without_price_file_exits_2(self, tmp_path, capsys):
         # a data-path day is never binned with zero returns in place of
         # its prices: a directory read without a spec needs each day's
         # price file
-        cfg, sim = self.data_path_days(tmp_path)
+        cfg, sim = data_path_days(tmp_path)
         (sim / "prices_001.csv").unlink()
         raw = json.loads(cfg.read_text())
         assert main(["--config", str(cfg), "--output-dir", str(sim),
@@ -726,7 +730,7 @@ class TestCalibrate:
     def test_day_without_top_asset_takes_width_from_prices(self, tmp_path):
         # the price file lists every asset; the events of day 1 name only
         # asset 0
-        cfg, sim = self.data_path_days(tmp_path)
+        cfg, sim = data_path_days(tmp_path)
         ef = sim / "events_001.csv"
         s = hawkes.EventStream.from_csv(ef)
         keep = s.assets == 0
@@ -740,7 +744,7 @@ class TestCalibrate:
     def test_empty_event_file_exits_2(self, tmp_path, capsys):
         # an event file read by path ends at its last event, so a file
         # without events spans no window
-        cfg, sim = self.data_path_days(tmp_path)
+        cfg, sim = data_path_days(tmp_path)
         (sim / "events_001.csv").write_text("time,asset,side,size\n")
         assert main(["--config", str(cfg), "--output-dir", str(sim),
                      "estimate"]) == EXIT_INPUT
@@ -749,12 +753,9 @@ class TestCalibrate:
         assert not (sim / "observables").exists()
 
     def test_days_of_unequal_width_exit_2(self, tmp_path, capsys):
-        cfg, sim = self.data_path_days(tmp_path)
-        pf = sim / "prices_001.csv"
-        p = observables.PricePath.from_csv(pf)
-        synthetic.write_price_csv(pf, np.concatenate([p.times, [0.0]]),
-                                  np.concatenate([p.assets, [2]]),
-                                  np.concatenate([p.prices, [100.0]]))
+        cfg, sim = data_path_days(tmp_path)
+        with open(sim / "prices_001.csv", "ab") as fh:
+            fh.write(b"0.000000000,2,100\r\n")
         assert main(["--config", str(cfg), "--output-dir", str(sim),
                      "estimate"]) == EXIT_INPUT
         assert "day 1 has 3 assets, but day 0 has 2" in \
@@ -1102,6 +1103,62 @@ class TestSideLabels:
         assert main(["--config", str(cfg), "--output-dir",
                      str(tmp_path / "data"), "calibrate"]) == EXIT_INPUT
         assert "unknown side label 'Q'" in capsys.readouterr().err
+
+
+def set_field(path, row, column, value):
+    """Rewrite one field of a data row of a CRLF-terminated CSV file."""
+    lines = path.read_bytes().split(b"\r\n")
+    fields = lines[row + 1].split(b",")
+    fields[column] = value
+    lines[row + 1] = b",".join(fields)
+    path.write_bytes(b"\r\n".join(lines))
+
+
+class TestDataRows:
+    @pytest.mark.parametrize("kind, column, value, message", [
+        pytest.param("events", 0, b"nan", "event times must be finite",
+                     id="event-time-nan"),
+        pytest.param("events", 3, b"inf",
+                     "event sizes must be positive and finite",
+                     id="event-size-inf"),
+        pytest.param("events", 3, b"0",
+                     "event sizes must be positive and finite",
+                     id="event-size-zero"),
+        pytest.param("prices", 1, b"-1", "assets -1..1 are not all in 0..1",
+                     id="price-asset-negative"),
+        pytest.param("prices", 0, b"nan",
+                     "price times and prices must be finite",
+                     id="price-time-nan"),
+        pytest.param("prices", 2, b"inf",
+                     "price times and prices must be finite",
+                     id="price-inf"),
+    ])
+    def test_bad_row_exits_2(self, tmp_path, capsys, calibrated, kind,
+                             column, value, message):
+        # unrefused, a NaN event time was dropped (exit 0, another K1), an
+        # infinite size failed stage factorize (exit 3), and a price row
+        # with asset -1 or a NaN time was ignored
+        cfg, sim = data_path_days(tmp_path)
+        bad = sim / f"{kind}_001.csv"
+        set_field(bad, 5, column, value)
+        raw = json.loads(cfg.read_text())
+        raw["events"] = [str(f) for f in sorted(sim.glob("events_*.csv"))]
+        raw["prices"] = [str(f) for f in sorted(sim.glob("prices_*.csv"))]
+        listed = tmp_path / "listed.json"
+        listed.write_text(json.dumps(raw))
+        out, pred = tmp_path / "out", tmp_path / "pred.csv"
+        runs = [(["--config", str(cfg), "--output-dir", str(sim),
+                  "estimate"], sim / "observables"),
+                (["--config", str(listed), "--output-dir", str(out),
+                  "calibrate"], out)]
+        if kind == "events":
+            runs.append((["predict", str(calibrated / "k1"), str(bad),
+                          "--out", str(pred)], pred))
+        for argv, written in runs:
+            assert main(argv) == EXIT_INPUT, argv[-1]
+            err = capsys.readouterr().err
+            assert err.startswith(f"input error: {bad}: {message}"), err
+            assert not written.exists(), argv[-1]
 
 
 def test_import_loads_no_scipy_or_synthetic(tmp_path):

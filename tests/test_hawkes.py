@@ -368,18 +368,22 @@ def stream_of(times, d=2, sizes=(1.0, 2.0)):
 
 @st.composite
 def event_streams(draw):
-    """Streams whose times mix the 1 ns grid with every time the grid
-    cannot print: off the grid (half a nanosecond off, where rint and
-    TIME_FORMAT round apart about half the time), past 2**22 s, signed,
-    NaN and inf; up to 12 assets, and sizes that print as 1e-07 and -0."""
+    """Streams whose times mix the 1 ns grid with every finite time the
+    grid cannot print: off the grid (half a nanosecond off, where rint
+    and TIME_FORMAT round apart about half the time), past 2**22 s,
+    signed and huge; up to 12 assets, and positive sizes down to the
+    smallest subnormal."""
     ns = st.integers(0, 2 ** 22 * 10 ** 9 - 1)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
     times = np.unique(draw(st.lists(st.one_of(
         ns.map(lambda n: n / 1e9), ns.map(lambda n: (n + 0.5) / 1e9),
-        st.floats(), st.floats(2.0 ** 22, 2.0 ** 24),
-        st.sampled_from([-0.0, np.inf, -np.inf])), max_size=40)))
+        finite, st.floats(2.0 ** 22, 2.0 ** 24),
+        st.sampled_from([-0.0, -1e300, 1e300])), max_size=40)))
     d = draw(st.integers(1, 12))
-    sizes = draw(st.lists(st.one_of(st.sampled_from([1.0, 0.1, 1e-7, -0.0]),
-                                    st.floats()), min_size=1, max_size=4))
+    sizes = draw(st.lists(st.one_of(
+        st.sampled_from([1.0, 0.1, 1e-7, 5e-324]),
+        st.floats(0.0, exclude_min=True, allow_infinity=False)),
+        min_size=1, max_size=4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = len(times)
     return EventStream(times=times, assets=rng.integers(0, d, n),
@@ -424,8 +428,8 @@ class TestEventCsv:
            block=st.sampled_from([1, 3, hawkes.EVENT_BLOCK_ROWS]))
     @example(stream=stream_of([-0.0, 1e-10, 5e-10, 2.5e-9, 0.5, 2.0 ** 22,
                                2.0 ** 23 + 0.1]), block=2)
-    @example(stream=stream_of([-np.inf, -2.5, -1e-9, 0.25, np.inf, np.nan],
-                              d=12, sizes=[1e-7, -0.0, 0.0, np.nan]),
+    @example(stream=stream_of([-1e300, -2.5, -1e-9, 0.25, 1e300],
+                              d=12, sizes=[1e-7, 5e-324, 1e300]),
              block=hawkes.EVENT_BLOCK_ROWS)
     @example(stream=stream_of([]), block=1)
     @settings(max_examples=150, deadline=None,

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from crossimpact import cli
 from crossimpact.hawkes import EventStream, HawkesSpec, simulate
 from crossimpact.observables import (BinnedSeries, ObservablesError,
                                      PricePath, bin_events,
@@ -25,9 +26,7 @@ def make_stream(times, assets, sides, sizes, horizon, d=2):
 
 def flat_prices(horizon, d=2, value=100.0):
     times = np.arange(0.0, horizon + 0.5, 0.5)
-    t = np.repeat(times, d)
-    a = np.tile(np.arange(d), len(times))
-    return PricePath(times=t, assets=a, prices=np.full(len(t), value), d=d)
+    return PricePath(times=times, prices=np.full((len(times), d), value))
 
 
 class TestBinning:
@@ -54,22 +53,21 @@ class TestBinning:
         series = bin_events(stream, None, 1.0)
         net = np.bincount(assets, weights=sides * sizes, minlength=2)
         assert np.array_equal(series.flows.sum(axis=0), net)
+        assert series.returns is None
 
     def test_empty_bins_carry_prices_forward(self):
         stream = make_stream([0.5], [0], [1], [1.0], horizon=4.0, d=1)
         prices = PricePath(times=np.array([0.0, 0.6]),
-                           assets=np.array([0, 0]),
-                           prices=np.array([10.0, 11.0]), d=1)
+                           prices=np.array([[10.0], [11.0]]))
         series = bin_events(stream, prices, 1.0)
-        # bins 1..3 have no quotes: open == close == last close
-        assert np.allclose(series.open_prices[1:, 0], 11.0)
-        assert np.allclose(series.close_prices[1:, 0], 11.0)
-        assert np.allclose(series.returns[1:], 0.0)
+        # bin 0 moves 10 -> 11; bins 1..3 have no quotes: open == close
+        # == last close, so zero return
+        assert series.returns[0, 0] == 1.0
+        assert np.all(series.returns[1:] == 0.0)
 
     def test_short_price_path_rejected(self):
         stream = make_stream([3.5], [0], [1], [1.0], horizon=6.0, d=1)
-        short = PricePath(times=np.array([2.0]), assets=np.array([0]),
-                          prices=np.array([1.0]), d=1)
+        short = PricePath(times=np.array([2.0]), prices=np.array([[1.0]]))
         with pytest.raises(ObservablesError):
             bin_events(stream, short, 1.0)
 
@@ -79,21 +77,119 @@ class TestBinning:
             bin_events(stream, None, 1.0)
 
 
+    def test_price_path_of_another_width_rejected(self):
+        stream = make_stream([3.5], [0], [1], [1.0], horizon=6.0)
+        with pytest.raises(ObservablesError,
+                           match="price path has 3 assets, but the event "
+                                 "stream has 2"):
+            bin_events(stream, flat_prices(6.0, d=3), 1.0)
+
+
+def reference_returns(rows, d, delta, t_start, n_bins):
+    """Bin returns by the per-asset scan that bin_events replaced: the
+    long rows (time, asset, price), stably sorted by time, are selected
+    by a mask per asset, and each asset's last price at or before each
+    edge (its first before its first row) opens and closes the bins."""
+    order = np.argsort(rows[:, 0], kind="stable")
+    times, assets, prices = rows[order].T
+    edges = t_start + delta * np.arange(n_bins + 1)
+    at_edges = np.empty((n_bins + 1, d))
+    for a in range(d):
+        sel = assets == a
+        ta, va = times[sel], prices[sel]
+        pos = np.searchsorted(ta, edges, side="right") - 1
+        at_edges[:, a] = va[np.clip(pos, 0, len(ta) - 1)]
+    return at_edges[1:] - at_edges[:-1]
+
+
+def price_rows(case, rng):
+    """(times, assets, prices, d, t_start) of a long price file."""
+    if case == "unsorted":
+        d, n = 3, 60
+        times = np.concatenate([np.zeros(d), rng.uniform(0, 20, n)])
+        assets = np.concatenate([np.arange(d), rng.integers(0, d, n)])
+        order = rng.permutation(n + d)
+        return (times[order], assets[order], 100 + rng.normal(size=n + d),
+                d, 0.0)
+    if case == "repeated":
+        # each (asset, time) on a 0.5 grid is listed up to three times
+        d = 2
+        times = np.tile(0.5 * np.arange(41), d)
+        assets = np.repeat(np.arange(d), 41)
+        dup = rng.integers(0, len(times), 60)
+        times, assets = np.concatenate([times, times[dup]]), \
+            np.concatenate([assets, assets[dup]])
+        order = rng.permutation(len(times))
+        return (times[order], assets[order],
+                100 + rng.normal(size=len(times)), d, 0.0)
+    if case == "late-first-row":
+        # no row at the window start; asset 1 starts at 3.7
+        times = np.concatenate([0.3 + np.arange(20.0), 3.7 + np.arange(17.0)])
+        assets = np.repeat([0, 1], [20, 17])
+        return times, assets, 100 + rng.normal(size=37), 2, 0.0
+    if case == "on-edges":
+        # every edge is a price time
+        times = np.tile(0.5 * np.arange(41), 2)
+        assets = np.repeat([0, 1], 41)
+        return times, assets, 100 + rng.normal(size=82), 2, 0.0
+    if case == "trim":
+        d, n = 2, 80
+        times = np.concatenate([np.zeros(d), rng.uniform(0, 20, n)])
+        assets = np.concatenate([np.arange(d), rng.integers(0, d, n)])
+        return times, assets, 100 + rng.normal(size=n + d), d, 2.5
+    raise ValueError(case)
+
+
+class TestBinningReference:
+    # bin_events on the table from_csv builds equals, bit for bit, the
+    # per-asset scan of the long rows
+    @pytest.mark.parametrize("case", ["unsorted", "repeated",
+                                      "late-first-row", "on-edges", "trim"])
+    def test_file_matches_per_asset_scan(self, tmp_path, case):
+        times, assets, prices, d, t_start = price_rows(
+            case, np.random.default_rng(7))
+        synthetic.write_price_csv(tmp_path / "p.csv", times, assets, prices)
+        stream = make_stream([1.5], [d - 1], [1], [1.0], horizon=20.0, d=d)
+        got = bin_events(stream, PricePath.from_csv(tmp_path / "p.csv"),
+                         1.0, t_start=t_start, t_end=20.0 - t_start)
+        rows = np.loadtxt(tmp_path / "p.csv", delimiter=",", skiprows=1)
+        ref = reference_returns(rows, d, 1.0, t_start, got.n_bins)
+        assert got.n_bins == int(20.0 - 2 * t_start)
+        assert np.array_equal(got.returns, ref)
+        assert np.abs(ref).max() > 0
+
+    def test_wide_spec_day_matches_per_asset_scan(self, tmp_path):
+        # a d = 20 day priced by the decay law at every event, in memory
+        # and read back from its long price file
+        d = 20
+        A = 0.05 * np.eye(d) + 0.04 / d * (np.ones((d, d)) - np.eye(d))
+        spec = synthetic.single_rate_spec(A, 0.25, np.full(d, 0.3))
+        stream = simulate(spec, 100.0, seed=4)
+        lam = cli._default_lambda(spec, cli.RunConfig())
+        path = cli._event_prices(spec, stream, lam, np.full(d, 100.0))
+        rows = np.column_stack([np.repeat(path.times, d),
+                                np.tile(np.arange(d), len(path)),
+                                path.prices.ravel()])
+        ref = reference_returns(rows, d, 1.0, 0.0, 100)
+        assert np.array_equal(bin_events(stream, path, 1.0).returns, ref)
+        synthetic.write_price_csv(tmp_path / "p.csv", *rows.T)
+        back = PricePath.from_csv(tmp_path / "p.csv")
+        assert np.array_equal(bin_events(stream, back, 1.0).returns, ref)
+
+
 class TestSigma:
     def test_constant_prices(self):
         # prices that never move give no impact to calibrate
-        series = BinnedSeries(delta=1.0,
-                              open_prices=np.full((10, 2), 5.0),
-                              close_prices=np.full((10, 2), 5.0),
-                              flows=np.zeros((10, 2)))
+        series = BinnedSeries(delta=1.0, flows=np.zeros((10, 2)),
+                              returns=np.zeros((10, 2)))
         with pytest.raises(ObservablesError, match="zero trace"):
             estimate_sigma([series])
 
     def test_iid_unit_returns(self):
         rng = np.random.default_rng(1)
         r = rng.choice([-1.0, 1.0], size=(20000, 1))
-        series = BinnedSeries(delta=1.0, open_prices=np.zeros((20000, 1)),
-                              close_prices=r, flows=np.zeros((20000, 1)))
+        series = BinnedSeries(delta=1.0, flows=np.zeros((20000, 1)),
+                              returns=r)
         sigma = estimate_sigma([series])
         assert sigma[0, 0] == pytest.approx(1.0, abs=0.05)
 
@@ -101,8 +197,8 @@ class TestSigma:
         rng = np.random.default_rng(2)
         x = rng.normal(size=400)
         r = np.stack([x, 2.0 * x], axis=1)
-        series = BinnedSeries(delta=1.0, open_prices=np.zeros((400, 2)),
-                              close_prices=r, flows=np.zeros((400, 2)))
+        series = BinnedSeries(delta=1.0, flows=np.zeros((400, 2)),
+                              returns=r)
         sigma = estimate_sigma([series])
         corr = sigma[0, 1] / np.sqrt(sigma[0, 0] * sigma[1, 1])
         assert corr == pytest.approx(1.0, abs=1e-12)
@@ -112,27 +208,30 @@ class TestSigma:
         days = []
         for day in range(4):
             r = rng.normal(size=(300, 3))
-            days.append(BinnedSeries(delta=1.0,
-                                     open_prices=np.zeros((300, 3)),
-                                     close_prices=r,
-                                     flows=np.zeros((300, 3))))
+            days.append(BinnedSeries(delta=1.0, flows=np.zeros((300, 3)),
+                                     returns=r))
         sigma = estimate_sigma(days)
         assert np.abs(sigma - sigma.T).max() <= 1e-12 * np.abs(sigma).max()
         eigs = np.linalg.eigvalsh(sigma)
         assert eigs.min() >= -1e-10 * np.trace(sigma)
 
     def test_too_short_rejected(self):
-        series = BinnedSeries(delta=1.0, open_prices=np.zeros((1, 1)),
-                              close_prices=np.zeros((1, 1)),
-                              flows=np.zeros((1, 1)))
+        series = BinnedSeries(delta=1.0, flows=np.zeros((1, 1)),
+                              returns=np.zeros((1, 1)))
         with pytest.raises(ObservablesError, match="day 0: 1 bins < 2"):
             estimate_sigma([series])
+
+    def test_day_without_prices_rejected(self):
+        days = [moving_day(10, 1),
+                BinnedSeries(delta=1.0, flows=np.zeros((10, 2)))]
+        with pytest.raises(ObservablesError,
+                           match="day 1: binned without prices"):
+            estimate_sigma(days)
 
 
 def moving_day(n_bins, seed):
     rng = np.random.default_rng(seed)
-    return BinnedSeries(delta=1.0, open_prices=np.zeros((n_bins, 2)),
-                        close_prices=rng.normal(size=(n_bins, 2)),
+    return BinnedSeries(delta=1.0, returns=rng.normal(size=(n_bins, 2)),
                         flows=rng.normal(size=(n_bins, 2)))
 
 
@@ -166,8 +265,7 @@ class TestOmega:
     def test_alternating_sequence_exact(self):
         T = 64
         q = np.cumprod(np.full(T, -1.0))[:, None]   # -1, +1, -1, ...
-        series = BinnedSeries(delta=1.0, open_prices=np.zeros((T, 1)),
-                              close_prices=np.zeros((T, 1)), flows=q)
+        series = BinnedSeries(delta=1.0, flows=q)
         om = estimate_omega([series], 5)
         for tau in range(6):
             expect = (-1.0) ** tau * (T - tau) / T
@@ -207,9 +305,7 @@ class TestOmega:
 
     def test_tau_max_too_large(self):
         # refused, not dropped with a warning (warnings are errors here)
-        series = BinnedSeries(delta=1.0, open_prices=np.zeros((5, 1)),
-                              close_prices=np.zeros((5, 1)),
-                              flows=np.ones((5, 1)))
+        series = BinnedSeries(delta=1.0, flows=np.ones((5, 1)))
         with pytest.raises(ObservablesError,
                            match="tau_max too large for day 0: 5 bins < 7"):
             estimate_omega([series], 5)
@@ -268,7 +364,7 @@ class TestSerialization:
         for day in range(3):
             stream = simulate(spec, 800.0, seed=40 + day)
             prices = flat_prices(800.0)
-            prices.prices += np.sin(prices.times + day)
+            prices.prices += np.sin(prices.times + day)[:, None]
             days.append(bin_events(stream, prices, 1.0))
         obs = build_observables(days, 6)
         save_observables(tmp_path / "obs", obs)
@@ -299,35 +395,37 @@ class TestPriceCsv:
     @pytest.mark.parametrize("n", [0, 700])
     def test_bytes_match_csv_writer(self, tmp_path, n):
         rng = np.random.default_rng(n)
-        path = PricePath(times=np.repeat(np.cumsum(rng.exponential(size=n)),
-                                         2),
-                         assets=np.tile([0, 1], n),
-                         prices=100.0 + rng.normal(size=2 * n), d=2)
-        synthetic.write_price_csv(tmp_path / "got.csv", path.times,
-                                  path.assets, path.prices)
+        times = np.repeat(np.cumsum(rng.exponential(size=n)), 2)
+        assets = np.tile([0, 1], n)
+        prices = 100.0 + rng.normal(size=2 * n)
+        synthetic.write_price_csv(tmp_path / "got.csv", times, assets,
+                                  prices)
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["time", "asset", "price"])
-            for t, a, p in zip(path.times, path.assets, path.prices):
+            for t, a, p in zip(times, assets, prices):
                 writer.writerow([f"{t:.9f}", a, f"{p:.17g}"])
         assert (tmp_path / "got.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
-        back = PricePath.from_csv(tmp_path / "got.csv", d=2)
-        assert np.array_equal(back.prices, path.prices)
-        assert np.array_equal(back.assets, path.assets)
+        if n:   # test_header_only reads a file without rows
+            back = PricePath.from_csv(tmp_path / "got.csv", d=2)
+            assert np.array_equal(back.prices, prices.reshape(n, 2))
 
     def test_columns_by_name(self, tmp_path):
         (tmp_path / "p.csv").write_text("price,asset,time\n"
-                                        "101.5,2,0.5\n99,0,0.75\n")
+                                        "101.5,2,0.5\n99,0,0.75\n"
+                                        "42,1,0.5\n")
         back = PricePath.from_csv(tmp_path / "p.csv")
         assert np.array_equal(back.times, [0.5, 0.75])
-        assert np.array_equal(back.assets, [2, 0])
-        assert np.array_equal(back.prices, [101.5, 99.0])
+        # asset 0's first price stands in before its first row
+        assert np.array_equal(back.prices, [[99.0, 42.0, 101.5]] * 2)
         assert back.d == 3
 
     def test_header_only(self, tmp_path):
         (tmp_path / "p.csv").write_text("time,asset,price\r\n")
+        # refused, without numpy's empty-file warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            back = PricePath.from_csv(tmp_path / "p.csv")
-        assert len(back) == 0 and back.d == 1
+            with pytest.raises(ObservablesError,
+                               match="no prices for asset 0"):
+                PricePath.from_csv(tmp_path / "p.csv")
