@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm, solve_sylvester
 
 from crossimpact.hawkes import (TIME_FORMAT, HawkesError, HawkesSpec,
-                                _write_csv, validate_spec)
+                                validate_spec)
 from crossimpact.observables import ObservableSet
 
 
@@ -66,12 +66,24 @@ def analytic_flow_spectrum(spec: HawkesSpec, omega) -> np.ndarray:
     return dv[None] @ signed @ dv[None]
 
 
+# price rows formatted at once by write_price_csv
+CSV_CHUNK_ROWS = 256
+
+
 def write_price_csv(path, times, assets, prices):
     """A data-path price file: CRLF-terminated rows time,asset,price, the
-    bytes csv.writer gives for TIME_FORMAT times and %.17g prices."""
-    _write_csv(path, ("time", "asset", "price"), TIME_FORMAT + ",%d,%.17g",
-               (np.asarray(times, dtype=float), np.asarray(assets, dtype=int),
-                np.asarray(prices, dtype=float)))
+    bytes csv.writer gives for TIME_FORMAT times and %.17g prices.  Rows
+    are formatted CSV_CHUNK_ROWS at a time, so no whole-file string is
+    built."""
+    columns = (np.asarray(times, dtype=float), np.asarray(assets, dtype=int),
+               np.asarray(prices, dtype=float))
+    row_format = TIME_FORMAT + ",%d,%.17g\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write("time,asset,price\r\n")
+        for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            rows = zip(*(c[start:start + CSV_CHUNK_ROWS].tolist()
+                         for c in columns))
+            fh.write("".join(row_format % row for row in rows))
 
 
 def single_rate_spec(A, beta, mu, sizes=None) -> HawkesSpec:

@@ -1,11 +1,14 @@
 import csv
+import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossimpact import hawkes
 from crossimpact.arbitrage import (Piece, Strategy, StrategyError,
                                    _snap_zero_sum, buy_hold_sell, cost,
                                    min_roundtrip_cost, pair_trading_strategy,
@@ -555,19 +558,55 @@ class TestPredict:
             predict_prices(k, flows, np.zeros(1))
 
 
+def writer_bytes(path, times, prices):
+    """The bytes csv.writer gives for a predicted price path."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "asset", "price_hat"])
+        for t, row in zip(times, prices):
+            for a, p in enumerate(row):
+                writer.writerow([f"{t:.9f}", a, f"{p:.17g}"])
+    return path.read_bytes()
+
+
 class TestPredictedPricesCsv:
     @pytest.mark.parametrize("n", [0, 300])
     def test_bytes_match_csv_writer(self, tmp_path, n):
-        # 300 steps of 3 assets span several 256-row chunks
         rng = np.random.default_rng(n)
         times = np.cumsum(rng.exponential(size=n))
         prices = 100.0 + rng.normal(size=(n, 3))
         save_predicted_prices(tmp_path / "got.csv", times, prices)
-        with open(tmp_path / "ref.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "asset", "price_hat"])
-            for t, row in zip(times, prices):
-                for a, p in enumerate(row):
-                    writer.writerow([f"{t:.9f}", a, f"{p:.17g}"])
         assert (tmp_path / "got.csv").read_bytes() == \
-            (tmp_path / "ref.csv").read_bytes()
+            writer_bytes(tmp_path / "ref.csv", times, prices)
+
+    @pytest.mark.parametrize("block", [1, 3, hawkes.EVENT_BLOCK_ROWS])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_bytes_for_any_magnitude(self, tmp_path, block, d):
+        # prices of both signs from 1e-7 to 1e19 with zeros, ties and
+        # specials; times on the 1 ns grid and off it (steps of 0.3 s,
+        # past 2**22 s); blocks of 1 and 3 rows hold one or more steps
+        rng = np.random.default_rng(d)
+        n = 40
+        times = np.concatenate([0.3 * (1 + np.arange(n - 4)),
+                                [2.0 ** 22, 2.0 ** 22 + 0.5, 1e9, 1e300]])
+        prices = rng.choice([-1.0, 1.0], (n, d)) \
+            * 10.0 ** rng.uniform(-7, 19, (n, d))
+        prices.flat[:8] = [0.0, -0.0, np.nan, np.inf, 5e-324, 1e-4, 1e16,
+                           1000000000000000.25]
+        with mock.patch.object(hawkes, "EVENT_BLOCK_ROWS", block), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            save_predicted_prices(tmp_path / "got.csv", times, prices)
+        assert (tmp_path / "got.csv").read_bytes() == \
+            writer_bytes(tmp_path / "ref.csv", times, prices)
+
+    @pytest.mark.parametrize("n_times,shape", [(3, (5, 2)), (8, (5, 2)),
+                                               (5, (5,))],
+                             ids=["short", "long", "1-D"])
+    def test_misfit_path_refused_before_writing(self, tmp_path, n_times,
+                                                shape):
+        path = tmp_path / "prices.csv"
+        with pytest.raises(StrategyError, match="one time per step"):
+            save_predicted_prices(path, np.arange(1.0, n_times + 1),
+                                  np.full(shape, 100.0))
+        assert not path.exists()

@@ -1,5 +1,7 @@
 import csv
+import math
 import re
+import sys
 import warnings
 from unittest import mock
 
@@ -487,6 +489,39 @@ class TestEventCsv:
                         "1,0,b,1\n2,0, S,1\n3,0,s ,1\n4,0,  B  ,1\n")
         assert np.array_equal(EventStream.from_csv(path).sides,
                               [1, -1, -1, 1])
+
+
+def doubles_of_bits(bits):
+    """The doubles whose IEEE 754 bit patterns are the given integers."""
+    return np.array(bits, dtype=np.uint64).view(float).tolist()
+
+
+# 10**k for k = -5, ..., 17, each the double nearest to it
+POWERS_OF_TEN = [float(f"1e{k}") for k in range(-5, 18)]
+
+
+class TestG17Text:
+    """hawkes._g17_text prints each double as "%.17g" does."""
+
+    @given(values=st.one_of(
+        st.lists(st.integers(0, 2 ** 64 - 1), max_size=40)
+        .map(doubles_of_bits),
+        st.lists(st.floats(), max_size=40)))
+    @example(values=[math.nextafter(p, toward) for p in POWERS_OF_TEN
+                     for toward in (0.0, math.inf)]
+             + POWERS_OF_TEN + [1e-4, 1e16, -1e-4, -1e16])
+    @example(values=[1000000000000000.25, 1000000000000000.75,
+                     -1000000000000000.25])
+    @example(values=[0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                     -5e-324, sys.float_info.max])
+    @example(values=[])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_percent_format(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = hawkes._g17_text(np.array(values, dtype=float))
+        assert [row.tobytes().translate(None, b"\0") for row in text] == \
+            [b"%.17g" % v for v in values]
 
 
 class TestTimeGrid:
