@@ -99,57 +99,78 @@ def _chol(mat, what):
         raise PolymatError(f"{what} is not positive definite") from exc
 
 
+def _chol_pair(cov, order):
+    """Cholesky factors of the stacked forward and backward innovation
+    covariances; a failure is named by side and order."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return np.stack([
+            _chol(c, f"{side} innovation covariance at order {order}")
+            for c, side in zip(cov, ("forward", "backward"))])
+
+
 def whittle_factor(lags, tol: float = FACTOR_TOL,
                    n_grid: int = DEFAULT_GRID) -> WhittleFactor:
     """Inverse spectral factor of R(z) = sum_k lags[|k|] z^{-k} (lags[k]^T
     for k < 0) by the block Whittle (1963) recursion.
 
-    lags[k] = E[x_{t+k} x_t^T] for k = 0..m are the causal coefficients of
-    a para-Hermitian R, zero beyond m.  Forward and backward predictors
-    grow one lag per step until the spectral norm of the normalised
-    reflection coefficient falls below tol while the grid residual is at
-    most STOP_RESIDUAL, or the order reaches n_grid // 2, so that L^{-1}
-    never wraps the grid.  A forward or backward innovation covariance
-    that is not positive definite means R is not positive on the circle,
-    and raises PolymatError.
+    lags[k] = E[x_{t+k} x_t^T], k = 0..m, are the finite causal
+    coefficients, shaped (m+1, d, d), of a para-Hermitian R.  Forward and
+    backward predictors grow one lag per step, as one stacked pair, until
+    the spectral norm of the normalised reflection coefficient falls below
+    tol with the grid residual at most STOP_RESIDUAL, or the order reaches
+    n_grid // 2, so that L^{-1} never wraps the grid.  Malformed lags, or
+    an innovation covariance that is not positive definite (R is not
+    positive on the circle), raise PolymatError.
     """
     lags = np.asarray(lags, dtype=float)
+    if lags.ndim != 3 or not lags.size or lags.shape[1] != lags.shape[2] \
+            or not np.isfinite(lags).all():
+        raise PolymatError("lags must be finite and shaped (m+1, d, d)")
     n_lags, d, _ = lags.shape
     if np.abs(lags[0] - lags[0].T).max() > 1e-8 * np.abs(lags).max():
         raise PolymatError("lag-0 coefficient is not symmetric")
     target = spectrum_on_grid(lags, n_grid)
     cap = n_grid // 2
-    gam = np.zeros((cap + 1, d, d))
-    gam[:n_lags] = lags
-    fwd = np.zeros((0, d, d))          # Phi_1..Phi_p
-    bwd = np.zeros((0, d, d))          # backward predictor, same order
-    v = u = 0.5 * (lags[0] + lags[0].T)
-    cv = cu = _chol(v, "lag-0 covariance")
-    refl = 0.0
+    # d columns a lag: R_k at block cap - k, Phi_1..Phi_p from the left,
+    # the backward predictor B_p..B_1 from the right
+    rev, (fwd, bwd) = np.zeros((cap * d, d)), np.zeros((2, d, cap * d))
+    rev[(cap - n_lags + 1) * d:] = lags[:0:-1].reshape(-1, d)
+    pair = np.empty((2, d, d))                          # delta, delta^T
+    cov = np.stack([0.5 * (lags[0] + lags[0].T)] * 2)   # V, U
+    chol = np.stack([_chol(cov[0], "lag-0 covariance")] * 2)
+    refl, p = 0.0, 0
     while True:
-        p = fwd.shape[0]
+        chol_inv = np.linalg.inv(chol)
+        lead, top = fwd[:, :p * d], (cap - p) * d
         if p < cap:
-            delta = gam[p + 1] - np.einsum("jab,jbc->ac", fwd, gam[p:0:-1])
-            refl = np.linalg.norm(
-                np.linalg.solve(cv, np.linalg.solve(cu, delta.T).T), 2)
+            delta = np.subtract(rev[top - d:top], lead @ rev[top:],
+                                out=pair[0])
+            k = chol_inv[0] @ delta @ chol_inv[1].T
+            # |K|_2 >= |K|_F / sqrt(d): the SVD only where a stop can be
+            refl = (np.linalg.norm(k, 2) if p == cap - 1
+                    or np.sqrt(np.vdot(k, k)) < tol * np.sqrt(d) else np.inf)
         if p == cap or refl < tol:
-            cv_inv = np.linalg.inv(cv)
-            inverse = np.concatenate([cv_inv[None], -cv_inv @ fwd])
+            inverse = np.concatenate([chol_inv[:1], -(chol_inv[0] @ lead)
+                                      .reshape(d, p, d).swapaxes(0, 1)])
             l_w = np.linalg.inv(np.fft.rfft(inverse, n_grid, axis=0))
             rec = l_w @ l_w.conj().transpose(0, 2, 1)
             residual = (circle_norm(rec - target, n_grid)
                         / circle_norm(target, n_grid))
             if p == cap or residual <= STOP_RESIDUAL:
                 break
-        a_new = np.linalg.solve(u.T, delta.T).T
-        b_new = np.linalg.solve(v.T, delta).T
-        fwd, bwd = (np.concatenate([fwd - a_new @ bwd[::-1], a_new[None]]),
-                    np.concatenate([bwd - b_new @ fwd[::-1], b_new[None]]))
-        v = v - a_new @ delta.T
-        u = u - b_new @ delta
-        v, u = 0.5 * (v + v.T), 0.5 * (u + u.T)
-        cv = _chol(v, f"forward innovation covariance at order {p + 1}")
-        cu = _chol(u, f"backward innovation covariance at order {p + 1}")
+        pair[1] = delta.T
+        # the new forward and backward lags, (delta U^{-1}, delta^T V^{-1})
+        new = pair @ (chol_inv[::-1].transpose(0, 2, 1) @ chol_inv[::-1])
+        cov -= new @ pair[::-1]
+        cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+        back = new[1] @ lead
+        lead -= new[0] @ bwd[:, top:]
+        bwd[:, top:] -= back
+        fwd[:, p * d:(p + 1) * d], bwd[:, top - d:top] = new
+        p += 1
+        chol = _chol_pair(cov, p)
     return WhittleFactor(inverse=inverse,
                          l_at_one=np.linalg.inv(inverse.sum(axis=0)),
                          residual=residual, order=p,

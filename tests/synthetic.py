@@ -6,7 +6,9 @@ always balanced and martingale-compatible, the imbalance kernel is
 A exp(-beta t), and the binned covariance of the signed volume flow has
 an exact matrix-geometric form, so lattice pipelines can be validated
 without Monte Carlo error.  The oracles (stationary intensity and flow
-spectrum) hold for any stable spec.
+spectrum) hold for any stable spec.  reference_whittle is the spectral
+factor recursion written order by order, the reference for
+polymat.whittle_factor.
 """
 from __future__ import annotations
 
@@ -18,6 +20,9 @@ from scipy.linalg import expm, solve_sylvester
 from crossimpact.hawkes import (TIME_FORMAT, HawkesError, HawkesSpec,
                                 validate_spec)
 from crossimpact.observables import ObservableSet
+from crossimpact.polymat import (DEFAULT_GRID, FACTOR_TOL, STOP_RESIDUAL,
+                                 PolymatError, WhittleFactor, _chol,
+                                 circle_norm, spectrum_on_grid)
 
 
 def full_fourier(spec: HawkesSpec, omega) -> np.ndarray:
@@ -273,3 +278,52 @@ def liquidity_contrast_instance(ratio=10.0, correlation=0.9):
                         omega_inf=omega_inf, delta=1.0, n_days=0,
                         n_bins=0, taper="none")
     return spec, obs
+
+
+def reference_whittle(lags, tol: float = FACTOR_TOL,
+                      n_grid: int = DEFAULT_GRID) -> WhittleFactor:
+    """The block Whittle recursion written order by order: one einsum for
+    the reflection, solves for the coefficients and growing coefficient
+    stacks.  The reference that polymat.whittle_factor's block-row
+    recursion must match in order and, to roundoff, in every field."""
+    lags = np.asarray(lags, dtype=float)
+    n_lags, d, _ = lags.shape
+    if np.abs(lags[0] - lags[0].T).max() > 1e-8 * np.abs(lags).max():
+        raise PolymatError("lag-0 coefficient is not symmetric")
+    target = spectrum_on_grid(lags, n_grid)
+    cap = n_grid // 2
+    gam = np.zeros((cap + 1, d, d))
+    gam[:n_lags] = lags
+    fwd = np.zeros((0, d, d))          # Phi_1..Phi_p
+    bwd = np.zeros((0, d, d))          # backward predictor, same order
+    v = u = 0.5 * (lags[0] + lags[0].T)
+    cv = cu = _chol(v, "lag-0 covariance")
+    refl = 0.0
+    while True:
+        p = fwd.shape[0]
+        if p < cap:
+            delta = gam[p + 1] - np.einsum("jab,jbc->ac", fwd, gam[p:0:-1])
+            refl = np.linalg.norm(
+                np.linalg.solve(cv, np.linalg.solve(cu, delta.T).T), 2)
+        if p == cap or refl < tol:
+            cv_inv = np.linalg.inv(cv)
+            inverse = np.concatenate([cv_inv[None], -cv_inv @ fwd])
+            l_w = np.linalg.inv(np.fft.rfft(inverse, n_grid, axis=0))
+            rec = l_w @ l_w.conj().transpose(0, 2, 1)
+            residual = (circle_norm(rec - target, n_grid)
+                        / circle_norm(target, n_grid))
+            if p == cap or residual <= STOP_RESIDUAL:
+                break
+        a_new = np.linalg.solve(u.T, delta.T).T
+        b_new = np.linalg.solve(v.T, delta).T
+        fwd, bwd = (np.concatenate([fwd - a_new @ bwd[::-1], a_new[None]]),
+                    np.concatenate([bwd - b_new @ fwd[::-1], b_new[None]]))
+        v = v - a_new @ delta.T
+        u = u - b_new @ delta
+        v, u = 0.5 * (v + v.T), 0.5 * (u + u.T)
+        cv = _chol(v, f"forward innovation covariance at order {p + 1}")
+        cu = _chol(u, f"backward innovation covariance at order {p + 1}")
+    return WhittleFactor(inverse=inverse,
+                         l_at_one=np.linalg.inv(inverse.sum(axis=0)),
+                         residual=residual, order=p,
+                         reflection_norm=float(refl), grid=n_grid)

@@ -77,6 +77,37 @@ def companion_radius(phi):
     return np.abs(np.linalg.eigvals(comp)).max()
 
 
+def lead_lag_lags(d):
+    """Lags of the VMA(2) flow q_t = C0 (e_t + B1 e_{t-1} + B2 e_{t-2})
+    with B1 = 0.7 I + 0.3 S - 0.1 S^T, B2 = 0.2 S^2 and S the shift:
+    asset k+1 leads asset k more than k leads k+1, so the lags are
+    neither symmetric nor commuting.  R stays positive on the circle,
+    its smallest eigenvalue there 0.023 at d = 5 and 0.0051 at d = 20."""
+    shift = np.eye(d, k=1)
+    c0 = np.eye(d) + 0.3 * np.tril(np.ones((d, d)), -1) / d
+    b1 = 0.7 * np.eye(d) + 0.3 * shift - 0.1 * shift.T
+    b2 = 0.2 * shift @ shift
+    return spectrum_lags(np.stack([c0, c0 @ b1, c0 @ b2]))
+
+
+# (lags, n_grid) of the factor's oracle instances; cos2w and cos3w,
+# 1 + 0.6 cos 2w and 1 + 0.8 cos 3w, have zero reflection coefficients at
+# every order not divisible by 2 or 3
+FACTOR_INSTANCES = {
+    "coupled": lambda: (synthetic.coupled_instance(tau_max=256)[2], 4096),
+    "consistent": lambda: (synthetic.consistent_instance(
+        beta=0.02, branch=0.5, tau_max=1600).obs.omega, 4096),
+    "cos2w": lambda: (np.array([1.0, 0.0, 0.3])[:, None, None], 4096),
+    "cos3w": lambda: (np.array([1.0, 0.0, 0.0, 0.4])[:, None, None], 4096),
+    # a factor zero at 0.9995, and a d = 20 factor on a 64-point grid:
+    # both orders stop at the cap, half the grid
+    "pole": lambda: (np.convolve([1.0, -0.9995], [-0.9995, 1.0])[1:]
+                     [:, None, None], 4096),
+    "lead-lag-5": lambda: (lead_lag_lags(5), 4096),
+    "lead-lag-20": lambda: (lead_lag_lags(20), 64),
+}
+
+
 def wilson_inverse_factor(lags, n, max_iter=200, tol=1e-13):
     """Causal coefficients of L^{-1} by Wilson's (1972) Newton iteration.
 
@@ -217,8 +248,12 @@ class TestScalarFactor:
 
     def test_negative_spectrum_rejected(self):
         # 0.5 + 2 cos(omega) goes negative
-        with pytest.raises(PolymatError):
+        with pytest.raises(PolymatError, match="forward innovation "
+                           "covariance at order 1 is not positive definite"):
             whittle_factor(np.array([[[0.5]], [[1.0]]]))
+        with pytest.raises(PolymatError, match="lag-0 covariance is not "
+                           "positive definite"):
+            whittle_factor(np.array([[[-1.0]], [[0.1]]]))
 
 
 class TestAssembleInvert:
@@ -298,21 +333,21 @@ class TestWhittleFactor:
         with pytest.raises(PolymatError):
             whittle_factor(lags)
 
+    @pytest.mark.parametrize("lags", [
+        np.stack([[[np.nan, 0.0], [0.0, 1.0]], 0.1 * np.eye(2)]),
+        np.stack([np.eye(2), [[0.1, np.nan], [0.0, 0.1]]]),
+        np.stack([np.eye(2), [[np.inf, 0.0], [0.0, 0.1]]]),
+        np.eye(2),
+        np.zeros((3, 2, 3)),
+    ], ids=["nan-lag-0", "nan-lag-1", "inf-lag-1", "2-d", "non-square"])
+    def test_malformed_lags_rejected(self, lags):
+        with pytest.raises(PolymatError, match="finite and shaped"):
+            whittle_factor(lags)
+
     @pytest.mark.parametrize("instance", ["coupled", "consistent",
                                           "cos2w", "cos3w"])
     def test_matches_wilson_oracle(self, instance):
-        # cos2w and cos3w, 1 + 0.6 cos 2w and 1 + 0.8 cos 3w, have zero
-        # reflection coefficients at every order not divisible by 2 or 3
-        if instance == "coupled":
-            lags = synthetic.coupled_instance(tau_max=256)[2]
-        elif instance == "consistent":
-            lags = synthetic.consistent_instance(beta=0.02, branch=0.5,
-                                                 tau_max=1600).obs.omega
-        elif instance == "cos2w":
-            lags = np.array([1.0, 0.0, 0.3])[:, None, None]
-        else:
-            lags = np.array([1.0, 0.0, 0.0, 0.4])[:, None, None]
-        n = 4096
+        lags, n = FACTOR_INSTANCES[instance]()
         f = whittle_factor(lags, n_grid=n)
         assert 0 < f.order < n // 2
         assert f.residual <= 1e-6
@@ -322,3 +357,23 @@ class TestWhittleFactor:
         assert imag <= 1e-9 * scale
         assert np.abs(ref[n // 2:]).max() <= 1e-9 * scale   # causal
         assert np.abs(got - ref[:n // 2]).max() <= 1e-6 * scale
+
+    @pytest.mark.parametrize("instance", list(FACTOR_INSTANCES))
+    def test_matches_reference_recursion(self, instance):
+        # the block-row recursion stops at the reference's order with its
+        # factor, residual and last reflection norm, to roundoff.  Bounds
+        # are about ten times the largest difference measured: 2.7e-15
+        # relative in the factor, 2.8e-17 in residual and reflection, except
+        # over the pole's 2048 orders, 3.3e-11 and 2.9e-14
+        coef_tol, scalar_tol = ((3e-10, 3e-13) if instance == "pole"
+                                else (3e-14, 3e-16))
+        lags, n = FACTOR_INSTANCES[instance]()
+        f = whittle_factor(lags, n_grid=n)
+        ref = synthetic.reference_whittle(lags, n_grid=n)
+        assert f.order == ref.order
+        assert f.inverse.shape == ref.inverse.shape
+        for got, want in ((f.inverse, ref.inverse),
+                          (f.l_at_one, ref.l_at_one)):
+            assert np.abs(got - want).max() <= coef_tol * np.abs(want).max()
+        assert abs(f.residual - ref.residual) <= scalar_tol
+        assert abs(f.reflection_norm - ref.reflection_norm) <= scalar_tol
