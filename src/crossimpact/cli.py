@@ -97,6 +97,14 @@ class RunConfig:
             _finite_positive(tol_name, getattr(cfg, tol_name))
         if cfg.n_days < 1:
             raise InputError(f"n_days must be at least 1, not {cfg.n_days}")
+        for key in ("horizon", "trim"):
+            if not 0 <= getattr(cfg, key) < np.inf:
+                raise InputError(f"{key} must be finite and at least 0, not "
+                                 f"{getattr(cfg, key)!r}")
+        for key, value in (("impact_scale", cfg.impact_scale),
+                           ("p0", cfg.p0), ("lambda", cfg.lam)):
+            if value is not None:
+                _finite(key, value)
         if not 0 <= cfg.tau_max < cfg.grid // 2:
             raise InputError(f"tau_max must be at least 0 and below grid // 2,"
                              f" not {cfg.tau_max} with grid {cfg.grid}")
@@ -115,6 +123,17 @@ def _finite_positive(name, value):
     """Refuse a value that is not a finite number above zero."""
     if not 0 < value < np.inf:
         raise InputError(f"{name} must be positive and finite, not {value!r}")
+
+
+def _finite(name, value):
+    """Refuse a number, or a nested list of numbers, with an entry that is
+    not finite."""
+    try:
+        finite = np.isfinite(np.asarray(value, dtype=float)).all()
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must hold numbers, not {value!r}") from None
+    if not finite:
+        raise InputError(f"{name} must be finite, not {value!r}")
 
 
 def parse_spec(blob) -> hawkes.HawkesSpec:
@@ -163,28 +182,34 @@ def _decayed_counts(times, signed, beta):
     return out
 
 
-def _event_prices(spec, stream, lam, p0) -> observables.PricePath:
-    """Exact event-time prices of the decay-law kernel along a stream.
+def _event_pricer(spec, lam, p0):
+    """The function that gives a stream's exact event-time prices under
+    the decay-law kernel of spec, lam and p0.
 
     The kernel splits as lam plus exponential transients, so per decay
     rate the decayed signed counts of each source asset give the exact
-    price at every jump.
+    price at every jump.  K(0) and each rate's loading are computed here,
+    once for every stream priced.
     """
-    d, n = spec.d, len(stream)
+    d = spec.d
     k0 = hawkes.analytic_kernel(spec, lam, 1.0, 0).k0
     loading = k0 * spec.sizes   # price response to per-source decayed counts
-    signs = np.zeros((n, d))
-    signs[np.arange(n), stream.assets] = stream.sides
-    prices = p0 + np.cumsum(signs * stream.sizes[:, None], axis=0) @ lam.T
     i, j, betas, alphas = spec.imbalance_terms().T
     rates = sorted(set(betas.tolist()))
     weights = np.zeros((len(rates), d, d))
     weights[np.searchsorted(rates, betas), i.astype(int), j.astype(int)] = \
         alphas / betas
-    for beta, w in zip(rates, weights):
-        prices += _decayed_counts(stream.times, signs, beta) \
-            @ (loading @ w).T
-    return observables.PricePath(stream.times, prices)
+    transients = [(beta, (loading @ w).T) for beta, w in zip(rates, weights)]
+
+    def event_prices(stream) -> observables.PricePath:
+        n = len(stream)
+        signs = np.zeros((n, d))
+        signs[np.arange(n), stream.assets] = stream.sides
+        prices = p0 + np.cumsum(signs * stream.sizes[:, None], axis=0) @ lam.T
+        for beta, response in transients:
+            prices += _decayed_counts(stream.times, signs, beta) @ response
+        return observables.PricePath(stream.times, prices)
+    return event_prices
 
 
 def _valid_spec(cfg):
@@ -218,8 +243,7 @@ def _simulated_days(cfg, spec, report, out):
         yield stream
     manifest = {"n_days": cfg.n_days, "config": cfg.echo(),
                 "validation": dataclasses.asdict(report)}
-    (out / "manifest.json").write_text(json.dumps(
-        observables._json_safe(manifest), sort_keys=True, indent=1))
+    (out / "manifest.json").write_text(observables._dumps(manifest))
 
 
 def cmd_simulate(cfg: RunConfig, out_dir) -> int:
@@ -257,35 +281,47 @@ def _load_day_files(cfg, out_dir):
         event_files = _event_files(data_dir)
         price_files = [data_dir / ef.name.replace("events_", "prices_")
                        for ef in event_files]
-    for f in event_files + price_files:
+    _existing(event_files + price_files)
+    return list(zip(event_files, price_files))
+
+
+def _existing(files):
+    """files, each of which must exist; a missing one is an input error."""
+    for f in files:
         if not f.exists():
             raise InputError(f"missing data file {f}")
-    return list(zip(event_files, price_files))
+    return files
 
 
 # the config keys that, with a day's events, fix its simulated prices
 PRICE_KEYS = ("spec", "lam", "impact_scale", "p0")
+# the config keys that fix which days simulate wrote, and their span
+DAY_KEYS = ("n_days", "horizon")
 
 
 def _simulated_event_files(cfg, out_dir):
-    """Each events_NNN.csv that simulate wrote under out_dir.  Their
-    prices are derived from the config, so the directory's manifest must
-    record the config's PRICE_KEYS; a missing manifest, or one that
-    records other values, is an input error."""
+    """events_000.csv ... events_{n_days - 1}.csv, which simulate wrote
+    under out_dir.  Their prices are derived from the config, so the
+    directory's manifest must record the config's PRICE_KEYS, and its
+    DAY_KEYS so that no stray day is read or binned on another horizon.
+    A missing manifest, one that records other values, and a missing
+    day file are input errors."""
     data_dir = pathlib.Path(out_dir)
     path = data_dir / "manifest.json"
     echo = cfg.echo()
     try:
         recorded = json.loads(path.read_text())["config"]
-        differ = [key for key in PRICE_KEYS if recorded[key] != echo[key]]
+        differ = [key for key in PRICE_KEYS + DAY_KEYS
+                  if recorded[key] != echo[key]]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{path}: no simulation manifest to derive the "
                          f"prices from ({exc})") from exc
     if differ:
         raise InputError(f"{path} records another {', '.join(differ)} than "
-                         "the config; the simulated prices cannot be "
-                         "derived")
-    return _event_files(data_dir)
+                         "the config; the simulated days cannot be read "
+                         "with it")
+    return _existing([data_dir / f"events_{day:03d}.csv"
+                      for day in range(cfg.n_days)])
 
 
 def _read(reader, path, **kwargs):
@@ -328,8 +364,8 @@ def _days(cfg, out, simulate=False):
     streams = _simulated_days(cfg, spec, report, out) if simulate else (
         _read(hawkes.EventStream.from_csv, ef, d=spec.d, horizon=cfg.horizon)
         for ef in _simulated_event_files(cfg, out))
-    return ((stream, _event_prices(spec, stream, lam, p0))
-            for stream in streams)
+    event_prices = _event_pricer(spec, lam, p0)
+    return ((stream, event_prices(stream)) for stream in streams)
 
 
 def _estimate(cfg, days, out):
@@ -411,8 +447,8 @@ def _calibrate(cfg: RunConfig, out_dir):
         rep2 = kernels.nsa_check(k2, tol=cfg.nsa_tol)
         diagnostics["k1_boundaries"] = {"k0": k1.k0.tolist(),
                                         "lambda": k1.lam.tolist()}
-        diagnostics["k1_diagnostics"] = observables._json_safe(k1.diagnostics)
-        diagnostics["k2_diagnostics"] = observables._json_safe(k2.diagnostics)
+        diagnostics["k1_diagnostics"] = k1.diagnostics
+        diagnostics["k2_diagnostics"] = k2.diagnostics
         diagnostics["k1_admissibility"] = rep1.to_dict()
         diagnostics["k2_admissibility"] = rep2.to_dict()
         health, faults = _k1_health(k1, cfg.tail_tol)
@@ -421,8 +457,7 @@ def _calibrate(cfg: RunConfig, out_dir):
         raise
     except Exception as exc:
         raise StageError(stage, exc) from exc
-    (out / "diagnostics.json").write_text(json.dumps(
-        observables._json_safe(diagnostics), sort_keys=True, indent=1))
+    (out / "diagnostics.json").write_text(observables._dumps(diagnostics))
     print(f"calibrated kernels under {out}; factor residual "
           f"{factor.residual:.3e} at order {factor.order}")
     print(f"k1 degraded ({'; '.join(faults)})" if faults else
@@ -543,6 +578,7 @@ def main(argv=None) -> int:
             return _check(kernel, kernels.nsa_check(kernel, tol=args.tol),
                           bps=args.bps)
         if args.command == "predict":
+            _finite("--p0", args.p0)
             kernel = kernels.load_kernel(args.kernel_dir)
             return _predict(kernel, _read(hawkes.EventStream.from_csv,
                                           args.events_csv, d=kernel.d),

@@ -198,9 +198,11 @@ def omega_aggregates(omega, taper: str = "bartlett"):
     tau_max = omega.shape[0] - 1
     w = taper_weights(taper, tau_max)
     omega_zero = 0.5 * (omega[0] + omega[0].T)
-    agg = omega_zero.copy()
-    for tau in range(1, tau_max + 1):
-        agg += w[tau] * (omega[tau] + omega[tau].T)
+    # the sum along the lag axis adds in lag order
+    terms = np.empty_like(omega)
+    terms[0] = omega_zero
+    terms[1:] = w[1:, None, None] * (omega[1:] + omega[1:].transpose(0, 2, 1))
+    agg = terms.sum(axis=0)
     agg = 0.5 * (agg + agg.T)
     eigvals, eigvecs = np.linalg.eigh(agg)
     floor = -NEG_TOL * max(np.trace(agg), np.abs(eigvals).max())
@@ -271,6 +273,19 @@ def _json_safe(obj):
     return obj
 
 
+def _json_default(obj):
+    """json's hook for a value it cannot encode: a numpy array or scalar
+    as _json_safe gives it."""
+    if isinstance(obj, (np.ndarray, np.floating, np.integer)):
+        return _json_safe(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(obj) -> str:
+    """The JSON text of a report or meta dict: keys sorted, indent 1."""
+    return json.dumps(obj, sort_keys=True, indent=1, default=_json_default)
+
+
 def save_artifact(directory, meta: dict, **arrays):
     """Write arrays to directory/arrays.npz and meta to directory/meta.json.
 
@@ -281,8 +296,7 @@ def save_artifact(directory, meta: dict, **arrays):
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     np.savez(directory / "arrays.npz", **arrays)
-    (directory / "meta.json").write_text(json.dumps(_json_safe(meta),
-                                                    sort_keys=True, indent=1))
+    (directory / "meta.json").write_text(_dumps(meta))
     for path in directory.iterdir():
         if path.is_file() and path.name not in ("arrays.npz", "meta.json"):
             path.unlink()

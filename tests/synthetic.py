@@ -8,7 +8,9 @@ an exact matrix-geometric form, so lattice pipelines can be validated
 without Monte Carlo error.  The oracles (stationary intensity and flow
 spectrum) hold for any stable spec.  reference_whittle is the spectral
 factor recursion written order by order, the reference for
-polymat.whittle_factor.
+polymat.whittle_factor; reference_simulate is the cluster sampler with
+its term tables built per source and a stable sort, the reference for
+hawkes.simulate.
 """
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ import dataclasses
 import numpy as np
 from scipy.linalg import expm, solve_sylvester
 
-from crossimpact.hawkes import (TIME_FORMAT, HawkesError, HawkesSpec,
-                                validate_spec)
+from crossimpact.hawkes import (BUY, SELL, TIME_FORMAT, EventStream,
+                                HawkesError, HawkesSpec, validate_spec)
 from crossimpact.observables import ObservableSet
 from crossimpact.polymat import (DEFAULT_GRID, FACTOR_TOL, STOP_RESIDUAL,
                                  PolymatError, WhittleFactor, _chol,
@@ -327,3 +329,55 @@ def reference_whittle(lags, tol: float = FACTOR_TOL,
                          l_at_one=np.linalg.inv(inverse.sum(axis=0)),
                          residual=residual, order=p,
                          reflection_norm=float(refl), grid=n_grid)
+
+
+def reference_simulate(spec: HawkesSpec, horizon: float,
+                       seed: int) -> EventStream:
+    """The cluster sampler with a loop over source components for its
+    term tables and a stable sort of the union of generations.  The
+    reference that hawkes.simulate must match stream for stream."""
+    report = validate_spec(spec)
+    if not report.stable:
+        raise HawkesError("refusing to simulate an unstable model")
+    if horizon < 0:
+        raise HawkesError("horizon must be nonnegative")
+    rng = np.random.default_rng(seed)
+    d = spec.d
+    n_comp = 2 * d
+    live = spec.alpha != 0.0
+    alphas, betas = spec.alpha[live], spec.beta[live]
+    src, tgt = spec.source[live], spec.target[live]
+    # per source component, its terms padded to a common width; a padded
+    # slot has zero mean offspring
+    by_src = [np.flatnonzero(src == c) for c in range(n_comp)]
+    width = max(len(k) for k in by_src)
+    mean_children = np.zeros((n_comp, width))
+    decay = np.ones((n_comp, width))
+    child_comp = np.zeros((n_comp, width), dtype=int)
+    for c, k in enumerate(by_src):
+        mean_children[c, :len(k)] = alphas[k] / betas[k]
+        decay[c, :len(k)] = betas[k]
+        child_comp[c, :len(k)] = tgt[k]
+    mu_full = np.concatenate([spec.mu, spec.mu])
+    comps = np.repeat(np.arange(n_comp), rng.poisson(mu_full * horizon))
+    times = rng.uniform(0.0, horizon, len(comps))
+    all_times, all_comps = [times], [comps]
+    while len(times) and width:
+        counts = rng.poisson(mean_children[comps])
+        slot = np.repeat(np.arange(counts.size), counts.ravel())
+        parent, slot = np.divmod(slot, width)
+        pc = comps[parent]
+        times = times[parent] + rng.exponential(size=len(slot)) \
+            / decay[pc, slot]
+        keep = times <= horizon
+        times, comps = times[keep], child_comp[pc, slot][keep]
+        all_times.append(times)
+        all_comps.append(comps)
+    times = np.concatenate(all_times)
+    order = np.argsort(times, kind="stable")
+    times = np.rint(times[order] * 1e9) / 1e9
+    comps = np.concatenate(all_comps)[order]
+    assets = comps % d
+    return EventStream(times=times, assets=assets,
+                       sides=np.where(comps < d, BUY, SELL),
+                       sizes=spec.sizes[assets], horizon=horizon, d=d)

@@ -57,7 +57,7 @@ def dir_bytes(directory):
 
 
 def event_prices_loop(spec, stream, lam, p0):
-    """Reference for cli._event_prices: one decay step per event."""
+    """Reference for cli._event_pricer: one decay step per event."""
     d = spec.d
     dv = np.diag(spec.sizes)
     k0 = lam @ dv @ np.linalg.inv(np.eye(d) - hawkes.imbalance_l1(spec)) \
@@ -134,7 +134,7 @@ class TestEventPrices:
         assert 2.0 * stream.times[-1] > 8 * cli.DECAY_BLOCK_EXPONENT
         lam = cli._default_lambda(spec, RunConfig())
         p0 = np.array([100.0, 50.0])
-        got = cli._event_prices(spec, stream, lam, p0)
+        got = cli._event_pricer(spec, lam, p0)(stream)
         ref = event_prices_loop(spec, stream, lam, p0)
         assert np.array_equal(got.times, stream.times)
         assert got.prices.shape == (len(stream), 2)
@@ -146,7 +146,7 @@ class TestEventPrices:
                                                beta=1.0, aa=[[0.5]],
                                                bb=[[0.5]])
         stream = hawkes.simulate(spec, 0.0, seed=0)
-        got = cli._event_prices(spec, stream, np.eye(1), np.zeros(1))
+        got = cli._event_pricer(spec, np.eye(1), np.zeros(1))(stream)
         assert len(got) == 0
 
 
@@ -209,6 +209,37 @@ class TestConfig:
             assert err.startswith("input error: ") and message in err, \
                 command
             assert not out.exists(), command
+
+    @pytest.mark.parametrize("raw, message", [
+        pytest.param({"horizon": float("nan")},
+                     "horizon must be finite and at least 0, not nan",
+                     id="horizon-nan"),
+        pytest.param({"horizon": float("inf")}, "horizon must be finite",
+                     id="horizon-inf"),
+        pytest.param({"horizon": -5.0}, "horizon must be finite and at "
+                     "least 0, not -5.0", id="horizon-negative"),
+        pytest.param({"trim": float("nan")}, "trim must be finite",
+                     id="trim-nan"),
+        pytest.param({"trim": -1.0}, "trim must be finite and at least 0, "
+                     "not -1.0", id="trim-negative"),
+        pytest.param({"impact_scale": float("nan")},
+                     "impact_scale must be finite, not nan",
+                     id="impact_scale-nan"),
+        pytest.param({"p0": [float("nan"), 100.0]},
+                     "p0 must be finite, not [nan, 100.0]", id="p0-nan"),
+        pytest.param({"p0": [float("-inf"), 100.0]}, "p0 must be finite",
+                     id="p0-inf"),
+        pytest.param({"lambda": [[1.0, 0.0], [0.0, float("nan")]]},
+                     "lambda must be finite", id="lambda-nan"),
+        pytest.param({"lambda": [[1.0, "x"], [0.0, 1.0]]},
+                     "lambda must hold numbers", id="lambda-str"),
+    ])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, raw, message):
+        # unrefused, a NaN horizon failed a later stage after making the
+        # output directory, a horizon of -5 left an empty one, and the
+        # others exited 0 (with NaN kernels where a value was NaN)
+        assert_refused(small_config(tmp_path, **raw), tmp_path, capsys,
+                       message)
 
     def test_lam_and_lambda_exit_2(self, tmp_path, capsys):
         # one of them would be dropped without a word
@@ -553,6 +584,22 @@ class TestCalibrate:
         prices = {float(r.split(",")[2]) for r in rows}
         assert prices == {50.0}
 
+    @pytest.mark.parametrize("p0", ["nan", "inf", "-inf"])
+    def test_predict_non_finite_p0_exits_2(self, tmp_path, capsys, p0):
+        # unrefused, --p0 nan wrote nan prices and exited 0
+        spec = hawkes.HawkesSpec.from_matrices(mu=[1.0], sizes=[1.0],
+                                               beta=0.5, aa=[[0.1]],
+                                               bb=[[0.1]])
+        save_kernel(tmp_path / "k", hawkes.analytic_kernel(spec, [[0.8]],
+                                                           1.0, 8))
+        events = tmp_path / "events.csv"
+        events.write_text("time,asset,side,size\n0.5,0,B,1\n")
+        dest = tmp_path / "pred.csv"
+        assert main(["predict", str(tmp_path / "k"), str(events),
+                     f"--p0={p0}", "--out", str(dest)]) == EXIT_INPUT
+        assert "input error: --p0 must be finite" in capsys.readouterr().err
+        assert not dest.exists()
+
     def test_estimate_stage_then_calibrate(self, tmp_path):
         cfg = small_config(tmp_path, n_days=2, horizon=400.0)
         out = tmp_path / "staged"
@@ -858,6 +905,56 @@ class TestDerivedPrices:
                      "estimate"]) == EXIT_INPUT
         name = "lam" if key == "lambda" else key
         assert f"records another {name} than the config" in \
+            capsys.readouterr().err
+        assert not (sim / "observables").exists()
+
+    def test_estimate_reads_the_manifest_days(self, tmp_path, capsys):
+        # a 3-day simulate, then a 2-day one, leaves a stray day 2, which
+        # must not be binned as a third day
+        sim = tmp_path / "sim"
+        for n_days in (3, 2):
+            assert main(["--config", str(small_config(tmp_path,
+                                                      n_days=n_days)),
+                         "--output-dir", str(sim), "simulate"]) == EXIT_OK
+        assert (sim / "events_002.csv").exists()
+        cfg = small_config(tmp_path, n_days=2)
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "--output-dir", str(sim),
+                     "estimate"]) == EXIT_OK
+        assert "estimated observables from 2 days, 800 bins" in \
+            capsys.readouterr().out
+        assert main(["--config", str(cfg), "--output-dir",
+                     str(tmp_path / "cal"), "calibrate"]) == EXIT_OK
+        assert dir_bytes(sim / "observables") == \
+            dir_bytes(tmp_path / "cal" / "observables")
+
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("n_days", 3, id="n_days"),
+        pytest.param("horizon", 600.0, id="horizon"),
+    ])
+    def test_manifest_of_other_days_exits_2(self, tmp_path, capsys, key,
+                                            value):
+        # unrefused, a horizon of 600 against days simulated over 400 s
+        # binned each day's last 200 s as empty
+        sim = tmp_path / "sim"
+        assert main(["--config", str(small_config(tmp_path)),
+                     "--output-dir", str(sim), "simulate"]) == EXIT_OK
+        other = small_config(tmp_path, **{key: value})
+        assert main(["--config", str(other), "--output-dir", str(sim),
+                     "estimate"]) == EXIT_INPUT
+        assert f"records another {key} than the config" in \
+            capsys.readouterr().err
+        assert not (sim / "observables").exists()
+
+    def test_missing_day_file_exits_2(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        sim = tmp_path / "sim"
+        assert main(["--config", str(cfg), "--output-dir", str(sim),
+                     "simulate"]) == EXIT_OK
+        (sim / "events_001.csv").unlink()
+        assert main(["--config", str(cfg), "--output-dir", str(sim),
+                     "estimate"]) == EXIT_INPUT
+        assert f"missing data file {sim / 'events_001.csv'}" in \
             capsys.readouterr().err
         assert not (sim / "observables").exists()
 

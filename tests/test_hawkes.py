@@ -15,7 +15,8 @@ from crossimpact import hawkes
 from crossimpact.hawkes import (BUY, SELL, EventStream, HawkesError,
                                 HawkesSpec, analytic_kernel, imbalance_l1,
                                 simulate, validate_spec)
-from synthetic import analytic_flow_spectrum, stationary_intensity
+from synthetic import (analytic_flow_spectrum, reference_simulate,
+                       stationary_intensity)
 
 
 def poisson_spec(mu=(1.0, 1.0), sizes=(1.0, 1.0)):
@@ -258,7 +259,48 @@ class TestStationaryIntensity:
         assert abs(buys / horizon - theta) < 6 * np.sqrt(theta / horizon)
 
 
+THREE_A = [[0.08, 0.02, 0.0], [0.03, 0.07, 0.01], [0.0, 0.02, 0.06]]
+
+
+def interleaved_spec():
+    """Two assets whose terms are tabled out of source order: buys of
+    asset 0 (component 0) and of asset 1 each source three terms, sells
+    of asset 0 two, and sells of asset 1 only a zero term."""
+    return HawkesSpec(mu=[0.5, 0.3], sizes=[1.0, 2.0],
+                      alpha=[0.1, 0.05, 0.2, 0.02, 0.1, 0.03, 0.15, 0.0,
+                             0.01, 0.04],
+                      beta=[1.0, 0.1, 2.0, 0.05, 0.5, 0.3, 1.5, 1.0, 0.2,
+                            0.8],
+                      target=[0, 1, 2, 0, 3, 1, 2, 0, 3, 2],
+                      source=[0, 1, 0, 2, 1, 0, 2, 3, 1, 1])
+
+
+# each with a horizon of about a thousand events per day
+SAMPLER_MARKETS = {
+    "demo": (MARKETS["demo"], 600.0),
+    "tape": (MARKETS["tape"], 80.0),
+    "three-asset": (lambda: HawkesSpec.from_matrices(
+        mu=[0.5, 0.4, 0.3], sizes=[1.0, 1.0, 2.0], beta=0.3, aa=THREE_A,
+        bb=THREE_A), 300.0),
+    "interleaved": (interleaved_spec, 400.0),
+}
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("market", SAMPLER_MARKETS)
+    def test_matches_reference_sampler(self, market):
+        # the same draws, tables and order as the per-source loop and the
+        # stable sort, on 50 seeds
+        make, horizon = SAMPLER_MARKETS[market]
+        spec = make()
+        for seed in range(50):
+            got = simulate(spec, horizon, seed)
+            ref = reference_simulate(spec, horizon, seed)
+            for name in ("times", "assets", "sides", "sizes"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(ref, name)), (seed, name)
+            assert (got.horizon, got.d) == (ref.horizon, ref.d)
+
     def test_poisson_count(self):
         spec = HawkesSpec.from_matrices(mu=[2.0], sizes=[1.0], beta=1.0)
         stream = simulate(spec, 1000.0, seed=42)
@@ -483,12 +525,64 @@ class TestEventCsv:
         with pytest.raises(HawkesError, match="side label"):
             EventStream.from_csv(path)
 
+    @pytest.mark.parametrize("layout", ["lf", "crlf", "reordered",
+                                        "extra-column", "quoted"])
+    def test_read_matches_text_stream(self, tmp_path, layout):
+        # _read_csv hands loadtxt the path; the reference hands it the
+        # open text stream after the header
+        stream = simulate(MARKETS["cross"](), 200.0, seed=6)
+        stream.to_csv(tmp_path / "crlf.csv")
+        header, *rows = (tmp_path / "crlf.csv").read_bytes() \
+            .decode().split("\r\n")[:-1]
+        cells = [line.split(",") for line in [header] + rows]
+        if layout == "lf":
+            lines, end = [",".join(c) for c in cells], "\n"
+        elif layout == "crlf":
+            lines, end = [",".join(c) for c in cells], "\r\n"
+        elif layout == "reordered":
+            lines, end = [",".join([c[3], c[2], c[0], c[1]])
+                          for c in cells], "\n"
+        elif layout == "extra-column":
+            lines, end = [",".join(c[:2] + ["note" if k == 0 else str(k)]
+                                   + c[2:])
+                          for k, c in enumerate(cells)], "\r\n"
+        else:
+            lines, end = [header] + [",".join(f'"{v}"' for v in c[:3])
+                                     + f',{c[3]},"a, {k}"'
+                                     for k, c in enumerate(cells[1:])], "\n"
+            lines[0] += ",note"
+        path = tmp_path / f"{layout}.csv"
+        path.write_bytes((end.join(lines) + end).encode())
+        fields = [("time", float), ("asset", int),
+                  ("side", f"S{hawkes.SIDE_WIDTH}"), ("size", float)]
+        got = hawkes._read_csv(path, fields)
+        ref = read_csv_text_stream(path, fields)
+        assert got.dtype == ref.dtype and len(got) == len(stream)
+        for name, _ in fields:
+            assert np.array_equal(got[name], ref[name]), name
+        assert np.array_equal(got["time"], stream.times)
+
     def test_side_labels_any_case_and_padding(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("time,asset,side,size\n"
                         "1,0,b,1\n2,0, S,1\n3,0,s ,1\n4,0,  B  ,1\n")
         assert np.array_equal(EventStream.from_csv(path).sides,
                               [1, -1, -1, 1])
+
+
+def read_csv_text_stream(path, fields):
+    """The event read that hands loadtxt the open text stream after its
+    header: the reference for hawkes._read_csv."""
+    with open(path, newline="") as fh:
+        position = {name.strip(): k
+                    for k, name in enumerate(fh.readline().split(","))}
+        start = fh.tell()
+        if not fh.read(1):
+            return np.zeros(0, dtype=fields)
+        usecols = [position[name] for name, _ in fields]
+        fh.seek(start)
+        return np.loadtxt(fh, dtype=fields, delimiter=",", comments=None,
+                          quotechar='"', usecols=usecols, ndmin=1)
 
 
 def doubles_of_bits(bits):

@@ -11,7 +11,8 @@ from crossimpact.observables import (BinnedSeries, ObservablesError,
                                      build_observables, estimate_omega,
                                      estimate_sigma, load_observables,
                                      omega_aggregates, save_artifact,
-                                     save_observables, tapered_lags)
+                                     save_observables, tapered_lags,
+                                     taper_weights)
 from crossimpact.polymat import spectrum_on_grid
 
 import synthetic
@@ -166,7 +167,7 @@ class TestBinningReference:
         spec = synthetic.single_rate_spec(A, 0.25, np.full(d, 0.3))
         stream = simulate(spec, 100.0, seed=4)
         lam = cli._default_lambda(spec, cli.RunConfig())
-        path = cli._event_prices(spec, stream, lam, np.full(d, 100.0))
+        path = cli._event_pricer(spec, lam, np.full(d, 100.0))(stream)
         rows = np.column_stack([np.repeat(path.times, d),
                                 np.tile(np.arange(d), len(path)),
                                 path.prices.ravel()])
@@ -336,6 +337,22 @@ class TestAggregatesAndSpectrum:
         _, raw = omega_aggregates(lags, taper="none")
         _, tapered = omega_aggregates(lags, taper="bartlett")
         assert abs(raw[0, 0] - tapered[0, 0]) / raw[0, 0] < 0.01
+
+    @pytest.mark.parametrize("tau_max, d", [(6, 2), (64, 4), (128, 2),
+                                            (64, 20)])
+    def test_aggregate_equals_lag_loop(self, tau_max, d):
+        # one sum along the lag axis adds in lag order, as the loop does
+        q = np.random.default_rng(tau_max + d).standard_normal((400, d))
+        q[1:] += 0.5 * q[:-1]
+        om = estimate_omega([BinnedSeries(delta=1.0, flows=q)], tau_max)
+        w = taper_weights("bartlett", tau_max)
+        agg = 0.5 * (om[0] + om[0].T)
+        for tau in range(1, tau_max + 1):
+            agg += w[tau] * (om[tau] + om[tau].T)
+        agg = 0.5 * (agg + agg.T)
+        zero, inf = omega_aggregates(om)
+        assert np.array_equal(zero, 0.5 * (om[0] + om[0].T))
+        assert np.array_equal(inf, agg)
 
     def test_indefinite_aggregate_rejected(self):
         om = np.zeros((2, 1, 1))
