@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import hawkes
+from . import formats
 from .kernels import ImpactKernel
 from .observables import BinnedSeries
 
@@ -315,18 +315,11 @@ def predict_prices(kernel: ImpactKernel, flows: BinnedSeries,
     return out
 
 
-_CRLF = np.frombuffer(b"\r\n", np.uint8)
-
-
 def save_predicted_prices(path, times, prices):
     """Write a (n_steps, d) price path as CRLF-terminated rows
-    time,asset,price_hat, one per step and asset.
-
-    The bytes are those of hawkes.TIME_FORMAT + ",%d,%.17g" per row, but
-    are assembled in numpy, hawkes.EVENT_BLOCK_ROWS rows (or one step)
-    at a time: see hawkes._time_text and hawkes._g17_text.  A path that
-    is not 2-D, or times that are not one per step, are refused before
-    the file is opened.
+    time,asset,price_hat, one per step and asset: see
+    formats.write_prices.  A path that is not 2-D, or times that are not
+    one per step, are refused before the file is opened.
     """
     times = np.asarray(times, dtype=float)
     prices = np.asarray(prices, dtype=float)
@@ -334,15 +327,4 @@ def save_predicted_prices(path, times, prices):
         raise StrategyError(
             f"times of shape {times.shape} do not fit a price path of "
             f"shape {prices.shape}: need a 2-D path and one time per step")
-    n, d = prices.shape
-    assets = hawkes._byte_rows([",%d," % a for a in range(d)])
-    steps = max(1, hawkes.EVENT_BLOCK_ROWS // max(d, 1))
-    with open(path, "wb") as fh:
-        fh.write(b"time,asset,price_hat\r\n")
-        for start in range(0, n, steps):
-            t, p = times[start:start + steps], prices[start:start + steps]
-            rows = np.concatenate(
-                [np.repeat(hawkes._time_text(t), d, axis=0),
-                 np.tile(assets, (len(t), 1)), hawkes._g17_text(p.ravel()),
-                 np.broadcast_to(_CRLF, (p.size, 2))], axis=1)
-            fh.write(rows.tobytes().translate(None, b"\0"))
+    formats.write_prices(path, times, prices)

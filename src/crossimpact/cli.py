@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import arbitrage, hawkes, kernels, observables, polymat
+from . import arbitrage, formats, hawkes, kernels, observables, polymat
 
 ENV_CONFIG = "CROSSIMPACT_CONFIG"
 
@@ -76,7 +76,12 @@ class RunConfig:
         if not isinstance(raw, dict) or \
                 not isinstance(raw.get("tolerances", {}), dict):
             raise InputError("a config and its tolerances are JSON objects")
-        raw.update(raw.pop("tolerances", {}))
+        tolerances = raw.pop("tolerances", {})
+        both = sorted(set(raw) & set(tolerances))
+        if both:
+            raise InputError(f"config gives {both[0]} both at top level and "
+                             "under tolerances; give one")
+        raw.update(tolerances)
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         types["lambda"] = types["lam"]
         unknown = set(raw) - set(types)
@@ -115,8 +120,7 @@ class RunConfig:
         return cfg
 
     def echo(self) -> dict:
-        return observables._json_safe(
-            {f.name: getattr(self, f.name) for f in dataclasses.fields(self)})
+        return dataclasses.asdict(self)
 
 
 def _finite_positive(name, value):
@@ -243,7 +247,7 @@ def _simulated_days(cfg, spec, report, out):
         yield stream
     manifest = {"n_days": cfg.n_days, "config": cfg.echo(),
                 "validation": dataclasses.asdict(report)}
-    (out / "manifest.json").write_text(observables._dumps(manifest))
+    (out / "manifest.json").write_text(formats.dumps(manifest))
 
 
 def cmd_simulate(cfg: RunConfig, out_dir) -> int:
@@ -453,11 +457,11 @@ def _calibrate(cfg: RunConfig, out_dir):
         diagnostics["k2_admissibility"] = rep2.to_dict()
         health, faults = _k1_health(k1, cfg.tail_tol)
         diagnostics["health"] = health
-    except (InputError, StageError):
+    except (InputError, StageError, OSError):
         raise
     except Exception as exc:
         raise StageError(stage, exc) from exc
-    (out / "diagnostics.json").write_text(observables._dumps(diagnostics))
+    (out / "diagnostics.json").write_text(formats.dumps(diagnostics))
     print(f"calibrated kernels under {out}; factor residual "
           f"{factor.residual:.3e} at order {factor.order}")
     print(f"k1 degraded ({'; '.join(faults)})" if faults else
@@ -478,7 +482,7 @@ def _check(kernel, report, bps=False) -> int:
     round-trip scans; exit code from the report's verdict.  A scan that
     min_roundtrip_cost refuses is printed as skipped and left out of
     the worst relative cost."""
-    print(json.dumps(report.to_dict(), sort_keys=True, indent=1))
+    print(formats.dumps(report.to_dict()))
     scale, unit = (1e4, "bps") if bps else (1.0, "price units")
     print(f"immediate matrix ({unit}):")
     print(np.array2string(scale * kernel.k0, precision=4))
@@ -595,7 +599,7 @@ def main(argv=None) -> int:
         command = {"simulate": cmd_simulate, "estimate": cmd_estimate,
                    "calibrate": cmd_calibrate, "demo": cmd_demo}
         return command[args.command](cfg, args.output_dir or cfg.output_dir)
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except StageError as exc:

@@ -13,6 +13,9 @@ import dataclasses
 
 import numpy as np
 
+from . import formats
+from .kernels import ImpactKernel
+
 BLOCK_KEYS = ("aa", "ab", "ba", "bb")
 BUY, SELL = 1, -1
 
@@ -231,7 +234,6 @@ def analytic_kernel(spec: HawkesSpec, lam, delta, tau_max):
     kernel, and K(0) is fixed by the permanent matrix lam through
     K(0) diag(v) (I - int phi) = lam diag(v), so that K(t) -> lam.
     """
-    from .kernels import ImpactKernel
     report = validate_spec(spec)
     if not report.martingale_compatible:
         raise HawkesError("martingale-compatibility check failed; the "
@@ -285,24 +287,16 @@ class EventStream:
         return len(self.times)
 
     def to_csv(self, path):
-        """Write the stream as CRLF-terminated rows time,asset,side,size.
-
-        The bytes are those of TIME_FORMAT + ",%d,%s,%.17g" per row, with
-        side B or S, but are assembled in numpy EVENT_BLOCK_ROWS rows at
-        a time: see _event_rows.
-        """
-        with open(path, "wb") as fh:
-            fh.write(b"time,asset,side,size\r\n")
-            for start in range(0, len(self), EVENT_BLOCK_ROWS):
-                block = slice(start, start + EVENT_BLOCK_ROWS)
-                fh.write(_event_rows(self.times[block], self.assets[block],
-                                     self.sides[block], self.sizes[block],
-                                     self.d))
+        """Write the stream as CRLF-terminated rows time,asset,side,size,
+        side B or S: see formats.write_events."""
+        formats.write_events(path, self.times, self.assets, self.sides,
+                             self.sizes, self.d)
 
     @classmethod
     def from_csv(cls, path, d=None, horizon=None):
-        rows = _read_csv(path, [("time", float), ("asset", int),
-                                ("side", f"S{SIDE_WIDTH}"), ("size", float)])
+        rows = formats.read_csv(path, [("time", float), ("asset", int),
+                                       ("side", f"S{SIDE_WIDTH}"),
+                                       ("size", float)])
         times, assets = rows["time"], rows["asset"]
         if d is None:
             d = int(assets.max()) + 1 if len(assets) else 1
@@ -332,187 +326,9 @@ def _parse_sides(labels):
     return np.where(buy, BUY, SELL)
 
 
-# every CSV this package writes carries its times at this precision, and
-# simulate draws its times on the same grid
-TIME_FORMAT = "%.9f"
 # side fields are read as this many bytes; one that fills them may have
 # been cut, and is refused
 SIDE_WIDTH = 8
-# rows of a CSV encoded at once, which bounds the encoder's memory
-EVENT_BLOCK_ROWS = 1 << 14
-# below this, doubles lie at most 2**-31 s apart: a time t that is the
-# double nearest to ns / 1e9 for integer ns is within 2**-32 s of it, so
-# TIME_FORMAT rounds t back to ns, and the integer part has 7 digits
-GRID_TIME_LIMIT = 2.0 ** 22
-# integer-part digits worth 10**6, ..., 10**1, each printed only when
-# the integer part reaches its value
-_LEADING_PLACES = 10 ** np.arange(6, 0, -1)
-# %.17g prints |v| in [G17_LOW, G17_HIGH) in fixed notation, with at most
-# 16 integer digits and 20 decimals, and _g17_text prints these from their
-# digits; floor(log10 |v|) lies in [-4, 16], so 16 - e indexes
-# _POWERS_OF_TEN
-G17_LOW, G17_HIGH = 1e-4, 1e16
-# 10**k for k = 0, ..., 20, each an exact double
-_POWERS_OF_TEN = np.array([10 ** k for k in range(21)], dtype=float)
-# Veltkamp's splitter for doubles: 2**27 + 1
-_SPLITTER = 134217729.0
-# the rows of _g17_text's digit matrix, as a column
-_G17_COLUMNS = np.arange(21, dtype=np.uint8)[:, None]
-
-
-def _event_rows(times, assets, sides, sizes, d) -> bytes:
-    """The CSV rows TIME_FORMAT + ",%d,%s,%.17g" of a block of events,
-    with side B for a buy and S for a sell, and CRLF line ends.
-
-    Each row is laid out in a uint8 matrix whose unused slots are 0, and
-    the 0 bytes are dropped from the matrix's bytes.  The time comes
-    from _time_text.  The tail ",asset,side,size" is formatted once for
-    each distinct asset, side and size bit pattern, and gathered into
-    the rows by index.
-    """
-    size_bits, size_index = np.unique(sizes.view(np.int64),
-                                      return_inverse=True)
-    keys, tail_index = np.unique((size_index * d + assets) * 2 + (sides > 0),
-                                 return_inverse=True)
-    tail_size, tail_side = np.divmod(keys, 2)
-    tail_size, tail_asset = np.divmod(tail_size, d)
-    tails = _byte_rows([",%d,%s,%.17g\r\n" % (a, "SB"[s], v)
-                        for a, s, v in zip(tail_asset.tolist(),
-                                           tail_side.tolist(),
-                                           size_bits.view(float)[tail_size]
-                                           .tolist())])
-    rows = np.hstack([_time_text(times), tails[tail_index]])
-    return rows.tobytes().translate(None, b"\0")
-
-
-def _time_text(times):
-    """The TIME_FORMAT text of each time, as the rows of a uint8 matrix
-    padded with 0 bytes.
-
-    A time t in [0, GRID_TIME_LIMIT) on the 1 ns grid (ns / 1e9 == t
-    for ns = rint(t * 1e9)) is printed from the decimal digits of ns.
-    Any other time (off the grid, past the limit, with its sign bit set,
-    NaN or inf) is formatted with TIME_FORMAT into its own row.
-    """
-    grid = (times < GRID_TIME_LIMIT) & ~np.signbit(times)   # NaN: False
-    ns = np.rint(np.where(grid, times, 0.0) * 1e9).astype(np.int64)
-    grid &= ns / 1e9 == times
-    off = np.flatnonzero(~grid)
-    off_text = _byte_rows([TIME_FORMAT % t for t in times[off].tolist()])
-    # built by column, text[k] holding byte k of every time: a time on
-    # the grid takes 7 integer digits, a point and 9 decimals
-    text = np.zeros((max(17, off_text.shape[1]), len(times)), np.uint8)
-    seconds, nanos = (part.astype(np.int32) for part in np.divmod(ns, 10**9))
-    leading = seconds >= _LEADING_PLACES[:, None]
-    for col in range(6, -1, -1):
-        seconds, text[col] = np.divmod(seconds, 10)
-    for col in range(16, 7, -1):
-        nanos, text[col] = np.divmod(nanos, 10)
-    text[:17] += np.uint8(ord("0"))
-    text[:6] *= leading
-    text[7] = ord(".")
-    text[:, off] = 0
-    text[:off_text.shape[1], off] = off_text.T
-    return text.T
-
-
-def _g17_text(values):
-    """The "%.17g" text of each double, as the rows of a uint8 matrix
-    padded with 0 bytes.
-
-    A value with G17_LOW <= |v| < G17_HIGH is printed in fixed notation
-    from its 17 significant digits n: the integer nearest to |v| 10**(16
-    - e), ties to even, for the e with 10**16 <= n < 10**17.  Dekker's
-    exact product (Numer. Math. 18, 1971) gives that integer exactly:
-    see _digits17.  e starts at floor(log10 |v|) and takes one step
-    where n leaves its range.  Trailing zeros of the decimals, and a
-    point with no decimals after it, are left out.  Any other value
-    (0, subnormal, tiny, huge, NaN or inf) is formatted with "%.17g"
-    into its own row.
-    """
-    magnitude = np.abs(values)
-    fast = (magnitude >= G17_LOW) & (magnitude < G17_HIGH)   # NaN: False
-    off = np.flatnonzero(~fast)
-    off_text = _byte_rows(["%.17g" % v for v in values[off].tolist()])
-    magnitude = np.where(fast, magnitude, 1.0)
-    e = np.floor(np.log10(magnitude)).astype(np.int64)
-    n = _digits17(magnitude, e)
-    step = np.flatnonzero((n < 10 ** 16) | (n >= 10 ** 17))
-    e[step] += np.where(n[step] < 10 ** 16, -1, 1)
-    n[step] = _digits17(magnitude[step], e[step])
-    # built by column: digits[k] is byte k of four '0's and the 17 digits
-    # of n, so that digit k - 4 of n is worth 10**(e + 4 - k)
-    digits = np.zeros((21, len(n)), np.uint8)
-    high, low = (part.astype(np.int32) for part in np.divmod(n, 10 ** 8))
-    for col in range(20, 12, -1):
-        low, digits[col] = np.divmod(low, 10)
-    for col in range(12, 3, -1):
-        high, digits[col] = np.divmod(high, 10)
-    digits += np.uint8(ord("0"))
-    # the column of the units digit (a padding '0' when |v| < 1), and of
-    # the last nonzero digit
-    units = (e + 4).astype(np.uint8)
-    last = np.max(_G17_COLUMNS * (digits != ord("0")), axis=0)
-    width = max(44, off_text.shape[1])
-    text = np.zeros((width, len(n)), np.uint8)
-    text[0] = np.signbit(values) * np.uint8(ord("-"))
-    # integer part: its digits, or the one '0' before the point
-    text[1:22] = digits * ((_G17_COLUMNS <= units)
-                           & (_G17_COLUMNS >= np.minimum(units, 4)))
-    text[22] = (last > units) * np.uint8(ord("."))
-    text[23:44] = digits * ((_G17_COLUMNS > units) & (_G17_COLUMNS <= last))
-    text[:, off] = 0
-    text[:off_text.shape[1], off] = off_text.T
-    return text.T
-
-
-def _digits17(magnitude, e):
-    """The integer nearest to magnitude * 10**(16 - e), ties to even, for
-    magnitude * 10**(16 - e) in [10**16, 10**17).
-
-    The product p of magnitude and c = 10**(16 - e), an exact double,
-    and its rounding error err are found exactly, as p + err.  p is at
-    least 2**53, so it is an even integer, and p + rint(err) is the
-    nearest integer to the exact product with ties to even.
-    """
-    c = _POWERS_OF_TEN[16 - e]
-    p = magnitude * c
-    m_hi, m_lo = _split(magnitude)
-    c_hi, c_lo = _split(c)
-    err = m_hi * c_hi - p + m_hi * c_lo + m_lo * c_hi + m_lo * c_lo
-    return p.astype(np.int64) + np.rint(err).astype(np.int64)
-
-
-def _split(a):
-    """a as hi + lo, each with at most 26 significant bits (Veltkamp)."""
-    t = _SPLITTER * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _byte_rows(strings):
-    """ASCII strings as the rows of a uint8 matrix, padded with 0 bytes."""
-    packed = np.array([s.encode() for s in strings], dtype=bytes)
-    return packed.view(np.uint8).reshape(len(strings), packed.itemsize)
-
-
-def _read_csv(path, fields):
-    """Named columns of a CSV file as a structured array.
-
-    fields lists (column name, dtype); columns are found by header name,
-    in any order, and other columns are ignored.  A file with no data
-    rows gives an empty array; a missing column raises KeyError.  The
-    rows are read from the path, which loadtxt parses faster than an
-    open text stream.
-    """
-    with open(path, newline="") as fh:
-        position = {name.strip(): k
-                    for k, name in enumerate(fh.readline().split(","))}
-        if not fh.read(1):
-            return np.zeros(0, dtype=fields)
-    usecols = [position[name] for name, _ in fields]
-    return np.loadtxt(path, dtype=fields, delimiter=",", comments=None,
-                      quotechar='"', usecols=usecols, ndmin=1, skiprows=1)
 
 
 def simulate(spec: HawkesSpec, horizon: float, seed: int) -> EventStream:
@@ -524,10 +340,10 @@ def simulate(spec: HawkesSpec, horizon: float, seed: int) -> EventStream:
     Poisson(alpha_k / beta_k) children of component tgt_k at Exp(beta_k)
     delays.  Generations are drawn one at a time, children past the
     horizon are dropped, and the union is sorted.  Times are returned on
-    the 1 ns grid of TIME_FORMAT, so a stream reads back from its CSV
-    unchanged; this moves each event by at most 5e-10 s.  Deterministic
-    given the seed; coincident event times raise HawkesError in
-    EventStream.
+    the 1 ns grid of formats.TIME_FORMAT, so a stream reads back from its
+    CSV unchanged; this moves each event by at most 5e-10 s.
+    Deterministic given the seed; coincident event times raise
+    HawkesError in EventStream.
     """
     report = validate_spec(spec)
     if not report.stable:

@@ -21,9 +21,9 @@ import pathlib
 
 import numpy as np
 
-from .observables import NEG_TOL, ObservableSet, load_artifact, save_artifact
-from .polymat import (DEFAULT_GRID, WhittleFactor, _next_pow2, circle_norm,
-                      spectrum_on_grid)
+from .formats import load_artifact, save_artifact
+from .observables import NEG_TOL, ObservableSet
+from .polymat import DEFAULT_GRID, WhittleFactor, circle_norm, spectrum_on_grid
 
 
 class KernelError(ValueError):
@@ -199,8 +199,8 @@ def build_K1(obs: ObservableSet, factor: WhittleFactor,
 def _transform_grid(kernel: ImpactKernel, n_grid: int | None) -> int:
     """n_grid, or the kernel's grid, grown to the next power of two that
     holds the two-sided support of its lags."""
-    n = n_grid or kernel.grid
-    return n if 2 * kernel.n_lags <= n else _next_pow2(2 * kernel.n_lags)
+    n, support = n_grid or kernel.grid, 2 * kernel.n_lags
+    return n if support <= n else 1 << (support - 1).bit_length()
 
 
 def symmetrized_transform(kernel: ImpactKernel,

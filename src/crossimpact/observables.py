@@ -8,12 +8,14 @@ bin width is the unit of time for everything downstream.
 from __future__ import annotations
 
 import dataclasses
-import json
-import pathlib
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .hawkes import EventStream, _read_csv
+from .formats import load_artifact, read_csv, save_artifact
+
+if TYPE_CHECKING:
+    from .hawkes import EventStream
 
 # a negative eigenvalue of an estimated covariance down to NEG_TOL of its
 # scale is estimation noise and is clipped; a larger one is refused
@@ -46,7 +48,7 @@ class PricePath:
     def from_csv(cls, path, d=None):
         """The table of rows time,asset,price in any order.  Of an asset's
         rows at one time the last listed counts, and its first before."""
-        rows = _read_csv(path, [("time", float), ("asset", int),
+        rows = read_csv(path, [("time", float), ("asset", int),
                                ("price", float)])
         if not (np.isfinite(rows["time"]).all()
                 and np.isfinite(rows["price"]).all()):
@@ -254,61 +256,6 @@ def tapered_lags(omega, taper: str = "bartlett") -> np.ndarray:
     tapered lattice spectral density."""
     omega = np.asarray(omega, dtype=float)
     return taper_weights(taper, omega.shape[0] - 1)[:, None, None] * omega
-
-
-# ---------------------------------------------------------------------------
-# Serialization: an artifact is a directory holding arrays.npz (its arrays,
-# by name) and meta.json (its scalars and diagnostics)
-# ---------------------------------------------------------------------------
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
-def _json_default(obj):
-    """json's hook for a value it cannot encode: a numpy array or scalar
-    as _json_safe gives it."""
-    if isinstance(obj, (np.ndarray, np.floating, np.integer)):
-        return _json_safe(obj)
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-def _dumps(obj) -> str:
-    """The JSON text of a report or meta dict: keys sorted, indent 1."""
-    return json.dumps(obj, sort_keys=True, indent=1, default=_json_default)
-
-
-def save_artifact(directory, meta: dict, **arrays):
-    """Write arrays to directory/arrays.npz and meta to directory/meta.json.
-
-    The npz is uncompressed and its members carry zip's fixed default
-    date, so equal inputs give equal bytes.  Every other file in the
-    directory, such as one left by an earlier format, is deleted.
-    """
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    np.savez(directory / "arrays.npz", **arrays)
-    (directory / "meta.json").write_text(_dumps(meta))
-    for path in directory.iterdir():
-        if path.is_file() and path.name not in ("arrays.npz", "meta.json"):
-            path.unlink()
-
-
-def load_artifact(directory):
-    """(meta, arrays) of an artifact directory; object arrays are refused."""
-    directory = pathlib.Path(directory)
-    meta = json.loads((directory / "meta.json").read_text())
-    with np.load(directory / "arrays.npz", allow_pickle=False) as npz:
-        arrays = {name: npz[name] for name in npz.files}
-    return meta, arrays
 
 
 def save_observables(directory, obs: ObservableSet):

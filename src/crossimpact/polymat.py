@@ -28,13 +28,6 @@ class PolymatError(ValueError):
     """Raised when an input violates a factorization precondition."""
 
 
-def _next_pow2(n):
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 def spectrum_on_grid(lags, n_grid: int) -> np.ndarray:
     """R(omega_j) = sum_k R_k e^{-i omega_j k} at omega_j = 2 pi j / n_grid
     for j = 0..n_grid // 2; the other frequencies are their conjugates.

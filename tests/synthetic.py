@@ -19,8 +19,9 @@ import dataclasses
 import numpy as np
 from scipy.linalg import expm, solve_sylvester
 
-from crossimpact.hawkes import (BUY, SELL, TIME_FORMAT, EventStream,
-                                HawkesError, HawkesSpec, validate_spec)
+from crossimpact.formats import TIME_FORMAT
+from crossimpact.hawkes import (BUY, SELL, EventStream, HawkesError,
+                                HawkesSpec, validate_spec)
 from crossimpact.observables import ObservableSet
 from crossimpact.polymat import (DEFAULT_GRID, FACTOR_TOL, STOP_RESIDUAL,
                                  PolymatError, WhittleFactor, _chol,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossimpact import hawkes
+from crossimpact import formats
 from crossimpact.arbitrage import (Piece, Strategy, StrategyError,
                                    _snap_zero_sum, buy_hold_sell, cost,
                                    min_roundtrip_cost, pair_trading_strategy,
@@ -579,7 +579,7 @@ class TestPredictedPricesCsv:
         assert (tmp_path / "got.csv").read_bytes() == \
             writer_bytes(tmp_path / "ref.csv", times, prices)
 
-    @pytest.mark.parametrize("block", [1, 3, hawkes.EVENT_BLOCK_ROWS])
+    @pytest.mark.parametrize("block", [1, 3, formats.EVENT_BLOCK_ROWS])
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_bytes_for_any_magnitude(self, tmp_path, block, d):
         # prices of both signs from 1e-7 to 1e19 with zeros, ties and
@@ -593,7 +593,7 @@ class TestPredictedPricesCsv:
             * 10.0 ** rng.uniform(-7, 19, (n, d))
         prices.flat[:8] = [0.0, -0.0, np.nan, np.inf, 5e-324, 1e-4, 1e16,
                            1000000000000000.25]
-        with mock.patch.object(hawkes, "EVENT_BLOCK_ROWS", block), \
+        with mock.patch.object(formats, "EVENT_BLOCK_ROWS", block), \
                 warnings.catch_warnings():
             warnings.simplefilter("error")
             save_predicted_prices(tmp_path / "got.csv", times, prices)

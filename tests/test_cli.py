@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import warnings
@@ -251,6 +252,18 @@ class TestConfig:
                          command]) == EXIT_INPUT, command
             assert "input error: config gives both lam and lambda" in \
                 capsys.readouterr().err, command
+            assert not out.exists(), command
+
+    @pytest.mark.parametrize("key", ["tail_tol", "factor_tol"])
+    def test_key_also_under_tolerances_exits_2(self, tmp_path, capsys, key):
+        # unrefused, the value under tolerances won without a word
+        cfg = small_config(tmp_path, **{key: 1e-3})
+        for command in ("simulate", "estimate", "calibrate", "demo"):
+            out = tmp_path / f"refused-{command}"
+            assert main(["--config", str(cfg), "--output-dir", str(out),
+                         command]) == EXIT_INPUT, command
+            assert f"input error: config gives {key} both at top level " \
+                "and under tolerances" in capsys.readouterr().err, command
             assert not out.exists(), command
 
     def test_int_taken_for_float(self, tmp_path):
@@ -1180,6 +1193,55 @@ class TestKernelArtifact:
             assert err.startswith("input error: "), argv[0]
             assert f": {name} " in err, argv[0]
         assert not pred.exists()
+
+
+def tree_bytes(root):
+    """Every path under root, with a file's bytes: unlike dir_bytes, an
+    empty directory counts."""
+    return {p: p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("case", [
+    "check-truncated-npz", "predict-truncated-npz", "config-is-directory",
+    "predict-out-is-directory", "simulate-output-dir-is-file",
+    "estimate-output-dir-is-file", "calibrate-output-dir-is-file",
+    "demo-output-dir-is-file", "simulate-output-dir-under-file"])
+def test_unusable_path_exits_2(tmp_path, capsys, calibrated, case):
+    # unrefused, estimate alone exited 2: the others raised a traceback
+    # (exit 1, the code of a failed check) or, in calibrate and demo,
+    # failed stage simulate (exit 3)
+    kernel, events = tmp_path / "truncated", calibrated / "events_000.csv"
+    kernel.mkdir()
+    shutil.copy(calibrated / "k2" / "meta.json", kernel)
+    (kernel / "arrays.npz").write_bytes(
+        (calibrated / "k2" / "arrays.npz").read_bytes()[:3000])
+    a_file, cfg = tmp_path / "a_file", small_config(tmp_path)
+    a_file.write_text("not a directory\n")
+    spec_run = ["--config", cfg, "--output-dir", a_file]
+    argv, path = {
+        "check-truncated-npz": (["check", kernel], kernel / "arrays.npz"),
+        "predict-truncated-npz": (["predict", kernel, events, "--out",
+                                   tmp_path / "pred.csv"],
+                                  kernel / "arrays.npz"),
+        "config-is-directory": (["--config", kernel, "--output-dir",
+                                 tmp_path / "out", "calibrate"], kernel),
+        "predict-out-is-directory": (["predict", calibrated / "k1", events,
+                                      "--out", kernel], kernel),
+        "simulate-output-dir-is-file": (spec_run + ["simulate"], a_file),
+        "estimate-output-dir-is-file": (spec_run + ["estimate"], a_file),
+        "calibrate-output-dir-is-file": (spec_run + ["calibrate"], a_file),
+        "demo-output-dir-is-file": (spec_run + ["demo"], a_file),
+        "simulate-output-dir-under-file": (["--config", cfg, "--output-dir",
+                                            a_file / "sub", "simulate"],
+                                           a_file / "sub"),
+    }[case]
+    before = tree_bytes(tmp_path)
+    assert main([str(a) for a in argv]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and str(path) in err, err
+    assert "Traceback" not in err
+    assert tree_bytes(tmp_path) == before
 
 
 class TestSideLabels:

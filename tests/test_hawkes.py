@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from crossimpact import hawkes
+from crossimpact import formats, hawkes
 from crossimpact.hawkes import (BUY, SELL, EventStream, HawkesError,
                                 HawkesSpec, analytic_kernel, imbalance_l1,
                                 simulate, validate_spec)
@@ -463,24 +463,24 @@ class TestEventCsv:
         # row's time is formatted on its own
         stream = simulate(MARKETS["sparse"](), 2e7, seed=2)
         assert stream.times[-1] > 2.0 ** 23 and \
-            stream.times[0] < hawkes.GRID_TIME_LIMIT
+            stream.times[0] < formats.GRID_TIME_LIMIT
         stream.to_csv(tmp_path / "got.csv")
         assert (tmp_path / "got.csv").read_bytes() == \
             self.writer_bytes(stream, tmp_path / "ref.csv")
 
     @given(stream=event_streams(),
-           block=st.sampled_from([1, 3, hawkes.EVENT_BLOCK_ROWS]))
+           block=st.sampled_from([1, 3, formats.EVENT_BLOCK_ROWS]))
     @example(stream=stream_of([-0.0, 1e-10, 5e-10, 2.5e-9, 0.5, 2.0 ** 22,
                                2.0 ** 23 + 0.1]), block=2)
     @example(stream=stream_of([-1e300, -2.5, -1e-9, 0.25, 1e300],
                               d=12, sizes=[1e-7, 5e-324, 1e300]),
-             block=hawkes.EVENT_BLOCK_ROWS)
+             block=formats.EVENT_BLOCK_ROWS)
     @example(stream=stream_of([]), block=1)
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_bytes_match_csv_writer_for_any_times(self, tmp_path, stream,
                                                   block):
-        with mock.patch.object(hawkes, "EVENT_BLOCK_ROWS", block), \
+        with mock.patch.object(formats, "EVENT_BLOCK_ROWS", block), \
                 warnings.catch_warnings():
             warnings.simplefilter("error")
             stream.to_csv(tmp_path / "got.csv")
@@ -528,7 +528,7 @@ class TestEventCsv:
     @pytest.mark.parametrize("layout", ["lf", "crlf", "reordered",
                                         "extra-column", "quoted"])
     def test_read_matches_text_stream(self, tmp_path, layout):
-        # _read_csv hands loadtxt the path; the reference hands it the
+        # formats.read_csv hands loadtxt the path; the reference hands it the
         # open text stream after the header
         stream = simulate(MARKETS["cross"](), 200.0, seed=6)
         stream.to_csv(tmp_path / "crlf.csv")
@@ -555,7 +555,7 @@ class TestEventCsv:
         path.write_bytes((end.join(lines) + end).encode())
         fields = [("time", float), ("asset", int),
                   ("side", f"S{hawkes.SIDE_WIDTH}"), ("size", float)]
-        got = hawkes._read_csv(path, fields)
+        got = formats.read_csv(path, fields)
         ref = read_csv_text_stream(path, fields)
         assert got.dtype == ref.dtype and len(got) == len(stream)
         for name, _ in fields:
@@ -572,7 +572,7 @@ class TestEventCsv:
 
 def read_csv_text_stream(path, fields):
     """The event read that hands loadtxt the open text stream after its
-    header: the reference for hawkes._read_csv."""
+    header: the reference for formats.read_csv."""
     with open(path, newline="") as fh:
         position = {name.strip(): k
                     for k, name in enumerate(fh.readline().split(","))}
@@ -595,7 +595,7 @@ POWERS_OF_TEN = [float(f"1e{k}") for k in range(-5, 18)]
 
 
 class TestG17Text:
-    """hawkes._g17_text prints each double as "%.17g" does."""
+    """formats._g17_text prints each double as "%.17g" does."""
 
     @given(values=st.one_of(
         st.lists(st.integers(0, 2 ** 64 - 1), max_size=40)
@@ -613,7 +613,7 @@ class TestG17Text:
     def test_matches_percent_format(self, values):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            text = hawkes._g17_text(np.array(values, dtype=float))
+            text = formats._g17_text(np.array(values, dtype=float))
         assert [row.tobytes().translate(None, b"\0") for row in text] == \
             [b"%.17g" % v for v in values]
 

@@ -252,7 +252,7 @@ def loop_symmetrized_transform(kernel, n_grid=None):
     trans = kernel.values - kernel.lam[None]
     support = trans.shape[0] - 1
     if 2 * support > n:
-        n = polymat._next_pow2(2 * support)
+        n = 1 << (2 * support - 1).bit_length()
     x = np.zeros((n,) + trans.shape[1:])
     x[0] = trans[0]
     for t in range(1, support + 1):

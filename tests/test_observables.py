@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from crossimpact import cli
+from crossimpact.formats import save_artifact
 from crossimpact.hawkes import EventStream, HawkesSpec, simulate
 from crossimpact.observables import (BinnedSeries, ObservablesError,
                                      PricePath, bin_events,
                                      build_observables, estimate_omega,
                                      estimate_sigma, load_observables,
-                                     omega_aggregates, save_artifact,
-                                     save_observables, tapered_lags,
-                                     taper_weights)
+                                     omega_aggregates, save_observables,
+                                     tapered_lags, taper_weights)
 from crossimpact.polymat import spectrum_on_grid
 
 import synthetic
