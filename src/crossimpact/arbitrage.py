@@ -10,6 +10,7 @@ The four-corner sums of every piece pair are one array contraction.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 from fractions import Fraction
@@ -91,18 +92,20 @@ class _KernelIntegrals:
     permanent plateau, so piece-pair costs are exact corner sums.  Table
     row (i * d + a) * d + b holds V, W = V', k / 2 at node i of entry
     (a, b) and the rise dk of cell i: V is a cubic in the offset from the
-    node.  Row i = n_lags, k = lam and dk = 0, is the plateau."""
+    node.  Rows stop at the cell of the last piece end, as no offset passes
+    it; row cut, k = lam and dk = 0, is the plateau if cut = n_lags."""
 
-    def __init__(self, kernel: ImpactKernel):
+    def __init__(self, kernel: ImpactKernel, ends):
         self.delta = dv = float(kernel.delta)
-        k = kernel.values
-        self.n = n = k.shape[0] - 1
+        self.n = n = kernel.n_lags
+        self.cut = cut = min(n, math.floor(np.max(ends, initial=0.0) / dv) + 1)
+        k = kernel.values[:cut + 1]
         self.entries = k.shape[1] * k.shape[2]
         table = np.zeros(k.shape + (4,))
         v, w, half_k, dk = np.moveaxis(table, -1, 0)
         dk[:-1] = np.diff(k, axis=0)
         half_k[:-1] = 0.5 * k[:-1]
-        half_k[n] = 0.5 * kernel.lam
+        half_k[cut] = 0.5 * kernel.lam
         w[1:] = np.cumsum(0.5 * dv * (k[:-1] + k[1:]), axis=0)
         v[1:] = np.cumsum(w[:-1] * dv + half_k[:-1] * dv ** 2
                           + dk[:-1] * dv ** 2 / 6.0, axis=0)
@@ -113,7 +116,7 @@ class _KernelIntegrals:
         broadcast with x."""
         dv = self.delta
         i = np.maximum(np.minimum(np.floor(x / dv), self.n - 1), 0.0)
-        i[x >= self.n * dv] = self.n
+        i[x >= self.n * dv] = self.cut
         s = x - i * dv
         rows = np.take(self.table, i.astype(int) * self.entries + entry,
                        axis=0)
@@ -171,7 +174,7 @@ def cost(strategy: Strategy, kernel: ImpactKernel) -> CostBreakdown:
     entry = asset[:, None] * d + asset[None, :]
     offsets = (end[:, None] - start, start[:, None] - start,
                end[:, None] - end, start[:, None] - end)
-    total = _corner_cost(_KernelIntegrals(kernel).v, offsets, entry, rate)
+    total = _corner_cost(_KernelIntegrals(kernel, end).v, offsets, entry, rate)
     permanent = _corner_cost(_constant_v(kernel.lam), offsets, entry, rate)
     return CostBreakdown(total=total, permanent=permanent,
                          transient=total - permanent)
@@ -227,19 +230,17 @@ def _snap_zero_sum(rates):
     return q / 2.0 ** 40
 
 
-def min_roundtrip_cost(kernel: ImpactKernel, n_steps: int, T: float):
-    """Cheapest unit-energy round trip among per-asset step strategies.
+@functools.cache
+def _zero_sum_basis(n_steps):
+    """Read-only DCT-II columns k = 1..n_steps - 1: the zero-sum steps."""
+    dct = math.sqrt(2.0 / n_steps) * np.cos(np.pi / n_steps * np.outer(
+        np.arange(0.5, n_steps), np.arange(1, n_steps)))
+    dct.flags.writeable = False
+    return dct
 
-    The cost of step rates f is Delta'^2 f^T G f with the symmetric Gram
-    G of kernel samples: block (t, s) is K((t - s) Delta') / 2 below the
-    diagonal, (K(0) + K(0)^T) / 4 on it.  On the zero-net-position
-    subspace, spanned by the DCT-II columns k = 1..n_steps - 1 of every
-    asset, the minimum is one eigenvalue problem.  A negative minimum
-    certifies a statistical arbitrage in this family; a nonnegative one
-    is evidence only.  The witness's lowest traded asset opens with a
-    buy; info["gram_norm"] is the spectral norm of G.  A witness horizon
-    that cost() would refuse raises StrategyError.
-    """
+
+def _roundtrip_gram(kernel: ImpactKernel, n_steps: int, T: float):
+    """(zero-sum projected Gram, its basis, info) of min_roundtrip_cost."""
     if not isinstance(n_steps, numbers.Integral) or n_steps < 2:
         raise StrategyError(f"n_steps {n_steps!r} is not an integer >= 2")
     if not math.isfinite(T):
@@ -259,15 +260,40 @@ def min_roundtrip_cost(kernel: ImpactKernel, n_steps: int, T: float):
     two_sided = np.concatenate([blocks[:0:-1].transpose(0, 2, 1), blocks])
     lag = np.arange(n_steps)[:, None] - np.arange(n_steps) + (n_steps - 1)
     g = two_sided.transpose(1, 2, 0)[:, :, lag]
-    # the zero-sum basis on each asset: DCT-II columns k = 1..n_steps - 1
-    dct = math.sqrt(2.0 / n_steps) * np.cos(
-        np.pi / n_steps * np.outer(np.arange(0.5, n_steps),
-                                   np.arange(1, n_steps)))
+    dct = _zero_sum_basis(n_steps)
     m = (dct.T @ g @ dct).transpose(0, 2, 1, 3).reshape(
         d * (n_steps - 1), -1)
+    gram = g.transpose(0, 2, 1, 3).reshape(d * n_steps, -1)
+    info = {"gram_norm": float(np.abs(np.linalg.eigvalsh(gram)).max()),
+            "step": dt, "n_steps": n_steps}
+    return m, dct, info
+
+
+def min_roundtrip_value(kernel: ImpactKernel, n_steps: int, T: float):
+    """min_roundtrip_cost's value, to roundoff in the Gram's norm, and its
+    info and refusals, from the eigenvalues alone: no witness is built."""
+    m, _, info = _roundtrip_gram(kernel, n_steps, T)
+    return float(np.linalg.eigvalsh(m)[0]) * info["step"] * info["step"], info
+
+
+def min_roundtrip_cost(kernel: ImpactKernel, n_steps: int, T: float):
+    """Cheapest unit-energy round trip among per-asset step strategies.
+
+    The cost of step rates f is Delta'^2 f^T G f with the symmetric Gram
+    G of kernel samples: block (t, s) is K((t - s) Delta') / 2 below the
+    diagonal, (K(0) + K(0)^T) / 4 on it.  On the zero-net-position
+    subspace, spanned by the DCT-II columns k = 1..n_steps - 1 of every
+    asset, the minimum is one eigenvalue problem.  A negative minimum
+    certifies a statistical arbitrage in this family; a nonnegative one
+    is evidence only.  The witness's lowest traded asset opens with a
+    buy; info["gram_norm"] is the spectral norm of G.  A witness horizon
+    that cost() would refuse raises StrategyError.
+    """
+    m, dct, info = _roundtrip_gram(kernel, n_steps, T)
+    dt = info["step"]
     eigvals, eigvecs = np.linalg.eigh(m)
     value = float(eigvals[0]) * dt * dt
-    rates = _snap_zero_sum(dct @ eigvecs[:, 0].reshape(d, n_steps - 1).T)
+    rates = _snap_zero_sum(dct @ eigvecs[:, 0].reshape(kernel.d, -1).T)
     # the first nonzero rate of the lowest traded asset is a buy
     if rates.T[rates.T != 0.0][0] < 0.0:
         rates = -rates
@@ -276,9 +302,6 @@ def min_roundtrip_cost(kernel: ImpactKernel, n_steps: int, T: float):
                for t, rate in enumerate(column) if rate != 0.0]
               for column in rates.T.tolist()]
     witness = Strategy(pieces=pieces, horizon=n_steps * dt)
-    gram = g.transpose(0, 2, 1, 3).reshape(d * n_steps, -1)
-    info = {"gram_norm": float(np.abs(np.linalg.eigvalsh(gram)).max()),
-            "step": dt, "n_steps": n_steps}
     return value, witness, info
 
 

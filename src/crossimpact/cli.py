@@ -258,20 +258,11 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     return EXIT_OK
 
 
-def _event_files(data_dir):
-    """Each events_NNN.csv under data_dir, in day order; none is an input
-    error."""
-    event_files = sorted(data_dir.glob("events_*.csv"))
-    if not event_files:
-        raise InputError(f"no events_*.csv under {data_dir}")
-    return event_files
-
-
 def _load_day_files(cfg, out_dir):
     """The (events, prices) file pair of each data-path day: the config's
     lists, or each events_NNN.csv under out_dir with its prices_NNN.csv.
-    Lists without an event file, lists of unequal length and a day
-    without its price file are input errors."""
+    Lists or a directory without an event file, lists of unequal length
+    and a day without its price file are input errors."""
     if cfg.events is not None or cfg.prices is not None:
         event_files = [pathlib.Path(p) for p in cfg.events or []]
         price_files = [pathlib.Path(p) for p in cfg.prices or []]
@@ -282,7 +273,9 @@ def _load_day_files(cfg, out_dir):
                              f"but {len(price_files)} price files")
     else:
         data_dir = pathlib.Path(out_dir)
-        event_files = _event_files(data_dir)
+        event_files = sorted(data_dir.glob("events_*.csv"))
+        if not event_files:
+            raise InputError(f"no events_*.csv under {data_dir}")
         price_files = [data_dir / ef.name.replace("events_", "prices_")
                        for ef in event_files]
     _existing(event_files + price_files)
@@ -479,9 +472,9 @@ def cmd_calibrate(cfg: RunConfig, out_dir) -> int:
 
 def _check(kernel, report, bps=False) -> int:
     """Print the kernel's NSA report, its boundary matrices and its
-    round-trip scans; exit code from the report's verdict.  A scan that
-    min_roundtrip_cost refuses is printed as skipped and left out of
-    the worst relative cost."""
+    round-trip scan values; exit code from the report's verdict.  A scan
+    that min_roundtrip_value refuses is printed as skipped and left out
+    of the worst relative cost."""
     print(formats.dumps(report.to_dict()))
     scale, unit = (1e4, "bps") if bps else (1.0, "price units")
     print(f"immediate matrix ({unit}):")
@@ -492,7 +485,7 @@ def _check(kernel, report, bps=False) -> int:
     for n in (4, 8, 16):
         for T in (1.0, 10.0):
             try:
-                value, _, info = arbitrage.min_roundtrip_cost(kernel, n, T)
+                value, info = arbitrage.min_roundtrip_value(kernel, n, T)
             except arbitrage.StrategyError as exc:
                 print(f"min roundtrip cost n={n} T={T}: skipped ({exc})")
                 continue

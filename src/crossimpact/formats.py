@@ -254,11 +254,19 @@ def save_artifact(directory, meta: dict, **arrays):
             path.unlink()
 
 
-def load_artifact(directory):
-    """(meta, arrays) of an artifact directory; object arrays, and an
-    archive that cannot be read, raise ValueError naming the file."""
+def load_artifact(directory, keys=()):
+    """(meta, arrays) of an artifact directory; a meta.json that is not a
+    JSON object holding keys, object arrays, and an archive that cannot
+    be read raise ValueError naming the file and the fault."""
     directory = pathlib.Path(directory)
-    meta = json.loads((directory / "meta.json").read_text())
+    path = directory / "meta.json"
+    try:
+        meta = json.loads(path.read_text())
+        missing = [key for key in keys if key not in meta]
+    except (json.JSONDecodeError, TypeError) as exc:
+        raise ValueError(f"{path} is not a JSON object: {exc}") from exc
+    if missing:
+        raise ValueError(f"{path} lacks {', '.join(map(repr, missing))}")
     path = directory / "arrays.npz"
     try:
         with np.load(path, allow_pickle=False) as npz:

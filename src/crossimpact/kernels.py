@@ -319,7 +319,8 @@ def load_kernel(directory) -> ImpactKernel:
     directory = pathlib.Path(directory)
     if not (directory / "meta.json").exists():
         raise KernelError(f"{directory} is not a kernel directory")
-    meta, arrays = load_artifact(directory)
+    meta, arrays = load_artifact(directory, ("delta", "tail_tol", "grid",
+                                             "provenance"))
     for key in ("delta", "tail_tol"):
         if type(meta[key]) not in (int, float) or not 0 < meta[key] < np.inf:
             raise KernelError(f"{directory}: {key} must be a positive finite "

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from crossimpact import formats
 from crossimpact.arbitrage import (Piece, Strategy, StrategyError,
-                                   _snap_zero_sum, buy_hold_sell, cost,
-                                   min_roundtrip_cost, pair_trading_strategy,
-                                   predict_prices, save_predicted_prices)
+                                   _KernelIntegrals, _snap_zero_sum,
+                                   _zero_sum_basis, buy_hold_sell, cost,
+                                   min_roundtrip_cost, min_roundtrip_value,
+                                   pair_trading_strategy, predict_prices,
+                                   save_predicted_prices)
 from crossimpact.kernels import ImpactKernel
 from crossimpact.observables import BinnedSeries
 
@@ -340,6 +342,45 @@ class TestCost:
                 assert abs(getattr(got, field) - ref) <= 1e-12 * scale, field
 
 
+def with_lags(kernel, extra, rng):
+    """kernel with extra random lags appended to its lattice; lam kept."""
+    values = np.concatenate(
+        [kernel.values, rng.normal(size=(extra,) + kernel.lam.shape)])
+    return ImpactKernel(delta=kernel.delta, values=values, lam=kernel.lam,
+                        provenance="analytic", grid=kernel.grid)
+
+
+class TestCostReach:
+    """cost() reads no lag past the last piece end: appending lags past
+    it changes no bit, and the table stops at that end's cell."""
+
+    @given(kernels_and_strategies(), st.integers(1, 40),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_lags_past_horizon_change_no_bit(self, case, extra, seed):
+        kernel, s = case
+        rng = np.random.default_rng(seed)
+        # a lattice that covers the horizon, then arbitrary lags past it
+        covering = with_lags(
+            kernel, int(np.ceil(s.horizon / kernel.delta)) + 1, rng)
+        longer = with_lags(covering, extra, rng)
+        assert cost(s, longer) == cost(s, covering)
+
+    def test_desk_witness_reads_its_reach(self):
+        # desk's shape: a 1,025-lag lattice and 2-wide steps to T = 64
+        rng = np.random.default_rng(12)
+        vals = rng.normal(size=(1025, 2, 2))
+        kernel = ImpactKernel(delta=1.0, values=vals, lam=vals[-1].copy(),
+                              provenance="analytic", grid=2048)
+        _, witness, _ = min_roundtrip_cost(kernel, 32, 64.0)
+        short = ImpactKernel(delta=1.0, values=vals[:66], lam=kernel.lam,
+                             provenance="analytic", grid=2048)
+        assert cost(witness, kernel) == cost(witness, short)
+        ends = [p.end for plist in witness.pieces for p in plist]
+        # cells 0..64 and the plateau row, for each of the 4 entries
+        assert _KernelIntegrals(kernel, ends).table.shape == (66 * 4, 4)
+
+
 class TestConstructions:
     def test_pair_strategy_shape(self):
         s = pair_trading_strategy(0, 1, 2.0, 3.0, 9.0)
@@ -484,6 +525,66 @@ class TestMinRoundtrip:
         k = constant_kernel(np.eye(2))
         _, witness, info = min_roundtrip_cost(k, np.int64(4), 3.0)
         assert info["n_steps"] == 4 and witness.is_round_trip
+
+
+def unconverged_kernel():
+    """A one-asset lattice of 8 lags whose tail is far from lam = 0."""
+    vals = np.exp(-0.05 * np.arange(9, dtype=float))[:, None, None]
+    return ImpactKernel(delta=1.0, values=vals, lam=np.zeros((1, 1)),
+                        provenance="k1", grid=64)
+
+
+class TestMinRoundtripValue:
+    """min_roundtrip_value is min_roundtrip_cost without the witness."""
+
+    @staticmethod
+    def assert_agrees(kernel, n_steps, T):
+        value, info = min_roundtrip_value(kernel, n_steps, T)
+        ref, _, ref_info = min_roundtrip_cost(kernel, n_steps, T)
+        assert info == ref_info
+        scale = info["gram_norm"] * info["step"] ** 2
+        assert abs(value - ref) <= 1e-12 * scale
+        return value
+
+    @pytest.mark.parametrize("kernel, n_steps, T", [
+        pytest.param(constant_kernel(np.zeros((2, 2))), 6, 3.0, id="zero"),
+        pytest.param(constant_kernel(np.eye(2)), 4, 3.0, id="identity"),
+        pytest.param(exponential_kernel(rate=1.0, tau_max=40, delta=1.0),
+                     16, 10.0, id="exponential"),
+        pytest.param(unconverged_kernel(), 8, 8.0, id="inside-lattice")])
+    def test_agrees_with_min_roundtrip_cost(self, kernel, n_steps, T):
+        self.assert_agrees(kernel, n_steps, T)
+
+    def test_asymmetric_constant_certificate(self):
+        m = np.array([[0.5, 0.35], [0.25, 0.5]])
+        assert self.assert_agrees(constant_kernel(m), 9, 3.0) < -1e-6
+
+    @given(scan_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_on_random_kernels(self, case):
+        self.assert_agrees(*case)
+
+    @pytest.mark.parametrize("kernel, n_steps, T", [
+        pytest.param(constant_kernel(np.eye(2)), 2.5, 3.0, id="n-2.5"),
+        pytest.param(constant_kernel(np.eye(2)), 1, 3.0, id="n-1"),
+        pytest.param(constant_kernel(np.eye(2)), 4, np.nan, id="T-nan"),
+        pytest.param(constant_kernel(np.eye(2)), 4, np.inf, id="T-inf"),
+        pytest.param(unconverged_kernel(), 8, 20.0, id="past-tail")])
+    def test_same_refusals(self, kernel, n_steps, T):
+        with pytest.raises(StrategyError) as ref:
+            min_roundtrip_cost(kernel, n_steps, T)
+        with pytest.raises(StrategyError) as got:
+            min_roundtrip_value(kernel, n_steps, T)
+        assert str(got.value) == str(ref.value)
+
+    def test_basis_cached_and_read_only(self):
+        basis = _zero_sum_basis(8)
+        assert _zero_sum_basis(8) is basis
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0] = 1.0
+        # orthonormal columns, each summing to zero
+        assert np.abs(basis.T @ basis - np.eye(7)).max() <= 1e-14
+        assert np.abs(basis.sum(axis=0)).max() <= 1e-14
 
 
 class TestPredict:

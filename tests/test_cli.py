@@ -1194,6 +1194,28 @@ class TestKernelArtifact:
             assert f": {name} " in err, argv[0]
         assert not pred.exists()
 
+    @pytest.mark.parametrize("meta, message", [
+        pytest.param(lambda meta: "{", "is not a JSON object: Expecting",
+                     id="not-json"),
+        pytest.param(lambda meta: json.dumps(
+            {k: v for k, v in meta.items() if k != "delta"}),
+            "lacks 'delta'", id="no-delta"),
+        pytest.param(lambda meta: "[1, 2]", "lacks 'delta'",
+                     id="not-an-object")])
+    def test_bad_meta_json_exits_2(self, tmp_path, capsys, meta, message):
+        # the input error names the file and its fault, not only a key
+        m = np.array([[0.5, 0.1], [0.1, 0.5]])
+        kernel_dir = tmp_path / "k"
+        save_kernel(kernel_dir, ImpactKernel(
+            delta=1.0, values=np.tile(m, (9, 1, 1)), lam=m.copy()))
+        path = kernel_dir / "meta.json"
+        path.write_text(meta(json.loads(path.read_text())))
+        assert main(["check", str(kernel_dir)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {path} {message}")
+        assert "Traceback" not in captured.err
+
 
 def tree_bytes(root):
     """Every path under root, with a file's bytes: unlike dir_bytes, an

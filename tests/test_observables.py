@@ -216,6 +216,17 @@ class TestSigma:
         eigs = np.linalg.eigvalsh(sigma)
         assert eigs.min() >= -1e-10 * np.trace(sigma)
 
+    def test_unbiased_per_day_average_exact(self):
+        # each day's r^T r / (T - 1), averaged over days: every step is
+        # exact in binary, so any other normalization moves a bit
+        days = [BinnedSeries(delta=1.0, flows=np.zeros((len(r), 2)),
+                             returns=np.array(r, dtype=float))
+                for r in ([[1, 0], [-1, 2], [0, -2]], [[1, 1], [-1, -1]])]
+        np.testing.assert_array_equal(estimate_sigma(days[:1]),
+                                      [[1.0, -1.0], [-1.0, 4.0]])
+        np.testing.assert_array_equal(estimate_sigma(days),
+                                      [[1.5, 0.5], [0.5, 3.0]])
+
     def test_too_short_rejected(self):
         series = BinnedSeries(delta=1.0, flows=np.zeros((1, 1)),
                               returns=np.zeros((1, 1)))
