@@ -72,7 +72,10 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path):
-        raw = json.loads(pathlib.Path(path).read_text())
+        try:
+            raw = json.loads(pathlib.Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path} is not JSON: {exc}") from exc
         if not isinstance(raw, dict) or \
                 not isinstance(raw.get("tolerances", {}), dict):
             raise InputError("a config and its tolerances are JSON objects")
@@ -120,7 +123,8 @@ class RunConfig:
         return cfg
 
     def echo(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields in a new dict, which dumps as asdict(self) does."""
+        return dict(vars(self))
 
 
 def _finite_positive(name, value):
@@ -217,25 +221,25 @@ def _event_pricer(spec, lam, p0):
 
 
 def _valid_spec(cfg):
-    """The config's spec and its validation report.  A spec that cannot
-    be parsed, or that validate_spec does not pass, is an input error;
-    so are a lambda or p0 that do not fit its assets."""
+    """The config's spec.  A spec that cannot be parsed, or that
+    validate_spec does not pass, is an input error; so are a lambda or
+    p0 that do not fit its assets."""
     if cfg.spec is None:
         raise InputError("simulate needs a hawkes spec in config")
     spec = parse_spec(cfg.spec)
-    report = hawkes.validate_spec(spec)
-    if not report.ok:
-        raise InputError("invalid spec: " + "; ".join(report.messages))
+    if not spec.validation.ok:
+        raise InputError("invalid spec: "
+                         + "; ".join(spec.validation.messages))
     d = spec.d
     for key, value, shape in (("lambda", cfg.lam, (d, d)),
                               ("p0", cfg.p0, (d,))):
         if value is not None and np.shape(value) != shape:
             raise InputError(f"{key} has shape {np.shape(value)}, not "
                              f"{shape} for the spec's {d} assets")
-    return spec, report
+    return spec
 
 
-def _simulated_days(cfg, spec, report, out):
+def _simulated_days(cfg, spec, out):
     """Simulate the config's days; write each day's event CSV under out,
     then yield its stream.  The manifest follows the last day."""
     if cfg.horizon == 0:
@@ -246,14 +250,13 @@ def _simulated_days(cfg, spec, report, out):
         stream.to_csv(out / f"events_{day:03d}.csv")
         yield stream
     manifest = {"n_days": cfg.n_days, "config": cfg.echo(),
-                "validation": dataclasses.asdict(report)}
+                "validation": dataclasses.asdict(spec.validation)}
     (out / "manifest.json").write_text(formats.dumps(manifest))
 
 
 def cmd_simulate(cfg: RunConfig, out_dir) -> int:
-    spec, report = _valid_spec(cfg)
     # drain without holding a finished day while the next is simulated
-    collections.deque(_simulated_days(cfg, spec, report,
+    collections.deque(_simulated_days(cfg, _valid_spec(cfg),
                                       pathlib.Path(out_dir)), maxlen=0)
     return EXIT_OK
 
@@ -305,11 +308,10 @@ def _simulated_event_files(cfg, out_dir):
     day file are input errors."""
     data_dir = pathlib.Path(out_dir)
     path = data_dir / "manifest.json"
-    echo = cfg.echo()
     try:
         recorded = json.loads(path.read_text())["config"]
         differ = [key for key in PRICE_KEYS + DAY_KEYS
-                  if recorded[key] != echo[key]]
+                  if recorded[key] != getattr(cfg, key)]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{path}: no simulation manifest to derive the "
                          f"prices from ({exc})") from exc
@@ -350,7 +352,7 @@ def _days(cfg, out, simulate=False):
     the config's or 100 per asset)."""
     if cfg.spec is None:
         return (_read_day(ef, pf) for ef, pf in _load_day_files(cfg, out))
-    spec, report = _valid_spec(cfg)
+    spec = _valid_spec(cfg)
     if cfg.horizon - 2 * cfg.trim < cfg.delta:
         raise InputError(f"empty time window: horizon {cfg.horizon} less "
                          f"twice trim {cfg.trim} is shorter than one bin "
@@ -358,7 +360,7 @@ def _days(cfg, out, simulate=False):
     lam = _default_lambda(spec, cfg)
     p0 = np.asarray(cfg.p0 if cfg.p0 is not None else [100.0] * spec.d,
                     dtype=float)
-    streams = _simulated_days(cfg, spec, report, out) if simulate else (
+    streams = _simulated_days(cfg, spec, out) if simulate else (
         _read(hawkes.EventStream.from_csv, ef, d=spec.d, horizon=cfg.horizon)
         for ef in _simulated_event_files(cfg, out))
     event_prices = _event_pricer(spec, lam, p0)
@@ -516,11 +518,9 @@ def demo_config(seed=7, output_dir="demo_out") -> RunConfig:
     """Canonical two-asset walkthrough: lead-lag excitation, moderate decay."""
     beta = 0.25
     A = [[0.06, 0.02], [0.035, 0.08]]
+    block = [[[[a, beta]] for a in row] for row in A]
     spec = {"mu": [0.6, 0.45], "sizes": [1.0, 2.0],
-            "blocks": {"aa": [[[[A[0][0], beta]], [[A[0][1], beta]]],
-                              [[[A[1][0], beta]], [[A[1][1], beta]]]],
-                       "bb": [[[[A[0][0], beta]], [[A[0][1], beta]]],
-                              [[[A[1][0], beta]], [[A[1][1], beta]]]]}}
+            "blocks": {"aa": block, "bb": block}}
     return RunConfig(spec=spec, delta=1.0, tau_max=64, grid=4096,
                      seed=seed, horizon=1200.0, n_days=5,
                      output_dir=output_dir)

@@ -254,10 +254,10 @@ def save_artifact(directory, meta: dict, **arrays):
             path.unlink()
 
 
-def load_artifact(directory, keys=()):
+def load_artifact(directory, keys=(), names=()):
     """(meta, arrays) of an artifact directory; a meta.json that is not a
-    JSON object holding keys, object arrays, and an archive that cannot
-    be read raise ValueError naming the file and the fault."""
+    JSON object holding keys, and an arrays.npz that cannot be read or
+    lacks the arrays names, raise ValueError naming the file and fault."""
     directory = pathlib.Path(directory)
     path = directory / "meta.json"
     try:
@@ -274,4 +274,7 @@ def load_artifact(directory, keys=()):
     except (zipfile.BadZipFile, EOFError, ValueError) as exc:
         raise ValueError(f"{path} is not a readable npz archive: "
                          f"{exc}") from exc
+    missing = [name for name in names if name not in arrays]
+    if missing:
+        raise ValueError(f"{path} lacks {', '.join(map(repr, missing))}")
     return meta, arrays

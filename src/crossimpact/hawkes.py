@@ -10,6 +10,7 @@ kernel integrals, and an exact simulation through the cluster
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -24,7 +25,7 @@ class HawkesError(ValueError):
     pass
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class HawkesSpec:
     """Model parameters: baseline, order sizes and one table of terms.
 
@@ -32,7 +33,8 @@ class HawkesSpec:
     alpha[k] exp(-beta[k] t) to the intensity of component target[k] at
     lag t after each event of component source[k]; a term of block "ab"
     excites buys (target < d) from sells (source >= d).  sizes holds the
-    fixed order size per asset.
+    fixed order size per asset.  A spec is read-only: it derives its
+    validation, sampler tables and imbalance terms once, on first use.
     """
 
     mu: np.ndarray
@@ -45,7 +47,9 @@ class HawkesSpec:
     def __post_init__(self):
         for name, dtype in (("mu", float), ("sizes", float), ("alpha", float),
                             ("beta", float), ("target", int), ("source", int)):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+            value = np.array(getattr(self, name), dtype=dtype)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         columns = (self.alpha, self.beta, self.target, self.source)
         if self.alpha.ndim != 1 or \
                 any(c.shape != self.alpha.shape for c in columns):
@@ -108,9 +112,7 @@ class HawkesSpec:
                                 f"block {key}[{i}][{j}]: term {term!r} is "
                                 "not an (alpha, beta) pair") from None
                         rows.append((a, b, side * d + i, source_side * d + j))
-        alpha, beta, target, source = zip(*rows) if rows else ((),) * 4
-        return cls(mu=mu, sizes=sizes, alpha=alpha, beta=beta,
-                   target=target, source=source)
+        return cls(mu, sizes, *(zip(*rows) if rows else ((),) * 4))
 
     @classmethod
     def from_matrices(cls, mu, sizes, beta, aa=None, ab=None, ba=None,
@@ -129,22 +131,47 @@ class HawkesSpec:
         np.add.at(out, (self.target, self.source), self.alpha / self.beta)
         return out
 
+    @functools.cached_property
+    def validation(self) -> ValidationReport:
+        return validate_spec(self)
+
     def imbalance_terms(self) -> np.ndarray:
-        """Rows (i, j, beta, alpha) of the imbalance kernel bb - ab.
+        """Rows (i, j, beta, alpha) of the imbalance kernel bb - ab, read-only.
 
         Each (i, j, beta) appears once, its alpha summed over the bb
         terms and then the ab terms, in table order.  Requires
         martingale compatibility: bb - ab must equal aa - ba term by
         term, which validate_spec checks at the parameter level.
         """
+        return self._imbalance
+
+    @functools.cached_property
+    def _imbalance(self):
         d = self.d
-        sells = self.source >= d
-        k = np.concatenate([np.flatnonzero(sells & (self.target >= d)),
-                            np.flatnonzero(sells & (self.target < d))])
-        return _merge_rates(self.target[k] % d, self.source[k] - d,
-                            self.beta[k],
-                            np.where(self.target[k] >= d, self.alpha[k],
-                                     -self.alpha[k]))
+        k = np.flatnonzero(self.source >= d)
+        k = k[np.argsort(self.target[k] < d, kind="stable")]   # bb, then ab
+        terms = _merge_rates(self.target[k] % d, self.source[k] - d,
+                             self.beta[k], np.where(self.target[k] >= d,
+                                                    self.alpha[k],
+                                                    -self.alpha[k]))
+        terms.flags.writeable = False
+        return terms
+
+    @functools.cached_property
+    def _sampler(self):
+        """The sampler's read-only tables of mean children, decay and child
+        component: row c holds source c's live terms, then zero-mean slots."""
+        live = np.flatnonzero(self.alpha != 0.0)
+        k = live[np.argsort(self.source[live], kind="stable")]
+        row = self.source[k]
+        col = np.arange(len(k)) - np.searchsorted(row, row)
+        shape = (2 * self.d, np.bincount(row, minlength=1).max())
+        tables = np.zeros(shape), np.ones(shape), np.zeros(shape, dtype=int)
+        for table, terms in zip(tables, (self.alpha[k] / self.beta[k],
+                                         self.beta[k], self.target[k])):
+            table[row, col] = terms
+            table.flags.writeable = False
+        return tables
 
 
 def _listing(value, n=None) -> bool:
@@ -205,9 +232,8 @@ def validate_spec(spec: HawkesSpec, atol: float = 1e-12) -> ValidationReport:
     if not compatible:
         messages.append("bb - ab differs from aa - ba; no imbalance kernel")
     return ValidationReport(stable=stable, spectral_radius=radius,
-                            balanced=balanced,
-                            martingale_compatible=compatible,
-                            messages=messages)
+                            balanced=balanced, messages=messages,
+                            martingale_compatible=compatible)
 
 
 def imbalance_l1(spec: HawkesSpec) -> np.ndarray:
@@ -234,8 +260,7 @@ def analytic_kernel(spec: HawkesSpec, lam, delta, tau_max):
     kernel, and K(0) is fixed by the permanent matrix lam through
     K(0) diag(v) (I - int phi) = lam diag(v), so that K(t) -> lam.
     """
-    report = validate_spec(spec)
-    if not report.martingale_compatible:
+    if not spec.validation.martingale_compatible:
         raise HawkesError("martingale-compatibility check failed; the "
                           "imbalance kernel is not defined")
     lam = np.asarray(lam, dtype=float)
@@ -269,10 +294,9 @@ class EventStream:
     d: int
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.assets = np.asarray(self.assets, dtype=int)
-        self.sides = np.asarray(self.sides, dtype=int)
-        self.sizes = np.asarray(self.sizes, dtype=float)
+        for name, dtype in (("times", float), ("assets", int),
+                            ("sides", int), ("sizes", float)):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
         if not np.isfinite(self.times).all():
             raise HawkesError("event times must be finite")
         if len(self.times) and np.any(np.diff(self.times) <= 0):
@@ -345,32 +369,16 @@ def simulate(spec: HawkesSpec, horizon: float, seed: int) -> EventStream:
     Deterministic given the seed; coincident event times raise
     HawkesError in EventStream.
     """
-    report = validate_spec(spec)
-    if not report.stable:
+    if not spec.validation.stable:
         raise HawkesError("refusing to simulate an unstable model")
     if horizon < 0:
         raise HawkesError("horizon must be nonnegative")
     rng = np.random.default_rng(seed)
     d = spec.d
-    n_comp = 2 * d
-    live = spec.alpha != 0.0
-    alphas, betas = spec.alpha[live], spec.beta[live]
-    src, tgt = spec.source[live], spec.target[live]
-    # per source component, its terms in table order, padded to a common
-    # width; a padded slot has zero mean offspring
-    n_terms = np.bincount(src, minlength=n_comp)
-    width = n_terms.max()
-    k = np.argsort(src, kind="stable")
-    row = src[k]
-    col = np.arange(len(k)) - (np.cumsum(n_terms) - n_terms)[row]
-    mean_children = np.zeros((n_comp, width))
-    decay = np.ones((n_comp, width))
-    child_comp = np.zeros((n_comp, width), dtype=int)
-    mean_children[row, col] = alphas[k] / betas[k]
-    decay[row, col] = betas[k]
-    child_comp[row, col] = tgt[k]
+    mean_children, decay, child_comp = spec._sampler
+    width = decay.shape[1]
     mu_full = np.concatenate([spec.mu, spec.mu])
-    comps = np.repeat(np.arange(n_comp), rng.poisson(mu_full * horizon))
+    comps = np.repeat(np.arange(2 * d), rng.poisson(mu_full * horizon))
     times = rng.uniform(0.0, horizon, len(comps))
     all_times, all_comps = [times], [comps]
     while len(times) and width:

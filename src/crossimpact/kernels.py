@@ -320,7 +320,7 @@ def load_kernel(directory) -> ImpactKernel:
     if not (directory / "meta.json").exists():
         raise KernelError(f"{directory} is not a kernel directory")
     meta, arrays = load_artifact(directory, ("delta", "tail_tol", "grid",
-                                             "provenance"))
+                                             "provenance"), ("values", "lam"))
     for key in ("delta", "tail_tol"):
         if type(meta[key]) not in (int, float) or not 0 < meta[key] < np.inf:
             raise KernelError(f"{directory}: {key} must be a positive finite "
@@ -329,9 +329,8 @@ def load_kernel(directory) -> ImpactKernel:
         raise KernelError(f"{directory}: grid must be an integer of at least "
                           f"1, not {meta['grid']!r}")
     kernel = ImpactKernel(delta=meta["delta"], values=arrays["values"],
-                          lam=arrays["lam"],
-                          provenance=meta["provenance"], grid=meta["grid"],
-                          tail_tol=meta["tail_tol"],
+                          lam=arrays["lam"], provenance=meta["provenance"],
+                          grid=meta["grid"], tail_tol=meta["tail_tol"],
                           diagnostics=meta.get("diagnostics", {}))
     values, lam = kernel.values, kernel.lam
     if values.ndim != 3 or 0 in values.shape or \

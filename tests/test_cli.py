@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -5,11 +6,12 @@ import shutil
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from crossimpact import cli, hawkes, kernels, observables
+from crossimpact import cli, formats, hawkes, kernels, observables
 from crossimpact.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, RunConfig, main
 from crossimpact.kernels import ImpactKernel, load_kernel, save_kernel
 from crossimpact.observables import load_observables
@@ -152,6 +154,19 @@ class TestEventPrices:
 
 
 class TestConfig:
+    def test_not_json_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text("{")
+        message = (f"input error: {cfg} is not JSON: Expecting property "
+                   "name enclosed in double quotes: line 1 column 2 "
+                   "(char 1)")
+        assert_refused(cfg, tmp_path, capsys, message)
+        out = tmp_path / "refused-estimate"
+        assert main(["--config", str(cfg), "--output-dir", str(out),
+                     "estimate"]) == EXIT_INPUT
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
     def test_spec_and_data_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         for data in ({"events": ["x.csv"]}, {"prices": ["x.csv"]}):
@@ -303,6 +318,53 @@ class TestConfig:
                          command]) == EXIT_INPUT, command
             assert capsys.readouterr().err.startswith(message), command
             assert not out.exists(), command
+
+
+class TestConfigEcho:
+    def configs(self, tmp_path):
+        """The demo's config, a data-path config, and a spec-mode config
+        with lambda and p0."""
+        data = json.loads(small_config(tmp_path).read_text())
+        del data["spec"]
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(dict(data, events=["e.csv"],
+                                        prices=["p.csv"])))
+        return [cli.demo_config(), RunConfig.from_file(path),
+                RunConfig.from_file(small_config(
+                    tmp_path, p0=[10.0, 20.0],
+                    **{"lambda": [[1.0, 0.1], [0.2, 0.5]]}))]
+
+    def test_new_dict_per_call(self, tmp_path):
+        # a new top-level dict whose values are the config's own: no deep
+        # copy of the spec per call
+        for cfg in self.configs(tmp_path):
+            first = cfg.echo()
+            assert first is not cfg.echo() and first == cfg.echo()
+            assert all(first[f.name] is getattr(cfg, f.name)
+                       for f in dataclasses.fields(cfg))
+            first["seed"] = -1
+            assert cfg.seed != -1 and cfg.echo()["seed"] == cfg.seed
+
+    def test_dumps_as_asdict(self, tmp_path):
+        for cfg in self.configs(tmp_path):
+            assert formats.dumps(cfg.echo()) == \
+                formats.dumps(dataclasses.asdict(cfg))
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "calibrate",
+                                     "demo"])
+def test_spec_validated_once_per_command(tmp_path, capsys, command):
+    # the spec carries its report: the per-day simulate, the pricer and
+    # the command's own check read it
+    cfg, out = small_config(tmp_path, n_days=3), tmp_path / "out"
+    if command == "estimate":
+        assert main(["--config", str(cfg), "--output-dir", str(out),
+                     "simulate"]) == EXIT_OK
+    with mock.patch.object(hawkes, "validate_spec",
+                           wraps=hawkes.validate_spec) as counted:
+        assert main(["--config", str(cfg), "--output-dir", str(out),
+                     command]) == EXIT_OK
+    assert counted.call_count == 1
 
 
 class TestSimulate:
@@ -1192,6 +1254,27 @@ class TestKernelArtifact:
             err = capsys.readouterr().err
             assert err.startswith("input error: "), argv[0]
             assert f": {name} " in err, argv[0]
+        assert not pred.exists()
+
+    @pytest.mark.parametrize("name", ["values", "lam"])
+    def test_missing_array_exits_2(self, tmp_path, capsys, calibrated,
+                                   name):
+        kernel_dir = tmp_path / "k1"
+        kernel_dir.mkdir()
+        shutil.copy(calibrated / "k1" / "meta.json", kernel_dir)
+        with np.load(calibrated / "k1" / "arrays.npz") as stored:
+            np.savez(kernel_dir / "arrays.npz",
+                     **{k: v for k, v in stored.items() if k != name})
+        pred = tmp_path / "pred.csv"
+        for argv in (["check", str(kernel_dir)],
+                     ["predict", str(kernel_dir),
+                      str(calibrated / "events_000.csv"), "--out",
+                      str(pred)]):
+            assert main(argv) == EXIT_INPUT, argv[0]
+            captured = capsys.readouterr()
+            assert captured.out == "", argv[0]
+            assert captured.err == (f"input error: {kernel_dir / 'arrays.npz'}"
+                                    f" lacks '{name}'\n"), argv[0]
         assert not pred.exists()
 
     @pytest.mark.parametrize("meta, message", [

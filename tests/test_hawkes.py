@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import re
 import sys
@@ -234,6 +235,53 @@ class TestFromBlocks:
                        target=[0, 1], source=[0, 1])
 
 
+SPEC_FIELDS = ("mu", "sizes", "alpha", "beta", "target", "source")
+
+
+class TestReadOnlySpec:
+    def given_arrays(self):
+        return dict(mu=np.array([0.5, 0.3]), sizes=np.array([1.0, 2.0]),
+                    alpha=np.array([0.1, 0.05, 0.1, 0.05]),
+                    beta=np.array([1.0, 0.5, 1.0, 0.5]),
+                    target=np.array([0, 1, 2, 3]),
+                    source=np.array([0, 1, 2, 3]))
+
+    def test_fields_and_arrays_refuse_writes(self):
+        spec = HawkesSpec(**self.given_arrays())
+        for name in SPEC_FIELDS + ("validation",):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, getattr(spec, name))
+        for name in SPEC_FIELDS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(spec, name)[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            spec.imbalance_terms()[0, 3] = 1.0
+        assert spec.imbalance_terms() is spec.imbalance_terms()
+        assert spec.validation is spec.validation
+
+    def test_caller_arrays_not_aliased_or_frozen(self):
+        given = self.given_arrays()
+        spec = HawkesSpec(**given)
+        for name in SPEC_FIELDS:
+            assert given[name].flags.writeable, name
+            assert not np.shares_memory(given[name], getattr(spec, name))
+        given["alpha"][0] = 0.9
+        assert spec.alpha[0] == 0.1
+        assert spec.validation.stable
+
+    def test_derived_once(self):
+        # one validation for a spec simulated three times, given an
+        # analytic kernel and read again
+        spec = cross_spec()
+        with mock.patch.object(hawkes, "validate_spec",
+                               wraps=validate_spec) as counted:
+            for seed in range(3):
+                simulate(spec, 50.0, seed)
+            analytic_kernel(spec, np.eye(2), 1.0, 4)
+            assert spec.validation.ok
+        assert counted.call_count == 1
+
+
 class TestStationaryIntensity:
     def test_poisson(self):
         theta = stationary_intensity(poisson_spec(mu=(1.5, 0.7)))
@@ -300,6 +348,22 @@ class TestSimulate:
                 assert np.array_equal(getattr(got, name),
                                       getattr(ref, name)), (seed, name)
             assert (got.horizon, got.d) == (ref.horizon, ref.d)
+
+    @pytest.mark.parametrize("market", SAMPLER_MARKETS)
+    def test_one_spec_at_shuffled_seeds(self, market):
+        # a spec derives its sampler tables on its first simulate and keeps
+        # them: later seeds, in any order and repeated, still give the
+        # reference streams
+        make, horizon = SAMPLER_MARKETS[market]
+        spec = make()
+        seeds = np.random.default_rng(11).permutation(
+            np.r_[np.arange(12), [3, 7, 0]]).tolist()
+        for seed in seeds:
+            got = simulate(spec, horizon, seed)
+            ref = reference_simulate(make(), horizon, seed)
+            for name in ("times", "assets", "sides", "sizes"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(ref, name)), (seed, name)
 
     def test_poisson_count(self):
         spec = HawkesSpec.from_matrices(mu=[2.0], sizes=[1.0], beta=1.0)
