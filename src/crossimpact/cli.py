@@ -26,6 +26,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+# each asset's price at time 0 when the config gives no p0
+DEFAULT_P0 = 100.0
 
 
 class InputError(ValueError):
@@ -144,89 +146,13 @@ def _finite(name, value):
         raise InputError(f"{name} must be finite, not {value!r}")
 
 
-def parse_spec(blob) -> hawkes.HawkesSpec:
-    if "mu" not in blob:
-        raise InputError("spec needs mu, one baseline intensity per asset")
-    mu = np.asarray(blob["mu"], dtype=float)
-    return hawkes.HawkesSpec.from_blocks(
-        mu, blob.get("sizes", np.ones_like(mu)), blob.get("blocks", {}))
-
-
-def _default_lambda(spec, cfg) -> np.ndarray:
-    if cfg.lam is not None:
-        return np.asarray(cfg.lam, dtype=float)
-    d = spec.d
-    dv = np.diag(spec.sizes)
-    dv_inv = np.diag(1.0 / spec.sizes)
-    mat = np.eye(d) - hawkes.imbalance_l1(spec)
-    return cfg.impact_scale * dv @ mat @ dv_inv
-
-
-# exp(600) is about 1e260: one scaled cumsum block cannot overflow
-DECAY_BLOCK_EXPONENT = 600.0
-
-
-def _decayed_counts(times, signed, beta):
-    """Rows S_n = sum_{m <= n} signed_m exp(-beta (t_n - t_m)).
-
-    Each block of events within DECAY_BLOCK_EXPONENT / beta of its first
-    event is one cumsum scaled by exp(beta (t - t_first)); the sum at the
-    end of a block decays into the next.
-    """
-    out = np.empty_like(signed)
-    carry = np.zeros(signed.shape[1])
-    start, n = 0, len(times)
-    while start < n:
-        t0 = times[start]
-        stop = int(np.searchsorted(times, t0 + DECAY_BLOCK_EXPONENT / beta,
-                                   side="right"))
-        grow = np.exp(beta * (times[start:stop] - t0))[:, None]
-        out[start:stop] = (np.cumsum(signed[start:stop] * grow, axis=0)
-                           + carry) / grow
-        if stop < n:
-            carry = out[stop - 1] * np.exp(-beta * (times[stop]
-                                                    - times[stop - 1]))
-        start = stop
-    return out
-
-
-def _event_pricer(spec, lam, p0):
-    """The function that gives a stream's exact event-time prices under
-    the decay-law kernel of spec, lam and p0.
-
-    The kernel splits as lam plus exponential transients, so per decay
-    rate the decayed signed counts of each source asset give the exact
-    price at every jump.  K(0) and each rate's loading are computed here,
-    once for every stream priced.
-    """
-    d = spec.d
-    k0 = hawkes.analytic_kernel(spec, lam, 1.0, 0).k0
-    loading = k0 * spec.sizes   # price response to per-source decayed counts
-    i, j, betas, alphas = spec.imbalance_terms().T
-    rates = sorted(set(betas.tolist()))
-    weights = np.zeros((len(rates), d, d))
-    weights[np.searchsorted(rates, betas), i.astype(int), j.astype(int)] = \
-        alphas / betas
-    transients = [(beta, (loading @ w).T) for beta, w in zip(rates, weights)]
-
-    def event_prices(stream) -> observables.PricePath:
-        n = len(stream)
-        signs = np.zeros((n, d))
-        signs[np.arange(n), stream.assets] = stream.sides
-        prices = p0 + np.cumsum(signs * stream.sizes[:, None], axis=0) @ lam.T
-        for beta, response in transients:
-            prices += _decayed_counts(stream.times, signs, beta) @ response
-        return observables.PricePath(stream.times, prices)
-    return event_prices
-
-
 def _valid_spec(cfg):
     """The config's spec.  A spec that cannot be parsed, or that
     validate_spec does not pass, is an input error; so are a lambda or
     p0 that do not fit its assets."""
     if cfg.spec is None:
         raise InputError("simulate needs a hawkes spec in config")
-    spec = parse_spec(cfg.spec)
+    spec = hawkes.HawkesSpec.from_dict(cfg.spec)
     if not spec.validation.ok:
         raise InputError("invalid spec: "
                          + "; ".join(spec.validation.messages))
@@ -348,8 +274,7 @@ def _days(cfg, out, simulate=False):
     outermost iterable (the file list) at once.  Without a spec
     the days are the data-path files.  With one, each day spans the
     config horizon, which must leave one bin between the trims, and its
-    prices are derived from its events (lam from _default_lambda, p0
-    the config's or 100 per asset)."""
+    prices are those hawkes.event_pricer gives its events."""
     if cfg.spec is None:
         return (_read_day(ef, pf) for ef, pf in _load_day_files(cfg, out))
     spec = _valid_spec(cfg)
@@ -357,13 +282,13 @@ def _days(cfg, out, simulate=False):
         raise InputError(f"empty time window: horizon {cfg.horizon} less "
                          f"twice trim {cfg.trim} is shorter than one bin "
                          f"of {cfg.delta}")
-    lam = _default_lambda(spec, cfg)
-    p0 = np.asarray(cfg.p0 if cfg.p0 is not None else [100.0] * spec.d,
-                    dtype=float)
+    lam = np.asarray(cfg.lam, dtype=float) if cfg.lam is not None \
+        else hawkes.default_lambda(spec, cfg.impact_scale)
+    p0 = np.asarray(cfg.p0 if cfg.p0 is not None else DEFAULT_P0, dtype=float)
     streams = _simulated_days(cfg, spec, out) if simulate else (
         _read(hawkes.EventStream.from_csv, ef, d=spec.d, horizon=cfg.horizon)
         for ef in _simulated_event_files(cfg, out))
-    event_prices = _event_pricer(spec, lam, p0)
+    event_prices = hawkes.event_pricer(spec, lam, p0)
     return ((stream, event_prices(stream)) for stream in streams)
 
 
@@ -529,12 +454,12 @@ def demo_config(seed=7, output_dir="demo_out") -> RunConfig:
 def cmd_demo(cfg: RunConfig, out_dir) -> int:
     """calibrate, then check K2 and predict K1 along day 0's tape, on
     the kernels, K2's NSA report and the tape calibrate holds; p0 is the
-    config's, or 100 per asset."""
+    config's, or DEFAULT_P0 per asset."""
     k1, k2, rep2, day0 = _calibrate(cfg, out_dir)
     if _check(k2, rep2) != EXIT_OK:
         print("warning: clipped kernel failed its own check",
               file=sys.stderr)
-    return _predict(k1, day0, cfg.p0 if cfg.p0 is not None else 100.0,
+    return _predict(k1, day0, cfg.p0 if cfg.p0 is not None else DEFAULT_P0,
                     pathlib.Path(out_dir) / "predicted_prices.csv")
 
 
@@ -559,7 +484,7 @@ def build_parser():
     predict = sub.add_parser("predict")
     predict.add_argument("kernel_dir")
     predict.add_argument("events_csv")
-    predict.add_argument("--p0", type=float, default=100.0)
+    predict.add_argument("--p0", type=float, default=DEFAULT_P0)
     predict.add_argument("--out", default="predicted_prices.csv")
     sub.add_parser("demo")
     return parser

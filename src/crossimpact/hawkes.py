@@ -1,4 +1,4 @@
-"""Buy/sell Hawkes order-flow model: validation, simulation, analytic kernel.
+"""Buy/sell Hawkes order flow: validation, simulation, kernel and prices.
 
 The flow of each of d assets is driven by a 2d-dimensional Hawkes process
 (buy and sell components per asset) with shared baseline mu and one table
@@ -14,7 +14,7 @@ import functools
 
 import numpy as np
 
-from . import formats
+from . import formats, observables
 from .kernels import ImpactKernel
 
 BLOCK_KEYS = ("aa", "ab", "ba", "bb")
@@ -67,10 +67,23 @@ class HawkesSpec:
             raise HawkesError("order sizes must be positive and finite")
         if np.any(self.alpha < 0) or not np.all(self.beta > 0):
             raise HawkesError("excitation terms need alpha >= 0, beta > 0")
+        for name in ("mu", "alpha", "beta"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise HawkesError(f"{name} must be finite")
 
     @property
     def d(self) -> int:
         return len(self.mu)
+
+    @classmethod
+    def from_dict(cls, blob):
+        """Spec from a config's spec object: mu, sizes and blocks."""
+        if "mu" not in blob:
+            raise HawkesError("spec needs mu, one baseline intensity per "
+                              "asset")
+        mu = np.asarray(blob["mu"], dtype=float)
+        return cls.from_blocks(mu, blob.get("sizes", np.ones_like(mu)),
+                               blob.get("blocks", {}))
 
     @classmethod
     def from_blocks(cls, mu, sizes, blocks):
@@ -276,6 +289,71 @@ def analytic_kernel(spec: HawkesSpec, lam, delta, tau_max):
     values = k0 @ (np.eye(d) - psi_int)
     return ImpactKernel(delta=delta, values=values, lam=lam,
                         provenance="analytic")
+
+
+def default_lambda(spec: HawkesSpec, impact_scale) -> np.ndarray:
+    """The permanent matrix impact_scale diag(v) (I - int phi) diag(v)^{-1},
+    under which analytic_kernel's K(0) is impact_scale I."""
+    return impact_scale * np.diag(spec.sizes) \
+        @ (np.eye(spec.d) - imbalance_l1(spec)) @ np.diag(1.0 / spec.sizes)
+
+
+# exp(600) is about 1e260: one scaled cumsum block cannot overflow
+DECAY_BLOCK_EXPONENT = 600.0
+
+
+def _decayed_counts(times, signed, beta):
+    """Rows S_n = sum_{m <= n} signed_m exp(-beta (t_n - t_m)).
+
+    Each block of events within DECAY_BLOCK_EXPONENT / beta of its first
+    event is one cumsum scaled by exp(beta (t - t_first)); the sum at the
+    end of a block decays into the next.
+    """
+    out = np.empty_like(signed)
+    carry = np.zeros(signed.shape[1])
+    start, n = 0, len(times)
+    while start < n:
+        t0 = times[start]
+        stop = int(np.searchsorted(times, t0 + DECAY_BLOCK_EXPONENT / beta,
+                                   side="right"))
+        grow = np.exp(beta * (times[start:stop] - t0))[:, None]
+        out[start:stop] = (np.cumsum(signed[start:stop] * grow, axis=0)
+                           + carry) / grow
+        if stop < n:
+            carry = out[stop - 1] * np.exp(-beta * (times[stop]
+                                                    - times[stop - 1]))
+        start = stop
+    return out
+
+
+def event_pricer(spec: HawkesSpec, lam, p0):
+    """The function that gives a stream's exact event-time prices under
+    the decay-law kernel of spec, lam and p0.
+
+    The kernel splits as lam plus exponential transients, so per decay
+    rate the decayed signed counts of each source asset give the exact
+    price at every jump.  K(0) and each rate's loading are computed here,
+    once for every stream priced.
+    """
+    d = spec.d
+    k0 = analytic_kernel(spec, lam, 1.0, 0).k0
+    loading = k0 * spec.sizes   # price response to per-source decayed counts
+    i, j, betas, alphas = spec.imbalance_terms().T
+    rates = sorted(set(betas.tolist()))
+    weights = np.zeros((len(rates), d, d))
+    weights[np.searchsorted(rates, betas), i.astype(int), j.astype(int)] = \
+        alphas / betas
+    transients = [(beta, (loading @ w).T) for beta, w in zip(rates, weights)]
+
+    def event_prices(stream) -> observables.PricePath:
+        n = len(stream)
+        signs = np.zeros((n, d))
+        signs[np.arange(n), stream.assets] = stream.sides
+        prices = p0 + np.cumsum(signs * stream.sizes[:, None], axis=0) @ lam.T
+        for beta, response in transients:
+            prices += _decayed_counts(stream.times, signs, beta) @ response
+        return observables.PricePath(stream.times, prices)
+    return event_prices
 
 
 # ---------------------------------------------------------------------------

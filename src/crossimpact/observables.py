@@ -266,7 +266,9 @@ def save_observables(directory, obs: ObservableSet):
 
 
 def load_observables(directory) -> ObservableSet:
-    meta, arrays = load_artifact(directory)
+    meta, arrays = load_artifact(
+        directory, keys=("delta", "n_days", "n_bins", "taper"),
+        names=("sigma", "omega", "omega_zero", "omega_inf"))
     return ObservableSet(sigma=arrays["sigma"], omega=arrays["omega"],
                          omega_zero=arrays["omega_zero"],
                          omega_inf=arrays["omega_inf"], delta=meta["delta"],

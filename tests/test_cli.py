@@ -17,6 +17,7 @@ from crossimpact.kernels import ImpactKernel, load_kernel, save_kernel
 from crossimpact.observables import load_observables
 
 import synthetic
+from test_hawkes import event_prices_loop
 
 
 def small_config(tmp_path, seed=3, **overrides):
@@ -59,30 +60,6 @@ def dir_bytes(directory):
     return out
 
 
-def event_prices_loop(spec, stream, lam, p0):
-    """Reference for cli._event_pricer: one decay step per event."""
-    d = spec.d
-    dv = np.diag(spec.sizes)
-    k0 = lam @ dv @ np.linalg.inv(np.eye(d) - hawkes.imbalance_l1(spec)) \
-        @ np.diag(1.0 / spec.sizes)
-    terms = [(int(i), int(j), beta, alpha)
-             for i, j, beta, alpha in spec.imbalance_terms()]
-    state = np.zeros(len(terms))
-    net = np.zeros(d)
-    out, prev = [], 0.0
-    for t, a, s, v in zip(stream.times, stream.assets, stream.sides,
-                          stream.sizes):
-        net[a] += s * v
-        impact = np.zeros(d)
-        for k, (i, j, beta, alpha) in enumerate(terms):
-            state[k] = state[k] * np.exp(-beta * (t - prev)) \
-                + (s if j == a else 0.0)
-            impact[i] += alpha / beta * state[k]
-        prev = t
-        out.append(p0 + lam @ net + k0 @ dv @ impact)
-    return np.asarray(out).ravel()
-
-
 def write_price_tape(path, stream, prices):
     """A data-path price CSV: each asset's price at every event of stream."""
     d = stream.d
@@ -96,8 +73,9 @@ def loop_price_tapes(cfg, sim):
     config's lambda (or the default) and p0 (or 100 per asset); returns
     the paths."""
     run = RunConfig.from_file(cfg)
-    spec = cli.parse_spec(run.spec)
-    lam = cli._default_lambda(spec, run)
+    spec = hawkes.HawkesSpec.from_dict(run.spec)
+    lam = np.asarray(run.lam, dtype=float) if run.lam is not None \
+        else hawkes.default_lambda(spec, run.impact_scale)
     p0 = np.asarray(run.p0 if run.p0 is not None else [100.0] * spec.d)
     paths = []
     for ef in sorted(sim.glob("events_*.csv")):
@@ -120,37 +98,6 @@ def data_path_days(tmp_path):
     del raw["spec"]
     cfg.write_text(json.dumps(raw))
     return cfg, sim
-
-
-class TestEventPrices:
-    def test_matches_per_event_loop(self):
-        # decay rates 2 and 0.05 over 3000 s: the fast rate spans ten
-        # blocks of the scaled cumsum
-        blob = {"mu": [0.5, 0.3], "sizes": [1.0, 3.0], "blocks": {
-            "aa": [[[[0.3, 2.0], [0.01, 0.05]], [[0.1, 2.0]]],
-                   [[[0.02, 0.05]], [[0.4, 2.0]]]],
-            "ab": [[[[0.4, 2.0]], []], [[], []]]}}
-        blob["blocks"]["bb"] = blob["blocks"]["aa"]
-        blob["blocks"]["ba"] = blob["blocks"]["ab"]
-        spec = cli.parse_spec(blob)
-        stream = hawkes.simulate(spec, 3000.0, seed=8)
-        assert 2.0 * stream.times[-1] > 8 * cli.DECAY_BLOCK_EXPONENT
-        lam = cli._default_lambda(spec, RunConfig())
-        p0 = np.array([100.0, 50.0])
-        got = cli._event_pricer(spec, lam, p0)(stream)
-        ref = event_prices_loop(spec, stream, lam, p0)
-        assert np.array_equal(got.times, stream.times)
-        assert got.prices.shape == (len(stream), 2)
-        assert np.abs(got.prices.ravel() - ref).max() <= \
-            1e-12 * np.abs(ref).max()
-
-    def test_empty_stream(self):
-        spec = hawkes.HawkesSpec.from_matrices(mu=[1.0], sizes=[1.0],
-                                               beta=1.0, aa=[[0.5]],
-                                               bb=[[0.5]])
-        stream = hawkes.simulate(spec, 0.0, seed=0)
-        got = cli._event_pricer(spec, np.eye(1), np.zeros(1))(stream)
-        assert len(got) == 0
 
 
 class TestConfig:
@@ -435,6 +382,17 @@ class TestSimulate:
                      "order sizes must be positive and finite", id="sizes1"),
         pytest.param({"mu": [[0.6, 0.45]], "sizes": [[1.0, 2.0]]},
                      "mu must be 1-D", id="mu0"),
+        # unrefused, a NaN alpha was numpy's "Array must not contain infs
+        # or NaNs", an infinite mu left an empty output directory (exit 3
+        # from calibrate), and an infinite beta exited 0
+        pytest.param({"blocks": {"aa": [[[[float("nan"), 0.25]], []],
+                                        [[], []]]}},
+                     "alpha must be finite", id="alpha-nan"),
+        pytest.param({"mu": [float("inf"), 0.45]}, "mu must be finite",
+                     id="mu-inf"),
+        pytest.param({"blocks": {"aa": [[[[0.1, float("inf")]], []],
+                                        [[], []]]}},
+                     "beta must be finite", id="beta-inf"),
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, spec, message):
         cfg = small_config(tmp_path, spec={"mu": [0.6, 0.45], **spec})

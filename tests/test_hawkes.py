@@ -162,6 +162,30 @@ class TestValidate:
             HawkesSpec.from_blocks(mu=[1.0], sizes=[1.0],
                                    blocks={"aa": [[[(0.1, -1.0)]]]})
 
+    @pytest.mark.parametrize("mu, term, message", [
+        pytest.param([1.0], (math.nan, 1.0), "alpha must be finite",
+                     id="alpha-nan"),
+        pytest.param([1.0], (math.inf, 1.0), "alpha must be finite",
+                     id="alpha-inf"),
+        pytest.param([1.0], (0.1, math.inf), "beta must be finite",
+                     id="beta-inf"),
+        pytest.param([math.nan], (0.1, 1.0), "mu must be finite",
+                     id="mu-nan"),
+        pytest.param([math.inf], (0.1, 1.0), "mu must be finite",
+                     id="mu-inf"),
+        # the cases the sign checks already cover keep their messages
+        pytest.param([-math.inf], (0.1, 1.0), "must be nonnegative",
+                     id="mu-neg-inf"),
+        pytest.param([1.0], (-math.inf, 1.0), "need alpha >= 0, beta > 0",
+                     id="alpha-neg-inf"),
+        pytest.param([1.0], (0.1, math.nan), "need alpha >= 0, beta > 0",
+                     id="beta-nan"),
+    ])
+    def test_non_finite_parameter_named(self, mu, term, message):
+        with pytest.raises(HawkesError, match=re.escape(message)):
+            HawkesSpec.from_blocks(mu=mu, sizes=[1.0],
+                                   blocks={"aa": [[[term]]]})
+
     def test_compatibility_compares_each_rate(self):
         # equal integrals and equal alpha sums, at different decay rates:
         # balanced, but bb - ab and aa - ba differ as functions of time
@@ -799,3 +823,88 @@ class TestAnalyticKernel:
                                         aa=[[0.3]], bb=[[0.2]])
         with pytest.raises(HawkesError):
             analytic_kernel(spec, np.array([[1.0]]), 1.0, 5)
+
+
+@st.composite
+def balanced_specs(draw):
+    """Specs with aa = bb and ab = ba over 2-4 assets of unequal sizes and
+    1-3 decay rates; each row of the integrated imbalance kernel sums to
+    at most 1/2 in absolute value, so I minus it is invertible."""
+    d = draw(st.integers(2, 4))
+    rates = draw(st.lists(st.floats(0.05, 5.0), min_size=1, max_size=3,
+                          unique=True))
+    sizes = draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d,
+                          unique=True))
+    mass = st.floats(0.0, 0.25 / (d * len(rates)))
+    same, cross = ([[[(draw(mass) * beta, beta) for beta in rates]
+                     for _ in range(d)] for _ in range(d)] for _ in range(2))
+    return HawkesSpec.from_blocks(mu=[0.5] * d, sizes=sizes, blocks={
+        "aa": same, "bb": same, "ab": cross, "ba": cross})
+
+
+class TestDefaultLambda:
+    @given(spec=balanced_specs(), scale=st.floats(0.01, 100.0))
+    @example(spec=MARKETS["demo"](), scale=1.0)
+    @example(spec=MARKETS["demo"](), scale=0.37)
+    @settings(max_examples=200, deadline=None)
+    def test_k0_is_scaled_identity(self, spec, scale):
+        # the convention calibrated levels are judged by: under the
+        # default permanent matrix the simulated market's K(0) is s I
+        k0 = analytic_kernel(spec, hawkes.default_lambda(spec, scale),
+                             1.0, 0).k0
+        assert np.abs(k0 - scale * np.eye(spec.d)).max() <= 1e-12 * scale
+
+
+def event_prices_loop(spec, stream, lam, p0):
+    """Reference for hawkes.event_pricer: one decay step per event."""
+    d = spec.d
+    dv = np.diag(spec.sizes)
+    k0 = lam @ dv @ np.linalg.inv(np.eye(d) - hawkes.imbalance_l1(spec)) \
+        @ np.diag(1.0 / spec.sizes)
+    terms = [(int(i), int(j), beta, alpha)
+             for i, j, beta, alpha in spec.imbalance_terms()]
+    state = np.zeros(len(terms))
+    net = np.zeros(d)
+    out, prev = [], 0.0
+    for t, a, s, v in zip(stream.times, stream.assets, stream.sides,
+                          stream.sizes):
+        net[a] += s * v
+        impact = np.zeros(d)
+        for k, (i, j, beta, alpha) in enumerate(terms):
+            state[k] = state[k] * np.exp(-beta * (t - prev)) \
+                + (s if j == a else 0.0)
+            impact[i] += alpha / beta * state[k]
+        prev = t
+        out.append(p0 + lam @ net + k0 @ dv @ impact)
+    return np.asarray(out).ravel()
+
+
+class TestEventPrices:
+    def test_matches_per_event_loop(self):
+        # decay rates 2 and 0.05 over 3000 s: the fast rate spans ten
+        # blocks of the scaled cumsum
+        blob = {"mu": [0.5, 0.3], "sizes": [1.0, 3.0], "blocks": {
+            "aa": [[[[0.3, 2.0], [0.01, 0.05]], [[0.1, 2.0]]],
+                   [[[0.02, 0.05]], [[0.4, 2.0]]]],
+            "ab": [[[[0.4, 2.0]], []], [[], []]]}}
+        blob["blocks"]["bb"] = blob["blocks"]["aa"]
+        blob["blocks"]["ba"] = blob["blocks"]["ab"]
+        spec = HawkesSpec.from_dict(blob)
+        stream = hawkes.simulate(spec, 3000.0, seed=8)
+        assert 2.0 * stream.times[-1] > 8 * hawkes.DECAY_BLOCK_EXPONENT
+        lam = hawkes.default_lambda(spec, 1.0)
+        p0 = np.array([100.0, 50.0])
+        got = hawkes.event_pricer(spec, lam, p0)(stream)
+        ref = event_prices_loop(spec, stream, lam, p0)
+        assert np.array_equal(got.times, stream.times)
+        assert got.prices.shape == (len(stream), 2)
+        assert np.abs(got.prices.ravel() - ref).max() <= \
+            1e-12 * np.abs(ref).max()
+
+    def test_empty_stream(self):
+        spec = hawkes.HawkesSpec.from_matrices(mu=[1.0], sizes=[1.0],
+                                               beta=1.0, aa=[[0.5]],
+                                               bb=[[0.5]])
+        stream = hawkes.simulate(spec, 0.0, seed=0)
+        got = hawkes.event_pricer(spec, np.eye(1), np.zeros(1))(stream)
+        assert len(got) == 0

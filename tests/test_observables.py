@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from crossimpact import cli
 from crossimpact.formats import save_artifact
-from crossimpact.hawkes import EventStream, HawkesSpec, simulate
+from crossimpact.hawkes import (EventStream, HawkesSpec, default_lambda,
+                                event_pricer, simulate)
 from crossimpact.observables import (BinnedSeries, ObservablesError,
                                      PricePath, bin_events,
                                      build_observables, estimate_omega,
@@ -166,8 +166,8 @@ class TestBinningReference:
         A = 0.05 * np.eye(d) + 0.04 / d * (np.ones((d, d)) - np.eye(d))
         spec = synthetic.single_rate_spec(A, 0.25, np.full(d, 0.3))
         stream = simulate(spec, 100.0, seed=4)
-        lam = cli._default_lambda(spec, cli.RunConfig())
-        path = cli._event_pricer(spec, lam, np.full(d, 100.0))(stream)
+        lam = default_lambda(spec, 1.0)
+        path = event_pricer(spec, lam, np.full(d, 100.0))(stream)
         rows = np.column_stack([np.repeat(path.times, d),
                                 np.tile(np.arange(d), len(path)),
                                 path.prices.ravel()])
@@ -406,6 +406,22 @@ class TestSerialization:
         assert back.n_days == obs.n_days == 3
         assert back.n_bins == obs.n_bins
         assert back.tau_max == obs.tau_max == 6
+
+    @pytest.mark.parametrize("drop, message", [
+        ("omega", "arrays.npz lacks 'omega'"),
+        ("n_bins", "meta.json lacks 'n_bins'"),
+    ])
+    def test_missing_entry_names_file(self, tmp_path, drop, message):
+        # unnamed, a missing array was a bare KeyError: 'omega'
+        meta = {"delta": 1.0, "taper": "bartlett", "n_days": 1, "n_bins": 9}
+        arrays = {name: np.zeros((1, 1)) for name in
+                  ("sigma", "omega", "omega_zero", "omega_inf")}
+        meta.pop(drop, None)
+        arrays.pop(drop, None)
+        save_artifact(tmp_path / "obs", meta, **arrays)
+        with pytest.raises(ValueError) as info:
+            load_observables(tmp_path / "obs")
+        assert str(info.value) == f"{tmp_path / 'obs'}/{message}"
 
     def test_stale_files_removed(self, tmp_path):
         # a directory written by the older per-lag CSV format keeps
