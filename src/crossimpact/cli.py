@@ -357,7 +357,8 @@ def _calibrate(cfg: RunConfig, out_dir):
         stage = "factorize"
         factor = polymat.whittle_factor(
             observables.tapered_lags(obs.omega, obs.taper),
-            tol=cfg.factor_tol, n_grid=cfg.grid)
+            tol=cfg.factor_tol, n_grid=cfg.grid,
+            order=int(polymat.ORDER_SHARE * obs.tau_max))
         stage = "build_k1"
         k1 = kernels.build_K1(obs, factor, tau_max=cfg.tau_max,
                               tail_tol=cfg.tail_tol,

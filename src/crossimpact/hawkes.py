@@ -77,7 +77,11 @@ class HawkesSpec:
 
     @classmethod
     def from_dict(cls, blob):
-        """Spec from a config's spec object: mu, sizes and blocks."""
+        """Spec from a config's spec object: mu, sizes and blocks; any
+        other key is refused by name."""
+        unknown = set(blob) - {"mu", "sizes", "blocks"}
+        if unknown:
+            raise HawkesError(f"unknown spec keys: {sorted(unknown)}")
         if "mu" not in blob:
             raise HawkesError("spec needs mu, one baseline intensity per "
                               "asset")

@@ -22,7 +22,7 @@ import pathlib
 import numpy as np
 
 from .formats import load_artifact, save_artifact
-from .observables import NEG_TOL, ObservableSet
+from .observables import NEG_TOL, ObservableSet, taper_weights
 from .polymat import DEFAULT_GRID, WhittleFactor, circle_norm, spectrum_on_grid
 
 
@@ -69,8 +69,14 @@ class ImpactKernel:
         return self.n_lags * self.delta
 
     def tail_error(self) -> float:
+        """The lattice end's distance to lam, relative to the larger
+        boundary matrix, or the flow correlation left at the lattice end
+        (diagnostics["flow_tail"], set by build_K1), whichever is larger:
+        a kernel that reaches lam by construction has converged only when
+        the flow it was built from has."""
         denom = max(np.linalg.norm(self.lam), np.linalg.norm(self.k0))
-        return np.linalg.norm(self.values[-1] - self.lam) / denom
+        return max(np.linalg.norm(self.values[-1] - self.lam) / denom,
+                   self.diagnostics.get("flow_tail", 0.0))
 
     def value_at(self, tau) -> np.ndarray:
         """Kernel at a lag, or at an array of lags (shape tau.shape + (d, d)):
@@ -146,6 +152,19 @@ def compute_Lambda(obs: ObservableSet) -> np.ndarray:
 # Martingale kernel
 # ---------------------------------------------------------------------------
 
+def residual_noise(obs: ObservableSet) -> float:
+    """Two standard errors of the relative grid distance between obs's
+    tapered spectrum estimate and the flow's spectrum, from sampling
+    alone: Var R_ij(w) is (R_ii R_jj + |R_ij|^2) sum w_tau^2 / n_bins for
+    a lag-window estimate, |tau| <= tau_max, and the sum over i, j is at
+    most (d + 1) |R|^2.  0 for exact lags (n_bins 0)."""
+    if obs.n_bins == 0:
+        return 0.0
+    weights = taper_weights(obs.taper, obs.tau_max)
+    window = 2.0 * np.sum(weights ** 2) - weights[0] ** 2
+    return float(2.0 * np.sqrt((obs.d + 1) * window / obs.n_bins))
+
+
 def build_K1(obs: ObservableSet, factor: WhittleFactor,
              tau_max: int | None = None, tail_tol: float = 1e-3,
              residual_bound: float = 1e-4) -> ImpactKernel:
@@ -157,9 +176,16 @@ def build_K1(obs: ObservableSet, factor: WhittleFactor,
     coefficients, M inverse[k] less K(0) at lag 0 and zero past the
     factor's order, are treated as derivative densities at cell
     midpoints; the kernel is their half-cell-corrected cumulative sum.
+    A factor whose grid residual exceeds residual_noise(obs) by more
+    than residual_bound is refused: it misses the estimate by more than
+    the estimate misses the flow.  diagnostics["flow_tail"] is
+    |omega(tau_max)| / |omega(0)|, the flow correlation left at the
+    lattice end, which K1's tail error includes.
     """
-    if factor.residual > residual_bound:
+    noise = residual_noise(obs)
+    if factor.residual > noise + residual_bound:
         raise KernelError(f"factor residual {factor.residual:.2e} exceeds "
+                          f"the sampling noise {noise:.2e} by more than "
                           f"{residual_bound:.0e}")
     k0 = compute_K0(obs)
     lam = compute_Lambda(obs)
@@ -183,8 +209,11 @@ def build_K1(obs: ObservableSet, factor: WhittleFactor,
     values[0] = k0
     csum = np.cumsum(g, axis=0)
     values[1:] = k0 + csum[:tau_max] + 0.5 * g[1:]
+    end = obs.omega[min(tau_max, obs.tau_max)]
     diag = {"factor_residual": factor.residual, "factor_order": factor.order,
-            "reflection_norm": factor.reflection_norm}
+            "reflection_norm": factor.reflection_norm,
+            "flow_tail": float(np.linalg.norm(end)
+                               / np.linalg.norm(obs.omega[0]))}
     kernel = ImpactKernel(delta=obs.delta, values=values, lam=lam,
                           provenance="k1", grid=n, tail_tol=tail_tol,
                           diagnostics=diag)

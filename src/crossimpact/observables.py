@@ -114,12 +114,15 @@ def bin_events(stream: EventStream, prices: PricePath | None, delta: float,
     n_bins = int(np.floor((t_end - t_start) / delta + 1e-9))
     if n_bins < 1:
         raise ObservablesError("window shorter than one bin")
-    flows = np.zeros((n_bins, stream.d))
     mask = (stream.times > t_start) & (stream.times <= t_start + n_bins * delta)
     idx = np.ceil((stream.times[mask] - t_start) / delta).astype(int) - 1
     idx = np.clip(idx, 0, n_bins - 1)
-    np.add.at(flows, (idx, stream.assets[mask]),
-              stream.sides[mask] * stream.sizes[mask])
+    # one scatter over the flattened (bin, asset) table, in event order;
+    # numpy counts no events in int64
+    flows = np.bincount(idx * stream.d + stream.assets[mask],
+                        weights=stream.sides[mask] * stream.sizes[mask],
+                        minlength=n_bins * stream.d).astype(float, copy=False)
+    flows = flows.reshape(n_bins, stream.d)
     if prices is None:
         return BinnedSeries(delta=delta, flows=flows)
     edges = t_start + delta * np.arange(n_bins + 1)

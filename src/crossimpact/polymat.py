@@ -22,6 +22,10 @@ FACTOR_TOL = 1e-10
 # already reproduces R on the grid to this relative residual: a spectrum
 # in k omega has exactly zero reflections at orders not divisible by k
 STOP_RESIDUAL = 1e-6
+# the factor order of lags estimated from a sample, as a share of their
+# count m: a longer factor fits sampling noise.  tests/sweep.py chose it
+# against the exact-lag stop and order criteria (SWEEP_order.json)
+ORDER_SHARE = 0.5
 
 
 class PolymatError(ValueError):
@@ -73,8 +77,8 @@ class WhittleFactor:
     autoregression with innovation covariance V; inverse[0] is lower
     triangular with a positive diagonal.  l_at_one is L(1), residual is
     |L L~ - R|_F / |R|_F on the `grid`-point circle grid, and
-    reflection_norm is the norm of the last reflection coefficient
-    computed, below the tolerance unless the order reached grid // 2.
+    reflection_norm the norm of the last reflection coefficient computed:
+    below the tolerance only when the tolerance stopped the recursion.
     """
 
     inverse: np.ndarray        # (order+1, d, d)
@@ -104,7 +108,8 @@ def _chol_pair(cov, order):
 
 
 def whittle_factor(lags, tol: float = FACTOR_TOL,
-                   n_grid: int = DEFAULT_GRID) -> WhittleFactor:
+                   n_grid: int = DEFAULT_GRID,
+                   order: int | None = None) -> WhittleFactor:
     """Inverse spectral factor of R(z) = sum_k lags[|k|] z^{-k} (lags[k]^T
     for k < 0) by the block Whittle (1963) recursion.
 
@@ -113,9 +118,12 @@ def whittle_factor(lags, tol: float = FACTOR_TOL,
     backward predictors grow one lag per step, as one stacked pair, until
     the spectral norm of the normalised reflection coefficient falls below
     tol with the grid residual at most STOP_RESIDUAL, or the order reaches
-    n_grid // 2, so that L^{-1} never wraps the grid.  Malformed lags, or
-    an innovation covariance that is not positive definite (R is not
-    positive on the circle), raise PolymatError.
+    n_grid // 2, so that L^{-1} never wraps the grid.  A given order
+    ends the recursion there instead: lags estimated from a sample carry
+    noise that a longer factor fits (ORDER_SHARE).  Malformed lags, an
+    order outside 0..n_grid // 2, or an innovation covariance that is not
+    positive definite (R is not positive on the circle), raise
+    PolymatError.
     """
     lags = np.asarray(lags, dtype=float)
     if lags.ndim != 3 or not lags.size or lags.shape[1] != lags.shape[2] \
@@ -126,6 +134,9 @@ def whittle_factor(lags, tol: float = FACTOR_TOL,
         raise PolymatError("lag-0 coefficient is not symmetric")
     target = spectrum_on_grid(lags, n_grid)
     cap = n_grid // 2
+    if order is not None and not 0 <= order <= cap:
+        raise PolymatError(f"order {order} is outside 0..{cap}")
+    last = cap if order is None else order
     # d columns a lag: R_k at block cap - k, Phi_1..Phi_p from the left,
     # the backward predictor B_p..B_1 from the right
     rev, (fwd, bwd) = np.zeros((cap * d, d)), np.zeros((2, d, cap * d))
@@ -137,21 +148,21 @@ def whittle_factor(lags, tol: float = FACTOR_TOL,
     while True:
         chol_inv = np.linalg.inv(chol)
         lead, top = fwd[:, :p * d], (cap - p) * d
-        if p < cap:
+        if p < last:
             delta = np.subtract(rev[top - d:top], lead @ rev[top:],
                                 out=pair[0])
             k = chol_inv[0] @ delta @ chol_inv[1].T
             # |K|_2 >= |K|_F / sqrt(d): the SVD only where a stop can be
-            refl = (np.linalg.norm(k, 2) if p == cap - 1
-                    or np.sqrt(np.vdot(k, k)) < tol * np.sqrt(d) else np.inf)
-        if p == cap or refl < tol:
+            refl = (np.linalg.norm(k, 2) if p == last - 1 or order is None
+                    and np.sqrt(np.vdot(k, k)) < tol * np.sqrt(d) else np.inf)
+        if p == last or order is None and refl < tol:
             inverse = np.concatenate([chol_inv[:1], -(chol_inv[0] @ lead)
                                       .reshape(d, p, d).swapaxes(0, 1)])
             l_w = np.linalg.inv(np.fft.rfft(inverse, n_grid, axis=0))
             rec = l_w @ l_w.conj().transpose(0, 2, 1)
             residual = (circle_norm(rec - target, n_grid)
                         / circle_norm(target, n_grid))
-            if p == cap or residual <= STOP_RESIDUAL:
+            if p == last or residual <= STOP_RESIDUAL:
                 break
         pair[1] = delta.T
         # the new forward and backward lags, (delta U^{-1}, delta^T V^{-1})

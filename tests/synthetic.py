@@ -19,9 +19,12 @@ import dataclasses
 import numpy as np
 from scipy.linalg import expm, solve_sylvester
 
+from crossimpact.arbitrage import predict_prices
 from crossimpact.formats import TIME_FORMAT
 from crossimpact.hawkes import (BUY, SELL, EventStream, HawkesError,
-                                HawkesSpec, validate_spec)
+                                HawkesSpec, imbalance_integral, imbalance_l1,
+                                validate_spec)
+from crossimpact.kernels import ImpactKernel
 from crossimpact.observables import ObservableSet
 from crossimpact.polymat import (DEFAULT_GRID, FACTOR_TOL, STOP_RESIDUAL,
                                  PolymatError, WhittleFactor, _chol,
@@ -283,8 +286,36 @@ def liquidity_contrast_instance(ratio=10.0, correlation=0.9):
     return spec, obs
 
 
+def holdout_score(kernel: ImpactKernel, series) -> float:
+    """1 - R^2 of the returns the kernel predicts on days it did not see:
+    sum |r - rhat|^2 / sum |r|^2 pooled over the days, assets and bins of
+    series, rhat the first difference of predict_prices from p0 = 0."""
+    miss = total = 0.0
+    for s in series:
+        rhat = np.diff(predict_prices(kernel, s, 0.0), axis=0, prepend=0.0)
+        miss += np.sum((s.returns - rhat) ** 2)
+        total += np.sum(s.returns ** 2)
+    return float(miss / total)
+
+
+def generator_kernel(spec: HawkesSpec, lam, tau_max, offset=0.5):
+    """The generator's martingale kernel sampled at (n + offset) delta,
+    delta = 1, n = 0..tau_max: hawkes.analytic_kernel's law, whose
+    lattice kernel at offset 0.5 is the cell average that a bin's return
+    sees."""
+    lam = np.asarray(lam, dtype=float)
+    dv, dv_inv = np.diag(spec.sizes), np.diag(1.0 / spec.sizes)
+    k0 = lam @ dv @ np.linalg.inv(np.eye(spec.d) - imbalance_l1(spec)) \
+        @ dv_inv
+    psi = dv @ imbalance_integral(spec, offset + np.arange(tau_max + 1)) \
+        @ dv_inv
+    return ImpactKernel(delta=1.0, values=k0 @ (np.eye(spec.d) - psi),
+                        lam=lam, provenance="analytic")
+
+
 def reference_whittle(lags, tol: float = FACTOR_TOL,
-                      n_grid: int = DEFAULT_GRID) -> WhittleFactor:
+                      n_grid: int = DEFAULT_GRID,
+                      order: int | None = None) -> WhittleFactor:
     """The block Whittle recursion written order by order: one einsum for
     the reflection, solves for the coefficients and growing coefficient
     stacks.  The reference that polymat.whittle_factor's block-row
@@ -295,6 +326,7 @@ def reference_whittle(lags, tol: float = FACTOR_TOL,
         raise PolymatError("lag-0 coefficient is not symmetric")
     target = spectrum_on_grid(lags, n_grid)
     cap = n_grid // 2
+    last = cap if order is None else order
     gam = np.zeros((cap + 1, d, d))
     gam[:n_lags] = lags
     fwd = np.zeros((0, d, d))          # Phi_1..Phi_p
@@ -304,18 +336,18 @@ def reference_whittle(lags, tol: float = FACTOR_TOL,
     refl = 0.0
     while True:
         p = fwd.shape[0]
-        if p < cap:
+        if p < last:
             delta = gam[p + 1] - np.einsum("jab,jbc->ac", fwd, gam[p:0:-1])
             refl = np.linalg.norm(
                 np.linalg.solve(cv, np.linalg.solve(cu, delta.T).T), 2)
-        if p == cap or refl < tol:
+        if p == last or order is None and refl < tol:
             cv_inv = np.linalg.inv(cv)
             inverse = np.concatenate([cv_inv[None], -cv_inv @ fwd])
             l_w = np.linalg.inv(np.fft.rfft(inverse, n_grid, axis=0))
             rec = l_w @ l_w.conj().transpose(0, 2, 1)
             residual = (circle_norm(rec - target, n_grid)
                         / circle_norm(target, n_grid))
-            if p == cap or residual <= STOP_RESIDUAL:
+            if p == last or residual <= STOP_RESIDUAL:
                 break
         a_new = np.linalg.solve(u.T, delta.T).T
         b_new = np.linalg.solve(v.T, delta).T

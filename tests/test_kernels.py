@@ -6,11 +6,14 @@ import pytest
 from scipy import optimize
 
 from crossimpact import kernels, polymat
+from crossimpact.arbitrage import Piece, Strategy, StrategyError, cost
 from crossimpact.kernels import (ImpactKernel, KernelError, build_K1,
                                  compute_K0, compute_Lambda, kyle_matrix,
                                  load_kernel, nsa_check, regularize_K2,
                                  save_kernel, symmetrized_transform)
-from crossimpact.observables import ObservableSet
+from crossimpact.observables import (BinnedSeries, ObservableSet,
+                                     estimate_omega, omega_aggregates,
+                                     tapered_lags)
 from crossimpact.polymat import whittle_factor
 
 import synthetic
@@ -226,6 +229,61 @@ class TestBuildK1:
             assert k1.tail_error() <= 1e-8
             assert k1.diagnostics["factor_order"] < 4096 // 2
 
+    def test_flow_tail_shows_memory_a_short_factor_cuts(self):
+        # a factor at a quarter of tau_max reaches Lambda by construction;
+        # the flow correlation left at tau_max still tells a flow whose
+        # memory tau_max covers (decay 0.25) from one it does not (0.02),
+        # and only the covered kernel may be costed past its lattice
+        tau_max, lam = 64, [[1.0, 0.25], [0.25, 1.1]]
+        spec, _, lags = synthetic.coupled_instance(tau_max=tau_max)
+        short = synthetic.observables_from_model(spec, np.array(lam),
+                                                 tau_max)
+        long = synthetic.consistent_instance(tau_max=tau_max).obs
+        strategy = Strategy(
+            pieces=[[Piece(0.0, 10.0, 1.0)], [Piece(20.0, 100.0, -0.5)]],
+            horizon=2 * tau_max)
+        for obs, covered in ((short, True), (long, False)):
+            factor = synthetic.reference_whittle(obs.omega, order=tau_max // 4)
+            # exact lags, so the short factor's residual is no noise
+            k1 = build_k1_quietly(obs, factor, tau_max=tau_max,
+                                  residual_bound=1.0)
+            gap = np.linalg.norm(k1.values[-1] - k1.lam)
+            assert gap <= 1e-12 * np.linalg.norm(k1.lam)
+            flow_tail = (np.linalg.norm(obs.omega[-1])
+                         / np.linalg.norm(obs.omega[0]))
+            assert k1.diagnostics["flow_tail"] == flow_tail
+            assert k1.tail_error() == k1.diagnostics["tail_error"] \
+                == flow_tail
+            assert (k1.tail_error() <= k1.tail_tol) == covered
+            if covered:
+                assert np.isfinite(cost(strategy, k1).total)
+            else:
+                with pytest.raises(StrategyError, match="not converged"):
+                    cost(strategy, k1)
+
+    def test_residual_bound_refuses_a_real_misfit(self):
+        # flow x_t = e_t + 0.9 e_{t-16} estimated from 50,000 bins at
+        # tau_max 32: an order-8 factor cannot reach lag 16 and misses
+        # the estimate by several times its sampling noise, while the
+        # order-32 factor fits it within that noise
+        rng = np.random.default_rng(11)
+        e = rng.standard_normal((50_016, 1))
+        series = [BinnedSeries(delta=1.0, flows=e[16:] + 0.9 * e[:-16])]
+        omega = estimate_omega(series, 32)
+        omega_zero, omega_inf = omega_aggregates(omega)
+        obs = ObservableSet(sigma=np.eye(1), omega=omega,
+                            omega_zero=omega_zero, omega_inf=omega_inf,
+                            delta=1.0, n_days=1, n_bins=50_000)
+        noise = kernels.residual_noise(obs)
+        lags = tapered_lags(omega)
+        short = synthetic.reference_whittle(lags, order=8)
+        assert short.residual > 3 * noise
+        with pytest.raises(KernelError, match="factor residual"):
+            build_K1(obs, short)
+        full = synthetic.reference_whittle(lags, order=32)
+        assert full.residual < noise
+        assert build_K1(obs, full).diagnostics["factor_order"] == 32
+
     def test_singular_l0_rejected(self):
         sigma = np.eye(1)
         c = np.eye(1)
@@ -357,6 +415,21 @@ class TestRegularize:
         assert set(k2.diagnostics) == {"spectral_distance_to_input",
                                        "tail_error"}
 
+    def test_indefinite_lambda_projected_to_psd(self):
+        # K1's Lambda is PSD by construction, so only a kernel given an
+        # indefinite Lambda runs this branch: eigenvalues 1 and -0.5 in a
+        # rotated basis become 1 and 0, not 1 and 0.5
+        c, s = np.cos(0.4), np.sin(0.4)
+        rot = np.array([[c, -s], [s, c]])
+        lam = rot @ np.diag([1.0, -0.5]) @ rot.T
+        k = ImpactKernel(delta=1.0, values=np.tile(lam, (9, 1, 1)),
+                         lam=lam, provenance="analytic", grid=64)
+        k2 = regularize_K2(k)
+        want = rot @ np.diag([1.0, 0.0]) @ rot.T
+        assert np.abs(k2.lam - want).max() <= 1e-14
+        assert np.abs(k2.values - want).max() <= 1e-14
+        assert nsa_check(k2).verdict
+
     def test_clip_is_frobenius_projection(self):
         # per-frequency convex oracle: no PSD candidate is closer
         rng = np.random.default_rng(17)
@@ -404,6 +477,23 @@ class TestNsaCheck:
         rep = nsa_check(k)
         assert not rep.verdict
         assert rep.k0_symmetry > 1e-3
+
+    def test_asymmetric_lambda_alone_fails(self):
+        # K(0) symmetric, transient spectrum K(0) - sym(Lambda) positive
+        # definite at every frequency, sym(Lambda) positive definite: only
+        # Lambda's asymmetry fails the verdict
+        lam = np.array([[1.0, 0.3], [-0.1, 1.0]])
+        values = np.concatenate([[2.0 * np.eye(2)], np.tile(lam, (8, 1, 1))])
+        rep = nsa_check(ImpactKernel(delta=1.0, values=values, lam=lam,
+                                     provenance="k1", grid=64))
+        assert rep.k0_symmetry == 0.0
+        assert rep.min_spectral_eig > 0.0 and rep.lambda_min_eig > 0.0
+        assert rep.lambda_symmetry > 0.1
+        assert not rep.verdict
+        sym = 0.5 * (lam + lam.T)
+        values[1:] = sym
+        assert nsa_check(ImpactKernel(delta=1.0, values=values, lam=sym,
+                                      provenance="k1", grid=64)).verdict
 
     def test_martingale_kernel_fails_clipped_passes(self):
         # one-way lead-lag flow: min relative spectral eigenvalue -0.10

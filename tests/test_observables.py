@@ -40,6 +40,7 @@ class TestBinning:
     def test_no_events(self):
         stream = make_stream([], [], [], [], horizon=5.0)
         series = bin_events(stream, flat_prices(5.0), 1.0)
+        assert series.flows.dtype == float
         assert np.all(series.flows == 0.0)
         assert np.all(series.returns == 0.0)
 
@@ -55,6 +56,22 @@ class TestBinning:
         net = np.bincount(assets, weights=sides * sizes, minlength=2)
         assert np.array_equal(series.flows.sum(axis=0), net)
         assert series.returns is None
+
+    def test_scatter_matches_add_at(self):
+        # one bincount over (bin, asset) adds each slot's terms in event
+        # order, as np.add.at does: the same bits
+        rng = np.random.default_rng(5)
+        n = 3000
+        times = np.sort(rng.uniform(0.0, 40.0, size=n))
+        assets = rng.integers(0, 3, size=n)
+        sides = rng.choice([-1, 1], size=n)
+        sizes = rng.uniform(0.1, 3.0, size=n)
+        stream = make_stream(times, assets, sides, sizes, horizon=40.0, d=3)
+        want = np.zeros((40, 3))
+        idx = np.clip(np.ceil(times).astype(int) - 1, 0, 39)
+        np.add.at(want, (idx, assets), sides * sizes)
+        got = bin_events(stream, None, 1.0).flows
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_empty_bins_carry_prices_forward(self):
         stream = make_stream([0.5], [0], [1], [1.0], horizon=4.0, d=1)
@@ -339,6 +356,14 @@ class TestAggregatesAndSpectrum:
         _, inf = omega_aggregates(lags, taper="none")
         expect = synthetic.zero_frequency_covariance(A, beta, theta, [1.0])
         assert inf[0, 0] == pytest.approx(expect[0, 0], rel=1e-6)
+
+    def test_bartlett_weights_and_their_omega_inf(self):
+        # w_tau = 1 - tau / (tau_max + 1), exact in binary at tau_max 3;
+        # unit lags then aggregate to 1 + 2 (3/4 + 1/2 + 1/4) = 4
+        assert np.array_equal(taper_weights("bartlett", 3),
+                              [1.0, 0.75, 0.5, 0.25])
+        _, inf = omega_aggregates(np.ones((4, 1, 1)))
+        assert inf[0, 0] == 4.0
 
     def test_taper_off_vs_on_close_on_short_memory(self):
         A = np.array([[0.3]])

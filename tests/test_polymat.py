@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossimpact import observables, polymat
 from crossimpact.polymat import (PolymatError, circle_norm, spectrum_on_grid,
                                 whittle_factor)
 
@@ -377,3 +378,93 @@ class TestWhittleFactor:
             assert np.abs(got - want).max() <= coef_tol * np.abs(want).max()
         assert abs(f.residual - ref.residual) <= scalar_tol
         assert abs(f.reflection_norm - ref.reflection_norm) <= scalar_tol
+
+
+def estimated_lags(d, n_bins, tau_max, seed):
+    """Bartlett-tapered lags of a simulated VAR(1) flow of n_bins bins."""
+    rng = np.random.default_rng(seed)
+    a = 0.5 * np.eye(d) + 0.1 * np.triu(np.ones((d, d)), 1)
+    x = np.zeros((n_bins + 100, d))
+    e = rng.standard_normal(x.shape)
+    for t in range(1, len(x)):
+        x[t] = a @ x[t - 1] + e[t]
+    series = [observables.BinnedSeries(delta=1.0, flows=x[100:])]
+    return observables.tapered_lags(
+        observables.estimate_omega(series, tau_max))
+
+
+def yule_walker(lags, p):
+    """Phi_1..Phi_p and V_p of the order-p autoregression by one dense
+    solve of the block Toeplitz normal equations R_j = sum_k Phi_k
+    R_{j-k}, j = 1..p, R_{-k} = R_k^T.  Independent of the recursion."""
+    d = lags.shape[1]
+    if p == 0:
+        return np.zeros((0, d, d)), lags[0]
+    block = [[lags[j - k] if j >= k else lags[k - j].T for j in range(p)]
+             for k in range(p)]
+    rhs = np.concatenate(list(lags[1:p + 1]), axis=1)
+    phi = np.linalg.solve(np.block(block).T, rhs.T).T
+    phi = phi.reshape(d, p, d).swapaxes(0, 1)
+    return phi, lags[0] - np.einsum("kab,kcb->ac", phi, lags[1:p + 1])
+
+
+class TestEstimatedOrder:
+    @pytest.mark.parametrize("d, n_bins, tau_max", [(2, 600, 12),
+                                                     (3, 4000, 20),
+                                                     (5, 20000, 8)])
+    def test_given_order_is_that_autoregression(self, d, n_bins, tau_max):
+        # a given order ends the recursion there, with the coefficients
+        # and innovation covariance of the dense Yule-Walker solve
+        lags = estimated_lags(d, n_bins, tau_max, seed=d)
+        order = int(polymat.ORDER_SHARE * tau_max)
+        f = whittle_factor(lags, order=order)
+        assert f.order == order
+        phi, v = yule_walker(lags, order)
+        got_phi, c = autoregression(f.inverse)
+        assert np.abs(got_phi - phi).max() <= 1e-10 * np.abs(phi).max()
+        assert np.abs(np.linalg.inv(c) @ np.linalg.inv(c).T - v).max() \
+            <= 1e-10 * np.abs(v).max()
+
+    def test_no_order_keeps_the_exact_lag_stop(self):
+        # the same estimated lags without an order run far past their
+        # count, to a reflection below tol
+        lags = estimated_lags(2, 40000, 24, seed=7)
+        exact = whittle_factor(lags)
+        assert exact.order > 24 and exact.reflection_norm < 1e-10
+        assert whittle_factor(lags, order=24).order == 24
+
+    @pytest.mark.parametrize("m, order", [(12, 6), (40, 20)])
+    def test_exact_autoregression_at_a_longer_order(self, m, order):
+        # a VAR(2)'s exact lags at order m // 2 > 2: the coefficients
+        # past lag 2 vanish, and so does the last reflection computed
+        phi = np.array([[[0.5, 0.2], [-0.1, 0.3]], [[0.2, 0.0], [0.1, -0.2]]])
+        v = np.array([[1.0, 0.3], [0.3, 0.5]])
+        psi = [np.eye(2), phi[0]]
+        for _ in range(600):
+            psi.append(phi[0] @ psi[-1] + phi[1] @ psi[-2])
+        psi = np.stack(psi)
+        lags = np.stack([np.einsum("kab,bc,kdc->ad", psi[h:], v,
+                                   psi[:len(psi) - h]) for h in range(m + 1)])
+        f = whittle_factor(lags, order=order)
+        assert f.order == order and f.reflection_norm < 1e-10
+        got_phi, _ = autoregression(f.inverse)
+        assert np.abs(got_phi[:2] - phi).max() <= 1e-10
+        assert np.abs(got_phi[2:]).max(initial=0.0) <= 1e-10
+
+    @pytest.mark.parametrize("order", [-1, 129])
+    def test_refuses_an_order_off_the_grid(self, order):
+        with pytest.raises(PolymatError, match="outside 0..128"):
+            whittle_factor(np.eye(2)[None], n_grid=256, order=order)
+
+    @pytest.mark.parametrize("d, n_bins, tau_max", [(2, 600, 12),
+                                                     (5, 20000, 8)])
+    def test_matches_reference_recursion(self, d, n_bins, tau_max):
+        lags = estimated_lags(d, n_bins, tau_max, seed=d)
+        f = whittle_factor(lags, order=tau_max // 2)
+        ref = synthetic.reference_whittle(lags, order=tau_max // 2)
+        assert f.order == ref.order
+        for got, want in ((f.inverse, ref.inverse),
+                          (f.l_at_one, ref.l_at_one)):
+            assert np.abs(got - want).max() <= 3e-14 * np.abs(want).max()
+        assert abs(f.residual - ref.residual) <= 3e-16
+        assert abs(f.reflection_norm - ref.reflection_norm) <= 3e-16
