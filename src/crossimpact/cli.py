@@ -66,10 +66,8 @@ class RunConfig:
     p0: list | None = None
     impact_scale: float = 1.0
     lam: list | None = None
-    factor_tol: float = polymat.FACTOR_TOL
     tail_tol: float = 1e-3
     nsa_tol: float = 1e-6
-    factor_residual_bound: float = 1e-4
     output_dir: str = "out"
 
     @classmethod
@@ -102,8 +100,7 @@ class RunConfig:
         if "lambda" in raw:
             raw["lam"] = raw.pop("lambda")
         cfg = cls(**raw)
-        for tol_name in ("delta", "factor_tol", "tail_tol", "nsa_tol",
-                         "factor_residual_bound"):
+        for tol_name in ("delta", "tail_tol", "nsa_tol"):
             _finite_positive(tol_name, getattr(cfg, tol_name))
         if cfg.n_days < 1:
             raise InputError(f"n_days must be at least 1, not {cfg.n_days}")
@@ -356,13 +353,11 @@ def _calibrate(cfg: RunConfig, out_dir):
         obs, day0 = _estimate(cfg, days, out)
         stage = "factorize"
         factor = polymat.whittle_factor(
-            observables.tapered_lags(obs.omega, obs.taper),
-            tol=cfg.factor_tol, n_grid=cfg.grid,
+            observables.tapered_lags(obs.omega, obs.taper), n_grid=cfg.grid,
             order=int(polymat.ORDER_SHARE * obs.tau_max))
         stage = "build_k1"
         k1 = kernels.build_K1(obs, factor, tau_max=cfg.tau_max,
-                              tail_tol=cfg.tail_tol,
-                              residual_bound=cfg.factor_residual_bound)
+                              tail_tol=cfg.tail_tol)
         kernels.save_kernel(out / "k1", k1)
         stage = "regularize_k2"
         k2 = kernels.regularize_K2(k1)

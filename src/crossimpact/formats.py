@@ -95,6 +95,13 @@ def write_prices(path, times, prices):
                  max(1, EVENT_BLOCK_ROWS // max(d, 1)), rows)
 
 
+def _put_digits(x, rows):
+    """Digits of ints x >= 0 into rows, units last (// beats divmod)."""
+    for row in rows[::-1]:
+        quotient = x // 10
+        row[...], x = x - 10 * quotient, quotient
+
+
 def _time_text(times):
     """The TIME_FORMAT text of each time, as the rows of a uint8 matrix
     padded with 0 bytes.
@@ -114,10 +121,8 @@ def _time_text(times):
     text = np.zeros((max(17, off_text.shape[1]), len(times)), np.uint8)
     seconds, nanos = (part.astype(np.int32) for part in np.divmod(ns, 10**9))
     leading = seconds >= _LEADING_PLACES[:, None]
-    for col in range(6, -1, -1):
-        seconds, text[col] = np.divmod(seconds, 10)
-    for col in range(16, 7, -1):
-        nanos, text[col] = np.divmod(nanos, 10)
+    _put_digits(seconds, text[:7])
+    _put_digits(nanos, text[8:17])
     text[:17] += np.uint8(ord("0"))
     text[:6] *= leading
     text[7] = ord(".")
@@ -154,10 +159,8 @@ def _g17_text(values):
     # of n, so that digit k - 4 of n is worth 10**(e + 4 - k)
     digits = np.zeros((21, len(n)), np.uint8)
     high, low = (part.astype(np.int32) for part in np.divmod(n, 10 ** 8))
-    for col in range(20, 12, -1):
-        low, digits[col] = np.divmod(low, 10)
-    for col in range(12, 3, -1):
-        high, digits[col] = np.divmod(high, 10)
+    _put_digits(low, digits[13:])
+    _put_digits(high, digits[4:13])
     digits += np.uint8(ord("0"))
     # the column of the units digit (a padding '0' when |v| < 1), and of
     # the last nonzero digit

@@ -176,11 +176,11 @@ def build_K1(obs: ObservableSet, factor: WhittleFactor,
     coefficients, M inverse[k] less K(0) at lag 0 and zero past the
     factor's order, are treated as derivative densities at cell
     midpoints; the kernel is their half-cell-corrected cumulative sum.
-    A factor whose grid residual exceeds residual_noise(obs) by more
-    than residual_bound is refused: it misses the estimate by more than
-    the estimate misses the flow.  diagnostics["flow_tail"] is
-    |omega(tau_max)| / |omega(0)|, the flow correlation left at the
-    lattice end, which K1's tail error includes.
+    A factor whose grid residual exceeds residual_noise(obs), 0 for
+    exact lags, by more than residual_bound is refused: it misses the
+    estimate by more than the estimate misses the flow.
+    diagnostics["flow_tail"] is |omega(tau_max)| / |omega(0)|, the flow
+    correlation left at the lattice end, which K1's tail error includes.
     """
     noise = residual_noise(obs)
     if factor.residual > noise + residual_bound:

@@ -78,7 +78,7 @@ class WhittleFactor:
     triangular with a positive diagonal.  l_at_one is L(1), residual is
     |L L~ - R|_F / |R|_F on the `grid`-point circle grid, and
     reflection_norm the norm of the last reflection coefficient computed:
-    below the tolerance only when the tolerance stopped the recursion.
+    below FACTOR_TOL only when FACTOR_TOL stopped the recursion.
     """
 
     inverse: np.ndarray        # (order+1, d, d)
@@ -107,8 +107,7 @@ def _chol_pair(cov, order):
             for c, side in zip(cov, ("forward", "backward"))])
 
 
-def whittle_factor(lags, tol: float = FACTOR_TOL,
-                   n_grid: int = DEFAULT_GRID,
+def whittle_factor(lags, n_grid: int = DEFAULT_GRID,
                    order: int | None = None) -> WhittleFactor:
     """Inverse spectral factor of R(z) = sum_k lags[|k|] z^{-k} (lags[k]^T
     for k < 0) by the block Whittle (1963) recursion.
@@ -117,8 +116,8 @@ def whittle_factor(lags, tol: float = FACTOR_TOL,
     coefficients, shaped (m+1, d, d), of a para-Hermitian R.  Forward and
     backward predictors grow one lag per step, as one stacked pair, until
     the spectral norm of the normalised reflection coefficient falls below
-    tol with the grid residual at most STOP_RESIDUAL, or the order reaches
-    n_grid // 2, so that L^{-1} never wraps the grid.  A given order
+    FACTOR_TOL with the grid residual at most STOP_RESIDUAL, or the order
+    reaches n_grid // 2, so that L^{-1} never wraps the grid.  A given order
     ends the recursion there instead: lags estimated from a sample carry
     noise that a longer factor fits (ORDER_SHARE).  Malformed lags, an
     order outside 0..n_grid // 2, or an innovation covariance that is not
@@ -154,8 +153,9 @@ def whittle_factor(lags, tol: float = FACTOR_TOL,
             k = chol_inv[0] @ delta @ chol_inv[1].T
             # |K|_2 >= |K|_F / sqrt(d): the SVD only where a stop can be
             refl = (np.linalg.norm(k, 2) if p == last - 1 or order is None
-                    and np.sqrt(np.vdot(k, k)) < tol * np.sqrt(d) else np.inf)
-        if p == last or order is None and refl < tol:
+                    and np.sqrt(np.vdot(k, k)) < FACTOR_TOL * np.sqrt(d)
+                    else np.inf)
+        if p == last or order is None and refl < FACTOR_TOL:
             inverse = np.concatenate([chol_inv[:1], -(chol_inv[0] @ lead)
                                       .reshape(d, p, d).swapaxes(0, 1)])
             l_w = np.linalg.inv(np.fft.rfft(inverse, n_grid, axis=0))

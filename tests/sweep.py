@@ -48,11 +48,13 @@ interquartile range.
 The first writes SWEEP_order.json at the repository root, one line per
 cell: the commit, the numpy version, per-seed scalars (4 digits) and
 their quantiles (6 digits), no arrays.  It takes about 25 minutes on one
-core with one BLAS thread.  The second re-derives one cell and exits 1
-if a quantile of its orders, gated fields or generator score moved by
-more than a quarter of its recorded interquartile range across seeds:
-roundoff that moves the exact-lag stop by an order passes, a changed
-rule does not.  The third prints each rule's verdict per cell.
+core with one BLAS thread; `--cells FAMILY:D:BINS ...` makes only the
+cells named, into the existing file, whose own commit stays that of its
+first sweep: each cell made records the commit it was made at.  The
+second re-derives one cell and exits 1 if a quantile of its orders,
+gated fields or generator score moved by more than a quarter of its
+recorded interquartile range across seeds: roundoff that moves the
+exact-lag stop by an order passes, a changed rule does not.  The third prints each rule's verdict per cell.
 """
 from __future__ import annotations
 
@@ -64,7 +66,7 @@ import sys
 
 import numpy as np
 
-from crossimpact import hawkes, kernels, observables, polymat
+from crossimpact import cli, hawkes, kernels, observables, polymat
 
 import synthetic
 
@@ -82,7 +84,8 @@ QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
 # each calibrated at every tau_max in TAUS
 CELLS = [("ladder", d, bins) for d in (2, 5, 10, 20)
          for bins in (1_000, 10_000, 100_000)] + \
-    [("ladder", 2, 1_000_000), ("item1", 2, 80_000)]
+    [("ladder", 2, 1_000_000), ("item1", 2, 80_000)] + \
+    [("demo", 2, bins) for bins in (6_000, 10_000, 100_000)]
 N_SEEDS = 20
 # --check's tolerance, as a share of a quantile's interquartile range
 CHECK_SHARE = 0.25
@@ -104,7 +107,14 @@ def item1_spec(d=2):
     return synthetic.single_rate_spec(a, BETA, np.full(2, 0.5))
 
 
-FAMILIES = {"ladder": ladder_spec, "item1": item1_spec}
+def demo_spec(d=2):
+    """The canonical demo's lead-lag market (cli.demo_config): excitation
+    [[0.06, 0.02], [0.035, 0.08]], decay 0.25, mu [0.6, 0.45], sizes
+    [1, 2]; 6,000 bins is the demo's own sample."""
+    return hawkes.HawkesSpec.from_dict(cli.demo_config().spec)
+
+
+FAMILIES = {"ladder": ladder_spec, "item1": item1_spec, "demo": demo_spec}
 
 
 def aic(d, n):
@@ -191,6 +201,8 @@ def exact_observables(spec, sigma, tau_max):
 def run(family, d, bins, seed, taus=TAUS):
     """{tau_max: {"generator": score, rule: {field: value}}} of one seed."""
     spec = FAMILIES[family](d)
+    if spec.d != d:    # item1 and demo are two-asset markets
+        raise ValueError(f"family {family} has {spec.d} assets, not {d}")
     lam = hawkes.default_lambda(spec, 1.0)
     horizon = bins / N_DAYS
     train = list(simulated_days(spec, lam, horizon,
@@ -339,16 +351,22 @@ def main(argv=None):
         return 1 if bad else 0
     todo = ([tuple(int(x) if x.isdigit() else x for x in c.split(":"))
              for c in args.cells] if args.cells else CELLS)
-    result = {"commit": commit(), "numpy": np.__version__, "grid": GRID,
+    made_at = commit()
+    result = {"commit": made_at, "numpy": np.__version__, "grid": GRID,
               "rules": {name: ("exact-lag stop" if rule is None else
                                f"order {rule[1]} m" if rule[0] is None else
                                f"{rule[0].__name__} from {rule[1]} m")
                         for name, rule in RULES.items()},
               "cells": {}}
     if args.out.exists():
-        result["cells"] = json.loads(args.out.read_text())["cells"]
+        # the file's commit stays that of the cells it was first made with
+        old = json.loads(args.out.read_text())
+        result.update(commit=old["commit"], cells=old["cells"])
     for family, d, bins in todo:
-        result["cells"].update(cells(family, d, bins))
+        made = cells(family, d, bins)
+        for cell in made.values():
+            cell["commit"] = made_at
+        result["cells"].update(made)
         # one line per cell
         lines = [f"{json.dumps(k)}: {json.dumps(v)}"
                  for k, v in result["cells"].items()]

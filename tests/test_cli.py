@@ -31,11 +31,15 @@ def small_config(tmp_path, seed=3, **overrides):
                         "blocks": blocks},
                "delta": 1.0, "tau_max": 32, "grid": 2048,
                "seed": seed, "horizon": 400.0, "n_days": 2,
-               "tolerances": {"factor_tol": 1e-10, "tail_tol": 2.0}}
+               "tolerances": {"nsa_tol": 1e-6, "tail_tol": 2.0}}
     payload.update(overrides)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
     return path
+
+
+# config keys of a factor stop that calibrate no longer takes
+RETIRED_KEYS = ["factor_tol", "factor_residual_bound"]
 
 
 def assert_refused(cfg, tmp_path, capsys, message):
@@ -216,7 +220,7 @@ class TestConfig:
                 capsys.readouterr().err, command
             assert not out.exists(), command
 
-    @pytest.mark.parametrize("key", ["tail_tol", "factor_tol"])
+    @pytest.mark.parametrize("key", ["tail_tol", "nsa_tol"])
     def test_key_also_under_tolerances_exits_2(self, tmp_path, capsys, key):
         # unrefused, the value under tolerances won without a word
         cfg = small_config(tmp_path, **{key: 1e-3})
@@ -228,14 +232,32 @@ class TestConfig:
                 "and under tolerances" in capsys.readouterr().err, command
             assert not out.exists(), command
 
+    @pytest.mark.parametrize("under_tolerances", [False, True],
+                             ids=["top", "tolerances"])
+    @pytest.mark.parametrize("key", RETIRED_KEYS)
+    def test_retired_factor_knob_exits_2(self, tmp_path, capsys, key,
+                                         under_tolerances):
+        # calibrate fixes the factor's order from tau_max, so neither knob
+        # decides anything: a config that sets one is refused, not ignored
+        raw = {"tolerances": {"tail_tol": 2.0, key: 1e-10}} \
+            if under_tolerances else {key: 1e-10}
+        cfg = small_config(tmp_path, **raw)
+        message = f"unknown config keys: ['{key}']"
+        assert_refused(cfg, tmp_path, capsys, message)
+        out = tmp_path / "refused-estimate"
+        assert main(["--config", str(cfg), "--output-dir", str(out),
+                     "estimate"]) == EXIT_INPUT
+        assert f"input error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_int_taken_for_float(self, tmp_path):
         cfg = RunConfig.from_file(small_config(tmp_path, delta=1, trim=0))
         assert (cfg.delta, cfg.trim) == (1, 0)
 
     def test_nonpositive_tolerance_rejected(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"tolerances": {"factor_tol": 0.0}}))
-        with pytest.raises(cli.InputError, match="factor_tol must be"):
+        path.write_text(json.dumps({"tolerances": {"tail_tol": 0.0}}))
+        with pytest.raises(cli.InputError, match="tail_tol must be"):
             RunConfig.from_file(path)
 
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"),
@@ -246,8 +268,11 @@ class TestConfig:
     def test_tolerance_not_finite_positive_exits_2(self, tmp_path, capsys,
                                                    key, value):
         # with nsa_tol or --tol inf every kernel would pass; with a NaN
-        # tail_tol every K1 would read degraded
+        # tail_tol every K1 would read degraded.  A retired factor knob
+        # is still refused whatever its value, now by name
         message = f"input error: {key} must be positive and finite"
+        if key in RETIRED_KEYS:
+            message = f"input error: unknown config keys: ['{key}']"
         if key == "--tol":
             k = ImpactKernel(delta=1.0, values=np.ones((9, 1, 1)),
                              lam=np.ones((1, 1)), provenance="k1", grid=64)
@@ -758,10 +783,9 @@ class TestCalibrate:
 
     def test_factor_residual_over_bound_exits_3(self, tmp_path, capsys):
         # the factor fits its estimated lags within their sampling noise,
-        # not within 1e-14: with that noise allowance set aside, as for
-        # exact lags, the bound alone refuses it
-        cfg = small_config(tmp_path, tolerances={
-            "factor_residual_bound": 1e-14, "tail_tol": 2.0})
+        # not within build_K1's 1e-4: with that noise allowance set aside,
+        # as for exact lags, the 1e-4 alone refuses it
+        cfg = small_config(tmp_path)
         assert main(["--config", str(cfg), "--output-dir",
                      str(tmp_path / "fits"), "calibrate"]) == EXIT_OK
         capsys.readouterr()
