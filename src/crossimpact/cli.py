@@ -61,7 +61,6 @@ class RunConfig:
     seed: int = 0
     horizon: float = 2000.0
     n_days: int = 8
-    taper: str = "bartlett"
     trim: float = 0.0
     p0: list | None = None
     impact_scale: float = 1.0
@@ -311,8 +310,7 @@ def _estimate(cfg, days, out):
         # the next day is simulated or read without this one
         del stream, prices
     try:
-        obs = observables.build_observables(series, cfg.tau_max,
-                                            taper=cfg.taper)
+        obs = observables.build_observables(series, cfg.tau_max)
     except observables.ObservablesError as exc:
         raise StageError("estimate", exc) from exc
     observables.save_observables(out / "observables", obs)
@@ -353,11 +351,10 @@ def _calibrate(cfg: RunConfig, out_dir):
         obs, day0 = _estimate(cfg, days, out)
         stage = "factorize"
         factor = polymat.whittle_factor(
-            observables.tapered_lags(obs.omega, obs.taper), n_grid=cfg.grid,
+            observables.tapered_lags(obs.omega), n_grid=cfg.grid,
             order=int(polymat.ORDER_SHARE * obs.tau_max))
         stage = "build_k1"
-        k1 = kernels.build_K1(obs, factor, tau_max=cfg.tau_max,
-                              tail_tol=cfg.tail_tol)
+        k1 = kernels.build_K1(obs, factor, tail_tol=cfg.tail_tol)
         kernels.save_kernel(out / "k1", k1)
         stage = "regularize_k2"
         k2 = kernels.regularize_K2(k1)
@@ -510,6 +507,8 @@ def main(argv=None) -> int:
             raise InputError(f"this command needs --config or ${ENV_CONFIG}")
         if args.seed is not None:
             cfg.seed = args.seed
+        if cfg.seed < 0:
+            raise InputError(f"seed must be at least 0, not {cfg.seed}")
         command = {"simulate": cmd_simulate, "estimate": cmd_estimate,
                    "calibrate": cmd_calibrate, "demo": cmd_demo}
         return command[args.command](cfg, args.output_dir or cfg.output_dir)

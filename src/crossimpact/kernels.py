@@ -160,13 +160,13 @@ def residual_noise(obs: ObservableSet) -> float:
     most (d + 1) |R|^2.  0 for exact lags (n_bins 0)."""
     if obs.n_bins == 0:
         return 0.0
-    weights = taper_weights(obs.taper, obs.tau_max)
+    weights = taper_weights(obs.tau_max)
     window = 2.0 * np.sum(weights ** 2) - weights[0] ** 2
     return float(2.0 * np.sqrt((obs.d + 1) * window / obs.n_bins))
 
 
 def build_K1(obs: ObservableSet, factor: WhittleFactor,
-             tau_max: int | None = None, tail_tol: float = 1e-3,
+             tail_tol: float = 1e-3,
              residual_bound: float = 1e-4) -> ImpactKernel:
     """Martingale-consistent kernel with no-arbitrage boundary matrices.
 
@@ -175,7 +175,8 @@ def build_K1(obs: ObservableSet, factor: WhittleFactor,
     zero-frequency boundary K(0) + Khat'(0) = Lambda.  Its lag
     coefficients, M inverse[k] less K(0) at lag 0 and zero past the
     factor's order, are treated as derivative densities at cell
-    midpoints; the kernel is their half-cell-corrected cumulative sum.
+    midpoints; the kernel is their half-cell-corrected cumulative sum,
+    on obs's lags 0..tau_max, tau_max below half the factor's grid.
     A factor whose grid residual exceeds residual_noise(obs), 0 for
     exact lags, by more than residual_bound is refused: it misses the
     estimate by more than the estimate misses the flow.
@@ -189,9 +190,7 @@ def build_K1(obs: ObservableSet, factor: WhittleFactor,
                           f"{residual_bound:.0e}")
     k0 = compute_K0(obs)
     lam = compute_Lambda(obs)
-    n = factor.grid
-    if tau_max is None:
-        tau_max = obs.tau_max
+    n, tau_max = factor.grid, obs.tau_max
     if tau_max >= n // 2:
         raise KernelError("tau_max must be below half the grid size")
     l0 = factor.l_at_one
@@ -209,10 +208,9 @@ def build_K1(obs: ObservableSet, factor: WhittleFactor,
     values[0] = k0
     csum = np.cumsum(g, axis=0)
     values[1:] = k0 + csum[:tau_max] + 0.5 * g[1:]
-    end = obs.omega[min(tau_max, obs.tau_max)]
     diag = {"factor_residual": factor.residual, "factor_order": factor.order,
             "reflection_norm": factor.reflection_norm,
-            "flow_tail": float(np.linalg.norm(end)
+            "flow_tail": float(np.linalg.norm(obs.omega[-1])
                                / np.linalg.norm(obs.omega[0]))}
     kernel = ImpactKernel(delta=obs.delta, values=values, lam=lam,
                           provenance="k1", grid=n, tail_tol=tail_tol,

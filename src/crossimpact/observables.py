@@ -182,16 +182,12 @@ def estimate_omega(series: list, tau_max: int) -> np.ndarray:
     return acc / len(series)
 
 
-def taper_weights(taper: str, tau_max: int) -> np.ndarray:
-    """Lag weights w_0..w_tau_max of a taper policy ("bartlett" or "none")."""
-    if taper == "bartlett":
-        return 1.0 - np.arange(tau_max + 1) / (tau_max + 1.0)
-    if taper == "none":
-        return np.ones(tau_max + 1)
-    raise ObservablesError(f"unknown taper policy {taper!r}")
+def taper_weights(tau_max: int) -> np.ndarray:
+    """Bartlett lag weights w_0..w_tau_max."""
+    return 1.0 - np.arange(tau_max + 1) / (tau_max + 1.0)
 
 
-def omega_aggregates(omega, taper: str = "bartlett"):
+def omega_aggregates(omega):
     """Aggregate lag covariances into (omega_zero, omega_inf).
 
     omega_inf is the lattice zero-frequency value omega(0) +
@@ -201,7 +197,7 @@ def omega_aggregates(omega, taper: str = "bartlett"):
     """
     omega = np.asarray(omega, dtype=float)
     tau_max = omega.shape[0] - 1
-    w = taper_weights(taper, tau_max)
+    w = taper_weights(tau_max)
     omega_zero = 0.5 * (omega[0] + omega[0].T)
     # the sum along the lag axis adds in lag order
     terms = np.empty_like(omega)
@@ -232,7 +228,6 @@ class ObservableSet:
     delta: float
     n_days: int
     n_bins: int
-    taper: str = "bartlett"
 
     @property
     def d(self):
@@ -243,37 +238,35 @@ class ObservableSet:
         return self.omega.shape[0] - 1
 
 
-def build_observables(series: list, tau_max: int,
-                      taper: str = "bartlett") -> ObservableSet:
+def build_observables(series: list, tau_max: int) -> ObservableSet:
     sigma = estimate_sigma(series)
     omega = estimate_omega(series, tau_max)
-    omega_zero, omega_inf = omega_aggregates(omega, taper=taper)
+    omega_zero, omega_inf = omega_aggregates(omega)
     n_bins = sum(s.n_bins for s in series)
     return ObservableSet(sigma=sigma, omega=omega, omega_zero=omega_zero,
                          omega_inf=omega_inf, delta=series[0].delta,
-                         n_days=len(series), n_bins=n_bins, taper=taper)
+                         n_days=len(series), n_bins=n_bins)
 
 
-def tapered_lags(omega, taper: str = "bartlett") -> np.ndarray:
-    """Lag covariances weighted by the taper: the causal lags of the
-    tapered lattice spectral density."""
+def tapered_lags(omega) -> np.ndarray:
+    """Lag covariances weighted by the Bartlett taper: the causal lags of
+    the tapered lattice spectral density."""
     omega = np.asarray(omega, dtype=float)
-    return taper_weights(taper, omega.shape[0] - 1)[:, None, None] * omega
+    return taper_weights(omega.shape[0] - 1)[:, None, None] * omega
 
 
 def save_observables(directory, obs: ObservableSet):
-    save_artifact(directory, {"delta": obs.delta, "taper": obs.taper,
-                              "n_days": obs.n_days, "n_bins": obs.n_bins},
+    save_artifact(directory, {"delta": obs.delta, "n_days": obs.n_days,
+                              "n_bins": obs.n_bins},
                   sigma=obs.sigma, omega=obs.omega, omega_zero=obs.omega_zero,
                   omega_inf=obs.omega_inf)
 
 
 def load_observables(directory) -> ObservableSet:
     meta, arrays = load_artifact(
-        directory, keys=("delta", "n_days", "n_bins", "taper"),
+        directory, keys=("delta", "n_days", "n_bins"),
         names=("sigma", "omega", "omega_zero", "omega_inf"))
     return ObservableSet(sigma=arrays["sigma"], omega=arrays["omega"],
                          omega_zero=arrays["omega_zero"],
                          omega_inf=arrays["omega_inf"], delta=meta["delta"],
-                         n_days=meta["n_days"], n_bins=meta["n_bins"],
-                         taper=meta["taper"])
+                         n_days=meta["n_days"], n_bins=meta["n_bins"])

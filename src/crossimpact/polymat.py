@@ -17,11 +17,6 @@ import dataclasses
 import numpy as np
 
 DEFAULT_GRID = 4096
-FACTOR_TOL = 1e-10
-# a small reflection coefficient ends the recursion only when the factor
-# already reproduces R on the grid to this relative residual: a spectrum
-# in k omega has exactly zero reflections at orders not divisible by k
-STOP_RESIDUAL = 1e-6
 # the factor order of lags estimated from a sample, as a share of their
 # count m: a longer factor fits sampling noise.  tests/sweep.py chose it
 # against the exact-lag stop and order criteria (SWEEP_order.json)
@@ -77,8 +72,8 @@ class WhittleFactor:
     autoregression with innovation covariance V; inverse[0] is lower
     triangular with a positive diagonal.  l_at_one is L(1), residual is
     |L L~ - R|_F / |R|_F on the `grid`-point circle grid, and
-    reflection_norm the norm of the last reflection coefficient computed:
-    below FACTOR_TOL only when FACTOR_TOL stopped the recursion.
+    reflection_norm the spectral norm of the normalised reflection
+    coefficient that reached `order` (0.0 at order 0).
     """
 
     inverse: np.ndarray        # (order+1, d, d)
@@ -107,22 +102,19 @@ def _chol_pair(cov, order):
             for c, side in zip(cov, ("forward", "backward"))])
 
 
-def whittle_factor(lags, n_grid: int = DEFAULT_GRID,
-                   order: int | None = None) -> WhittleFactor:
+def whittle_factor(lags, n_grid: int = DEFAULT_GRID, *,
+                   order: int) -> WhittleFactor:
     """Inverse spectral factor of R(z) = sum_k lags[|k|] z^{-k} (lags[k]^T
-    for k < 0) by the block Whittle (1963) recursion.
+    for k < 0) by the block Whittle (1963) recursion, to the given order.
 
     lags[k] = E[x_{t+k} x_t^T], k = 0..m, are the finite causal
     coefficients, shaped (m+1, d, d), of a para-Hermitian R.  Forward and
     backward predictors grow one lag per step, as one stacked pair, until
-    the spectral norm of the normalised reflection coefficient falls below
-    FACTOR_TOL with the grid residual at most STOP_RESIDUAL, or the order
-    reaches n_grid // 2, so that L^{-1} never wraps the grid.  A given order
-    ends the recursion there instead: lags estimated from a sample carry
-    noise that a longer factor fits (ORDER_SHARE).  Malformed lags, an
-    order outside 0..n_grid // 2, or an innovation covariance that is not
-    positive definite (R is not positive on the circle), raise
-    PolymatError.
+    they reach `order`: lags estimated from a sample carry noise that a
+    longer factor fits (ORDER_SHARE).  Malformed lags, an order outside
+    0..n_grid // 2, where L^{-1} would wrap the grid, or an innovation
+    covariance that is not positive definite (R is not positive on the
+    circle), raise PolymatError.
     """
     lags = np.asarray(lags, dtype=float)
     if lags.ndim != 3 or not lags.size or lags.shape[1] != lags.shape[2] \
@@ -133,9 +125,8 @@ def whittle_factor(lags, n_grid: int = DEFAULT_GRID,
         raise PolymatError("lag-0 coefficient is not symmetric")
     target = spectrum_on_grid(lags, n_grid)
     cap = n_grid // 2
-    if order is not None and not 0 <= order <= cap:
+    if not 0 <= order <= cap:
         raise PolymatError(f"order {order} is outside 0..{cap}")
-    last = cap if order is None else order
     # d columns a lag: R_k at block cap - k, Phi_1..Phi_p from the left,
     # the backward predictor B_p..B_1 from the right
     rev, (fwd, bwd) = np.zeros((cap * d, d)), np.zeros((2, d, cap * d))
@@ -143,27 +134,13 @@ def whittle_factor(lags, n_grid: int = DEFAULT_GRID,
     pair = np.empty((2, d, d))                          # delta, delta^T
     cov = np.stack([0.5 * (lags[0] + lags[0].T)] * 2)   # V, U
     chol = np.stack([_chol(cov[0], "lag-0 covariance")] * 2)
-    refl, p = 0.0, 0
-    while True:
+    refl = 0.0
+    for p in range(order):
         chol_inv = np.linalg.inv(chol)
         lead, top = fwd[:, :p * d], (cap - p) * d
-        if p < last:
-            delta = np.subtract(rev[top - d:top], lead @ rev[top:],
-                                out=pair[0])
-            k = chol_inv[0] @ delta @ chol_inv[1].T
-            # |K|_2 >= |K|_F / sqrt(d): the SVD only where a stop can be
-            refl = (np.linalg.norm(k, 2) if p == last - 1 or order is None
-                    and np.sqrt(np.vdot(k, k)) < FACTOR_TOL * np.sqrt(d)
-                    else np.inf)
-        if p == last or order is None and refl < FACTOR_TOL:
-            inverse = np.concatenate([chol_inv[:1], -(chol_inv[0] @ lead)
-                                      .reshape(d, p, d).swapaxes(0, 1)])
-            l_w = np.linalg.inv(np.fft.rfft(inverse, n_grid, axis=0))
-            rec = l_w @ l_w.conj().transpose(0, 2, 1)
-            residual = (circle_norm(rec - target, n_grid)
-                        / circle_norm(target, n_grid))
-            if p == last or residual <= STOP_RESIDUAL:
-                break
+        delta = np.subtract(rev[top - d:top], lead @ rev[top:], out=pair[0])
+        if p == order - 1:
+            refl = np.linalg.norm(chol_inv[0] @ delta @ chol_inv[1].T, 2)
         pair[1] = delta.T
         # the new forward and backward lags, (delta U^{-1}, delta^T V^{-1})
         new = pair @ (chol_inv[::-1].transpose(0, 2, 1) @ chol_inv[::-1])
@@ -173,9 +150,14 @@ def whittle_factor(lags, n_grid: int = DEFAULT_GRID,
         lead -= new[0] @ bwd[:, top:]
         bwd[:, top:] -= back
         fwd[:, p * d:(p + 1) * d], bwd[:, top - d:top] = new
-        p += 1
-        chol = _chol_pair(cov, p)
+        chol = _chol_pair(cov, p + 1)
+    chol_inv = np.linalg.inv(chol)
+    inverse = np.concatenate([chol_inv[:1], -(chol_inv[0] @ fwd[:, :order * d])
+                              .reshape(d, order, d).swapaxes(0, 1)])
+    l_w = np.linalg.inv(np.fft.rfft(inverse, n_grid, axis=0))
+    rec = l_w @ l_w.conj().transpose(0, 2, 1)
+    residual = circle_norm(rec - target, n_grid) / circle_norm(target, n_grid)
     return WhittleFactor(inverse=inverse,
                          l_at_one=np.linalg.inv(inverse.sum(axis=0)),
-                         residual=residual, order=p,
+                         residual=residual, order=order,
                          reflection_norm=float(refl), grid=n_grid)

@@ -17,8 +17,8 @@ order rule in RULES:
               product's rule (polymat.ORDER_SHARE), run through
               polymat.whittle_factor as `calibrate` runs it.
 
-Every other rule's factor is synthetic.reference_whittle stopped at the
-rule's order.
+Every other rule's factor is synthetic.reference_whittle: today's at its
+exact-lag stop, the others' stopped at the rule's order.
 
 For each rule and run it records
 
@@ -194,7 +194,7 @@ def exact_observables(spec, sigma, tau_max):
     obs = observables.ObservableSet(
         sigma=sigma, omega=lags[:tau_max + 1],
         omega_zero=0.5 * (lags[0] + lags[0].T), omega_inf=omega_inf,
-        delta=1.0, n_days=0, n_bins=0, taper="none")
+        delta=1.0, n_days=0, n_bins=0)
     return obs, lags
 
 
@@ -214,12 +214,12 @@ def run(family, d, bins, seed, taus=TAUS):
     result = {}
     for tau_max in taus:
         obs = observables.build_observables(train, tau_max)
-        lags = observables.tapered_lags(obs.omega, obs.taper)
+        lags = observables.tapered_lags(obs.omega)
         logdets = innovation_logdets(lags)
         noise = kernels.residual_noise(obs)
         exact_obs, exact_lags = exact_observables(spec, obs.sigma, tau_max)
-        exact = kernels.build_K1(exact_obs, polymat.whittle_factor(
-            exact_lags, n_grid=GRID), tau_max=tau_max)
+        exact = kernels.build_K1(exact_obs, synthetic.exact_factor(
+            exact_lags, n_grid=GRID))
         scale = np.abs(exact.k0).max()
         gen = synthetic.generator_kernel(spec, lam, tau_max)
         out = result[tau_max] = {
@@ -227,11 +227,10 @@ def run(family, d, bins, seed, taus=TAUS):
         for name, rule in RULES.items():
             order = (None if rule is None
                      else rule_order(rule, lags, obs.n_bins, logdets))
-            factor = (polymat.whittle_factor if rule is None
-                      or name == PRODUCT else synthetic.reference_whittle)(
+            factor = (polymat.whittle_factor if name == PRODUCT
+                      else synthetic.reference_whittle)(
                 lags, n_grid=GRID, order=order)
-            k1 = kernels.build_K1(obs, factor, tau_max=tau_max,
-                                  residual_bound=np.inf)
+            k1 = kernels.build_K1(obs, factor, residual_bound=np.inf)
             k1x2 = kernels.ImpactKernel(delta=1.0,
                                         values=np.sqrt(2) * k1.values,
                                         lam=np.sqrt(2) * k1.lam)

@@ -8,9 +8,10 @@ an exact matrix-geometric form, so lattice pipelines can be validated
 without Monte Carlo error.  The oracles (stationary intensity and flow
 spectrum) hold for any stable spec.  reference_whittle is the spectral
 factor recursion written order by order, the reference for
-polymat.whittle_factor; reference_simulate is the cluster sampler with
-its term tables built per source and a stable sort, the reference for
-hawkes.simulate.
+polymat.whittle_factor; it keeps the exact-lag stop, at whose order
+exact_factor factors exact lags.  reference_simulate is the cluster
+sampler with its term tables built per source and a stable sort, the
+reference for hawkes.simulate.
 """
 from __future__ import annotations
 
@@ -26,9 +27,17 @@ from crossimpact.hawkes import (BUY, SELL, EventStream, HawkesError,
                                 validate_spec)
 from crossimpact.kernels import ImpactKernel
 from crossimpact.observables import ObservableSet
-from crossimpact.polymat import (DEFAULT_GRID, FACTOR_TOL, STOP_RESIDUAL,
-                                 PolymatError, WhittleFactor, _chol,
-                                 circle_norm, spectrum_on_grid)
+from crossimpact.polymat import (DEFAULT_GRID, PolymatError, WhittleFactor,
+                                 _chol, circle_norm, spectrum_on_grid,
+                                 whittle_factor)
+
+# the exact-lag stop: a reflection coefficient of spectral norm below
+# FACTOR_TOL ends the recursion, but only when the factor already
+# reproduces R on the grid to the relative residual STOP_RESIDUAL: a
+# spectrum in k omega has exactly zero reflections at orders not
+# divisible by k
+FACTOR_TOL = 1e-10
+STOP_RESIDUAL = 1e-6
 
 
 def full_fourier(spec: HawkesSpec, omega) -> np.ndarray:
@@ -217,8 +226,7 @@ def consistent_instance(beta=0.02, branch=0.5, theta_bar=1.0,
     omega_inf = zero_frequency_covariance(A, beta, theta, spec.sizes)
     lags = lattice_flow_covariance(A, beta, theta, spec.sizes, tau_max)
     obs = ObservableSet(sigma=sigma, omega=lags, omega_zero=atom,
-                        omega_inf=omega_inf, delta=1.0, n_days=0,
-                        n_bins=0, taper="none")
+                        omega_inf=omega_inf, delta=1.0, n_days=0, n_bins=0)
     return ConsistentInstance(spec=spec, A=A, beta=beta, theta=theta,
                               k0=k0, lam=lam, obs=obs)
 
@@ -259,8 +267,7 @@ def observables_from_model(spec, lam, tau_max):
     sigma = 2.0 * lam @ omega_inf @ lam.T
     atom = 2.0 * np.diag(theta * spec.sizes ** 2)
     return ObservableSet(sigma=sigma, omega=lags, omega_zero=atom,
-                         omega_inf=omega_inf, delta=1.0, n_days=0,
-                         n_bins=0, taper="none")
+                         omega_inf=omega_inf, delta=1.0, n_days=0, n_bins=0)
 
 
 def liquidity_contrast_instance(ratio=10.0, correlation=0.9):
@@ -281,8 +288,7 @@ def liquidity_contrast_instance(ratio=10.0, correlation=0.9):
     omega_inf = zero_frequency_covariance(A, beta, theta, spec.sizes)
     atom = 2.0 * np.diag(theta * spec.sizes ** 2)
     obs = ObservableSet(sigma=sigma, omega=lags, omega_zero=atom,
-                        omega_inf=omega_inf, delta=1.0, n_days=0,
-                        n_bins=0, taper="none")
+                        omega_inf=omega_inf, delta=1.0, n_days=0, n_bins=0)
     return spec, obs
 
 
@@ -318,8 +324,11 @@ def reference_whittle(lags, tol: float = FACTOR_TOL,
                       order: int | None = None) -> WhittleFactor:
     """The block Whittle recursion written order by order: one einsum for
     the reflection, solves for the coefficients and growing coefficient
-    stacks.  The reference that polymat.whittle_factor's block-row
-    recursion must match in order and, to roundoff, in every field."""
+    stacks.  Without an order it takes the exact-lag stop: the first
+    reflection below tol with the grid residual at most STOP_RESIDUAL, or
+    the order n_grid // 2, so that L^{-1} never wraps the grid.  The
+    reference that polymat.whittle_factor's block-row recursion must
+    match, at the same order, to roundoff in every field."""
     lags = np.asarray(lags, dtype=float)
     n_lags, d, _ = lags.shape
     if np.abs(lags[0] - lags[0].T).max() > 1e-8 * np.abs(lags).max():
@@ -362,6 +371,14 @@ def reference_whittle(lags, tol: float = FACTOR_TOL,
                          l_at_one=np.linalg.inv(inverse.sum(axis=0)),
                          residual=residual, order=p,
                          reflection_norm=float(refl), grid=n_grid)
+
+
+def exact_factor(lags, n_grid: int = DEFAULT_GRID) -> WhittleFactor:
+    """polymat.whittle_factor at the order where reference_whittle's
+    exact-lag stop ends: the factor of exact lags, which carry no
+    sampling noise to stop short of."""
+    return whittle_factor(lags, n_grid,
+                          order=reference_whittle(lags, n_grid=n_grid).order)
 
 
 def reference_simulate(spec: HawkesSpec, horizon: float,

@@ -34,11 +34,11 @@ def coupled_pipeline():
     """Lead-lag two-asset market, tau_max 256, Whittle factorization."""
     t0 = time.perf_counter()
     spec, theta, lags = synthetic.coupled_instance(tau_max=256)
-    factor = polymat.whittle_factor(lags)
+    factor = synthetic.exact_factor(lags)
     elapsed = time.perf_counter() - t0
     obs = synthetic.observables_from_model(
         spec, np.array([[1.0, 0.25], [0.25, 1.1]]), 256)
-    k1 = build_k1_quietly(obs, factor, tau_max=256)
+    k1 = build_k1_quietly(obs, factor)
     k2 = kernels.regularize_K2(k1, n_grid=4096)
     return {"spec": spec, "lags": lags, "factor": factor,
             "elapsed": elapsed, "obs": obs, "k1": k1, "k2": k2}
@@ -50,8 +50,8 @@ def consistent_pipeline():
     t0 = time.perf_counter()
     inst = synthetic.consistent_instance(beta=0.02, branch=0.5,
                                          tau_max=1600)
-    factor = polymat.whittle_factor(inst.obs.omega)
-    k1 = build_k1_quietly(inst.obs, factor, tau_max=1600)
+    factor = synthetic.exact_factor(inst.obs.omega)
+    k1 = build_k1_quietly(inst.obs, factor)
     elapsed = time.perf_counter() - t0
     return {"inst": inst, "factor": factor, "k1": k1, "elapsed": elapsed}
 
@@ -256,7 +256,7 @@ def test_criterion_estimator_consistency():
         series.append(observables.bin_events(st, None, 1.0))
     om = observables.estimate_omega(series, 128)
     est = polymat.spectrum_on_grid(
-        observables.tapered_lags(om, taper="bartlett"), 4096)
+        observables.tapered_lags(om), 4096)
     grid = 2 * np.pi * np.arange(2049) / 4096
     target = synthetic.analytic_flow_spectrum(spec, grid)
     rel = np.linalg.norm(est - target, axis=(1, 2)) \

@@ -38,8 +38,9 @@ def small_config(tmp_path, seed=3, **overrides):
     return path
 
 
-# config keys of a factor stop that calibrate no longer takes
-RETIRED_KEYS = ["factor_tol", "factor_residual_bound"]
+# config keys that calibrate no longer takes: the factor's exact-lag stop
+# and the taper policy, whose one value in use is Bartlett's
+RETIRED_KEYS = ["factor_tol", "factor_residual_bound", "taper"]
 
 
 def assert_refused(cfg, tmp_path, capsys, message):
@@ -144,7 +145,7 @@ class TestConfig:
                      "'tail_tol' must be a number", id="tail_tol-bool"),
         pytest.param({"lambda": 2.0}, "'lambda' must be a list or null",
                      id="lambda-float"),
-        pytest.param({"taper": 3}, "'taper' must be a string",
+        pytest.param({"taper": 3}, "unknown config keys: ['taper']",
                      id="taper-int"),
         pytest.param({"spec": [1.0]}, "'spec' must be an object or null",
                      id="spec-list"),
@@ -152,6 +153,10 @@ class TestConfig:
                      id="tolerances-float"),
         pytest.param({"n_days": -1}, "n_days must be at least 1, not -1",
                      id="n_days-negative"),
+        # unrefused, the simulate stage failed on it (exit 3 from calibrate
+        # and demo, 2 from simulate) after making the output directory
+        pytest.param({"seed": -1}, "seed must be at least 0, not -1",
+                     id="seed-negative"),
         # build_K1's rule; unrefused, each wrote the events, the manifest
         # and observables/ before failing a later stage
         pytest.param({"tau_max": 64, "grid": 128},
@@ -237,10 +242,12 @@ class TestConfig:
     @pytest.mark.parametrize("key", RETIRED_KEYS)
     def test_retired_factor_knob_exits_2(self, tmp_path, capsys, key,
                                          under_tolerances):
-        # calibrate fixes the factor's order from tau_max, so neither knob
-        # decides anything: a config that sets one is refused, not ignored
-        raw = {"tolerances": {"tail_tol": 2.0, key: 1e-10}} \
-            if under_tolerances else {key: 1e-10}
+        # calibrate fixes the factor's order from tau_max and tapers every
+        # estimate by Bartlett's weights, so no retired knob decides
+        # anything: a config that sets one is refused, not ignored
+        value = "none" if key == "taper" else 1e-10
+        raw = {"tolerances": {"tail_tol": 2.0, key: value}} \
+            if under_tolerances else {key: value}
         cfg = small_config(tmp_path, **raw)
         message = f"unknown config keys: ['{key}']"
         assert_refused(cfg, tmp_path, capsys, message)
@@ -249,6 +256,18 @@ class TestConfig:
                      "estimate"]) == EXIT_INPUT
         assert f"input error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        for command in ("simulate", "estimate", "calibrate", "demo"):
+            out = tmp_path / f"refused-{command}"
+            rc = main(["--config", str(cfg), "--output-dir", str(out),
+                       "--seed", "-3", command])
+            err = capsys.readouterr().err
+            assert rc == EXIT_INPUT, command
+            assert err == "input error: seed must be at least 0, not -3\n", \
+                command
+            assert not out.exists(), command
 
     def test_int_taken_for_float(self, tmp_path):
         cfg = RunConfig.from_file(small_config(tmp_path, delta=1, trim=0))

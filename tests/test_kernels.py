@@ -14,8 +14,6 @@ from crossimpact.kernels import (ImpactKernel, KernelError, build_K1,
 from crossimpact.observables import (BinnedSeries, ObservableSet,
                                      estimate_omega, omega_aggregates,
                                      tapered_lags)
-from crossimpact.polymat import whittle_factor
-
 import synthetic
 
 
@@ -30,8 +28,7 @@ def white_observables(sigma, c, tau_max=8):
     omega = np.zeros((tau_max + 1, d, d))
     omega[0] = c
     return ObservableSet(sigma=sigma, omega=omega, omega_zero=c,
-                         omega_inf=c, delta=1.0, n_days=0, n_bins=0,
-                         taper="none")
+                         omega_inf=c, delta=1.0, n_days=0, n_bins=0)
 
 
 class TestKyleMatrix:
@@ -130,7 +127,7 @@ class TestBoundaryMatrices:
 
 def build_white_k1(sigma, c):
     obs = white_observables(sigma, c)
-    return build_K1(obs, whittle_factor(c[None]), tau_max=8), obs
+    return build_K1(obs, synthetic.exact_factor(c[None])), obs
 
 
 def build_k1_quietly(obs, factor, **kwargs):
@@ -144,8 +141,8 @@ def lead_lag_k1(tau_max, lam, n_grid=1024, **coupling):
     spec, theta, lags = synthetic.coupled_instance(tau_max=tau_max,
                                                    **coupling)
     obs = synthetic.observables_from_model(spec, np.array(lam), tau_max)
-    factor = whittle_factor(lags, n_grid=n_grid)
-    return build_k1_quietly(obs, factor, tau_max=tau_max)
+    factor = synthetic.exact_factor(lags, n_grid=n_grid)
+    return build_k1_quietly(obs, factor)
 
 
 class TestBuildK1:
@@ -169,7 +166,7 @@ class TestBuildK1:
         # omega_inf, so M = Lambda L(0) carries Lambda omega_inf Lambda^T
         inst = synthetic.consistent_instance(beta=0.05, branch=0.5,
                                              tau_max=600)
-        factor = whittle_factor(inst.obs.omega)
+        factor = synthetic.exact_factor(inst.obs.omega)
         assert factor.residual <= 1e-6
         l0, winf = factor.l_at_one, inst.obs.omega_inf
         assert np.abs(l0 @ l0.T - winf).max() <= 1e-6 * np.abs(winf).max()
@@ -191,9 +188,8 @@ class TestBuildK1:
         sigma = 2.0 * k0 @ atom @ k0.T
         winf = synthetic.zero_frequency_covariance(A, beta, theta, [1.0])
         obs = ObservableSet(sigma=sigma, omega=lags, omega_zero=atom,
-                            omega_inf=winf, delta=1.0, n_days=0, n_bins=0,
-                            taper="none")
-        k1 = build_K1(obs, whittle_factor(lags), tau_max=tau_max)
+                            omega_inf=winf, delta=1.0, n_days=0, n_bins=0)
+        k1 = build_K1(obs, synthetic.exact_factor(lags))
         # oracle: S(z) = (O0 + C rho/(z - rho) terms) has the exact
         # minimum-phase factor (p0 + p1 z^{-1}) / (1 - rho z^{-1})
         rho = np.exp(-(beta - A[0, 0]))
@@ -245,8 +241,7 @@ class TestBuildK1:
         for obs, covered in ((short, True), (long, False)):
             factor = synthetic.reference_whittle(obs.omega, order=tau_max // 4)
             # exact lags, so the short factor's residual is no noise
-            k1 = build_k1_quietly(obs, factor, tau_max=tau_max,
-                                  residual_bound=1.0)
+            k1 = build_k1_quietly(obs, factor, residual_bound=1.0)
             gap = np.linalg.norm(k1.values[-1] - k1.lam)
             assert gap <= 1e-12 * np.linalg.norm(k1.lam)
             flow_tail = (np.linalg.norm(obs.omega[-1])
@@ -292,7 +287,7 @@ class TestBuildK1:
             inverse=np.ones((2, 1, 1)), l_at_one=np.zeros((1, 1)),   # L(1) = 0
             residual=0.0, order=1, reflection_norm=0.0, grid=64)
         with pytest.raises((KernelError, polymat.PolymatError)):
-            build_K1(obs, factor, tau_max=4)
+            build_K1(obs, factor)
 
 
 def decaying_kernel(tau_max=64, rate=0.15, lam_scale=0.0):

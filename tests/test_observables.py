@@ -1,4 +1,5 @@
 import csv
+import json
 import warnings
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from crossimpact.formats import save_artifact
 from crossimpact.hawkes import (EventStream, HawkesSpec, default_lambda,
                                 event_pricer, simulate)
-from crossimpact.observables import (BinnedSeries, ObservablesError,
-                                     PricePath, bin_events,
+from crossimpact.observables import (BinnedSeries, ObservableSet,
+                                     ObservablesError, PricePath, bin_events,
                                      build_observables, estimate_omega,
                                      estimate_sigma, load_observables,
                                      omega_aggregates, save_observables,
@@ -340,6 +341,13 @@ class TestOmega:
             estimate_omega([series], 5)
 
 
+def untapered_sum(lags):
+    """omega(0) + sum_tau (omega(tau) + omega(tau)^T) over every lag given,
+    each weighed 1: the flow's zero-frequency covariance when the lags
+    reach its memory."""
+    return lags[0] + np.sum(lags[1:] + lags[1:].transpose(0, 2, 1), axis=0)
+
+
 class TestAggregatesAndSpectrum:
     def test_white_flow_equals_atom(self):
         om = np.zeros((5, 2, 2))
@@ -353,15 +361,14 @@ class TestAggregatesAndSpectrum:
         beta = 0.5
         theta = np.array([1.0 / (1 - 0.3)])
         lags = synthetic.lattice_flow_covariance(A, beta, theta, [1.0], 200)
-        _, inf = omega_aggregates(lags, taper="none")
+        inf = untapered_sum(lags)
         expect = synthetic.zero_frequency_covariance(A, beta, theta, [1.0])
         assert inf[0, 0] == pytest.approx(expect[0, 0], rel=1e-6)
 
     def test_bartlett_weights_and_their_omega_inf(self):
         # w_tau = 1 - tau / (tau_max + 1), exact in binary at tau_max 3;
         # unit lags then aggregate to 1 + 2 (3/4 + 1/2 + 1/4) = 4
-        assert np.array_equal(taper_weights("bartlett", 3),
-                              [1.0, 0.75, 0.5, 0.25])
+        assert np.array_equal(taper_weights(3), [1.0, 0.75, 0.5, 0.25])
         _, inf = omega_aggregates(np.ones((4, 1, 1)))
         assert inf[0, 0] == 4.0
 
@@ -370,8 +377,8 @@ class TestAggregatesAndSpectrum:
         beta = 1.5     # memory of about a bin
         theta = np.array([1.0])
         lags = synthetic.lattice_flow_covariance(A, beta, theta, [1.0], 128)
-        _, raw = omega_aggregates(lags, taper="none")
-        _, tapered = omega_aggregates(lags, taper="bartlett")
+        raw = untapered_sum(lags)
+        _, tapered = omega_aggregates(lags)
         assert abs(raw[0, 0] - tapered[0, 0]) / raw[0, 0] < 0.01
 
     @pytest.mark.parametrize("tau_max, d", [(6, 2), (64, 4), (128, 2),
@@ -381,7 +388,7 @@ class TestAggregatesAndSpectrum:
         q = np.random.default_rng(tau_max + d).standard_normal((400, d))
         q[1:] += 0.5 * q[:-1]
         om = estimate_omega([BinnedSeries(delta=1.0, flows=q)], tau_max)
-        w = taper_weights("bartlett", tau_max)
+        w = taper_weights(tau_max)
         agg = 0.5 * (om[0] + om[0].T)
         for tau in range(1, tau_max + 1):
             agg += w[tau] * (om[tau] + om[tau].T)
@@ -395,7 +402,7 @@ class TestAggregatesAndSpectrum:
         om[0] = 1.0
         om[1] = -2.0
         with pytest.raises(ObservablesError):
-            omega_aggregates(om, taper="none")
+            omega_aggregates(om)
 
     def test_tapered_spectrum_psd(self):
         spec, theta, lags = synthetic.coupled_instance(tau_max=16)
@@ -404,7 +411,7 @@ class TestAggregatesAndSpectrum:
             stream = simulate(spec, 1500.0, seed=900 + day)
             days.append(bin_events(stream, None, 1.0))
         om = estimate_omega(days, 16)
-        w = spectrum_on_grid(tapered_lags(om, taper="bartlett"), 256)
+        w = spectrum_on_grid(tapered_lags(om), 256)
         herm = 0.5 * (w + w.conj().transpose(0, 2, 1))
         eigs = np.linalg.eigvalsh(herm)
         assert eigs.min() >= -1e-10 * np.abs(eigs).max()
@@ -427,10 +434,25 @@ class TestSerialization:
         assert np.array_equal(back.omega_zero, obs.omega_zero)
         assert np.array_equal(back.omega_inf, obs.omega_inf)
         assert back.delta == obs.delta
-        assert back.taper == obs.taper
         assert back.n_days == obs.n_days == 3
         assert back.n_bins == obs.n_bins
         assert back.tau_max == obs.tau_max == 6
+
+    def test_taper_key_of_older_artifact_ignored(self, tmp_path):
+        # an artifact that also names its taper policy loads as one
+        # without it, whatever the policy it names
+        omega = np.stack([np.eye(2), 0.3 * np.eye(2)])
+        zero, inf = omega_aggregates(omega)
+        obs = ObservableSet(sigma=np.eye(2), omega=omega, omega_zero=zero,
+                            omega_inf=inf, delta=1.0, n_days=1, n_bins=50)
+        save_observables(tmp_path / "obs", obs)
+        meta = tmp_path / "obs" / "meta.json"
+        meta.write_text(json.dumps(dict(json.loads(meta.read_text()),
+                                        taper="none")))
+        back = load_observables(tmp_path / "obs")
+        assert vars(back).keys() == vars(obs).keys()
+        assert all(np.array_equal(getattr(back, k), getattr(obs, k))
+                   for k in vars(obs))
 
     @pytest.mark.parametrize("drop, message", [
         ("omega", "arrays.npz lacks 'omega'"),
@@ -438,7 +460,7 @@ class TestSerialization:
     ])
     def test_missing_entry_names_file(self, tmp_path, drop, message):
         # unnamed, a missing array was a bare KeyError: 'omega'
-        meta = {"delta": 1.0, "taper": "bartlett", "n_days": 1, "n_bins": 9}
+        meta = {"delta": 1.0, "n_days": 1, "n_bins": 9}
         arrays = {name: np.zeros((1, 1)) for name in
                   ("sigma", "omega", "omega_zero", "omega_inf")}
         meta.pop(drop, None)

@@ -183,7 +183,7 @@ class TestSpectrumOnGrid:
 
 class TestScalarFactor:
     def test_constant(self):
-        f = whittle_factor(np.array([[[4.0]]]))
+        f = synthetic.exact_factor(np.array([[[4.0]]]))
         assert f.order == 0
         assert np.allclose(f.inverse, [[[0.5]]])
         assert f.l_at_one[0, 0] == pytest.approx(2.0, rel=1e-15)
@@ -192,7 +192,7 @@ class TestScalarFactor:
     def test_known_quadratic(self):
         # (1 + 0.5 z^{-1})(1 + 0.5 z) = 1.25 + 0.5 z + 0.5 z^{-1}; the
         # inverse factor is the geometric series of -0.5
-        f = whittle_factor(np.array([[[1.25]], [[0.5]]]))
+        f = synthetic.exact_factor(np.array([[[1.25]], [[0.5]]]))
         assert np.abs(f.inverse[:20, 0, 0]
                       - (-0.5) ** np.arange(20)).max() <= 1e-9
         assert f.l_at_one[0, 0] == pytest.approx(1.5, rel=1e-9)
@@ -212,7 +212,7 @@ class TestScalarFactor:
             p = np.real(np.poly(inside))
             p *= np.sqrt(a[4] / float(p @ p))
             assert np.abs(p - p_true).max() <= 1e-8 * np.abs(p_true).max()
-            f = whittle_factor(a[4:, None, None])
+            f = synthetic.exact_factor(a[4:, None, None])
             ref = causal_series_inverse(p, 60)
             assert np.abs(padded(f.inverse, 60)[:, 0, 0] - ref).max() \
                 <= 1e-8 * np.abs(ref).max()
@@ -232,7 +232,7 @@ class TestScalarFactor:
             p, inverse = cepstral_factor(a, n)
             assert np.abs(p[:5] - p_true).max() <= 1e-8 * np.abs(p_true).max()
             assert np.abs(p[5:]).max() <= 1e-8 * np.abs(p_true).max()
-            f = whittle_factor(a[4:, None, None])
+            f = synthetic.exact_factor(a[4:, None, None])
             ref = inverse[:60]
             assert np.abs(padded(f.inverse, 60)[:, 0, 0] - ref).max() \
                 <= 1e-8 * np.abs(ref).max()
@@ -242,7 +242,7 @@ class TestScalarFactor:
         roots = rng.uniform(-0.95, 0.95, size=5)
         p_true = np.poly(roots)
         a = np.convolve(p_true, p_true[::-1])
-        f = whittle_factor(a[5:, None, None])
+        f = synthetic.exact_factor(a[5:, None, None])
         # the poles of L are the roots of the autoregressive polynomial
         mods = np.abs(np.roots(f.inverse[:, 0, 0]))
         assert mods.max() < 1.0
@@ -251,16 +251,16 @@ class TestScalarFactor:
         # 0.5 + 2 cos(omega) goes negative
         with pytest.raises(PolymatError, match="forward innovation "
                            "covariance at order 1 is not positive definite"):
-            whittle_factor(np.array([[[0.5]], [[1.0]]]))
+            whittle_factor(np.array([[[0.5]], [[1.0]]]), order=1)
         with pytest.raises(PolymatError, match="lag-0 covariance is not "
                            "positive definite"):
-            whittle_factor(np.array([[[-1.0]], [[0.1]]]))
+            whittle_factor(np.array([[[-1.0]], [[0.1]]]), order=1)
 
 
 class TestAssembleInvert:
     def test_white_constant_factor(self):
         c = np.array([[2.0, 0.5], [0.5, 1.0]])
-        f = whittle_factor(c[None])
+        f = synthetic.exact_factor(c[None])
         assert f.order == 0
         assert np.allclose(f.l_at_one @ f.l_at_one.T, c, atol=1e-12)
         assert np.allclose(f.inverse[0], np.linalg.inv(np.linalg.cholesky(c)),
@@ -268,14 +268,14 @@ class TestAssembleInvert:
         assert f.residual < 1e-12
 
     def test_identity_inverse(self):
-        f = whittle_factor(np.eye(2)[None])
+        f = synthetic.exact_factor(np.eye(2)[None])
         w = np.fft.fft(f.inverse, 64, axis=0)
         assert np.allclose(w, np.eye(2)[None], atol=1e-12)
 
     def test_geometric_inverse_series(self):
         # L = I + B z^{-1} has the inverse sum_k (-B)^k z^{-k}
         b = np.array([[0.3, 0.2], [-0.1, 0.4]])
-        f = whittle_factor(spectrum_lags(np.stack([np.eye(2), b])))
+        f = synthetic.exact_factor(spectrum_lags(np.stack([np.eye(2), b])))
         series = np.stack([np.linalg.matrix_power(-b, k) for k in range(30)])
         assert np.abs(padded(f.inverse, 30) - series).max() <= 1e-9
         assert np.allclose(f.l_at_one, np.eye(2) + b, atol=1e-9)
@@ -289,7 +289,7 @@ class TestAssembleInvert:
         L = causal_product(causal_product(l0[None],
                                           np.stack([np.eye(2), b1])),
                            np.stack([np.eye(2), b2]))
-        f = whittle_factor(spectrum_lags(L))
+        f = synthetic.exact_factor(spectrum_lags(L))
         n = 1024
         lw = np.fft.fft(L, n, axis=0)
         iw = np.fft.fft(f.inverse, n, axis=0)
@@ -302,7 +302,7 @@ class TestAssembleInvert:
         # holds: the order stops at half the grid and the residual says so
         p = np.array([1.0, -0.9995])
         a = np.convolve(p, p[::-1])
-        f = whittle_factor(a[1:, None, None], n_grid=4096)
+        f = synthetic.exact_factor(a[1:, None, None], n_grid=4096)
         assert f.order == 2048
         assert f.reflection_norm > 1e-10
         assert f.residual > 1e-4
@@ -321,7 +321,7 @@ class TestWhittleFactor:
         psi = np.stack(psi)
         lags = np.stack([np.einsum("kab,bc,kdc->ad", psi[h:], v,
                                    psi[:len(psi) - h]) for h in range(200)])
-        f = whittle_factor(lags)
+        f = synthetic.exact_factor(lags)
         assert f.order == 2
         got_phi, c = autoregression(f.inverse)
         assert np.abs(got_phi - phi).max() <= 1e-10
@@ -332,7 +332,7 @@ class TestWhittleFactor:
         lags = np.zeros((2, 2, 2))
         lags[0] = [[1.0, 0.5], [0.0, 1.0]]
         with pytest.raises(PolymatError):
-            whittle_factor(lags)
+            whittle_factor(lags, order=1)
 
     @pytest.mark.parametrize("lags", [
         np.stack([[[np.nan, 0.0], [0.0, 1.0]], 0.1 * np.eye(2)]),
@@ -343,13 +343,13 @@ class TestWhittleFactor:
     ], ids=["nan-lag-0", "nan-lag-1", "inf-lag-1", "2-d", "non-square"])
     def test_malformed_lags_rejected(self, lags):
         with pytest.raises(PolymatError, match="finite and shaped"):
-            whittle_factor(lags)
+            whittle_factor(lags, order=1)
 
     @pytest.mark.parametrize("instance", ["coupled", "consistent",
                                           "cos2w", "cos3w"])
     def test_matches_wilson_oracle(self, instance):
         lags, n = FACTOR_INSTANCES[instance]()
-        f = whittle_factor(lags, n_grid=n)
+        f = synthetic.exact_factor(lags, n_grid=n)
         assert 0 < f.order < n // 2
         assert f.residual <= 1e-6
         ref, imag = wilson_inverse_factor(lags, n)
@@ -361,16 +361,16 @@ class TestWhittleFactor:
 
     @pytest.mark.parametrize("instance", list(FACTOR_INSTANCES))
     def test_matches_reference_recursion(self, instance):
-        # the block-row recursion stops at the reference's order with its
-        # factor, residual and last reflection norm, to roundoff.  Bounds
-        # are about ten times the largest difference measured: 2.7e-15
-        # relative in the factor, 2.8e-17 in residual and reflection, except
-        # over the pole's 2048 orders, 3.3e-11 and 2.9e-14
+        # at the reference's exact-lag order the block-row recursion gives
+        # the reference's factor, residual and last reflection norm, to
+        # roundoff.  Bounds are about ten times the largest difference
+        # measured: 2.7e-15 relative in the factor, 2.8e-17 in residual and
+        # reflection, except over the pole's 2048 orders, 3.3e-11 and 2.9e-14
         coef_tol, scalar_tol = ((3e-10, 3e-13) if instance == "pole"
                                 else (3e-14, 3e-16))
         lags, n = FACTOR_INSTANCES[instance]()
-        f = whittle_factor(lags, n_grid=n)
-        ref = synthetic.reference_whittle(lags, n_grid=n)
+        f = synthetic.exact_factor(lags, n_grid=n)
+        ref = synthetic.reference_whittle(lags, n_grid=n, order=f.order)
         assert f.order == ref.order
         assert f.inverse.shape == ref.inverse.shape
         for got, want in ((f.inverse, ref.inverse),
@@ -425,11 +425,14 @@ class TestEstimatedOrder:
         assert np.abs(np.linalg.inv(c) @ np.linalg.inv(c).T - v).max() \
             <= 1e-10 * np.abs(v).max()
 
-    def test_no_order_keeps_the_exact_lag_stop(self):
-        # the same estimated lags without an order run far past their
-        # count, to a reflection below tol
+    def test_order_is_required(self):
+        # the exact-lag stop is the test reference's alone: on the same
+        # estimated lags it runs far past their count, to a reflection
+        # below tol, and the product has no stop but the order it is given
         lags = estimated_lags(2, 40000, 24, seed=7)
-        exact = whittle_factor(lags)
+        with pytest.raises(TypeError, match="order"):
+            whittle_factor(lags)
+        exact = synthetic.reference_whittle(lags)
         assert exact.order > 24 and exact.reflection_norm < 1e-10
         assert whittle_factor(lags, order=24).order == 24
 
