@@ -325,14 +325,13 @@ def cmd_estimate(cfg: RunConfig, out_dir) -> int:
     return EXIT_OK
 
 
-def _k1_health(k1, tail_tol):
+def _k1_health(k1):
     """K1's health block for diagnostics.json, and the faults that make
     its verdict "degraded" (none for "ok")."""
-    tail = k1.diagnostics["tail_error"]
-    faults = []
-    if not tail <= tail_tol:       # a NaN tail error is a fault too
-        faults.append(f"tail error {tail:.2e} > tol {tail_tol:.2e}")
-    return {"tail_error": tail, "tail_tol": tail_tol,
+    tail = k1.tail_error()
+    faults = [] if k1.tail_converged() else [
+        f"tail error {tail:.2e} > tol {k1.tail_tol:.2e}"]
+    return {"tail_error": tail, "tail_tol": k1.tail_tol,
             "verdict": "degraded" if faults else "ok"}, faults
 
 
@@ -354,7 +353,8 @@ def _calibrate(cfg: RunConfig, out_dir):
             observables.tapered_lags(obs.omega), n_grid=cfg.grid,
             order=int(polymat.ORDER_SHARE * obs.tau_max))
         stage = "build_k1"
-        k1 = kernels.build_K1(obs, factor, tail_tol=cfg.tail_tol)
+        k1 = kernels.build_K1(obs, factor, observables.residual_noise(obs),
+                              tail_tol=cfg.tail_tol)
         kernels.save_kernel(out / "k1", k1)
         stage = "regularize_k2"
         k2 = kernels.regularize_K2(k1)
@@ -368,7 +368,7 @@ def _calibrate(cfg: RunConfig, out_dir):
         diagnostics["k2_diagnostics"] = k2.diagnostics
         diagnostics["k1_admissibility"] = rep1.to_dict()
         diagnostics["k2_admissibility"] = rep2.to_dict()
-        health, faults = _k1_health(k1, cfg.tail_tol)
+        health, faults = _k1_health(k1)
         diagnostics["health"] = health
     except (InputError, StageError, OSError):
         raise

@@ -22,7 +22,7 @@ import pathlib
 import numpy as np
 
 from .formats import load_artifact, save_artifact
-from .observables import NEG_TOL, ObservableSet, taper_weights
+from .observables import NEG_TOL, ObservableSet
 from .polymat import DEFAULT_GRID, WhittleFactor, circle_norm, spectrum_on_grid
 
 
@@ -71,12 +71,16 @@ class ImpactKernel:
     def tail_error(self) -> float:
         """The lattice end's distance to lam, relative to the larger
         boundary matrix, or the flow correlation left at the lattice end
-        (diagnostics["flow_tail"], set by build_K1), whichever is larger:
-        a kernel that reaches lam by construction has converged only when
-        the flow it was built from has."""
+        (diagnostics["flow_tail"], set by build_K1), whichever is larger,
+        and NaN if either is: a kernel that reaches lam by construction
+        has converged only when the flow it was built from has."""
         denom = max(np.linalg.norm(self.lam), np.linalg.norm(self.k0))
-        return max(np.linalg.norm(self.values[-1] - self.lam) / denom,
-                   self.diagnostics.get("flow_tail", 0.0))
+        gap = np.linalg.norm(self.values[-1] - self.lam) / denom
+        return float(np.maximum(gap, self.diagnostics.get("flow_tail", 0.0)))
+
+    def tail_converged(self) -> bool:
+        """Whether the tail error is within tail_tol; a NaN one is not."""
+        return self.tail_error() <= self.tail_tol
 
     def value_at(self, tau) -> np.ndarray:
         """Kernel at a lag, or at an array of lags (shape tau.shape + (d, d)):
@@ -130,42 +134,16 @@ def compute_K0(obs: ObservableSet) -> np.ndarray:
 
 
 def compute_Lambda(obs: ObservableSet) -> np.ndarray:
-    """Permanent impact matrix from sigma and the aggregate omega_inf.
-
-    Small negative eigenvalues of omega_inf (estimation noise) are
-    projected out before the Cholesky factorization; larger violations
-    abort.
-    """
-    c = _sym(obs.omega_inf)
-    w, v = np.linalg.eigh(c)
-    tr = max(np.trace(c), 1e-300)
-    if w.min() < -NEG_TOL * tr:
-        raise KernelError("omega_inf indefinite beyond tolerance")
-    if w.min() <= 0:
-        floor = 1e-12 * tr
-        c = v @ np.diag(np.maximum(w, floor)) @ v.T
-        c = _sym(c)
-    return kyle_matrix(obs.sigma, c)
+    """Permanent impact matrix from sigma and the aggregate omega_inf,
+    which observables.omega_aggregates leaves positive definite."""
+    return kyle_matrix(obs.sigma, obs.omega_inf)
 
 
 # ---------------------------------------------------------------------------
 # Martingale kernel
 # ---------------------------------------------------------------------------
 
-def residual_noise(obs: ObservableSet) -> float:
-    """Two standard errors of the relative grid distance between obs's
-    tapered spectrum estimate and the flow's spectrum, from sampling
-    alone: Var R_ij(w) is (R_ii R_jj + |R_ij|^2) sum w_tau^2 / n_bins for
-    a lag-window estimate, |tau| <= tau_max, and the sum over i, j is at
-    most (d + 1) |R|^2.  0 for exact lags (n_bins 0)."""
-    if obs.n_bins == 0:
-        return 0.0
-    weights = taper_weights(obs.tau_max)
-    window = 2.0 * np.sum(weights ** 2) - weights[0] ** 2
-    return float(2.0 * np.sqrt((obs.d + 1) * window / obs.n_bins))
-
-
-def build_K1(obs: ObservableSet, factor: WhittleFactor,
+def build_K1(obs: ObservableSet, factor: WhittleFactor, noise: float = 0.0,
              tail_tol: float = 1e-3,
              residual_bound: float = 1e-4) -> ImpactKernel:
     """Martingale-consistent kernel with no-arbitrage boundary matrices.
@@ -177,13 +155,13 @@ def build_K1(obs: ObservableSet, factor: WhittleFactor,
     factor's order, are treated as derivative densities at cell
     midpoints; the kernel is their half-cell-corrected cumulative sum,
     on obs's lags 0..tau_max, tau_max below half the factor's grid.
-    A factor whose grid residual exceeds residual_noise(obs), 0 for
-    exact lags, by more than residual_bound is refused: it misses the
-    estimate by more than the estimate misses the flow.
+    A factor whose grid residual exceeds noise, obs's sampling noise
+    (observables.residual_noise; 0 for exact lags), by more than
+    residual_bound is refused: it misses the estimate by more than the
+    estimate misses the flow.
     diagnostics["flow_tail"] is |omega(tau_max)| / |omega(0)|, the flow
     correlation left at the lattice end, which K1's tail error includes.
     """
-    noise = residual_noise(obs)
     if factor.residual > noise + residual_bound:
         raise KernelError(f"factor residual {factor.residual:.2e} exceeds "
                           f"the sampling noise {noise:.2e} by more than "

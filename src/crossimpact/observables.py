@@ -20,6 +20,8 @@ if TYPE_CHECKING:
 # a negative eigenvalue of an estimated covariance down to NEG_TOL of its
 # scale is estimation noise and is clipped; a larger one is refused
 NEG_TOL = 1e-8
+# omega_inf's eigenvalues are at least OMEGA_FLOOR of its trace
+OMEGA_FLOOR = 1e-12
 
 
 class ObservablesError(ValueError):
@@ -187,13 +189,27 @@ def taper_weights(tau_max: int) -> np.ndarray:
     return 1.0 - np.arange(tau_max + 1) / (tau_max + 1.0)
 
 
+def residual_noise(obs: ObservableSet) -> float:
+    """Two standard errors of the relative grid distance between obs's
+    tapered spectrum estimate and the flow's spectrum, from sampling
+    alone: Var R_ij(w) is (R_ii R_jj + |R_ij|^2) sum w_tau^2 / n_bins for
+    a lag-window estimate, |tau| <= tau_max, and the sum over i, j is at
+    most (d + 1) |R|^2.  0 for exact lags (n_bins 0)."""
+    if obs.n_bins == 0:
+        return 0.0
+    weights = taper_weights(obs.tau_max)
+    window = 2.0 * np.sum(weights ** 2) - weights[0] ** 2
+    return float(2.0 * np.sqrt((obs.d + 1) * window / obs.n_bins))
+
+
 def omega_aggregates(omega):
     """Aggregate lag covariances into (omega_zero, omega_inf).
 
     omega_inf is the lattice zero-frequency value omega(0) +
-    sum_tau w_tau (omega(tau) + omega(tau)^T), symmetrized; negative
-    eigenvalues within NEG_TOL of its scale are clipped, larger
-    violations raise (insufficient data).
+    sum_tau w_tau (omega(tau) + omega(tau)^T), symmetrized and positive
+    definite: eigenvalues below OMEGA_FLOOR of its trace are raised to
+    that floor, and a negative one beyond NEG_TOL of its scale raises
+    (insufficient data).
     """
     omega = np.asarray(omega, dtype=float)
     tau_max = omega.shape[0] - 1
@@ -206,13 +222,13 @@ def omega_aggregates(omega):
     agg = terms.sum(axis=0)
     agg = 0.5 * (agg + agg.T)
     eigvals, eigvecs = np.linalg.eigh(agg)
-    floor = -NEG_TOL * max(np.trace(agg), np.abs(eigvals).max())
-    if eigvals.min() < floor:
+    if eigvals.min() < -NEG_TOL * max(np.trace(agg), np.abs(eigvals).max()):
         raise ObservablesError(
             f"aggregate flow covariance strongly indefinite "
             f"(min eigenvalue {eigvals.min():.3e}); not enough data")
-    if eigvals.min() < 0:
-        agg = eigvecs @ np.diag(np.maximum(eigvals, 0.0)) @ eigvecs.T
+    floor = OMEGA_FLOOR * max(np.trace(agg), 1e-300)
+    if eigvals.min() < floor:
+        agg = eigvecs @ np.diag(np.maximum(eigvals, floor)) @ eigvecs.T
         agg = 0.5 * (agg + agg.T)
     return omega_zero, agg
 
@@ -239,6 +255,11 @@ class ObservableSet:
 
 
 def build_observables(series: list, tau_max: int) -> ObservableSet:
+    """Pooled observables of days; one binned at another width is refused."""
+    for day, s in enumerate(series[1:], 1):
+        if s.delta != series[0].delta:
+            raise ObservablesError(f"day {day}: bin width {s.delta:g}, but "
+                                   f"day 0 has {series[0].delta:g}")
     sigma = estimate_sigma(series)
     omega = estimate_omega(series, tau_max)
     omega_zero, omega_inf = omega_aggregates(omega)

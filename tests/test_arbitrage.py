@@ -454,6 +454,18 @@ class TestMinRoundtrip:
         assert witness.horizon == 8.0
         cost(witness, k)
 
+    def test_nan_flow_tail_refused_past_the_lattice(self):
+        # the lattice sits on lam, but the flow it was built from left an
+        # unknown correlation at its end: its tail has not converged, so
+        # neither cost() nor check's scan runs past the 4 lags
+        k = constant_kernel(np.eye(2), tau_max=4)
+        k.diagnostics["flow_tail"] = float("nan")
+        with pytest.raises(StrategyError, match="tail has not converged"):
+            cost(buy_hold_sell([1.0, 0.0], 50.0), k)
+        with pytest.raises(StrategyError, match="tail has not converged"):
+            min_roundtrip_value(k, 4, 10.0)
+        assert cost(buy_hold_sell([1.0, 0.0], 3.0), k).total > 0
+
     def test_admissible_kernel_nonnegative(self):
         k = exponential_kernel(rate=1.0, tau_max=40, delta=1.0)
         k.tail_tol = 1.0

@@ -499,7 +499,7 @@ class TestCalibrate:
         # a factor of estimated lags fits them within their sampling noise
         obs = load_observables(out1 / "observables")
         assert 0 < diag["k1_diagnostics"]["factor_residual"] \
-            <= kernels.residual_noise(obs)
+            <= observables.residual_noise(obs)
         # boundary files match the boundary operators applied to the
         # estimated observables
         from crossimpact.kernels import compute_K0, compute_Lambda
@@ -577,17 +577,23 @@ class TestCalibrate:
                     f"{tail_tol:.2e})" in printed
 
     def test_nan_tail_error_degraded(self):
-        # the tail error of an all-zero kernel is 0/0: NaN is no healthy
-        # tail
-        k1 = ImpactKernel(delta=1.0, values=np.zeros((9, 2, 2)),
-                          lam=np.zeros((2, 2)), provenance="k1", grid=64)
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "invalid value", RuntimeWarning)
-            k1.diagnostics["tail_error"] = k1.tail_error()
-        health, faults = cli._k1_health(k1, 2.0)
-        assert np.isnan(health["tail_error"])
-        assert health["verdict"] == "degraded"
-        assert faults == ["tail error nan > tol 2.00e+00"]
+        # the tail error of an all-zero kernel is 0/0, and a lattice on lam
+        # whose flow tail is unknown has an unknown tail: NaN is no
+        # healthy tail, however loose the tolerance
+        zero = ImpactKernel(delta=1.0, values=np.zeros((9, 2, 2)),
+                            lam=np.zeros((2, 2)), provenance="k1", grid=64,
+                            tail_tol=2.0)
+        flat = ImpactKernel(delta=1.0, values=np.tile(np.eye(2), (5, 1, 1)),
+                            lam=np.eye(2), provenance="k1", grid=64,
+                            tail_tol=2.0, diagnostics={"flow_tail": np.nan})
+        for k1 in (zero, flat):
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "invalid value",
+                                        RuntimeWarning)
+                health, faults = cli._k1_health(k1)
+            assert np.isnan(health["tail_error"])
+            assert health["verdict"] == "degraded"
+            assert faults == ["tail error nan > tol 2.00e+00"]
 
     def test_constant_prices_exit_3(self, tmp_path, capsys):
         # one constant price per asset: a zero return covariance fails
@@ -809,7 +815,8 @@ class TestCalibrate:
                      str(tmp_path / "fits"), "calibrate"]) == EXIT_OK
         capsys.readouterr()
         out = tmp_path / "tight"
-        with mock.patch.object(kernels, "residual_noise", return_value=0.0):
+        with mock.patch.object(observables, "residual_noise",
+                               return_value=0.0):
             rc = main(["--config", str(cfg), "--output-dir", str(out),
                        "calibrate"])
         assert rc == 3

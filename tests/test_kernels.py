@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from crossimpact import kernels, polymat
+from crossimpact import observables, polymat
 from crossimpact.arbitrage import Piece, Strategy, StrategyError, cost
 from crossimpact.kernels import (ImpactKernel, KernelError, build_K1,
                                  compute_K0, compute_Lambda, kyle_matrix,
@@ -13,7 +13,7 @@ from crossimpact.kernels import (ImpactKernel, KernelError, build_K1,
                                  save_kernel, symmetrized_transform)
 from crossimpact.observables import (BinnedSeries, ObservableSet,
                                      estimate_omega, omega_aggregates,
-                                     tapered_lags)
+                                     residual_noise, tapered_lags)
 import synthetic
 
 
@@ -124,6 +124,27 @@ class TestBoundaryMatrices:
         assert lam[0, 0] == pytest.approx(np.sqrt(2.0 / 4.0) / np.sqrt(2.0),
                                           rel=1e-12)
 
+    @pytest.mark.parametrize("seed", range(24))
+    def test_near_singular_omega_inf_floored(self, seed):
+        # an aggregate R diag(1, -eps) R^T within NEG_TOL of PSD, where the
+        # sign of a roundoff can decide between a refusal and a Lambda of
+        # 1e12: floored at 1e-12 of its trace, Lambda reads 1 / sqrt(2e-12)
+        # on every rotation
+        rng = np.random.default_rng(seed)
+        eps = 10.0 ** rng.uniform(-16.0, -9.0)
+        rot, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        _, inf = omega_aggregates((rot @ np.diag([1.0, -eps]) @ rot.T)[None])
+        trace = np.trace(inf)
+        # eigvalsh reads the floor to within a few roundoffs of the trace
+        assert np.linalg.eigvalsh(inf).min() >= \
+            (observables.OMEGA_FLOOR - 1e-15) * trace
+        obs = ObservableSet(sigma=np.eye(2), omega=inf[None], omega_zero=inf,
+                            omega_inf=inf, delta=1.0, n_days=1, n_bins=0)
+        lam = compute_Lambda(obs)
+        assert np.all(np.isfinite(lam))
+        assert np.linalg.eigvalsh(lam).max() == pytest.approx(
+            1.0 / np.sqrt(2.0 * observables.OMEGA_FLOOR * trace), rel=1e-2)
+
 
 def build_white_k1(sigma, c):
     obs = white_observables(sigma, c)
@@ -225,6 +246,16 @@ class TestBuildK1:
             assert k1.tail_error() <= 1e-8
             assert k1.diagnostics["factor_order"] < 4096 // 2
 
+    @pytest.mark.parametrize("flow_tail, lam", [(np.nan, 1.0), (0.0, np.nan)],
+                             ids=["flow-tail", "lattice-gap"])
+    def test_nan_term_gives_nan_tail_error(self, flow_tail, lam):
+        # max(0.0, nan) is 0.0: a NaN flow tail once read as converged
+        k = ImpactKernel(delta=1.0, values=np.tile(np.eye(2), (5, 1, 1)),
+                         lam=lam * np.eye(2), provenance="k1", grid=64,
+                         tail_tol=2.0, diagnostics={"flow_tail": flow_tail})
+        assert np.isnan(k.tail_error())
+        assert not k.tail_converged()
+
     def test_flow_tail_shows_memory_a_short_factor_cuts(self):
         # a factor at a quarter of tau_max reaches Lambda by construction;
         # the flow correlation left at tau_max still tells a flow whose
@@ -269,15 +300,16 @@ class TestBuildK1:
         obs = ObservableSet(sigma=np.eye(1), omega=omega,
                             omega_zero=omega_zero, omega_inf=omega_inf,
                             delta=1.0, n_days=1, n_bins=50_000)
-        noise = kernels.residual_noise(obs)
+        noise = residual_noise(obs)
         lags = tapered_lags(omega)
         short = synthetic.reference_whittle(lags, order=8)
         assert short.residual > 3 * noise
         with pytest.raises(KernelError, match="factor residual"):
-            build_K1(obs, short)
+            build_K1(obs, short, noise=noise)
         full = synthetic.reference_whittle(lags, order=32)
         assert full.residual < noise
-        assert build_K1(obs, full).diagnostics["factor_order"] == 32
+        assert build_K1(obs, full, noise=noise).diagnostics[
+            "factor_order"] == 32
 
     def test_singular_l0_rejected(self):
         sigma = np.eye(1)

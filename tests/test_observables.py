@@ -278,6 +278,16 @@ class TestShortDay:
             build_observables(days, tau_max)
         assert build_observables(days[:1], tau_max).n_bins == 40
 
+    def test_mixed_bin_widths_refused(self):
+        # a lag is one bin of day 0's width: a day binned at another width
+        # would be pooled at the wrong lags
+        days = [moving_day(40, 1), moving_day(40, 2), moving_day(40, 3)]
+        days[2].delta = 5.0
+        with pytest.raises(ObservablesError,
+                           match="day 2: bin width 5, but day 0 has 1"):
+            build_observables(days, 4)
+        assert build_observables(days[:2], 4).delta == 1.0
+
 
 class TestOmega:
     def test_poisson_flow(self):

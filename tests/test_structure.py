@@ -10,6 +10,8 @@ import pathlib
 
 import crossimpact
 
+import mutants
+
 SRC = pathlib.Path(crossimpact.__file__).parent
 
 
@@ -67,3 +69,8 @@ def test_guard_finds_each_fault(tmp_path):
         "cli.py: f imports at line 5", "cli.py: from .hawkes import _read_csv",
         "cli.py: observables._dumps",
         "formats.py: imports the package at line 1"]
+
+
+def test_mutant_anchors():
+    # each mutant of the ledger still names a line of the package
+    assert mutants.anchor_faults() == []
