@@ -148,7 +148,7 @@ def _check_horizon(kernel: ImpactKernel, horizon: float):
     converged to its permanent matrix, where the plateau extension
     applies.  The horizon is compared first, so a lattice that covers it
     costs no tail evaluation."""
-    if horizon > kernel.tau_max and not kernel.tail_converged():
+    if horizon > kernel.tau_max and kernel.tail_check()[1]:
         raise StrategyError(
             f"horizon {horizon:g} exceeds the kernel lattice "
             f"({kernel.tau_max:g}) and the kernel tail has not converged "

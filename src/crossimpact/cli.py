@@ -328,11 +328,9 @@ def cmd_estimate(cfg: RunConfig, out_dir) -> int:
 def _k1_health(k1):
     """K1's health block for diagnostics.json, and the faults that make
     its verdict "degraded" (none for "ok")."""
-    tail = k1.tail_error()
-    faults = [] if k1.tail_converged() else [
-        f"tail error {tail:.2e} > tol {k1.tail_tol:.2e}"]
+    tail, fault = k1.tail_check()
     return {"tail_error": tail, "tail_tol": k1.tail_tol,
-            "verdict": "degraded" if faults else "ok"}, faults
+            "verdict": "degraded" if fault else "ok"}, [fault] if fault else []
 
 
 def _calibrate(cfg: RunConfig, out_dir):
@@ -353,8 +351,7 @@ def _calibrate(cfg: RunConfig, out_dir):
             observables.tapered_lags(obs.omega), n_grid=cfg.grid,
             order=int(polymat.ORDER_SHARE * obs.tau_max))
         stage = "build_k1"
-        k1 = kernels.build_K1(obs, factor, observables.residual_noise(obs),
-                              tail_tol=cfg.tail_tol)
+        k1 = kernels.build_K1(obs, factor, tail_tol=cfg.tail_tol)
         kernels.save_kernel(out / "k1", k1)
         stage = "regularize_k2"
         k2 = kernels.regularize_K2(k1)

@@ -78,9 +78,12 @@ class ImpactKernel:
         gap = np.linalg.norm(self.values[-1] - self.lam) / denom
         return float(np.maximum(gap, self.diagnostics.get("flow_tail", 0.0)))
 
-    def tail_converged(self) -> bool:
-        """Whether the tail error is within tail_tol; a NaN one is not."""
-        return self.tail_error() <= self.tail_tol
+    def tail_check(self) -> tuple[float, str | None]:
+        """The tail error, and the fault when it is not within tail_tol
+        (a NaN one is not), else None."""
+        tail = self.tail_error()
+        fault = f"tail error {tail:.2e} > tol {self.tail_tol:.2e}"
+        return tail, None if tail <= self.tail_tol else fault
 
     def value_at(self, tau) -> np.ndarray:
         """Kernel at a lag, or at an array of lags (shape tau.shape + (d, d)):
@@ -143,8 +146,7 @@ def compute_Lambda(obs: ObservableSet) -> np.ndarray:
 # Martingale kernel
 # ---------------------------------------------------------------------------
 
-def build_K1(obs: ObservableSet, factor: WhittleFactor, noise: float = 0.0,
-             tail_tol: float = 1e-3,
+def build_K1(obs: ObservableSet, factor: WhittleFactor, tail_tol: float = 1e-3,
              residual_bound: float = 1e-4) -> ImpactKernel:
     """Martingale-consistent kernel with no-arbitrage boundary matrices.
 
@@ -155,17 +157,16 @@ def build_K1(obs: ObservableSet, factor: WhittleFactor, noise: float = 0.0,
     factor's order, are treated as derivative densities at cell
     midpoints; the kernel is their half-cell-corrected cumulative sum,
     on obs's lags 0..tau_max, tau_max below half the factor's grid.
-    A factor whose grid residual exceeds noise, obs's sampling noise
-    (observables.residual_noise; 0 for exact lags), by more than
-    residual_bound is refused: it misses the estimate by more than the
-    estimate misses the flow.
+    A factor whose grid residual exceeds obs.residual_noise() (0 for
+    exact lags) by more than residual_bound is refused: it misses the
+    estimate by more than the estimate misses the flow.
     diagnostics["flow_tail"] is |omega(tau_max)| / |omega(0)|, the flow
     correlation left at the lattice end, which K1's tail error includes.
     """
-    if factor.residual > noise + residual_bound:
+    if factor.residual > obs.residual_noise() + residual_bound:
         raise KernelError(f"factor residual {factor.residual:.2e} exceeds "
-                          f"the sampling noise {noise:.2e} by more than "
-                          f"{residual_bound:.0e}")
+                          f"the sampling noise {obs.residual_noise():.2e} "
+                          f"by more than {residual_bound:.0e}")
     k0 = compute_K0(obs)
     lam = compute_Lambda(obs)
     n, tau_max = factor.grid, obs.tau_max

@@ -189,27 +189,11 @@ def taper_weights(tau_max: int) -> np.ndarray:
     return 1.0 - np.arange(tau_max + 1) / (tau_max + 1.0)
 
 
-def residual_noise(obs: ObservableSet) -> float:
-    """Two standard errors of the relative grid distance between obs's
-    tapered spectrum estimate and the flow's spectrum, from sampling
-    alone: Var R_ij(w) is (R_ii R_jj + |R_ij|^2) sum w_tau^2 / n_bins for
-    a lag-window estimate, |tau| <= tau_max, and the sum over i, j is at
-    most (d + 1) |R|^2.  0 for exact lags (n_bins 0)."""
-    if obs.n_bins == 0:
-        return 0.0
-    weights = taper_weights(obs.tau_max)
-    window = 2.0 * np.sum(weights ** 2) - weights[0] ** 2
-    return float(2.0 * np.sqrt((obs.d + 1) * window / obs.n_bins))
-
-
 def omega_aggregates(omega):
     """Aggregate lag covariances into (omega_zero, omega_inf).
 
     omega_inf is the lattice zero-frequency value omega(0) +
-    sum_tau w_tau (omega(tau) + omega(tau)^T), symmetrized and positive
-    definite: eigenvalues below OMEGA_FLOOR of its trace are raised to
-    that floor, and a negative one beyond NEG_TOL of its scale raises
-    (insufficient data).
+    sum_tau w_tau (omega(tau) + omega(tau)^T), symmetrized, then _definite.
     """
     omega = np.asarray(omega, dtype=float)
     tau_max = omega.shape[0] - 1
@@ -220,7 +204,12 @@ def omega_aggregates(omega):
     terms[0] = omega_zero
     terms[1:] = w[1:, None, None] * (omega[1:] + omega[1:].transpose(0, 2, 1))
     agg = terms.sum(axis=0)
-    agg = 0.5 * (agg + agg.T)
+    return omega_zero, _definite(0.5 * (agg + agg.T))
+
+
+def _definite(agg):
+    """Symmetric agg with eigenvalues below OMEGA_FLOOR of its trace raised
+    to it; one below -NEG_TOL of its scale raises (insufficient data)."""
     eigvals, eigvecs = np.linalg.eigh(agg)
     if eigvals.min() < -NEG_TOL * max(np.trace(agg), np.abs(eigvals).max()):
         raise ObservablesError(
@@ -230,7 +219,7 @@ def omega_aggregates(omega):
     if eigvals.min() < floor:
         agg = eigvecs @ np.diag(np.maximum(eigvals, floor)) @ eigvecs.T
         agg = 0.5 * (agg + agg.T)
-    return omega_zero, agg
+    return agg
 
 
 @dataclasses.dataclass
@@ -252,6 +241,18 @@ class ObservableSet:
     @property
     def tau_max(self):
         return self.omega.shape[0] - 1
+
+    def residual_noise(self) -> float:
+        """Two standard errors of the relative grid distance between the
+        tapered spectrum estimate and the flow's spectrum, from sampling
+        alone: Var R_ij(w) is (R_ii R_jj + |R_ij|^2) sum w_tau^2 / n_bins
+        for a lag-window estimate, |tau| <= tau_max, and the sum over i, j
+        is at most (d + 1) |R|^2.  0 for exact lags (n_bins 0)."""
+        if self.n_bins == 0:
+            return 0.0
+        weights = taper_weights(self.tau_max)
+        window = 2.0 * np.sum(weights ** 2) - weights[0] ** 2
+        return float(2.0 * np.sqrt((self.d + 1) * window / self.n_bins))
 
 
 def build_observables(series: list, tau_max: int) -> ObservableSet:
@@ -289,5 +290,6 @@ def load_observables(directory) -> ObservableSet:
         names=("sigma", "omega", "omega_zero", "omega_inf"))
     return ObservableSet(sigma=arrays["sigma"], omega=arrays["omega"],
                          omega_zero=arrays["omega_zero"],
-                         omega_inf=arrays["omega_inf"], delta=meta["delta"],
+                         omega_inf=_definite(arrays["omega_inf"]),
+                         delta=meta["delta"],
                          n_days=meta["n_days"], n_bins=meta["n_bins"])

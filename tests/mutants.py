@@ -6,22 +6,21 @@ The script copies the repository's files as they stand in the working
 tree (tracked ones, and new ones git does not ignore) once per mutant,
 applies the mutant to its copy and runs tier-1 there with -x.  A mutant
 is killed when a test fails, and survives when tier-1 passes; the
-unmutated copy ("control") must pass.  MUTANTS.json records, per
-mutant, the result, the first failing test and the seconds taken.  The
-exit code is 1 on any survivor, error or failed control, and 2 when an
-old text does not occur exactly once under src/ (test_structure.py::
-test_mutant_anchors checks that in tier-1 too, and is deselected in the
-mutated copies, where it fails by construction).
+unmutated copy ("control") must pass.  Two copies run at a time, and
+MUTANTS.json at the repository root records, per mutant, the result,
+the first failing test and the seconds taken.  The exit code is 1 on
+any survivor, error or failed control, and 2 when an old text does not
+occur exactly once under src/ (test_structure.py::test_mutant_anchors
+checks that in tier-1 too, and is deselected in the mutated copies,
+where it fails by construction).
 
 A survivor is closed by a new oracle test, never by dropping the mutant.
 A change that rewrites a mutated line updates its entry here.
 
-    OPENBLAS_NUM_THREADS=1 python tests/mutants.py [--jobs 2] \
-        [--out MUTANTS.json]
+    OPENBLAS_NUM_THREADS=1 python tests/mutants.py
 """
 from __future__ import annotations
 
-import argparse
 import collections
 import concurrent.futures
 import json
@@ -105,8 +104,8 @@ MUTANTS = [
            "tests/test_kernels.py::TestBoundaryMatrices::"
            "test_near_singular_omega_inf_floored[0]"),
     Mutant("tail-nan-converges", "src/crossimpact/kernels.py",
-           "return self.tail_error() <= self.tail_tol",
-           "return not self.tail_error() > self.tail_tol", "kernels",
+           "None if tail <= self.tail_tol else fault",
+           "None if not tail > self.tail_tol else fault", "kernels",
            "tests/test_arbitrage.py::TestMinRoundtrip::"
            "test_nan_flow_tail_refused_past_the_lattice"),
 ]
@@ -166,18 +165,13 @@ def run_one(mutant):
     return result, first, round(time.perf_counter() - start, 1)
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="mutants run at once (default 2)")
-    parser.add_argument("--out", default=str(ROOT / "MUTANTS.json"))
-    args = parser.parse_args(argv)
+def main():
     faults = anchor_faults()
     if faults:
         print("\n".join(faults), file=sys.stderr)
         return 2
     runs = [None] + MUTANTS
-    with concurrent.futures.ThreadPoolExecutor(max(1, args.jobs)) as pool:
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
         outcomes = list(pool.map(run_one, runs))
     control, *results = outcomes
     ledger = {"control": dict(zip(("result", "first_failure", "seconds"),
@@ -192,7 +186,7 @@ def main(argv=None):
             "result": result, "first_failure": first, "seconds": seconds})
         print(f"{result:8s} {m.name}: {first} ({seconds} s)")
     print(f"{control[0]:8s} control ({control[2]} s)")
-    pathlib.Path(args.out).write_text(json.dumps(ledger, indent=1) + "\n")
+    (ROOT / "MUTANTS.json").write_text(json.dumps(ledger, indent=1) + "\n")
     ok = control[0] == "passed" and all(
         r["result"] == "killed" for r in ledger["mutants"])
     return 0 if ok else 1

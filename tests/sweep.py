@@ -32,7 +32,7 @@ For each rule and run it records
   score2   the same for sqrt(2) K1, the level the Kyle constant's Sigma/2
            would restore;
   tail     K1's tail error;
-  residual the factor's grid residual over observables.residual_noise, the
+  residual the factor's grid residual over ObservableSet.residual_noise, the
            share of the refusal bound it uses.
 
 The generator's own held-out score (the analytic kernel at
@@ -216,7 +216,7 @@ def run(family, d, bins, seed, taus=TAUS):
         obs = observables.build_observables(train, tau_max)
         lags = observables.tapered_lags(obs.omega)
         logdets = innovation_logdets(lags)
-        noise = observables.residual_noise(obs)
+        noise = obs.residual_noise()
         exact_obs, exact_lags = exact_observables(spec, obs.sigma, tau_max)
         exact = kernels.build_K1(exact_obs, synthetic.exact_factor(
             exact_lags, n_grid=GRID))

@@ -499,7 +499,7 @@ class TestCalibrate:
         # a factor of estimated lags fits them within their sampling noise
         obs = load_observables(out1 / "observables")
         assert 0 < diag["k1_diagnostics"]["factor_residual"] \
-            <= observables.residual_noise(obs)
+            <= obs.residual_noise()
         # boundary files match the boundary operators applied to the
         # estimated observables
         from crossimpact.kernels import compute_K0, compute_Lambda
@@ -815,7 +815,7 @@ class TestCalibrate:
                      str(tmp_path / "fits"), "calibrate"]) == EXIT_OK
         capsys.readouterr()
         out = tmp_path / "tight"
-        with mock.patch.object(observables, "residual_noise",
+        with mock.patch.object(observables.ObservableSet, "residual_noise",
                                return_value=0.0):
             rc = main(["--config", str(cfg), "--output-dir", str(out),
                        "calibrate"])

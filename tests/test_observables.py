@@ -8,8 +8,10 @@ import pytest
 from crossimpact.formats import save_artifact
 from crossimpact.hawkes import (EventStream, HawkesSpec, default_lambda,
                                 event_pricer, simulate)
-from crossimpact.observables import (BinnedSeries, ObservableSet,
-                                     ObservablesError, PricePath, bin_events,
+from crossimpact.kernels import compute_Lambda
+from crossimpact.observables import (OMEGA_FLOOR, BinnedSeries,
+                                     ObservableSet, ObservablesError,
+                                     PricePath, bin_events,
                                      build_observables, estimate_omega,
                                      estimate_sigma, load_observables,
                                      omega_aggregates, save_observables,
@@ -463,6 +465,19 @@ class TestSerialization:
         assert vars(back).keys() == vars(obs).keys()
         assert all(np.array_equal(getattr(back, k), getattr(obs, k))
                    for k in vars(obs))
+
+    def test_loaded_omega_inf_floored(self, tmp_path):
+        # an artifact whose omega_inf was clipped at 0, as omega_aggregates
+        # once left it, loads positive definite and gives a finite Lambda
+        omega = np.stack([np.eye(2), np.zeros((2, 2))])
+        singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+        obs = ObservableSet(sigma=np.eye(2), omega=omega, omega_zero=omega[0],
+                            omega_inf=singular, delta=1.0, n_days=1, n_bins=50)
+        save_observables(tmp_path / "obs", obs)
+        back = load_observables(tmp_path / "obs")
+        assert np.linalg.eigvalsh(back.omega_inf).min() >= \
+            (OMEGA_FLOOR - 1e-15) * 2.0
+        assert np.all(np.isfinite(compute_Lambda(back)))
 
     @pytest.mark.parametrize("drop, message", [
         ("omega", "arrays.npz lacks 'omega'"),
