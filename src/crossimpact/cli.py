@@ -57,7 +57,7 @@ class RunConfig:
     prices: list | None = None
     delta: float = 1.0
     tau_max: int = 128
-    grid: int = 4096
+    grid: int = polymat.DEFAULT_GRID
     seed: int = 0
     horizon: float = 2000.0
     n_days: int = 8
@@ -79,13 +79,18 @@ class RunConfig:
                 not isinstance(raw.get("tolerances", {}), dict):
             raise InputError("a config and its tolerances are JSON objects")
         tolerances = raw.pop("tolerances", {})
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        types["lambda"] = types["lam"]
+        misplaced = sorted(set(tolerances) & set(types)
+                           - {"tail_tol", "nsa_tol"})
+        if misplaced:
+            raise InputError(f"config key {misplaced[0]!r} is not a "
+                             "tolerance; give it at top level")
         both = sorted(set(raw) & set(tolerances))
         if both:
             raise InputError(f"config gives {both[0]} both at top level and "
                              "under tolerances; give one")
         raw.update(tolerances)
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        types["lambda"] = types["lam"]
         unknown = set(raw) - set(types)
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
@@ -436,9 +441,8 @@ def demo_config(seed=7, output_dir="demo_out") -> RunConfig:
     block = [[[[a, beta]] for a in row] for row in A]
     spec = {"mu": [0.6, 0.45], "sizes": [1.0, 2.0],
             "blocks": {"aa": block, "bb": block}}
-    return RunConfig(spec=spec, delta=1.0, tau_max=64, grid=4096,
-                     seed=seed, horizon=1200.0, n_days=5,
-                     output_dir=output_dir)
+    return RunConfig(spec=spec, tau_max=64, seed=seed, horizon=1200.0,
+                     n_days=5, output_dir=output_dir)
 
 
 def cmd_demo(cfg: RunConfig, out_dir) -> int:

@@ -220,7 +220,7 @@ class ValidationReport:
         return self.stable and self.balanced and self.martingale_compatible
 
 
-def validate_spec(spec: HawkesSpec, atol: float = 1e-12) -> ValidationReport:
+def validate_spec(spec: HawkesSpec) -> ValidationReport:
     """Stability, buy/sell balance, and martingale-compatibility checks.
 
     Always returns a report; callers decide whether failures are fatal.
@@ -234,10 +234,10 @@ def validate_spec(spec: HawkesSpec, atol: float = 1e-12) -> ValidationReport:
     if not stable:
         messages.append(f"spectral radius of integrated kernel is "
                         f"{radius:.4f} >= 1")
-    scale = max(np.abs(full).max(), 1.0)
+    tol = 1e-12 * max(np.abs(full).max(), 1.0)
     d = spec.d
     rows = full[:, :d] + full[:, d:]
-    balanced = bool(np.abs(rows[:d] - rows[d:]).max() <= atol * scale)
+    balanced = bool(np.abs(rows[:d] - rows[d:]).max() <= tol)
     if not balanced:
         messages.append("buy and sell excitation row sums differ; "
                         "stationary buy/sell intensities will not match")
@@ -245,7 +245,7 @@ def validate_spec(spec: HawkesSpec, atol: float = 1e-12) -> ValidationReport:
     gap = _merge_rates(spec.target % d, spec.source % d, spec.beta,
                        np.where(spec.target >= d, spec.alpha,
                                 -spec.alpha))[:, 3]
-    compatible = bool(np.all(np.abs(gap) <= atol * scale))
+    compatible = bool(np.all(np.abs(gap) <= tol))
     if not compatible:
         messages.append("bb - ab differs from aa - ba; no imbalance kernel")
     return ValidationReport(stable=stable, spectral_radius=radius,

@@ -173,11 +173,7 @@ def build_K1(obs: ObservableSet, factor: WhittleFactor, tail_tol: float = 1e-3,
     if tau_max >= n // 2:
         raise KernelError("tau_max must be below half the grid size")
     l0 = factor.l_at_one
-    try:
-        l0_inv_check = np.linalg.cond(l0)
-    except np.linalg.LinAlgError as exc:
-        raise KernelError("L(0) is singular") from exc
-    if not np.isfinite(l0_inv_check) or l0_inv_check > 1e12:
+    if not (np.isfinite(l0).all() and np.linalg.cond(l0) <= 1e12):
         raise KernelError("L(0) is numerically singular")
     g = np.zeros((tau_max + 1, obs.d, obs.d))
     p = min(factor.order, tau_max) + 1
@@ -231,22 +227,19 @@ def regularize_K2(k1: ImpactKernel, n_grid: int | None = None) -> ImpactKernel:
     anti-Hermitian (odd-reflection) content of the kernel is untouched
     by construction.  The result is stored on the extended lattice that
     exactly supports the clipped transform, making the operation
-    idempotent and the post-clip grid check exact.
+    idempotent and the post-clip grid check exact.  Its lam is the
+    symmetric part of the input's, with negative eigenvalues clipped to
+    zero; a kernel of any provenance is clipped.
     """
-    if k1.provenance not in ("k1", "analytic", "k2"):
-        raise KernelError(f"unexpected provenance {k1.provenance!r}")
     n = _transform_grid(k1, n_grid)
     zhat = symmetrized_transform(k1, n)
     w, v = np.linalg.eigh(zhat)
     zclip = v @ (np.maximum(w, 0.0)[:, :, None]
                  * v.conj().transpose(0, 2, 1))
     z = np.fft.irfft(zclip, n, axis=0)
-    lam_sym = _sym(k1.lam)
-    lam_w, lam_v = np.linalg.eigh(lam_sym)
-    if lam_w.min() >= 0.0:
-        # keep bits stable when no projection is needed
-        lam2 = k1.lam if np.array_equal(lam_sym, k1.lam) else lam_sym
-    else:
+    lam2 = _sym(k1.lam)
+    lam_w, lam_v = np.linalg.eigh(lam2)
+    if lam_w.min() < 0.0:
         lam2 = _sym(lam_v @ np.diag(np.maximum(lam_w, 0.0)) @ lam_v.T)
     diag = {"spectral_distance_to_input": circle_norm(zclip - zhat, n)
             / max(circle_norm(zhat, n), 1e-300)}

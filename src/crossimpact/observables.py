@@ -47,9 +47,10 @@ class PricePath:
         return len(self.times)
 
     @classmethod
-    def from_csv(cls, path, d=None):
-        """The table of rows time,asset,price in any order.  Of an asset's
-        rows at one time the last listed counts, and its first before."""
+    def from_csv(cls, path):
+        """The table of rows time,asset,price in any order, one column per
+        asset up to the largest listed.  Of an asset's rows at one time
+        the last listed counts, and its first before."""
         rows = read_csv(path, [("time", float), ("asset", int),
                                ("price", float)])
         if not (np.isfinite(rows["time"]).all()
@@ -57,9 +58,8 @@ class PricePath:
             raise ObservablesError("price times and prices must be finite")
         rows = rows[np.lexsort((rows["time"], rows["asset"]))]
         times, assets, prices = rows["time"], rows["asset"], rows["price"]
-        if d is None:
-            d = int(assets[-1]) + 1 if len(assets) else 1
-        if len(assets) and not 0 <= assets[0] <= assets[-1] < d:
+        d = int(assets[-1]) + 1 if len(assets) else 1
+        if len(assets) and assets[0] < 0:
             raise ObservablesError(f"assets {assets[0]}..{assets[-1]} are "
                                    f"not all in 0..{d - 1}")
         grid = np.unique(times)
@@ -193,23 +193,24 @@ def omega_aggregates(omega):
     """Aggregate lag covariances into (omega_zero, omega_inf).
 
     omega_inf is the lattice zero-frequency value omega(0) +
-    sum_tau w_tau (omega(tau) + omega(tau)^T), symmetrized, then _definite.
+    sum_tau w_tau (omega(tau) + omega(tau)^T), symmetrized, with its
+    eigenvalues below OMEGA_FLOOR of its trace raised to it; one below
+    -NEG_TOL of its scale raises (insufficient data).  Days with no
+    signed flow give nothing to calibrate: omega(0) of zero trace raises.
     """
     omega = np.asarray(omega, dtype=float)
     tau_max = omega.shape[0] - 1
     w = taper_weights(tau_max)
     omega_zero = 0.5 * (omega[0] + omega[0].T)
+    if np.trace(omega_zero) == 0:
+        raise ObservablesError("flow covariance has zero trace: no signed "
+                               "flow in any day")
     # the sum along the lag axis adds in lag order
     terms = np.empty_like(omega)
     terms[0] = omega_zero
     terms[1:] = w[1:, None, None] * (omega[1:] + omega[1:].transpose(0, 2, 1))
     agg = terms.sum(axis=0)
-    return omega_zero, _definite(0.5 * (agg + agg.T))
-
-
-def _definite(agg):
-    """Symmetric agg with eigenvalues below OMEGA_FLOOR of its trace raised
-    to it; one below -NEG_TOL of its scale raises (insufficient data)."""
+    agg = 0.5 * (agg + agg.T)
     eigvals, eigvecs = np.linalg.eigh(agg)
     if eigvals.min() < -NEG_TOL * max(np.trace(agg), np.abs(eigvals).max()):
         raise ObservablesError(
@@ -219,7 +220,7 @@ def _definite(agg):
     if eigvals.min() < floor:
         agg = eigvecs @ np.diag(np.maximum(eigvals, floor)) @ eigvecs.T
         agg = 0.5 * (agg + agg.T)
-    return agg
+    return omega_zero, agg
 
 
 @dataclasses.dataclass
@@ -280,16 +281,16 @@ def tapered_lags(omega) -> np.ndarray:
 def save_observables(directory, obs: ObservableSet):
     save_artifact(directory, {"delta": obs.delta, "n_days": obs.n_days,
                               "n_bins": obs.n_bins},
-                  sigma=obs.sigma, omega=obs.omega, omega_zero=obs.omega_zero,
-                  omega_inf=obs.omega_inf)
+                  sigma=obs.sigma, omega=obs.omega)
 
 
 def load_observables(directory) -> ObservableSet:
-    meta, arrays = load_artifact(
-        directory, keys=("delta", "n_days", "n_bins"),
-        names=("sigma", "omega", "omega_zero", "omega_inf"))
+    """Saved observables, with omega_zero and omega_inf derived from omega
+    (the two arrays an older artifact also holds are ignored)."""
+    meta, arrays = load_artifact(directory, keys=("delta", "n_days", "n_bins"),
+                                 names=("sigma", "omega"))
+    omega_zero, omega_inf = omega_aggregates(arrays["omega"])
     return ObservableSet(sigma=arrays["sigma"], omega=arrays["omega"],
-                         omega_zero=arrays["omega_zero"],
-                         omega_inf=_definite(arrays["omega_inf"]),
+                         omega_zero=omega_zero, omega_inf=omega_inf,
                          delta=meta["delta"],
                          n_days=meta["n_days"], n_bins=meta["n_bins"])

@@ -108,6 +108,18 @@ MUTANTS = [
            "None if not tail > self.tail_tol else fault", "kernels",
            "tests/test_arbitrage.py::TestMinRoundtrip::"
            "test_nan_flow_tail_refused_past_the_lattice"),
+    Mutant("zero-flow-accepted", "src/crossimpact/observables.py",
+           "if np.trace(omega_zero) == 0:", "if np.trace(omega_zero) < 0:",
+           "observables",
+           "tests/test_cli.py::TestCalibrate::test_zero_flow_exit_3"),
+    Mutant("any-field-under-tolerances", "src/crossimpact/cli.py",
+           '- {"tail_tol", "nsa_tol"})', "- set(types))", "cli",
+           "tests/test_cli.py::TestConfig::"
+           "test_field_under_tolerances_exits_2[seed]"),
+    Mutant("k2-lambda-aliased", "src/crossimpact/kernels.py",
+           "lam2 = _sym(k1.lam)", "lam2 = k1.lam", "kernels",
+           "tests/test_kernels.py::TestRegularize::"
+           "test_lambda_bits_in_a_new_array"),
 ]
 
 

@@ -257,6 +257,23 @@ class TestConfig:
         assert f"input error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["seed", "tau_max", "lambda"])
+    def test_field_under_tolerances_exits_2(self, tmp_path, capsys, key):
+        # unrefused, every key under tolerances was merged into the
+        # config, so a whole config nested there was accepted and run
+        value = [[1.0, 0.0], [0.0, 1.0]] if key == "lambda" else 4
+        cfg = small_config(tmp_path, tolerances={"tail_tol": 2.0, key: value})
+        raw = json.loads(cfg.read_text())
+        raw.pop(key, None)
+        cfg.write_text(json.dumps(raw))
+        message = f"config key '{key}' is not a tolerance"
+        assert_refused(cfg, tmp_path, capsys, message)
+        out = tmp_path / "refused-estimate"
+        assert main(["--config", str(cfg), "--output-dir", str(out),
+                     "estimate"]) == EXIT_INPUT
+        assert f"input error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
         for command in ("simulate", "estimate", "calibrate", "demo"):
@@ -618,6 +635,34 @@ class TestCalibrate:
                 "covariance has zero trace" in capsys.readouterr().err
             assert not (out / "observables").exists()
             assert not (out / "k1").exists()
+
+    def test_zero_flow_exit_3(self, tmp_path, capsys):
+        # a buy and a sell of size 1 on each asset every second, under
+        # moving prices: the flow covariance is zero, which estimate once
+        # wrote as observables with omega_inf = 1e-312 I and calibrate
+        # then failed at stage factorize
+        times = (np.arange(100)[:, None] + [0.1, 0.2, 0.3, 0.4]).ravel()
+        events = tmp_path / "events.csv"
+        events.write_text("time,asset,side,size\n" + "".join(
+            f"{t:.1f},{a},{side},1\n" for t, (a, side) in
+            zip(times, [(0, "B"), (0, "S"), (1, "B"), (1, "S")] * 100)))
+        prices = 100.0 + np.cumsum(
+            np.random.default_rng(5).normal(size=(100, 2)), axis=0)
+        synthetic.write_price_csv(tmp_path / "prices.csv",
+                                  np.repeat(np.arange(100) + 0.5, 2),
+                                  np.tile([0, 1], 100), prices.ravel())
+        cfg = tmp_path / "zero_flow.json"
+        cfg.write_text(json.dumps({
+            "events": [str(events)], "prices": [str(tmp_path / "prices.csv")],
+            "tau_max": 4, "grid": 64}))
+        for command in ("estimate", "calibrate"):
+            out = tmp_path / f"zero-flow-{command}"
+            assert main(["--config", str(cfg), "--output-dir", str(out),
+                         command]) == cli.EXIT_NUMERIC
+            assert "numerical failure: stage 'estimate' failed: flow " \
+                "covariance has zero trace: no signed flow in any day" in \
+                capsys.readouterr().err
+            assert not (out / "observables").exists()
 
     def test_check_exit_codes(self, tmp_path):
         cfg = small_config(tmp_path)

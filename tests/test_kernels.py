@@ -321,6 +321,19 @@ class TestBuildK1:
         with pytest.raises((KernelError, polymat.PolymatError)):
             build_K1(obs, factor)
 
+    def test_nan_l0_rejected_by_name(self):
+        # a NaN L(0) once failed the SVD inside np.linalg.cond and read
+        # "L(0) is singular", a second message for the same fault
+        obs = white_observables(np.eye(1), np.eye(1))
+        factor = polymat.WhittleFactor(
+            inverse=np.ones((2, 1, 1)), l_at_one=np.full((1, 1), np.nan),
+            residual=0.0, order=1, reflection_norm=0.0, grid=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(KernelError,
+                               match=r"^L\(0\) is numerically singular$"):
+                build_K1(obs, factor)
+
 
 def decaying_kernel(tau_max=64, rate=0.15, lam_scale=0.0):
     tau = np.arange(tau_max + 1, dtype=float)
@@ -441,6 +454,26 @@ class TestRegularize:
         assert k2.tail_error() < 1e-3 * k1.diagnostics["tail_error"]
         assert set(k2.diagnostics) == {"spectral_distance_to_input",
                                        "tail_error"}
+
+    def test_lambda_bits_in_a_new_array(self):
+        # K1's Lambda is symmetric PSD, so K2 keeps its bits; it once kept
+        # K1's array itself, so a write into one kernel changed the other
+        k1 = lead_lag_k1(16, [[0.9, 0.2], [0.2, 1.0]], a12=0.0, a21=0.12)
+        assert np.array_equal(k1.lam, k1.lam.T)
+        k2 = regularize_K2(k1, n_grid=1024)
+        assert k2.lam.tobytes() == k1.lam.tobytes()
+        assert not np.shares_memory(k2.lam, k1.lam)
+
+    def test_any_provenance_clipped(self):
+        # the clip is defined for every kernel; one of a provenance other
+        # than k1, analytic and k2 was once refused
+        k = decaying_kernel(lam_scale=0.5)
+        ref = regularize_K2(k, n_grid=512)
+        k.provenance = "custom"
+        k2 = regularize_K2(k, n_grid=512)
+        assert k2.provenance == "k2"
+        assert np.array_equal(k2.values, ref.values)
+        assert np.array_equal(k2.lam, ref.lam)
 
     def test_indefinite_lambda_projected_to_psd(self):
         # K1's Lambda is PSD by construction, so only a kernel given an

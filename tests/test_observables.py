@@ -466,18 +466,51 @@ class TestSerialization:
         assert all(np.array_equal(getattr(back, k), getattr(obs, k))
                    for k in vars(obs))
 
+    def test_artifact_holds_sigma_and_omega(self, tmp_path):
+        # omega_zero and omega_inf are derived from omega, so the artifact
+        # records each number once
+        omega = np.stack([np.eye(2), 0.3 * np.eye(2)])
+        zero, inf = omega_aggregates(omega)
+        save_observables(tmp_path / "obs", ObservableSet(
+            sigma=np.eye(2), omega=omega, omega_zero=zero, omega_inf=inf,
+            delta=1.0, n_days=1, n_bins=50))
+        with np.load(tmp_path / "obs" / "arrays.npz") as stored:
+            assert sorted(stored.files) == ["omega", "sigma"]
+
     def test_loaded_omega_inf_floored(self, tmp_path):
-        # an artifact whose omega_inf was clipped at 0, as omega_aggregates
-        # once left it, loads positive definite and gives a finite Lambda
-        omega = np.stack([np.eye(2), np.zeros((2, 2))])
-        singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-        obs = ObservableSet(sigma=np.eye(2), omega=omega, omega_zero=omega[0],
-                            omega_inf=singular, delta=1.0, n_days=1, n_bins=50)
-        save_observables(tmp_path / "obs", obs)
+        # an older artifact whose stored aggregates disagree with its
+        # omega (an omega_inf clipped at 0, as omega_aggregates once left
+        # it, of another scale) loads with the ones its omega gives:
+        # omega_inf floored positive definite, with a finite Lambda
+        omega = np.stack([np.ones((2, 2)), np.zeros((2, 2))])
+        save_artifact(tmp_path / "obs",
+                      {"delta": 1.0, "n_days": 1, "n_bins": 50},
+                      sigma=np.eye(2), omega=omega, omega_zero=np.eye(2),
+                      omega_inf=2.0 * np.ones((2, 2)))
         back = load_observables(tmp_path / "obs")
+        zero, inf = omega_aggregates(omega)
+        assert back.omega_zero.tobytes() == zero.tobytes()
+        assert back.omega_inf.tobytes() == inf.tobytes()
         assert np.linalg.eigvalsh(back.omega_inf).min() >= \
             (OMEGA_FLOOR - 1e-15) * 2.0
         assert np.all(np.isfinite(compute_Lambda(back)))
+
+    def test_zero_flow_refused_on_build_and_load(self, tmp_path):
+        # a buy and a sell of one size on each asset in every bin: omega
+        # is zero, which once passed with omega_inf floored to 1e-312 I
+        # and gave a Lambda of 7e155
+        rng = np.random.default_rng(5)
+        days = [BinnedSeries(delta=1.0, flows=np.zeros((100, 2)),
+                             returns=rng.normal(size=(100, 2)))
+                for _ in range(2)]
+        message = "flow covariance has zero trace: no signed flow in any day"
+        with pytest.raises(ObservablesError, match=message):
+            build_observables(days, 4)
+        save_artifact(tmp_path / "obs",
+                      {"delta": 1.0, "n_days": 2, "n_bins": 200},
+                      sigma=np.eye(2), omega=np.zeros((5, 2, 2)))
+        with pytest.raises(ObservablesError, match=message):
+            load_observables(tmp_path / "obs")
 
     @pytest.mark.parametrize("drop, message", [
         ("omega", "arrays.npz lacks 'omega'"),
@@ -486,8 +519,7 @@ class TestSerialization:
     def test_missing_entry_names_file(self, tmp_path, drop, message):
         # unnamed, a missing array was a bare KeyError: 'omega'
         meta = {"delta": 1.0, "n_days": 1, "n_bins": 9}
-        arrays = {name: np.zeros((1, 1)) for name in
-                  ("sigma", "omega", "omega_zero", "omega_inf")}
+        arrays = {"sigma": np.zeros((1, 1)), "omega": np.zeros((1, 1))}
         meta.pop(drop, None)
         arrays.pop(drop, None)
         save_artifact(tmp_path / "obs", meta, **arrays)
@@ -524,7 +556,7 @@ class TestPriceCsv:
         assert (tmp_path / "got.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
         if n:   # test_header_only reads a file without rows
-            back = PricePath.from_csv(tmp_path / "got.csv", d=2)
+            back = PricePath.from_csv(tmp_path / "got.csv")
             assert np.array_equal(back.prices, prices.reshape(n, 2))
 
     def test_columns_by_name(self, tmp_path):
