@@ -381,8 +381,8 @@ class EventStream:
             setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
         if not np.isfinite(self.times).all():
             raise HawkesError("event times must be finite")
-        if len(self.times) and np.any(np.diff(self.times) <= 0):
-            raise HawkesError("event times must be strictly increasing")
+        if len(self.times) and np.any(np.diff(self.times) < 0):
+            raise HawkesError("event times must be non-decreasing")
         if not np.all((self.sizes > 0) & (self.sizes < np.inf)):
             raise HawkesError("event sizes must be positive and finite")
         if len(self.assets) and (self.assets.min() < 0
@@ -448,8 +448,8 @@ def simulate(spec: HawkesSpec, horizon: float, seed: int) -> EventStream:
     horizon are dropped, and the union is sorted.  Times are returned on
     the 1 ns grid of formats.TIME_FORMAT, so a stream reads back from its
     CSV unchanged; this moves each event by at most 5e-10 s.
-    Deterministic given the seed; coincident event times raise
-    HawkesError in EventStream.
+    Deterministic given the seed; two events rounded to one time are
+    both kept, in their sorted order.
     """
     if not spec.validation.stable:
         raise HawkesError("refusing to simulate an unstable model")
@@ -475,8 +475,8 @@ def simulate(spec: HawkesSpec, horizon: float, seed: int) -> EventStream:
         all_times.append(times)
         all_comps.append(comps)
     times = np.concatenate(all_times)
-    # a returned stream has distinct times, and distinct times have one
-    # sorted order, so any sort gives it
+    # the drawn times are distinct, and distinct times have one sorted
+    # order, so any sort gives it
     order = np.argsort(times)
     times = np.rint(times[order] * 1e9) / 1e9
     comps = np.concatenate(all_comps)[order]

@@ -274,13 +274,29 @@ class AdmissibilityReport:
         return out
 
 
+def _spectral_eigvalsh(zhat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian Zhat(omega_k), all NaN if
+    any entry is not finite.  At d = 2 they are m -/+ hypot((a - c)/2, |b|)
+    with m = (a + c)/2 for Zhat = [[a, b], [conj b, c]], whose diagonal is
+    exactly real; at any other d they are LAPACK's."""
+    if not np.isfinite(zhat).all():
+        return np.full(zhat.shape[:-1], np.nan)
+    if zhat.shape[-1] != 2:
+        return np.linalg.eigvalsh(zhat)
+    a, c = zhat[:, 0, 0].real, zhat[:, 1, 1].real
+    mid = 0.5 * (a + c)
+    radius = np.hypot(0.5 * (a - c), np.abs(zhat[:, 0, 1]))
+    return np.stack([mid - radius, mid + radius], axis=-1)
+
+
 def nsa_check(kernel: ImpactKernel, tol: float = 1e-6) -> AdmissibilityReport:
     """Check the grid-level no-statistical-arbitrage necessary conditions
-    on the kernel's own grid."""
+    on the kernel's own grid.  A transform that is not finite fails, with
+    min_spectral_eig NaN."""
     k0 = kernel.k0
     k0_scale = max(np.linalg.norm(k0), 1e-300)
     k0_sym = float(np.linalg.norm(k0 - k0.T) / k0_scale)
-    w = np.linalg.eigvalsh(symmetrized_transform(kernel))
+    w = _spectral_eigvalsh(symmetrized_transform(kernel))
     scale = max(np.abs(w).max(), 1e-300)
     min_eig = float(w.min() / scale)
     lam = kernel.lam

@@ -120,6 +120,19 @@ MUTANTS = [
            "lam2 = _sym(k1.lam)", "lam2 = k1.lam", "kernels",
            "tests/test_kernels.py::TestRegularize::"
            "test_lambda_bits_in_a_new_array"),
+    Mutant("nsa-radius-without-imaginary-part", "src/crossimpact/kernels.py",
+           "np.abs(zhat[:, 0, 1])", "np.abs(zhat[:, 0, 1].real)", "kernels",
+           "tests/test_kernels.py::TestNsaCheck::"
+           "test_closed_form_matches_lapack"),
+    Mutant("nsa-nan-transform-passes", "src/crossimpact/kernels.py",
+           "if not np.isfinite(zhat).all():",
+           "if not np.isfinite(zhat).any():", "kernels",
+           "tests/test_kernels.py::TestNsaCheck::test_nan_lag_fails[3]"),
+    Mutant("coincident-times-refused", "src/crossimpact/hawkes.py",
+           "np.any(np.diff(self.times) < 0)",
+           "np.any(np.diff(self.times) <= 0)", "hawkes",
+           "tests/test_cli.py::TestDataRows::"
+           "test_simultaneous_fills_accepted"),
 ]
 
 

@@ -1,4 +1,5 @@
 import csv
+import re
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -232,6 +233,18 @@ class TestStrategy:
         with pytest.raises(StrategyError):
             Strategy(pieces=[[Piece(**piece)]], horizon=horizon)
 
+    @pytest.mark.parametrize("piece, message", [
+        pytest.param(Piece(1.0, 1.0, 1.0), "asset 0: empty piece "
+                     "Piece(start=1.0, end=1.0, rate=1.0)", id="empty"),
+        pytest.param(Piece(1.0, 3.0, 1.0), "asset 0: piece outside horizon",
+                     id="past-horizon"),
+        pytest.param(Piece(-1.0, 1.0, 1.0), "asset 0: piece outside horizon",
+                     id="before-zero"),
+    ])
+    def test_bad_piece_refused(self, piece, message):
+        with pytest.raises(StrategyError, match=f"^{re.escape(message)}$"):
+            Strategy(pieces=[[piece]], horizon=2.0)
+
     def test_non_finite_horizon_refused_without_pieces(self):
         with pytest.raises(StrategyError):
             Strategy(pieces=[[]], horizon=np.nan)
@@ -245,6 +258,19 @@ class TestStrategy:
             pair_trading_strategy(0, 1, 1.0, 1.0, bad)
         with pytest.raises(StrategyError):
             buy_hold_sell(np.array([bad, 1.0]), 2.0)
+
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: pair_trading_strategy(1, 1, 1.0, 1.0, 3.0),
+                     "pair strategy needs two distinct assets",
+                     id="pair-one-asset"),
+        pytest.param(lambda: buy_hold_sell([1.0], 2.0, width=3.0),
+                     "piece width must lie in (0, tau]", id="width-past-tau"),
+        pytest.param(lambda: buy_hold_sell([1.0], 2.0, width=0.0),
+                     "piece width must lie in (0, tau]", id="width-zero"),
+    ])
+    def test_constructions_refuse_bad_shapes(self, build, message):
+        with pytest.raises(StrategyError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestCost:
@@ -319,6 +345,11 @@ class TestCost:
         s = Strategy(pieces=[[Piece(0.0, 20.0, 1.0)]], horizon=20.0)
         with pytest.raises(StrategyError):
             cost(s, k)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(StrategyError, match="^strategy and kernel "
+                                                "dimensions differ$"):
+            cost(buy_hold_sell([1.0], 2.0), constant_kernel(np.eye(2)))
 
     def test_desk_size_matches_loop_oracle(self):
         # a 64-piece step witness, and 64 pieces at off-lattice times;
@@ -576,18 +607,28 @@ class TestMinRoundtripValue:
     def test_agrees_on_random_kernels(self, case):
         self.assert_agrees(*case)
 
-    @pytest.mark.parametrize("kernel, n_steps, T", [
-        pytest.param(constant_kernel(np.eye(2)), 2.5, 3.0, id="n-2.5"),
-        pytest.param(constant_kernel(np.eye(2)), 1, 3.0, id="n-1"),
-        pytest.param(constant_kernel(np.eye(2)), 4, np.nan, id="T-nan"),
-        pytest.param(constant_kernel(np.eye(2)), 4, np.inf, id="T-inf"),
-        pytest.param(unconverged_kernel(), 8, 20.0, id="past-tail")])
-    def test_same_refusals(self, kernel, n_steps, T):
+    @pytest.mark.parametrize("kernel, n_steps, T, message", [
+        pytest.param(constant_kernel(np.eye(2)), 2.5, 3.0,
+                     "n_steps 2.5 is not an integer >= 2", id="n-2.5"),
+        pytest.param(constant_kernel(np.eye(2)), 1, 3.0,
+                     "n_steps 1 is not an integer >= 2", id="n-1"),
+        pytest.param(constant_kernel(np.eye(2)), 4, np.nan,
+                     "horizon nan is not finite", id="T-nan"),
+        pytest.param(constant_kernel(np.eye(2)), 4, np.inf,
+                     "horizon inf is not finite", id="T-inf"),
+        pytest.param(unconverged_kernel(), 8, 20.0,
+                     "horizon 20 exceeds the kernel lattice (8) and the "
+                     "kernel tail has not converged to its permanent matrix",
+                     id="past-tail"),
+        pytest.param(constant_kernel(np.eye(2)), 4, 1e-7,
+                     "horizon too short for the step grid",
+                     id="under-step-grid")])
+    def test_same_refusals(self, kernel, n_steps, T, message):
         with pytest.raises(StrategyError) as ref:
             min_roundtrip_cost(kernel, n_steps, T)
         with pytest.raises(StrategyError) as got:
             min_roundtrip_value(kernel, n_steps, T)
-        assert str(got.value) == str(ref.value)
+        assert str(got.value) == str(ref.value) == message
 
     def test_basis_cached_and_read_only(self):
         basis = _zero_sum_basis(8)
@@ -663,6 +704,12 @@ class TestPredict:
                 ref[:, i] += np.convolve(q[:, j], ext[:, i, j])[:n]
         assert path.shape == (n, 3)
         assert np.abs(path - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_dimension_mismatch(self):
+        flows = BinnedSeries(delta=1.0, flows=np.ones((4, 2)))
+        with pytest.raises(StrategyError, match="^flow and kernel "
+                                                "dimensions differ$"):
+            predict_prices(constant_kernel(np.eye(1)), flows, np.zeros(1))
 
     def test_lattice_mismatch(self):
         k = constant_kernel(np.eye(1), delta=1.0)

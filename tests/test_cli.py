@@ -484,6 +484,24 @@ class TestSimulate:
         rc = main(["simulate"])
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("command, message", [
+        pytest.param("simulate", "simulate needs a hawkes spec in config",
+                     id="simulate-without-spec"),
+        pytest.param("estimate", "no events_*.csv under {out}",
+                     id="estimate-without-events"),
+    ])
+    def test_no_input_exits_2(self, tmp_path, capsys, command, message):
+        # a config with neither a spec nor event files, on a directory
+        # that holds no day
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"tau_max": 8}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--output-dir", str(out),
+                     command]) == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            f"input error: {message.format(out=out)}\n"
+        assert not out.exists()
+
     def test_env_config(self, tmp_path, monkeypatch):
         cfg = small_config(tmp_path, n_days=1, horizon=50.0)
         monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
@@ -663,6 +681,22 @@ class TestCalibrate:
                 "covariance has zero trace: no signed flow in any day" in \
                 capsys.readouterr().err
             assert not (out / "observables").exists()
+
+    def test_demo_without_config_is_canonical(self, tmp_path, capsys,
+                                              monkeypatch):
+        # the canonical demo: its K1 fails the necessary conditions and
+        # its clip passes them
+        monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+        out = tmp_path / "demo"
+        assert main(["--output-dir", str(out), "demo"]) == EXIT_OK
+        assert "k1 necessary conditions fail; k2 necessary conditions " \
+            "pass\n" in capsys.readouterr().out
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["config"] == json.loads(formats.dumps(
+            cli.demo_config().echo()))
+        assert not diag["k1_admissibility"]["verdict"]
+        assert diag["k2_admissibility"]["verdict"]
+        assert (out / "predicted_prices.csv").exists()
 
     def test_check_exit_codes(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -1480,6 +1514,9 @@ class TestDataRows:
     @pytest.mark.parametrize("kind, column, value, message", [
         pytest.param("events", 0, b"nan", "event times must be finite",
                      id="event-time-nan"),
+        pytest.param("events", 0, b"0.000000001",
+                     "event times must be non-decreasing",
+                     id="event-time-falls"),
         pytest.param("events", 3, b"inf",
                      "event sizes must be positive and finite",
                      id="event-size-inf"),
@@ -1521,6 +1558,26 @@ class TestDataRows:
             err = capsys.readouterr().err
             assert err.startswith(f"input error: {bad}: {message}"), err
             assert not written.exists(), argv[-1]
+
+    def test_simultaneous_fills_accepted(self, tmp_path, calibrated):
+        # a buy on asset 0 and a sell on asset 1 at one instant, as a trade
+        # tape prints simultaneous fills: estimate bins both and predict
+        # prices the tape
+        cfg, sim = data_path_days(tmp_path)
+        tape = sim / "events_001.csv"
+        time = tape.read_bytes().split(b"\r\n")[5].split(b",")[0]
+        for row, asset, side in ((4, b"0", b"B"), (5, b"1", b"S")):
+            for column, value in ((0, time), (1, asset), (2, side)):
+                set_field(tape, row, column, value)
+        stream = hawkes.EventStream.from_csv(tape)
+        assert stream.times[4] == stream.times[5]
+        assert main(["--config", str(cfg), "--output-dir", str(sim),
+                     "estimate"]) == EXIT_OK
+        assert load_observables(sim / "observables").n_days == 2
+        pred = tmp_path / "pred.csv"
+        assert main(["predict", str(calibrated / "k1"), str(tape),
+                     "--out", str(pred)]) == EXIT_OK
+        assert pred.exists()
 
 
 def test_import_loads_no_scipy_or_synthetic(tmp_path):

@@ -425,6 +425,11 @@ class TestSimulate:
         with pytest.raises(HawkesError):
             simulate(spec, 10.0, seed=0)
 
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(HawkesError,
+                           match="^horizon must be nonnegative$"):
+            simulate(poisson_spec(), -1.0, seed=0)
+
     def test_sizes_match_spec(self):
         spec = HawkesSpec.from_matrices(mu=[1.0, 1.0], sizes=[2.0, 5.0],
                                         beta=1.0)
@@ -600,9 +605,21 @@ class TestEventCsv:
         with pytest.raises(KeyError):
             EventStream.from_csv(path)
 
-    def test_coincident_times_raise(self):
-        with pytest.raises(HawkesError):
-            EventStream(times=[1.0, 1.0], assets=[0, 1], sides=[1, 1],
+    def test_coincident_times_kept(self):
+        # a trade tape prints simultaneous fills, such as a buy on one
+        # asset and a sell on another; a time that falls is refused
+        s = EventStream(times=[1.0, 1.0], assets=[0, 1], sides=[BUY, SELL],
+                        sizes=[1.0, 1.0], horizon=2.0, d=2)
+        assert len(s) == 2 and s.times.tolist() == [1.0, 1.0]
+        with pytest.raises(HawkesError,
+                           match="^event times must be non-decreasing$"):
+            EventStream(times=[1.0, 0.5], assets=[0, 1], sides=[BUY, SELL],
+                        sizes=[1.0, 1.0], horizon=2.0, d=2)
+
+    @pytest.mark.parametrize("asset", [2, -1])
+    def test_asset_out_of_range_refused(self, asset):
+        with pytest.raises(HawkesError, match="^asset index out of range$"):
+            EventStream(times=[0.5, 1.0], assets=[0, asset], sides=[BUY, BUY],
                         sizes=[1.0, 1.0], horizon=2.0, d=2)
 
     @pytest.mark.parametrize("label", ["X", "BUY", "", "B" + " " * 7 + "X"])
@@ -823,6 +840,12 @@ class TestAnalyticKernel:
                                         aa=[[0.3]], bb=[[0.2]])
         with pytest.raises(HawkesError):
             analytic_kernel(spec, np.array([[1.0]]), 1.0, 5)
+
+    def test_singular_imbalance_rejected(self):
+        # compatible but unstable: the imbalance kernel integrates to 1
+        with pytest.raises(HawkesError, match="^I - integrated imbalance "
+                                              "kernel is singular$"):
+            analytic_kernel(scalar_hawkes(alpha=1.0), np.eye(1), 1.0, 5)
 
 
 @st.composite

@@ -3,9 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
-from crossimpact import observables, polymat
+from crossimpact import hawkes, kernels, observables, polymat
 from crossimpact.arbitrage import Piece, Strategy, StrategyError, cost
 from crossimpact.kernels import (ImpactKernel, KernelError, build_K1,
                                  compute_K0, compute_Lambda, kyle_matrix,
@@ -334,6 +336,16 @@ class TestBuildK1:
                                match=r"^L\(0\) is numerically singular$"):
                 build_K1(obs, factor)
 
+    @pytest.mark.parametrize("grid", [16, 17])
+    def test_lattice_past_half_grid_rejected(self, grid):
+        obs = white_observables(np.eye(1), np.eye(1), tau_max=8)
+        factor = polymat.WhittleFactor(
+            inverse=np.ones((2, 1, 1)), l_at_one=np.eye(1), residual=0.0,
+            order=1, reflection_norm=0.0, grid=grid)
+        with pytest.raises(KernelError, match="^tau_max must be below half "
+                                              "the grid size$"):
+            build_K1(obs, factor)
+
 
 def decaying_kernel(tau_max=64, rate=0.15, lam_scale=0.0):
     tau = np.arange(tau_max + 1, dtype=float)
@@ -517,6 +529,41 @@ class TestRegularize:
             assert d_clip <= best + 1e-6
 
 
+# the closed form's eigenvalues lie within this many eps of the largest
+# eigenvalue's magnitude from LAPACK's
+CLOSED_FORM_EPS = 16.0
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """Stacks of 2 x 2 Hermitian [[a, b], [conj b, c]] with real diagonals,
+    as symmetrized_transform gives them: general, a = c, b = 0 or rank
+    one, scaled by 1e-150 to 1e150."""
+    kind = draw(st.sampled_from(["general", "a=c", "b=0", "rank-one"]))
+    n = draw(st.integers(1, 300))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a, c = rng.normal(size=(2, n))
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if kind == "a=c":
+        c = a
+    elif kind == "b=0":
+        b = np.zeros(n, dtype=complex)
+    elif kind == "rank-one":
+        u, v = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        a, c, b = np.abs(u) ** 2, np.abs(v) ** 2, u * v.conj()
+    z = np.empty((n, 2, 2), dtype=complex)
+    z[:, 0, 0], z[:, 1, 1] = scale * a, scale * c
+    z[:, 0, 1], z[:, 1, 0] = scale * b, scale * b.conj()
+    return z
+
+
+def lapack_min_eig(kernel):
+    """nsa_check's relative spectral eigenvalue from LAPACK's eigvalsh."""
+    w = np.linalg.eigvalsh(symmetrized_transform(kernel))
+    return float(w.min() / max(np.abs(w).max(), 1e-300))
+
+
 class TestNsaCheck:
     def test_bochner_positive_exponential_passes(self):
         k = decaying_kernel(rate=1.0)
@@ -563,6 +610,56 @@ class TestNsaCheck:
         assert not rep1.verdict
         assert rep1.min_spectral_eig < -0.05
         assert nsa_check(k2).verdict
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_nan_lag_fails(self, d):
+        # LAPACK reads a NaN matrix as eigenvalues [0, -0], which once
+        # passed: a transform that is not finite fails on every path
+        values = np.tile(np.eye(d), (9, 1, 1))
+        values[3, 0, 0] = np.nan
+        rep = nsa_check(ImpactKernel(delta=1.0, values=values, lam=np.eye(d),
+                                     grid=64))
+        assert np.isnan(rep.min_spectral_eig)
+        assert not rep.verdict
+        assert rep.to_dict()["label"] == "necessary conditions fail"
+
+    @given(hermitian_stacks())
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_matches_lapack(self, z):
+        w = kernels._spectral_eigvalsh(z)
+        ref = np.linalg.eigvalsh(z)
+        assert w.shape == ref.shape
+        assert np.all(w[:, 0] <= w[:, 1])
+        bound = CLOSED_FORM_EPS * np.finfo(float).eps \
+            * np.abs(ref).max(axis=1)
+        assert np.all(np.abs(w - ref).max(axis=1) <= bound)
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_other_d_bitwise_lapack(self, d):
+        rng = np.random.default_rng(d)
+        values = rng.normal(size=(17, d, d))
+        values[0] = values[0] + values[0].T
+        k = ImpactKernel(delta=1.0, values=values, lam=np.eye(d), grid=64)
+        assert nsa_check(k).min_spectral_eig == lapack_min_eig(k)
+
+    def test_bench_kernels_keep_their_verdicts(self):
+        # the desk benchmark's analytic K1 of the demo market and a
+        # lead-lag K1 fail, and their clips pass
+        spec = hawkes.HawkesSpec.from_matrices(
+            mu=[0.6, 0.45], sizes=[1.0, 2.0], beta=0.25,
+            aa=[[0.06, 0.02], [0.035, 0.08]],
+            bb=[[0.06, 0.02], [0.035, 0.08]])
+        desk = hawkes.analytic_kernel(
+            spec, hawkes.default_lambda(spec, 1.0), 1.0, 512)
+        lead_lag = lead_lag_k1(128, [[1.0, 0.25], [0.25, 1.1]], a12=0.0,
+                               a21=0.12)
+        for k1, n_grid in ((desk, 2048), (lead_lag, 1024)):
+            for k, verdict in ((k1, False),
+                               (regularize_K2(k1, n_grid=n_grid), True)):
+                rep = nsa_check(k)
+                assert rep.verdict == verdict
+                assert abs(rep.min_spectral_eig - lapack_min_eig(k)) <= \
+                    CLOSED_FORM_EPS * np.finfo(float).eps
 
 
 class TestSerialization:

@@ -98,6 +98,20 @@ class TestBinning:
             bin_events(stream, None, 1.0)
 
 
+    @pytest.mark.parametrize("delta, prices, horizon, message", [
+        pytest.param(0.0, None, 6.0, "bin width must be positive",
+                     id="zero-width"),
+        pytest.param(1.0, PricePath(times=np.zeros(0),
+                                    prices=np.zeros((0, 2))),
+                     6.0, "empty price path", id="no-prices"),
+        pytest.param(4.0, None, 3.0, "window shorter than one bin",
+                     id="under-one-bin"),
+    ])
+    def test_bad_window_refused(self, delta, prices, horizon, message):
+        stream = make_stream([0.5], [0], [1], [1.0], horizon=horizon)
+        with pytest.raises(ObservablesError, match=f"^{message}$"):
+            bin_events(stream, prices, delta)
+
     def test_price_path_of_another_width_rejected(self):
         stream = make_stream([3.5], [0], [1], [1.0], horizon=6.0)
         with pytest.raises(ObservablesError,
@@ -289,6 +303,13 @@ class TestShortDay:
                            match="day 2: bin width 5, but day 0 has 1"):
             build_observables(days, 4)
         assert build_observables(days[:2], 4).delta == 1.0
+
+    @pytest.mark.parametrize("estimator", [
+        pytest.param(estimate_sigma, id="sigma"),
+        pytest.param(lambda days: estimate_omega(days, 4), id="omega")])
+    def test_no_days_refused(self, estimator):
+        with pytest.raises(ObservablesError, match="^no binned series$"):
+            estimator([])
 
 
 class TestOmega:
