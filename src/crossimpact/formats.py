@@ -3,15 +3,16 @@
 Every CSV this package writes has a header row and CRLF line ends, its
 times at TIME_FORMAT and its other floats at "%.17g"; its rows are
 assembled in numpy, EVENT_BLOCK_ROWS at a time, and hold the bytes
-csv.writer gives.  An artifact is a directory holding arrays.npz (its
-arrays, by name) and meta.json (its scalars and diagnostics).  JSON is
-written with sorted keys and indent 1.
+csv.writer gives.  An artifact is a directory holding arrays.bin (its
+arrays as raw little-endian float64) and meta.json (its scalars,
+diagnostics and the shape of each array).  JSON is written with sorted
+keys and indent 1.
 """
 from __future__ import annotations
 
 import json
+import math
 import pathlib
-import zipfile
 
 import numpy as np
 
@@ -242,42 +243,66 @@ def dumps(obj) -> str:
 
 
 def save_artifact(directory, meta: dict, **arrays):
-    """Write arrays to directory/arrays.npz and meta to directory/meta.json.
+    """Write arrays to directory/arrays.bin and meta to directory/meta.json.
 
-    The npz is uncompressed and its members carry zip's fixed default
-    date, so equal inputs give equal bytes.  Every other file in the
-    directory, such as one left by an earlier format, is deleted.
+    arrays.bin holds each array in C order as little-endian float64, one
+    after another in sorted name order, and meta.json records each
+    array's shape under the key "arrays", so equal inputs give equal
+    bytes.  Every other file in the directory, such as one left by an
+    earlier format, is deleted.
     """
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    np.savez(directory / "arrays.npz", **arrays)
-    (directory / "meta.json").write_text(dumps(meta))
+    names = sorted(arrays)
+    blobs = [np.asarray(arrays[name], "<f8") for name in names]
+    with open(directory / "arrays.bin", "wb") as fh:
+        for blob in blobs:
+            blob.tofile(fh)
+    shapes = {name: list(blob.shape) for name, blob in zip(names, blobs)}
+    (directory / "meta.json").write_text(dumps(dict(meta, arrays=shapes)))
     for path in directory.iterdir():
-        if path.is_file() and path.name not in ("arrays.npz", "meta.json"):
+        if path.is_file() and path.name not in ("arrays.bin", "meta.json"):
             path.unlink()
 
 
 def load_artifact(directory, keys=(), names=()):
-    """(meta, arrays) of an artifact directory; a meta.json that is not a
-    JSON object holding keys, and an arrays.npz that cannot be read or
-    lacks the arrays names, raise ValueError naming the file and fault."""
+    """(meta, arrays) of an artifact directory, each array a writable view
+    of one read of arrays.bin.  A meta.json that is not a JSON object
+    holding keys and an "arrays" map of names to lists of non-negative
+    ints, a map that lacks the arrays names, and an arrays.bin whose
+    byte count is not the one the map gives raise ValueError naming the
+    file and fault."""
     directory = pathlib.Path(directory)
     path = directory / "meta.json"
     try:
         meta = json.loads(path.read_text())
-        missing = [key for key in keys if key not in meta]
-    except (json.JSONDecodeError, TypeError) as exc:
+    except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not a JSON object: {exc}") from exc
+    # JSON that is not an object, such as a string, holds no key
+    missing = [key for key in (*keys, "arrays")
+               if not isinstance(meta, dict) or key not in meta]
     if missing:
         raise ValueError(f"{path} lacks {', '.join(map(repr, missing))}")
-    path = directory / "arrays.npz"
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
-        raise ValueError(f"{path} is not a readable npz archive: "
-                         f"{exc}") from exc
-    missing = [name for name in names if name not in arrays]
+    shapes = meta["arrays"]
+    if not (isinstance(shapes, dict) and all(
+            isinstance(shape, list)
+            and all(type(n) is int and n >= 0 for n in shape)
+            for shape in shapes.values())):
+        raise ValueError(f"{path}: 'arrays' must map each array name to a "
+                         f"list of non-negative ints, not {shapes!r}")
+    path = directory / "arrays.bin"
+    missing = [name for name in names if name not in shapes]
     if missing:
         raise ValueError(f"{path} lacks {', '.join(map(repr, missing))}")
+    # read as bytes, which np.fromfile does not round down to whole doubles
+    raw = np.fromfile(path, np.uint8)
+    sizes = {name: math.prod(shape) for name, shape in shapes.items()}
+    expected = 8 * sum(sizes.values())
+    if raw.size != expected:
+        raise ValueError(f"{path} holds {raw.size} bytes, not the "
+                         f"{expected} that its meta.json describes")
+    blob, start, arrays = raw.view("<f8"), 0, {}
+    for name in sorted(shapes):
+        arrays[name] = blob[start:start + sizes[name]].reshape(shapes[name])
+        start += sizes[name]
     return meta, arrays

@@ -85,6 +85,12 @@ class ImpactKernel:
         fault = f"tail error {tail:.2e} > tol {self.tail_tol:.2e}"
         return tail, None if tail <= self.tail_tol else fault
 
+    def nonfinite(self) -> str | None:
+        """The name of the first of values and lam that holds a NaN or
+        inf entry, or None."""
+        return next((name for name in ("values", "lam")
+                     if not np.isfinite(getattr(self, name)).all()), None)
+
     def value_at(self, tau) -> np.ndarray:
         """Kernel at a lag, or at an array of lags (shape tau.shape + (d, d)):
         linear interpolation on the lattice, plateau at lam beyond it,
@@ -229,8 +235,12 @@ def regularize_K2(k1: ImpactKernel, n_grid: int | None = None) -> ImpactKernel:
     exactly supports the clipped transform, making the operation
     idempotent and the post-clip grid check exact.  Its lam is the
     symmetric part of the input's, with negative eigenvalues clipped to
-    zero; a kernel of any provenance is clipped.
+    zero; a kernel of any provenance is clipped.  One whose values or
+    lam is not finite is refused, naming the array.
     """
+    fault = k1.nonfinite()
+    if fault:
+        raise KernelError(f"the kernel's {fault} is not finite")
     n = _transform_grid(k1, n_grid)
     zhat = symmetrized_transform(k1, n)
     w, v = np.linalg.eigh(zhat)
@@ -292,7 +302,8 @@ def _spectral_eigvalsh(zhat: np.ndarray) -> np.ndarray:
 def nsa_check(kernel: ImpactKernel, tol: float = 1e-6) -> AdmissibilityReport:
     """Check the grid-level no-statistical-arbitrage necessary conditions
     on the kernel's own grid.  A transform that is not finite fails, with
-    min_spectral_eig NaN."""
+    min_spectral_eig NaN, and so does a lam that is not finite, with
+    lambda_min_eig NaN (LAPACK's eigvalsh reads a NaN matrix as zeros)."""
     k0 = kernel.k0
     k0_scale = max(np.linalg.norm(k0), 1e-300)
     k0_sym = float(np.linalg.norm(k0 - k0.T) / k0_scale)
@@ -302,7 +313,8 @@ def nsa_check(kernel: ImpactKernel, tol: float = 1e-6) -> AdmissibilityReport:
     lam = kernel.lam
     lam_scale = max(np.linalg.norm(lam), 1e-300)
     lam_sym = float(np.linalg.norm(lam - lam.T) / lam_scale)
-    lam_eigs = np.linalg.eigvalsh(_sym(lam))
+    lam_eigs = (np.linalg.eigvalsh(_sym(lam)) if np.isfinite(lam).all()
+                else np.full(kernel.d, np.nan))
     lam_min = float(lam_eigs.min() / max(np.abs(lam_eigs).max(), 1e-300))
     verdict = (k0_sym <= tol and min_eig >= -tol and lam_sym <= tol
                and lam_min >= -tol)
@@ -326,8 +338,8 @@ def save_kernel(directory, kernel: ImpactKernel):
 
 
 def load_kernel(directory) -> ImpactKernel:
-    """The kernel saved under directory; a k0 array, which an older
-    artifact holds next to values, is ignored.  values must be
+    """The kernel saved under directory, its values and lam views of one
+    read of arrays.bin; any other array is ignored.  values must be
     (n+1, d, d) and lam (d, d), both finite, delta and tail_tol positive
     finite numbers, and grid an integer of at least 1; any other artifact
     is refused, naming the array or key at fault."""
@@ -355,7 +367,7 @@ def load_kernel(directory) -> ImpactKernel:
     if lam.shape != values.shape[1:]:
         raise KernelError(f"{directory}: lam has shape {lam.shape}, not "
                           f"{values.shape[1:]} for values {values.shape}")
-    for name, array in (("values", values), ("lam", lam)):
-        if not np.all(np.isfinite(array)):
-            raise KernelError(f"{directory}: {name} is not finite")
+    fault = kernel.nonfinite()
+    if fault:
+        raise KernelError(f"{directory}: {fault} is not finite")
     return kernel

@@ -285,8 +285,9 @@ def save_observables(directory, obs: ObservableSet):
 
 
 def load_observables(directory) -> ObservableSet:
-    """Saved observables, with omega_zero and omega_inf derived from omega
-    (the two arrays an older artifact also holds are ignored)."""
+    """Saved observables, with omega_zero and omega_inf derived from omega;
+    any other array, such as a stored omega_zero or omega_inf, is
+    ignored."""
     meta, arrays = load_artifact(directory, keys=("delta", "n_days", "n_bins"),
                                  names=("sigma", "omega"))
     omega_zero, omega_inf = omega_aggregates(arrays["omega"])

@@ -133,6 +133,22 @@ MUTANTS = [
            "np.any(np.diff(self.times) <= 0)", "hawkes",
            "tests/test_cli.py::TestDataRows::"
            "test_simultaneous_fills_accepted"),
+    Mutant("artifact-length-unchecked", "src/crossimpact/formats.py",
+           "if raw.size != expected:", "if False:", "formats",
+           "tests/test_cli.py::"
+           "test_unusable_path_exits_2[check-truncated-npz]"),
+    Mutant("artifact-arrays-unsorted", "src/crossimpact/formats.py",
+           "names = sorted(arrays)", "names = list(arrays)", "formats",
+           "tests/test_cli.py::TestCalibrate::"
+           "test_end_to_end_and_reproducible"),
+    Mutant("k2-nonfinite-accepted", "src/crossimpact/kernels.py",
+           "fault = k1.nonfinite()", "fault = None", "kernels",
+           "tests/test_kernels.py::TestRegularize::"
+           "test_nonfinite_kernel_refused[2-values]"),
+    Mutant("nsa-lambda-nan-reads-zero", "src/crossimpact/kernels.py",
+           "if np.isfinite(lam).all()", "if np.isfinite(lam).any()",
+           "kernels",
+           "tests/test_kernels.py::TestNsaCheck::test_nan_lambda_fails[2]"),
 ]
 
 

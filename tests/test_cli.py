@@ -752,17 +752,20 @@ class TestCalibrate:
         k = ImpactKernel(delta=1.0, values=vals,
                          lam=np.zeros((2, 2)), provenance="k1", grid=256)
         save_kernel(tmp_path / "k", k)
-        npz = tmp_path / "k" / "arrays.npz"
-        with np.load(npz) as stored:
-            arrays = dict(stored)
+        meta, arrays = formats.load_artifact(tmp_path / "k")
         if change == "drop_values":
             del arrays["values"]
-        elif change == "object_values":
-            # readable as floats, so only allow_pickle=False refuses it
-            arrays["values"] = vals.astype(object)
-        else:
+        elif change == "extra_array":
             arrays["spare"] = np.ones(3)
-        np.savez(npz, **arrays)
+        formats.save_artifact(tmp_path / "k", meta, **arrays)
+        if change == "object_values":
+            # the blob holds float64 only: a values entry that describes
+            # an object array is refused, not read as floats
+            path = tmp_path / "k" / "meta.json"
+            meta = json.loads(path.read_text())
+            meta["arrays"]["values"] = {"dtype": "object",
+                                        "shape": list(vals.shape)}
+            path.write_text(json.dumps(meta))
         assert main(["check", str(tmp_path / "k")]) == expected
         if expected == EXIT_INPUT:
             assert "input error" in capsys.readouterr().err
@@ -806,7 +809,7 @@ class TestCalibrate:
         assert main(["--config", str(cfg), "--output-dir", str(out),
                      "estimate"]) == EXIT_OK
         assert {p.name for p in (out / "observables").iterdir()} == \
-            {"arrays.npz", "meta.json"}
+            {"arrays.bin", "meta.json"}
         assert main(["--config", str(cfg), "--output-dir", str(out),
                      "calibrate"]) == EXIT_OK
         assert not (out / "factor").exists()
@@ -846,7 +849,7 @@ class TestCalibrate:
         assert main(["--config", str(data_cfg), "--output-dir", str(out),
                      "calibrate"]) == EXIT_OK
         assert {p.name for p in (out / "k2").iterdir()} == \
-            {"arrays.npz", "meta.json"}
+            {"arrays.bin", "meta.json"}
 
     def test_numerical_stage_failure_exits_3(self, tmp_path, capsys):
         # a day too short for tau_max is refused, not dropped with a
@@ -1209,7 +1212,7 @@ class TestInMemoryDays:
         assert b".000000000," in files["events_000.csv"]
         # estimate derives the prices that calibrate binned; neither
         # writes a price tape
-        assert set(files) == {"observables/arrays.npz",
+        assert set(files) == {"observables/arrays.bin",
                               "observables/meta.json", "events_000.csv",
                               "events_001.csv", "manifest.json"}
         for name in files:
@@ -1369,14 +1372,10 @@ class TestKernelArtifact:
         # predicts nan prices with exit 0, and a NaN tail_tol lets the
         # scans run past an unconverged lattice
         kernel_dir = tmp_path / "k1"
-        kernel_dir.mkdir()
-        meta = json.loads((calibrated / "k1" / "meta.json").read_text())
-        with np.load(calibrated / "k1" / "arrays.npz") as stored:
-            arrays = dict(stored)
+        meta, arrays = formats.load_artifact(calibrated / "k1")
         fields = arrays if name in arrays else meta
         fields[name] = edit(fields[name])
-        np.savez(kernel_dir / "arrays.npz", **arrays)
-        (kernel_dir / "meta.json").write_text(json.dumps(meta))
+        formats.save_artifact(kernel_dir, meta, **arrays)
         pred = tmp_path / "pred.csv"
         for argv in (["check", str(kernel_dir)],
                      ["predict", str(kernel_dir),
@@ -1392,11 +1391,9 @@ class TestKernelArtifact:
     def test_missing_array_exits_2(self, tmp_path, capsys, calibrated,
                                    name):
         kernel_dir = tmp_path / "k1"
-        kernel_dir.mkdir()
-        shutil.copy(calibrated / "k1" / "meta.json", kernel_dir)
-        with np.load(calibrated / "k1" / "arrays.npz") as stored:
-            np.savez(kernel_dir / "arrays.npz",
-                     **{k: v for k, v in stored.items() if k != name})
+        meta, arrays = formats.load_artifact(calibrated / "k1")
+        del arrays[name]
+        formats.save_artifact(kernel_dir, meta, **arrays)
         pred = tmp_path / "pred.csv"
         for argv in (["check", str(kernel_dir)],
                      ["predict", str(kernel_dir),
@@ -1405,7 +1402,7 @@ class TestKernelArtifact:
             assert main(argv) == EXIT_INPUT, argv[0]
             captured = capsys.readouterr()
             assert captured.out == "", argv[0]
-            assert captured.err == (f"input error: {kernel_dir / 'arrays.npz'}"
+            assert captured.err == (f"input error: {kernel_dir / 'arrays.bin'}"
                                     f" lacks '{name}'\n"), argv[0]
         assert not pred.exists()
 
@@ -1416,7 +1413,10 @@ class TestKernelArtifact:
             {k: v for k, v in meta.items() if k != "delta"}),
             "lacks 'delta'", id="no-delta"),
         pytest.param(lambda meta: "[1, 2]", "lacks 'delta'",
-                     id="not-an-object")])
+                     id="not-an-object"),
+        # its keys' names as substrings once passed the key check
+        pytest.param(lambda meta: json.dumps(" ".join(meta)),
+                     "lacks 'delta'", id="string-of-keys")])
     def test_bad_meta_json_exits_2(self, tmp_path, capsys, meta, message):
         # the input error names the file and its fault, not only a key
         m = np.array([[0.5, 0.1], [0.1, 0.5]])
@@ -1451,16 +1451,16 @@ def test_unusable_path_exits_2(tmp_path, capsys, calibrated, case):
     kernel, events = tmp_path / "truncated", calibrated / "events_000.csv"
     kernel.mkdir()
     shutil.copy(calibrated / "k2" / "meta.json", kernel)
-    (kernel / "arrays.npz").write_bytes(
-        (calibrated / "k2" / "arrays.npz").read_bytes()[:3000])
+    (kernel / "arrays.bin").write_bytes(
+        (calibrated / "k2" / "arrays.bin").read_bytes()[:3000])
     a_file, cfg = tmp_path / "a_file", small_config(tmp_path)
     a_file.write_text("not a directory\n")
     spec_run = ["--config", cfg, "--output-dir", a_file]
     argv, path = {
-        "check-truncated-npz": (["check", kernel], kernel / "arrays.npz"),
+        "check-truncated-npz": (["check", kernel], kernel / "arrays.bin"),
         "predict-truncated-npz": (["predict", kernel, events, "--out",
                                    tmp_path / "pred.csv"],
-                                  kernel / "arrays.npz"),
+                                  kernel / "arrays.bin"),
         "config-is-directory": (["--config", kernel, "--output-dir",
                                  tmp_path / "out", "calibrate"], kernel),
         "predict-out-is-directory": (["predict", calibrated / "k1", events,

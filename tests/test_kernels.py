@@ -1,3 +1,4 @@
+import json
 import time
 import warnings
 
@@ -9,6 +10,7 @@ from scipy import optimize
 
 from crossimpact import hawkes, kernels, observables, polymat
 from crossimpact.arbitrage import Piece, Strategy, StrategyError, cost
+from crossimpact.formats import load_artifact, save_artifact
 from crossimpact.kernels import (ImpactKernel, KernelError, build_K1,
                                  compute_K0, compute_Lambda, kyle_matrix,
                                  load_kernel, nsa_check, regularize_K2,
@@ -487,6 +489,20 @@ class TestRegularize:
         assert np.array_equal(k2.values, ref.values)
         assert np.array_equal(k2.lam, ref.lam)
 
+    @pytest.mark.parametrize("name, index", [
+        pytest.param("values", (3, 0, 0), id="values"),
+        pytest.param("lam", (0, 0), id="lam")])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_nonfinite_kernel_refused(self, d, name, index):
+        # unrefused, a NaN lag gave a K2 of 132 (d = 2) or 297 (d = 3) NaN
+        # entries and no error
+        k = ImpactKernel(delta=1.0, values=np.tile(np.eye(d), (9, 1, 1)),
+                         lam=np.eye(d), grid=64)
+        getattr(k, name)[index] = np.nan
+        with pytest.raises(KernelError) as info:
+            regularize_K2(k)
+        assert str(info.value) == f"the kernel's {name} is not finite"
+
     def test_indefinite_lambda_projected_to_psd(self):
         # K1's Lambda is PSD by construction, so only a kernel given an
         # indefinite Lambda runs this branch: eigenvalues 1 and -0.5 in a
@@ -623,6 +639,18 @@ class TestNsaCheck:
         assert not rep.verdict
         assert rep.to_dict()["label"] == "necessary conditions fail"
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_nan_lambda_fails(self, d):
+        # LAPACK reads a NaN Lambda as eigenvalues of zero, which once
+        # gave lambda_min_eig -0.0
+        lam = np.eye(d)
+        lam[0, 0] = np.nan
+        rep = nsa_check(ImpactKernel(delta=1.0,
+                                     values=np.tile(np.eye(d), (9, 1, 1)),
+                                     lam=lam, grid=64))
+        assert np.isnan(rep.lambda_min_eig)
+        assert not rep.verdict
+
     @given(hermitian_stacks())
     @settings(max_examples=60, deadline=None)
     def test_closed_form_matches_lapack(self, z):
@@ -690,22 +718,27 @@ class TestSerialization:
         monkeypatch.setattr(time, "localtime", lambda secs=None: localtime(
             later if secs is None else secs))
         save_kernel(tmp_path / "later", k)
-        assert (tmp_path / "now" / "arrays.npz").read_bytes() == \
-            (tmp_path / "later" / "arrays.npz").read_bytes()
+        for name in ("arrays.bin", "meta.json"):
+            assert (tmp_path / "now" / name).read_bytes() == \
+                (tmp_path / "later" / name).read_bytes()
 
     def test_npz_holds_values_and_lam(self, tmp_path):
+        # the blob holds exactly the two arrays its meta.json names
         k = decaying_kernel(tau_max=16, lam_scale=0.3)
         save_kernel(tmp_path / "k", k)
-        with np.load(tmp_path / "k" / "arrays.npz") as npz:
-            assert sorted(npz.files) == ["lam", "values"]
+        meta = json.loads((tmp_path / "k" / "meta.json").read_text())
+        assert meta["arrays"] == {"lam": [1, 1], "values": [17, 1, 1]}
+        assert (tmp_path / "k" / "arrays.bin").stat().st_size == \
+            8 * (k.lam.size + k.values.size)
 
     def test_k0_array_of_older_artifact_ignored(self, tmp_path):
         # an artifact that also stores k0 loads with k0 = values[0], even
         # where its stored k0 disagrees
         k = decaying_kernel(tau_max=16, lam_scale=0.3)
         save_kernel(tmp_path / "k", k)
-        npz = tmp_path / "k" / "arrays.npz"
-        np.savez(npz, values=k.values, k0=k.k0 + 1.0, lam=k.lam)
+        meta, _ = load_artifact(tmp_path / "k")
+        save_artifact(tmp_path / "k", meta, values=k.values, k0=k.k0 + 1.0,
+                      lam=k.lam)
         back = load_kernel(tmp_path / "k")
         assert np.array_equal(back.k0, k.values[0])
         assert np.array_equal(back.values, k.values)

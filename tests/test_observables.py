@@ -495,8 +495,9 @@ class TestSerialization:
         save_observables(tmp_path / "obs", ObservableSet(
             sigma=np.eye(2), omega=omega, omega_zero=zero, omega_inf=inf,
             delta=1.0, n_days=1, n_bins=50))
-        with np.load(tmp_path / "obs" / "arrays.npz") as stored:
-            assert sorted(stored.files) == ["omega", "sigma"]
+        meta = json.loads((tmp_path / "obs" / "meta.json").read_text())
+        assert meta["arrays"] == {"omega": [2, 2, 2], "sigma": [2, 2]}
+        assert (tmp_path / "obs" / "arrays.bin").stat().st_size == 8 * 12
 
     def test_loaded_omega_inf_floored(self, tmp_path):
         # an older artifact whose stored aggregates disagree with its
@@ -534,7 +535,7 @@ class TestSerialization:
             load_observables(tmp_path / "obs")
 
     @pytest.mark.parametrize("drop, message", [
-        ("omega", "arrays.npz lacks 'omega'"),
+        ("omega", "arrays.bin lacks 'omega'"),
         ("n_bins", "meta.json lacks 'n_bins'"),
     ])
     def test_missing_entry_names_file(self, tmp_path, drop, message):
@@ -549,15 +550,17 @@ class TestSerialization:
         assert str(info.value) == f"{tmp_path / 'obs'}/{message}"
 
     def test_stale_files_removed(self, tmp_path):
-        # a directory written by the older per-lag CSV format keeps
-        # nothing of it once an artifact is saved there
+        # a directory written by an older format (per-lag CSVs, or a zip
+        # archive of .npy members) keeps nothing of it once an artifact
+        # is saved there
         target = tmp_path / "k2"
         target.mkdir()
         (target / "kernel_lag_0000.csv").write_text("0.5,0.0\n0.0,0.5\n")
         (target / "lambda.csv").write_text("1.0,0.0\n0.0,1.0\n")
+        (target / "arrays.npz").write_bytes(b"PK\x05\x06" + bytes(18))
         save_artifact(target, {"delta": 1.0}, values=np.zeros((2, 1, 1)))
         assert {p.name for p in target.iterdir()} == \
-            {"arrays.npz", "meta.json"}
+            {"arrays.bin", "meta.json"}
 
 
 class TestPriceCsv:
