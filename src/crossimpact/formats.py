@@ -3,15 +3,17 @@
 Every CSV this package writes has a header row and CRLF line ends, its
 times at TIME_FORMAT and its other floats at "%.17g"; its rows are
 assembled in numpy, EVENT_BLOCK_ROWS at a time, and hold the bytes
-csv.writer gives.  An artifact is a directory holding arrays.bin (its
-arrays as raw little-endian float64) and meta.json (its scalars,
-diagnostics and the shape of each array).  JSON is written with sorted
-keys and indent 1.
+csv.writer gives.  An artifact is a directory holding one file,
+artifact.bin: a line of compact JSON (its scalars, diagnostics and the
+shape of each array), then its arrays as raw little-endian float64.
+Every JSON text has sorted keys; the reports (diagnostics.json,
+manifest.json and check's report) are written with indent 1.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 import pathlib
 
 import numpy as np
@@ -40,6 +42,8 @@ _SPLITTER = 134217729.0
 # the rows of _g17_text's digit matrix, as a column
 _G17_COLUMNS = np.arange(21, dtype=np.uint8)[:, None]
 _CRLF = np.frombuffer(b"\r\n", np.uint8)
+# the one file of an artifact directory
+ARTIFACT = "artifact.bin"
 
 
 def _write_table(path, columns, n, step, rows):
@@ -238,46 +242,56 @@ def _numpy_value(obj):
 
 
 def dumps(obj) -> str:
-    """The JSON text of a report or meta dict: keys sorted, indent 1."""
+    """The JSON text of a report: keys sorted, indent 1."""
     return json.dumps(obj, sort_keys=True, indent=1, default=_numpy_value)
 
 
 def save_artifact(directory, meta: dict, **arrays):
-    """Write arrays to directory/arrays.bin and meta to directory/meta.json.
+    """Write meta and arrays to directory/ARTIFACT through one open file.
 
-    arrays.bin holds each array in C order as little-endian float64, one
-    after another in sorted name order, and meta.json records each
-    array's shape under the key "arrays", so equal inputs give equal
-    bytes.  Every other file in the directory, such as one left by an
-    earlier format, is deleted.
+    The file holds one line of JSON, meta with each array's shape under
+    the key "arrays", keys sorted and no other whitespace; then each
+    array in C order as little-endian float64, one after another in
+    sorted name order, so equal inputs give equal bytes.  Every other
+    file in the directory, such as one left by an earlier format, is
+    deleted.
     """
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     names = sorted(arrays)
     blobs = [np.asarray(arrays[name], "<f8") for name in names]
-    with open(directory / "arrays.bin", "wb") as fh:
+    shapes = {name: list(blob.shape) for name, blob in zip(names, blobs)}
+    header = json.dumps(dict(meta, arrays=shapes), sort_keys=True,
+                        separators=(",", ":"), default=_numpy_value)
+    with open(directory / ARTIFACT, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for blob in blobs:
             blob.tofile(fh)
-    shapes = {name: list(blob.shape) for name, blob in zip(names, blobs)}
-    (directory / "meta.json").write_text(dumps(dict(meta, arrays=shapes)))
     for path in directory.iterdir():
-        if path.is_file() and path.name not in ("arrays.bin", "meta.json"):
+        if path.is_file() and path.name != ARTIFACT:
             path.unlink()
 
 
 def load_artifact(directory, keys=(), names=()):
-    """(meta, arrays) of an artifact directory, each array a writable view
-    of one read of arrays.bin.  A meta.json that is not a JSON object
-    holding keys and an "arrays" map of names to lists of non-negative
-    ints, a map that lacks the arrays names, and an arrays.bin whose
-    byte count is not the one the map gives raise ValueError naming the
-    file and fault."""
-    directory = pathlib.Path(directory)
-    path = directory / "meta.json"
+    """(meta, arrays) of directory/ARTIFACT, each array a writable view
+    of one read of its payload.  A file with no newline, a header line
+    that is not a JSON object holding keys and an "arrays" map of names
+    to lists of non-negative ints, a map that lacks the arrays names,
+    and a payload whose byte count is not the one the map gives raise
+    ValueError naming the file and fault."""
+    path = os.path.join(directory, ARTIFACT)
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        # read as bytes, which np.fromfile does not round down to whole
+        # doubles
+        raw = np.fromfile(fh, np.uint8)
+    if not header.endswith(b"\n"):
+        raise ValueError(f"{path} has no newline ending its header")
     try:
-        meta = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not a JSON object: {exc}") from exc
+        meta = json.loads(header)
+    except ValueError as exc:
+        raise ValueError(f"{path}: its header is not a JSON object: "
+                         f"{exc}") from exc
     # JSON that is not an object, such as a string, holds no key
     missing = [key for key in (*keys, "arrays")
                if not isinstance(meta, dict) or key not in meta]
@@ -290,17 +304,14 @@ def load_artifact(directory, keys=(), names=()):
             for shape in shapes.values())):
         raise ValueError(f"{path}: 'arrays' must map each array name to a "
                          f"list of non-negative ints, not {shapes!r}")
-    path = directory / "arrays.bin"
     missing = [name for name in names if name not in shapes]
     if missing:
         raise ValueError(f"{path} lacks {', '.join(map(repr, missing))}")
-    # read as bytes, which np.fromfile does not round down to whole doubles
-    raw = np.fromfile(path, np.uint8)
     sizes = {name: math.prod(shape) for name, shape in shapes.items()}
     expected = 8 * sum(sizes.values())
     if raw.size != expected:
-        raise ValueError(f"{path} holds {raw.size} bytes, not the "
-                         f"{expected} that its meta.json describes")
+        raise ValueError(f"{path} holds {raw.size} bytes after its header, "
+                         f"not the {expected} that the header describes")
     blob, start, arrays = raw.view("<f8"), 0, {}
     for name in sorted(shapes):
         arrays[name] = blob[start:start + sizes[name]].reshape(shapes[name])

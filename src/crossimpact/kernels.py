@@ -17,7 +17,6 @@ through the stored lattice values.
 from __future__ import annotations
 
 import dataclasses
-import pathlib
 
 import numpy as np
 
@@ -339,15 +338,17 @@ def save_kernel(directory, kernel: ImpactKernel):
 
 def load_kernel(directory) -> ImpactKernel:
     """The kernel saved under directory, its values and lam views of one
-    read of arrays.bin; any other array is ignored.  values must be
-    (n+1, d, d) and lam (d, d), both finite, delta and tail_tol positive
-    finite numbers, and grid an integer of at least 1; any other artifact
-    is refused, naming the array or key at fault."""
-    directory = pathlib.Path(directory)
-    if not (directory / "meta.json").exists():
-        raise KernelError(f"{directory} is not a kernel directory")
-    meta, arrays = load_artifact(directory, ("delta", "tail_tol", "grid",
-                                             "provenance"), ("values", "lam"))
+    read of its artifact file; any other array is ignored.  values must
+    be (n+1, d, d) and lam (d, d), both finite, delta and tail_tol
+    positive finite numbers, and grid an integer of at least 1; any other
+    artifact is refused, naming the array or key at fault."""
+    try:
+        meta, arrays = load_artifact(directory, ("delta", "tail_tol", "grid",
+                                                 "provenance"),
+                                     ("values", "lam"))
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise KernelError(f"{directory} is not a kernel directory: no "
+                          f"{exc.filename}") from exc
     for key in ("delta", "tail_tol"):
         if type(meta[key]) not in (int, float) or not 0 < meta[key] < np.inf:
             raise KernelError(f"{directory}: {key} must be a positive finite "

@@ -141,6 +141,11 @@ MUTANTS = [
            "names = sorted(arrays)", "names = list(arrays)", "formats",
            "tests/test_cli.py::TestCalibrate::"
            "test_end_to_end_and_reproducible"),
+    Mutant("artifact-payload-from-start", "src/crossimpact/formats.py",
+           "raw = np.fromfile(fh, np.uint8)",
+           "raw = np.fromfile(path, np.uint8)", "formats",
+           "tests/test_cli.py::TestCalibrate::"
+           "test_end_to_end_and_reproducible"),
     Mutant("k2-nonfinite-accepted", "src/crossimpact/kernels.py",
            "fault = k1.nonfinite()", "fault = None", "kernels",
            "tests/test_kernels.py::TestRegularize::"

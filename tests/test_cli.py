@@ -17,6 +17,7 @@ from crossimpact.kernels import ImpactKernel, load_kernel, save_kernel
 from crossimpact.observables import load_observables
 
 import synthetic
+from test_formats import edit_header
 from test_hawkes import event_prices_loop
 
 
@@ -759,13 +760,11 @@ class TestCalibrate:
             arrays["spare"] = np.ones(3)
         formats.save_artifact(tmp_path / "k", meta, **arrays)
         if change == "object_values":
-            # the blob holds float64 only: a values entry that describes
-            # an object array is refused, not read as floats
-            path = tmp_path / "k" / "meta.json"
-            meta = json.loads(path.read_text())
+            # the payload holds float64 only: a values entry that
+            # describes an object array is refused, not read as floats
             meta["arrays"]["values"] = {"dtype": "object",
                                         "shape": list(vals.shape)}
-            path.write_text(json.dumps(meta))
+            edit_header(tmp_path / "k", lambda _: json.dumps(meta))
         assert main(["check", str(tmp_path / "k")]) == expected
         if expected == EXIT_INPUT:
             assert "input error" in capsys.readouterr().err
@@ -809,7 +808,7 @@ class TestCalibrate:
         assert main(["--config", str(cfg), "--output-dir", str(out),
                      "estimate"]) == EXIT_OK
         assert {p.name for p in (out / "observables").iterdir()} == \
-            {"arrays.bin", "meta.json"}
+            {"artifact.bin"}
         assert main(["--config", str(cfg), "--output-dir", str(out),
                      "calibrate"]) == EXIT_OK
         assert not (out / "factor").exists()
@@ -849,7 +848,7 @@ class TestCalibrate:
         assert main(["--config", str(data_cfg), "--output-dir", str(out),
                      "calibrate"]) == EXIT_OK
         assert {p.name for p in (out / "k2").iterdir()} == \
-            {"arrays.bin", "meta.json"}
+            {"artifact.bin"}
 
     def test_numerical_stage_failure_exits_3(self, tmp_path, capsys):
         # a day too short for tau_max is refused, not dropped with a
@@ -1212,8 +1211,7 @@ class TestInMemoryDays:
         assert b".000000000," in files["events_000.csv"]
         # estimate derives the prices that calibrate binned; neither
         # writes a price tape
-        assert set(files) == {"observables/arrays.bin",
-                              "observables/meta.json", "events_000.csv",
+        assert set(files) == {"observables/artifact.bin", "events_000.csv",
                               "events_001.csv", "manifest.json"}
         for name in files:
             assert memory[name] == files[name], name
@@ -1402,34 +1400,65 @@ class TestKernelArtifact:
             assert main(argv) == EXIT_INPUT, argv[0]
             captured = capsys.readouterr()
             assert captured.out == "", argv[0]
-            assert captured.err == (f"input error: {kernel_dir / 'arrays.bin'}"
-                                    f" lacks '{name}'\n"), argv[0]
+            assert captured.err == (
+                f"input error: {kernel_dir / 'artifact.bin'} lacks "
+                f"'{name}'\n"), argv[0]
         assert not pred.exists()
 
     @pytest.mark.parametrize("meta, message", [
-        pytest.param(lambda meta: "{", "is not a JSON object: Expecting",
+        pytest.param(lambda meta: "{",
+                     ": its header is not a JSON object: Expecting",
                      id="not-json"),
         pytest.param(lambda meta: json.dumps(
             {k: v for k, v in meta.items() if k != "delta"}),
-            "lacks 'delta'", id="no-delta"),
-        pytest.param(lambda meta: "[1, 2]", "lacks 'delta'",
+            " lacks 'delta'", id="no-delta"),
+        pytest.param(lambda meta: "[1, 2]", " lacks 'delta'",
                      id="not-an-object"),
         # its keys' names as substrings once passed the key check
         pytest.param(lambda meta: json.dumps(" ".join(meta)),
-                     "lacks 'delta'", id="string-of-keys")])
+                     " lacks 'delta'", id="string-of-keys")])
     def test_bad_meta_json_exits_2(self, tmp_path, capsys, meta, message):
-        # the input error names the file and its fault, not only a key
+        # the input error names the file and its header's fault, not
+        # only a key
         m = np.array([[0.5, 0.1], [0.1, 0.5]])
         kernel_dir = tmp_path / "k"
         save_kernel(kernel_dir, ImpactKernel(
             delta=1.0, values=np.tile(m, (9, 1, 1)), lam=m.copy()))
-        path = kernel_dir / "meta.json"
-        path.write_text(meta(json.loads(path.read_text())))
+        edit_header(kernel_dir, meta)
+        path = kernel_dir / "artifact.bin"
         assert main(["check", str(kernel_dir)]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"input error: {path} {message}")
+        assert captured.err.startswith(f"input error: {path}{message}")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("layout", ["arrays.bin", "arrays.npz"])
+    def test_old_layout_exits_2(self, tmp_path, capsys, calibrated, layout):
+        # a directory an earlier format wrote (meta.json with arrays.bin,
+        # or with a zip archive of .npy members) is refused, naming the
+        # file it lacks
+        kernel_dir = tmp_path / "k1"
+        kernel_dir.mkdir()
+        meta, arrays = formats.load_artifact(calibrated / "k1")
+        if layout == "arrays.bin":
+            (kernel_dir / "arrays.bin").write_bytes(
+                b"".join(arrays[name].tobytes() for name in sorted(arrays)))
+        else:
+            meta.pop("arrays")
+            np.savez(kernel_dir / "arrays.npz", **arrays)
+        (kernel_dir / "meta.json").write_text(json.dumps(meta, indent=1))
+        pred = tmp_path / "pred.csv"
+        for argv in (["check", str(kernel_dir)],
+                     ["predict", str(kernel_dir),
+                      str(calibrated / "events_000.csv"), "--out",
+                      str(pred)]):
+            assert main(argv) == EXIT_INPUT, argv[0]
+            captured = capsys.readouterr()
+            assert captured.out == "", argv[0]
+            assert captured.err == (
+                f"input error: {kernel_dir} is not a kernel directory: no "
+                f"{kernel_dir / 'artifact.bin'}\n"), argv[0]
+        assert not pred.exists()
 
 
 def tree_bytes(root):
@@ -1450,17 +1479,17 @@ def test_unusable_path_exits_2(tmp_path, capsys, calibrated, case):
     # failed stage simulate (exit 3)
     kernel, events = tmp_path / "truncated", calibrated / "events_000.csv"
     kernel.mkdir()
-    shutil.copy(calibrated / "k2" / "meta.json", kernel)
-    (kernel / "arrays.bin").write_bytes(
-        (calibrated / "k2" / "arrays.bin").read_bytes()[:3000])
+    (kernel / "artifact.bin").write_bytes(
+        (calibrated / "k2" / "artifact.bin").read_bytes()[:3000])
     a_file, cfg = tmp_path / "a_file", small_config(tmp_path)
     a_file.write_text("not a directory\n")
     spec_run = ["--config", cfg, "--output-dir", a_file]
     argv, path = {
-        "check-truncated-npz": (["check", kernel], kernel / "arrays.bin"),
+        "check-truncated-npz": (["check", kernel],
+                                kernel / "artifact.bin"),
         "predict-truncated-npz": (["predict", kernel, events, "--out",
                                    tmp_path / "pred.csv"],
-                                  kernel / "arrays.bin"),
+                                  kernel / "artifact.bin"),
         "config-is-directory": (["--config", kernel, "--output-dir",
                                  tmp_path / "out", "calibrate"], kernel),
         "predict-out-is-directory": (["predict", calibrated / "k1", events,

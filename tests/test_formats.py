@@ -1,6 +1,8 @@
-"""The artifact format: arrays.bin, raw little-endian float64 in sorted
-name order, with the shapes that meta.json records under "arrays"."""
+"""The artifact format: artifact.bin, a line of JSON that records each
+array's shape under "arrays", then the arrays as raw little-endian
+float64 in sorted name order."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from crossimpact.formats import load_artifact, save_artifact
-from crossimpact.kernels import ImpactKernel, load_kernel, save_kernel
+from crossimpact.kernels import (ImpactKernel, KernelError, load_kernel,
+                                 save_kernel)
 from crossimpact.observables import (ObservableSet, load_observables,
                                      omega_aggregates, save_observables)
 
@@ -56,6 +59,19 @@ def tree(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+def split_artifact(directory):
+    """(header line, payload) of directory's artifact.bin."""
+    return (directory / "artifact.bin").read_bytes().split(b"\n", 1)
+
+
+def edit_header(directory, edit):
+    """Replace the header line of directory's artifact.bin with
+    edit(header), header the line's JSON and edit's result a text."""
+    header, payload = split_artifact(directory)
+    (directory / "artifact.bin").write_bytes(
+        edit(json.loads(header)).encode() + b"\n" + payload)
+
+
 class TestRoundTrip:
     @given(kernels())
     @settings(max_examples=60, deadline=None)
@@ -72,9 +88,12 @@ class TestRoundTrip:
         assert back.values.flags.writeable and back.lam.flags.writeable
         save_kernel(second, kernel)
         assert tree(second) == tree(first)
+        assert list(tree(first)) == ["artifact.bin"]
+        header, payload = split_artifact(first)
+        assert json.loads(header)["arrays"] == {
+            "lam": list(kernel.lam.shape), "values": list(kernel.values.shape)}
         blob = np.concatenate([kernel.lam.ravel(), kernel.values.ravel()])
-        assert (first / "arrays.bin").read_bytes() == \
-            blob.astype("<f8").tobytes()
+        assert payload == blob.astype("<f8").tobytes()
 
     @given(observable_sets())
     @settings(max_examples=40, deadline=None)
@@ -96,18 +115,31 @@ class TestRoundTrip:
                       mid=np.float64(7))
         meta, arrays = load_artifact(tmp_path)
         assert meta["arrays"] == {"alpha": [2, 3], "mid": [], "zeta": [3]}
-        assert (tmp_path / "arrays.bin").read_bytes() == \
+        # one compact line of JSON with sorted keys, then the payload
+        assert (tmp_path / "artifact.bin").read_bytes() == \
+            b'{"arrays":{"alpha":[2,3],"mid":[],"zeta":[3]},"delta":1.0}\n' + \
             np.array([0, 2, 4, 1, 3, 5, 7, 1, 1, 1], "<f8").tobytes()
         assert np.array_equal(arrays["alpha"], alpha)
         assert list(arrays) == ["alpha", "mid", "zeta"]
         assert arrays["mid"].shape == ()
+
+    def test_equal_inputs_equal_bytes(self, tmp_path):
+        # the order in which meta's keys and the arrays are given, and an
+        # array's memory order, change no byte
+        m = np.arange(6.0).reshape(2, 3)
+        save_artifact(tmp_path / "a", {"delta": 1.0, "grid": 8, "x": [1]},
+                      lam=m, values=np.ones((2, 1, 1)))
+        save_artifact(tmp_path / "b", {"x": [1], "grid": 8, "delta": 1.0},
+                      values=np.ones((2, 1, 1)), lam=np.asfortranarray(m))
+        assert tree(tmp_path / "a") == tree(tmp_path / "b")
+        assert list(tree(tmp_path / "a")) == ["artifact.bin"]
 
 
 def saved_kernel(directory):
     m = np.array([[0.5, 0.1], [0.1, 0.5]])
     save_kernel(directory, ImpactKernel(
         delta=1.0, values=np.tile(m, (9, 1, 1)), lam=m.copy(), grid=64))
-    return directory / "meta.json", directory / "arrays.bin"
+    return directory / "artifact.bin"
 
 
 class TestRefusals:
@@ -119,12 +151,14 @@ class TestRefusals:
         pytest.param(lambda blob: blob + bytes(8), 328, id="8-bytes-long"),
     ])
     def test_byte_count_differs_from_map(self, tmp_path, edit, size):
-        _, blob = saved_kernel(tmp_path)
-        blob.write_bytes(edit(blob.read_bytes()))
+        path = saved_kernel(tmp_path)
+        header, payload = split_artifact(tmp_path)
+        path.write_bytes(header + b"\n" + edit(payload))
         with pytest.raises(ValueError) as info:
             load_kernel(tmp_path)
-        assert str(info.value) == (f"{blob} holds {size} bytes, not the 320 "
-                                   "that its meta.json describes")
+        assert str(info.value) == (f"{path} holds {size} bytes after its "
+                                   "header, not the 320 that the header "
+                                   "describes")
 
     @pytest.mark.parametrize("shapes", [
         pytest.param({"lam": [2, 2], "values": [9, -2, 2]}, id="negative"),
@@ -136,33 +170,86 @@ class TestRefusals:
         pytest.param(None, id="null"),
     ])
     def test_map_not_of_int_lists(self, tmp_path, shapes):
-        meta, _ = saved_kernel(tmp_path)
-        meta.write_text(json.dumps(dict(json.loads(meta.read_text()),
-                                        arrays=shapes)))
+        path = saved_kernel(tmp_path)
+        edit_header(tmp_path,
+                    lambda meta: json.dumps(dict(meta, arrays=shapes)))
         with pytest.raises(ValueError) as info:
             load_kernel(tmp_path)
         assert str(info.value) == (
-            f"{meta}: 'arrays' must map each array name to a list of "
+            f"{path}: 'arrays' must map each array name to a list of "
             f"non-negative ints, not {shapes!r}")
 
-    def test_old_layout_refused(self, tmp_path):
-        # the zip archive of .npy members is not read: its meta.json
-        # lacks the map
-        meta, _ = saved_kernel(tmp_path)
-        old = json.loads(meta.read_text())
-        arrays = {name: np.zeros(shape) for name, shape
-                  in old.pop("arrays").items()}
-        meta.write_text(json.dumps(old))
-        for path in tmp_path.iterdir():
-            if path.name != "meta.json":
-                path.unlink()
-        np.savez(tmp_path / "arrays.npz", **arrays)
+    @pytest.mark.parametrize("header", [
+        pytest.param(b"{", id="unclosed"),
+        pytest.param(b"delta=1.0", id="text"),
+        pytest.param(b"\xff\xfe", id="not-utf8"),
+    ])
+    def test_header_not_json(self, tmp_path, header):
+        path = saved_kernel(tmp_path)
+        path.write_bytes(header + b"\n" + split_artifact(tmp_path)[1])
         with pytest.raises(ValueError) as info:
             load_kernel(tmp_path)
-        assert str(info.value) == f"{meta} lacks 'arrays'"
+        assert str(info.value).startswith(
+            f"{path}: its header is not a JSON object: ")
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda header, payload: header, id="header-only"),
+        pytest.param(lambda header, payload: b"", id="empty"),
+    ])
+    def test_no_newline_refused(self, tmp_path, edit):
+        # a header, however complete, is one line
+        path = saved_kernel(tmp_path)
+        path.write_bytes(edit(*split_artifact(tmp_path)))
+        with pytest.raises(ValueError) as info:
+            load_kernel(tmp_path)
+        assert str(info.value) == f"{path} has no newline ending its header"
+
+    @staticmethod
+    def old_layout(directory, layout):
+        """Rewrite the artifact in directory as an earlier format wrote
+        it: meta.json with arrays.bin, or meta.json with arrays.npz."""
+        header, payload = split_artifact(directory)
+        meta = json.loads(header)
+        (directory / "artifact.bin").unlink()
+        if layout == "arrays.bin":
+            (directory / "arrays.bin").write_bytes(payload)
+        else:
+            np.savez(directory / "arrays.npz", **{
+                name: np.zeros(shape)
+                for name, shape in meta.pop("arrays").items()})
+        (directory / "meta.json").write_text(json.dumps(meta, indent=1))
+
+    def test_old_layout_refused(self, tmp_path):
+        # a directory of meta.json and a zip archive of .npy members is
+        # refused, naming the file it lacks
+        path = saved_kernel(tmp_path)
+        self.old_layout(tmp_path, "arrays.npz")
+        with pytest.raises(KernelError) as info:
+            load_kernel(tmp_path)
+        assert str(info.value) == (f"{tmp_path} is not a kernel directory: "
+                                   f"no {path}")
+
+    @pytest.mark.parametrize("layout", ["arrays.bin", "arrays.npz"])
+    def test_old_layouts_refused_and_replaced(self, tmp_path, layout):
+        path = saved_kernel(tmp_path)
+        kernel = load_kernel(tmp_path)
+        self.old_layout(tmp_path, layout)
+        name = re.escape(str(path))
+        for load in (load_artifact, load_observables):
+            with pytest.raises(FileNotFoundError, match=name):
+                load(tmp_path)
+        with pytest.raises(KernelError, match=f"no {name}$"):
+            load_kernel(tmp_path)
+        # a save into the directory leaves its one file
+        save_kernel(tmp_path, kernel)
+        assert list(tree(tmp_path)) == ["artifact.bin"]
+        assert np.array_equal(load_kernel(tmp_path).values, kernel.values)
 
     def test_missing_blob_names_it(self, tmp_path):
-        _, blob = saved_kernel(tmp_path)
-        blob.unlink()
-        with pytest.raises(OSError, match=str(blob)):
+        path = saved_kernel(tmp_path)
+        path.unlink()
+        name = re.escape(str(path))
+        with pytest.raises(FileNotFoundError, match=name):
+            load_artifact(tmp_path)
+        with pytest.raises(KernelError, match=f"no {name}$"):
             load_kernel(tmp_path)

@@ -19,6 +19,7 @@ from crossimpact.observables import (BinnedSeries, ObservableSet,
                                      estimate_omega, omega_aggregates,
                                      tapered_lags)
 import synthetic
+from test_formats import split_artifact
 
 
 def random_spd(rng, d, lo=0.1, hi=10.0):
@@ -718,18 +719,17 @@ class TestSerialization:
         monkeypatch.setattr(time, "localtime", lambda secs=None: localtime(
             later if secs is None else secs))
         save_kernel(tmp_path / "later", k)
-        for name in ("arrays.bin", "meta.json"):
-            assert (tmp_path / "now" / name).read_bytes() == \
-                (tmp_path / "later" / name).read_bytes()
+        assert (tmp_path / "now" / "artifact.bin").read_bytes() == \
+            (tmp_path / "later" / "artifact.bin").read_bytes()
 
     def test_npz_holds_values_and_lam(self, tmp_path):
-        # the blob holds exactly the two arrays its meta.json names
+        # the payload holds exactly the two arrays its header names
         k = decaying_kernel(tau_max=16, lam_scale=0.3)
         save_kernel(tmp_path / "k", k)
-        meta = json.loads((tmp_path / "k" / "meta.json").read_text())
-        assert meta["arrays"] == {"lam": [1, 1], "values": [17, 1, 1]}
-        assert (tmp_path / "k" / "arrays.bin").stat().st_size == \
-            8 * (k.lam.size + k.values.size)
+        header, payload = split_artifact(tmp_path / "k")
+        assert json.loads(header)["arrays"] == {"lam": [1, 1],
+                                                "values": [17, 1, 1]}
+        assert len(payload) == 8 * (k.lam.size + k.values.size)
 
     def test_k0_array_of_older_artifact_ignored(self, tmp_path):
         # an artifact that also stores k0 loads with k0 = values[0], even

@@ -19,6 +19,7 @@ from crossimpact.observables import (OMEGA_FLOOR, BinnedSeries,
 from crossimpact.polymat import spectrum_on_grid
 
 import synthetic
+from test_formats import edit_header, split_artifact
 
 
 def make_stream(times, assets, sides, sizes, horizon, d=2):
@@ -479,9 +480,8 @@ class TestSerialization:
         obs = ObservableSet(sigma=np.eye(2), omega=omega, omega_zero=zero,
                             omega_inf=inf, delta=1.0, n_days=1, n_bins=50)
         save_observables(tmp_path / "obs", obs)
-        meta = tmp_path / "obs" / "meta.json"
-        meta.write_text(json.dumps(dict(json.loads(meta.read_text()),
-                                        taper="none")))
+        edit_header(tmp_path / "obs",
+                    lambda meta: json.dumps(dict(meta, taper="none")))
         back = load_observables(tmp_path / "obs")
         assert vars(back).keys() == vars(obs).keys()
         assert all(np.array_equal(getattr(back, k), getattr(obs, k))
@@ -495,9 +495,10 @@ class TestSerialization:
         save_observables(tmp_path / "obs", ObservableSet(
             sigma=np.eye(2), omega=omega, omega_zero=zero, omega_inf=inf,
             delta=1.0, n_days=1, n_bins=50))
-        meta = json.loads((tmp_path / "obs" / "meta.json").read_text())
-        assert meta["arrays"] == {"omega": [2, 2, 2], "sigma": [2, 2]}
-        assert (tmp_path / "obs" / "arrays.bin").stat().st_size == 8 * 12
+        header, payload = split_artifact(tmp_path / "obs")
+        assert json.loads(header)["arrays"] == {"omega": [2, 2, 2],
+                                                "sigma": [2, 2]}
+        assert len(payload) == 8 * 12
 
     def test_loaded_omega_inf_floored(self, tmp_path):
         # an older artifact whose stored aggregates disagree with its
@@ -535,8 +536,8 @@ class TestSerialization:
             load_observables(tmp_path / "obs")
 
     @pytest.mark.parametrize("drop, message", [
-        ("omega", "arrays.bin lacks 'omega'"),
-        ("n_bins", "meta.json lacks 'n_bins'"),
+        pytest.param("omega", "artifact.bin lacks 'omega'", id="omega"),
+        pytest.param("n_bins", "artifact.bin lacks 'n_bins'", id="n_bins"),
     ])
     def test_missing_entry_names_file(self, tmp_path, drop, message):
         # unnamed, a missing array was a bare KeyError: 'omega'
@@ -550,17 +551,18 @@ class TestSerialization:
         assert str(info.value) == f"{tmp_path / 'obs'}/{message}"
 
     def test_stale_files_removed(self, tmp_path):
-        # a directory written by an older format (per-lag CSVs, or a zip
-        # archive of .npy members) keeps nothing of it once an artifact
-        # is saved there
+        # a directory written by an older format (per-lag CSVs, a zip
+        # archive of .npy members, or meta.json with arrays.bin) keeps
+        # nothing of it once an artifact is saved there
         target = tmp_path / "k2"
         target.mkdir()
         (target / "kernel_lag_0000.csv").write_text("0.5,0.0\n0.0,0.5\n")
         (target / "lambda.csv").write_text("1.0,0.0\n0.0,1.0\n")
         (target / "arrays.npz").write_bytes(b"PK\x05\x06" + bytes(18))
+        (target / "arrays.bin").write_bytes(bytes(16))
+        (target / "meta.json").write_text('{"arrays": {"values": [2]}}')
         save_artifact(target, {"delta": 1.0}, values=np.zeros((2, 1, 1)))
-        assert {p.name for p in target.iterdir()} == \
-            {"arrays.bin", "meta.json"}
+        assert {p.name for p in target.iterdir()} == {"artifact.bin"}
 
 
 class TestPriceCsv:
